@@ -11,12 +11,10 @@
 #include "db/update_history.hpp"
 #include "report/ts_report.hpp"
 #include "schemes/scheme.hpp"
-#include "sim/simulator.hpp"
 
 int main() {
   using namespace mci;
 
-  sim::Simulator clock;
   report::SizeModel sizes;
   sizes.numItems = 1000;
   sizes.numClients = 100;
@@ -24,7 +22,9 @@ int main() {
   db::UpdateHistory history(sizes.numItems);
   core::AawServerScheme server(history, sizes, /*L=*/20.0, /*w=*/10);
   core::AawClientScheme clientAlgo;
-  schemes::ClientContext client(/*id=*/0, /*cacheCapacity=*/32, sizes, clock,
+  // Clock-free: every time the client state holds arrives with a report,
+  // a fetched copy or a check acknowledgement.
+  schemes::ClientContext client(/*id=*/0, /*cacheCapacity=*/32, sizes,
                                 /*sink=*/nullptr);
 
   auto cacheItem = [&](db::ItemId item, double fetchedAt) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/client_rule.hpp"
+
 namespace mci::core {
 
 AdaptiveServerBase::AdaptiveServerBase(const db::UpdateHistory& history,
@@ -54,80 +56,28 @@ report::ReportPtr AdaptiveServerBase::buildReport(sim::SimTime now) {
 
 schemes::ClientOutcome AdaptiveClientScheme::onReport(
     const report::Report& r, schemes::ClientContext& ctx) {
-  // --- BS branch (Figures 3/4: "if report type is IR(BS) run BS client
-  // cache invalidation algorithm") ---
   if (r.kind == report::ReportKind::kBitSeq) {
     const auto& bs = static_cast<const report::BsReport&>(r);
-    const bool hadSuspects = ctx.cache().suspectCount() > 0;
-    // Salvage decisions must reach back to the pre-gap Tlb, not merely to
-    // the last (uncovering) report the client heard while waiting.
-    const sim::SimTime effective =
-        hadSuspects ? ctx.suspectAsOf() : ctx.lastHeard();
-    schemes::applyBsDecision(bs, effective, ctx);
-    if (ctx.cache().suspectCount() > 0) {
-      // Survivors of the BS decision were provably not updated since the
-      // chosen level's timestamp, hence current as of this report.
-      ctx.salvageAllSuspects(r.broadcastTime);
-    }
-    ctx.clearGapState();
-    ctx.setLastHeard(r.broadcastTime);
+    rule::onBsReport(ctx, r.broadcastTime, [&](sim::SimTime tlb) {
+      schemes::applyBsDecision(bs.decide(tlb), ctx);
+    });
     return {};
   }
 
-  // --- TS branch (IR(w) and AAW's IR(w')) ---
   assert(r.kind == report::ReportKind::kTsWindow ||
          r.kind == report::ReportKind::kTsExtended);
   const auto& ts = static_cast<const report::TsReport&>(r);
-  const bool hadSuspects = ctx.cache().suspectCount() > 0;
-
-  if (!hadSuspects && ts.covers(ctx.lastHeard())) {
-    applyTsEntries(ts.entries(), ctx);
-    ctx.setLastHeard(r.broadcastTime);
-    return {};
-  }
-
-  if (!hadSuspects) {
-    ctx.markAllSuspect(ctx.lastHeard());
-    if (ctx.cache().suspectCount() == 0) {
-      // Empty cache: nothing to salvage, no reason to bother the uplink.
-      applyTsEntries(ts.entries(), ctx);
-      ctx.clearGapState();
-      ctx.setLastHeard(r.broadcastTime);
-      return {};
-    }
-  }
-
-  // Explicit records always apply, suspects included.
-  applyTsEntries(ts.entries(), ctx);
-
-  if (ts.covers(ctx.suspectAsOf())) {
-    // The window (possibly w', via the dummy record) reaches back past the
-    // gap: every update since the gap was listed, so the remaining
-    // suspects are clean.
-    ctx.salvageAllSuspects(r.broadcastTime);
-    ctx.clearGapState();
-    ctx.setLastHeard(r.broadcastTime);
-    return {};
-  }
-
   schemes::ClientOutcome out;
-  if (!ctx.checkSent()) {
-    // First uncovered report after the gap: uplink the pre-gap Tlb once
-    // ("and not yet sent Tlb to server = TRUE").
-    out.sendCheck = true;
-    out.check.client = ctx.id();
-    out.check.tlb = ctx.suspectAsOf();
-    out.check.sizeBits = ctx.sizes().tlbMessageBits();
-    ctx.setCheckSent(true);
-    ctx.setSalvagePending(true);
-  } else if (ctx.checkDeliveredAt() < r.broadcastTime) {
-    // The server built this report knowing our Tlb and still did not help:
-    // our gap predates TS(B_n) — nothing can be salvaged.
-    ctx.dropSuspects();
-    ctx.clearGapState();
-  }
-  // else: feedback still in flight; keep waiting.
-  ctx.setLastHeard(r.broadcastTime);
+  rule::onTsReport(
+      ctx, r.broadcastTime, ts.coverageStart(),
+      [&] { schemes::applyTsEntries(ts.entries(), ctx); },
+      [&] {
+        out.sendCheck = true;
+        out.check.client = ctx.id();
+        out.check.tlb = ctx.suspectAsOf();
+        out.check.sizeBits = ctx.sizes().tlbMessageBits();
+        return true;
+      });
   return out;
 }
 

@@ -65,9 +65,8 @@ class AdaptiveServerBase : public schemes::ServerScheme {
 };
 
 /// Client half, shared verbatim by AFW and AAW: the report kind dispatch of
-/// Figures 3 and 4. An extended IR(w') differs from IR(w) only in having an
-/// earlier coverageStart (announced by the dummy record), so the same
-/// coverage test handles both.
+/// Figures 3 and 4 onto the rule of core/client_rule.hpp, which the swarm
+/// emulator runs too.
 class AdaptiveClientScheme final : public schemes::ClientScheme {
  public:
   schemes::ClientOutcome onReport(const report::Report& r,

@@ -22,7 +22,7 @@ Client::Client(sim::Simulator& simulator, net::Network& network, Server& server,
       queryGen_(std::move(queryGen)),
       disc_(disconnector),
       collector_(collector),
-      ctx_(id, cacheCapacity, sizes, simulator, collector, replacement) {
+      ctx_(id, cacheCapacity, sizes, collector, replacement) {
   assert(scheme_ != nullptr);
 }
 
@@ -155,7 +155,7 @@ void Client::wake() {
   assert(state_ == State::kDozing);
   connected_ = true;
   if (collector_) collector_->onReconnect(sim_.now() - dozeStart_);
-  scheme_->onWake(ctx_, sim_.now());
+  scheme_->onWake(ctx_);
   if (queryAfterWake_) {
     // Post-query model: the doze *replaced* the think time.
     issueQuery();

@@ -12,7 +12,7 @@ Simulation::Simulation(SimConfig cfg)
       db_(cfg_.dbSize),
       history_(cfg_.dbSize),
       net_(sim_, cfg_.downlinkBps, cfg_.uplinkBps, cfg_.dataChannelBps),
-      collector_(db_, cfg_.auditStaleReads) {
+      collector_(&db_, cfg_.auditStaleReads) {
   cfg_.validate();
   collector_.setClientCount(cfg_.numClients);
 
@@ -113,14 +113,23 @@ void Simulation::runUntil(double t) {
 metrics::SimResult Simulation::run() {
   if (cfg_.warmupTime > 0 && sim_.now() < cfg_.warmupTime) {
     runUntil(cfg_.warmupTime);
-    collector_.resetForMeasurement(net_);
+    collector_.resetForMeasurement();
+    downlinkBaseline_ = net_.downlinkUsage();
+    uplinkBaseline_ = net_.uplinkUsage();
+    dataBaseline_ = net_.dataChannelUsage();
   }
   runUntil(cfg_.simTime);
-  return collector_.finalize(cfg_.simTime - cfg_.warmupTime, net_);
+  return result(cfg_.simTime - cfg_.warmupTime);
 }
 
-metrics::SimResult Simulation::snapshot() const {
-  return collector_.finalize(sim_.now(), net_);
+metrics::SimResult Simulation::snapshot() const { return result(sim_.now()); }
+
+metrics::SimResult Simulation::result(double simTime) const {
+  metrics::SimResult r = collector_.finalize(simTime);
+  r.downlink = net_.downlinkUsage().since(downlinkBaseline_);
+  r.uplink = net_.uplinkUsage().since(uplinkBaseline_);
+  r.dataChannels = net_.dataChannelUsage().since(dataBaseline_);
+  return r;
 }
 
 }  // namespace mci::core

@@ -62,6 +62,9 @@ class Simulation {
 
  private:
   void startProcesses();
+  /// The collector's totals plus the channels' usage since the last
+  /// measurement reset.
+  [[nodiscard]] metrics::SimResult result(double simTime) const;
 
   SimConfig cfg_;
   report::SizeModel sizes_;
@@ -70,6 +73,11 @@ class Simulation {
   db::UpdateHistory history_;
   net::Network net_;
   metrics::Collector collector_;
+  /// Channel usage at the measurement reset (warm-up end); result()
+  /// reports the usage since.
+  net::ChannelUsage downlinkBaseline_;
+  net::ChannelUsage uplinkBaseline_;
+  net::ChannelUsage dataBaseline_;
   sim::Trace trace_;
   std::unique_ptr<report::SignatureTable> sigTable_;
   std::vector<std::uint64_t> sigInitialCombined_;

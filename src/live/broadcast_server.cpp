@@ -39,12 +39,10 @@ BroadcastServer::BroadcastServer(Reactor& reactor, ServerOptions options)
       sizes_(opts_.cfg.sizeModel()),
       db_(opts_.cfg.dbSize),
       history_(opts_.cfg.dbSize),
-      collector_(db_, opts_.cfg.auditStaleReads),
+      collector_(&db_, opts_.cfg.auditStaleReads),
       codec_(sizes_),
       updatePattern_(makeUpdatePattern(opts_.cfg)),
-      updateRng_(sim::Rng(opts_.cfg.seed).fork("updates")),
-      dummyNet_(holderSim_, opts_.cfg.downlinkBps, opts_.cfg.uplinkBps,
-                opts_.cfg.dataChannelBps) {
+      updateRng_(sim::Rng(opts_.cfg.seed).fork("updates")) {
   opts_.cfg.validate();
   if (opts_.timeScale <= 0) {
     throw std::invalid_argument("timeScale must be positive");

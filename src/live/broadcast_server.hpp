@@ -19,12 +19,10 @@
 #include "live/udp_batch.hpp"
 #include "live/wire.hpp"
 #include "metrics/collector.hpp"
-#include "net/network.hpp"
 #include "report/codec.hpp"
 #include "report/sig_report.hpp"
 #include "schemes/scheme.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
 #include "workload/pattern.hpp"
 
 namespace mci::live {
@@ -349,12 +347,6 @@ class BroadcastServer {
   UdpBatchSender batchSender_;
   std::vector<const sockaddr_in*> batchAddrs_;  ///< reused per tick
   std::vector<std::uint8_t> lastReportPayload_;
-
-  // finalize() support: the collector's channel decomposition needs a
-  // Network; the live daemon has real sockets instead, so an inert model
-  // network (never sent through) stands in.
-  sim::Simulator holderSim_;
-  net::Network dummyNet_;
 };
 
 }  // namespace mci::live

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "core/check.hpp"
+#include "core/client_rule.hpp"
 #include "core/scheme_factory.hpp"
 
 namespace mci::live {
@@ -314,7 +315,6 @@ void ClientAgent::handleFrame(Link& link, const wire::Frame& frame) {
     case wire::FrameType::kCheckAck:
       if (auto m = wire::decodeCheckAck(frame.payload)) {
         if (link.scheme != nullptr) {
-          pool_.advanceModelTime(m->asOf);
           link.scheme->onCheckDelivered(*link.ctx, m->asOf);
         }
       }
@@ -414,8 +414,8 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
                         (link.shard < w.cacheCapacity % shards ? 1 : 0);
   share = std::max<std::uint32_t>(share, 1);
   link.ctx = std::make_unique<schemes::ClientContext>(
-      link.clientId, share, pool_.sizes_, pool_.holderSim_,
-      pool_.collector_.get(), pool_.agentCfg_.replacement);
+      link.clientId, share, pool_.sizes_, pool_.collector_.get(),
+      pool_.agentCfg_.replacement);
   link.scheme = core::makeClientScheme(pool_.agentCfg_, pool_.sigTable_.get(),
                                        pool_.sigInitial_);
 
@@ -460,7 +460,6 @@ void ClientAgent::onReportPayload(Link& link,
   if (link.shard < pool_.stats_.reportsHeardPerShard.size()) {
     ++pool_.stats_.reportsHeardPerShard[link.shard];
   }
-  pool_.advanceModelTime(r->broadcastTime);
   pool_.collector_->onClientRx(r->sizeBits);
   const schemes::ClientOutcome outcome = link.scheme->onReport(*r, *link.ctx);
   if (outcome.sendCheck) {
@@ -482,15 +481,10 @@ void ClientAgent::onReportPayload(Link& link,
 
 void ClientAgent::onDataItem(Link& link, const wire::DataItem& d) {
   if (link.scheme == nullptr) return;
-  pool_.advanceModelTime(d.readTime);
   pool_.collector_->onClientRx(pool_.sizes_.dataItemBits());
-  // Cache the copy only if it is no older than the shard's consistency
-  // point. The TCP reply and the UDP report stream are unordered: a report
-  // processed between the fetch and this reply may have listed an update
-  // for the item while it was still absent (a no-op invalidation), so a
-  // copy read before lastHeard cannot be trusted — drop it and let the
-  // next query miss again.
-  if (d.readTime >= link.ctx->lastHeard()) {
+  // The cross-channel late-copy rule: a copy read before the shard's
+  // lastHeard is dropped and the next query simply misses again.
+  if (core::rule::acceptsFetchedCopy(d.readTime, link.ctx->lastHeard())) {
     cache::Entry entry;
     entry.item = d.item;
     entry.version = d.version;
@@ -506,7 +500,6 @@ void ClientAgent::onDataItem(Link& link, const wire::DataItem& d) {
 
 void ClientAgent::onValidityReply(Link& link, const wire::ValidityReplyMsg& vr) {
   if (link.scheme == nullptr || !radioOn_) return;
-  pool_.advanceModelTime(vr.asOf);
   pool_.collector_->onClientRx(vr.sizeBits);
   schemes::ValidityReply reply;
   reply.client = link.clientId;
@@ -650,7 +643,7 @@ void ClientAgent::wake() {
   // instance judges its own gap against its shard's windows.
   for (auto& link : links_) {
     if (link->scheme != nullptr) {
-      link->scheme->onWake(*link->ctx, pool_.holderSim_.now());
+      link->scheme->onWake(*link->ctx);
     }
   }
   if (queryAfterWake_) {
@@ -756,16 +749,15 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
   if (map.version() <= mapVersion_) return;
   mapVersion_ = map.version();
 
-  // The pre-flip consistency point: the oldest per-partition lastHeard
-  // bounds every update a migrated copy could have missed on its old
-  // owner's report stream. Migrated entries become suspect as of this
-  // time, so the salvage/gap machinery treats the epoch switch exactly
-  // like a doze that started at preTlb.
-  sim::SimTime preTlb = sim::kTimeInfinity;
+  // The pre-flip consistency point bounds every update a migrated copy
+  // could have missed on its old owner's report stream. It is no later
+  // than any partition's own gap anchor, so it is also the anchor of every
+  // destination partition a copy lands in.
+  core::rule::PreFlipPoint<sim::SimTime> preFlip;
   for (const auto& l : links_) {
-    if (l && l->ctx) preTlb = std::min(preTlb, l->ctx->lastHeard());
+    if (l && l->ctx) preFlip.add(*l->ctx);
   }
-  if (preTlb == sim::kTimeInfinity) preTlb = sim::kTimeEpoch;
+  const sim::SimTime preTlb = preFlip.value();
 
   // Re-key the links by endpoint identity: a surviving daemon keeps its
   // connection (and cache partition) even if its shard index changed;
@@ -811,17 +803,6 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
     if (links_[s]->tcpFd < 0) return;  // hello failed; dropAgent() ran
   }
 
-  // Destination gap anchors must be computed before any insertion:
-  // markAllSuspect overwrites suspectAsOf, and if a partition already has
-  // an active gap we must keep its (older) anchor rather than raise it.
-  std::vector<sim::SimTime> dstAsOf(map.shardCount(), preTlb);
-  for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-    const Link& l = *links_[s];
-    if (l.ctx && l.ctx->cache().suspectCount() > 0) {
-      dstAsOf[s] = std::min(dstAsOf[s], l.ctx->suspectAsOf());
-    }
-  }
-
   // Migrate cached copies whose owner changed. Two passes per source cache
   // (forEach forbids mutation): collect movers, then erase them.
   std::vector<cache::Entry> moved;
@@ -859,7 +840,7 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
   }
   for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
     if (!touched[s]) continue;
-    links_[s]->ctx->markAllSuspect(dstAsOf[s]);
+    links_[s]->ctx->markAllSuspect(preTlb);
     links_[s]->ctx->restartGapCycle();
   }
 
@@ -891,11 +872,7 @@ void ClientAgent::closeDrainingLinks() {
 // --- ClientPool --------------------------------------------------------
 
 ClientPool::ClientPool(Reactor& reactor, AgentOptions options)
-    : reactor_(reactor),
-      opts_(std::move(options)),
-      dummyNet_(holderSim_, opts_.cfg.downlinkBps, opts_.cfg.uplinkBps,
-                opts_.cfg.dataChannelBps),
-      agentCfg_(opts_.cfg) {}
+    : reactor_(reactor), opts_(std::move(options)), agentCfg_(opts_.cfg) {}
 
 ClientPool::~ClientPool() = default;
 
@@ -932,7 +909,7 @@ std::uint64_t ClientPool::queriesCompleted() const {
 metrics::SimResult ClientPool::finalize() const {
   if (!collector_) return metrics::SimResult{};
   const double modelSeconds = clock_ ? clock_->nowModel() : 0.0;
-  return collector_->finalize(modelSeconds, dummyNet_);
+  return collector_->finalize(modelSeconds);
 }
 
 void ClientPool::ensureConfigured(const wire::Welcome& w) {
@@ -965,11 +942,9 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
           : workload::AccessPattern::uniform(agentCfg_.dbSize));
   clock_.emplace(w.timeScale);
 
-  // Version-less stand-in: versionAt() is always 0, so the local audit can
-  // never fire falsely; real auditing happens either through the resolver
+  // No local ground truth: auditing happens either through the resolver
   // below (in-process cluster) or server-side via kAudit.
-  dummyDb_ = std::make_unique<db::Database>(agentCfg_.dbSize);
-  collector_ = std::make_unique<metrics::Collector>(*dummyDb_,
+  collector_ = std::make_unique<metrics::Collector>(nullptr,
                                                     agentCfg_.auditStaleReads);
   collector_->setClientCount(agentCfg_.numClients);
   if (!opts_.auditDbs.empty()) {
@@ -1004,10 +979,6 @@ void ClientPool::onMapUpdate(const ShardMap& map) {
   // Flip every agent now, in one callback: no reactor iteration ever sees
   // the pool's map and an agent's link vector disagree on shard count.
   for (auto& a : agents_) a->applyShardMap(map);
-}
-
-void ClientPool::advanceModelTime(sim::SimTime t) {
-  if (t > holderSim_.now()) holderSim_.runUntil(t);
 }
 
 }  // namespace mci::live

@@ -21,7 +21,6 @@
 #include "report/codec.hpp"
 #include "report/sig_report.hpp"
 #include "schemes/scheme.hpp"
-#include "sim/simulator.hpp"
 #include "workload/disconnect.hpp"
 #include "workload/pattern.hpp"
 #include "workload/query_generator.hpp"
@@ -43,8 +42,8 @@ struct AgentOptions {
   /// shard) so the server audits it against the authoritative partition.
   bool sendAudit = true;
   /// In-process runs: audit locally against the real per-shard databases,
-  /// indexed by shard. Empty (separate processes) uses a version-less stub
-  /// — local audits then never fire, which is why sendAudit exists.
+  /// indexed by shard. Empty (separate processes) means no local ground
+  /// truth — local audits then never fire, which is why sendAudit exists.
   std::vector<const db::Database*> auditDbs;
 };
 
@@ -286,19 +285,10 @@ class ClientPool {
   /// iteration sees the pool's map and an agent's links disagree in size).
   void onMapUpdate(const ShardMap& map);
 
-  /// Advances the shared model-time holder (ClientContext::now()) to a
-  /// server timestamp. Monotonic: stale frames never move time backwards.
-  /// Per-shard consistency decisions never use this — they key off the
-  /// owning link's own lastHeard/Tlb — so cross-shard clock skew is safe.
-  void advanceModelTime(sim::SimTime t);
-
   Reactor& reactor_;
   AgentOptions opts_;
-  sim::Simulator holderSim_;
   std::optional<LiveClock> clock_;  ///< scale arrives in the Welcome
-  std::unique_ptr<db::Database> dummyDb_;
   std::unique_ptr<metrics::Collector> collector_;
-  net::Network dummyNet_;
 
   bool configured_ = false;
   core::SimConfig agentCfg_;  ///< opts_.cfg overlaid with Welcome fields

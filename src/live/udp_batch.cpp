@@ -9,18 +9,7 @@
 namespace mci::live {
 namespace {
 
-#ifdef MCI_IO_URING
-// io_uring backend stub: the build flag reserves the surface (so the
-// submission-queue backend can land without touching call sites) but no
-// ring is set up yet — batching stays on sendmmsg/recvmmsg. Gated OFF by
-// default in CMake; flipping it ON today changes nothing but this probe.
-bool ioUringAvailable() { return false; }
-#endif
-
 bool probeBatchedSyscalls() {
-#ifdef MCI_IO_URING
-  if (ioUringAvailable()) return true;
-#endif
   // sendmmsg on an invalid fd: a kernel that has the syscall answers
   // EBADF; one without it (or a seccomp filter / emulation layer that
   // blocks it) answers ENOSYS. Either way nothing is sent.

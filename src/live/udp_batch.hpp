@@ -21,9 +21,6 @@ namespace mci::live {
 /// and every call site keeps the classic one-datagram loop as a per-call
 /// fallback (`Result::fellBack` / the `fellBack` out-param), so behaviour
 /// is identical either way — only the syscall count changes.
-///
-/// An io_uring backend is reserved behind the MCI_IO_URING build flag
-/// (OFF by default); see udp_batch.cpp.
 class UdpBatchSender {
  public:
   /// Datagrams per sendmmsg call (bounds the reused header/iovec arrays).

@@ -9,7 +9,7 @@
 
 namespace mci::metrics {
 
-Collector::Collector(const db::Database& database, bool auditStaleReads)
+Collector::Collector(const db::Database* database, bool auditStaleReads)
     : db_(database), audit_(auditStaleReads) {}
 
 void Collector::attachTrace(const sim::Simulator* simulator,
@@ -25,7 +25,7 @@ void Collector::trace(sim::TraceCategory category, std::int64_t actor,
 }
 
 void Collector::onInvalidate(schemes::ClientId client, db::ItemId item,
-                             db::Version version, sim::SimTime /*now*/) {
+                             db::Version version) {
   ++result_.invalidations;
   const db::Database* truth = dbFor(item);
   const bool wasCurrent =
@@ -36,16 +36,14 @@ void Collector::onInvalidate(schemes::ClientId client, db::ItemId item,
             (wasCurrent ? " (false: copy was current)" : ""));
 }
 
-void Collector::onCacheDrop(schemes::ClientId client, std::size_t entries,
-                            sim::SimTime /*now*/) {
+void Collector::onCacheDrop(schemes::ClientId client, std::size_t entries) {
   ++result_.cacheDropEvents;
   result_.entriesDropped += entries;
   trace(sim::TraceCategory::kCache, client,
         "drop " + std::to_string(entries) + " entries");
 }
 
-void Collector::onSalvage(schemes::ClientId client, std::size_t entries,
-                          sim::SimTime /*now*/) {
+void Collector::onSalvage(schemes::ClientId client, std::size_t entries) {
   result_.entriesSalvaged += entries;
   trace(sim::TraceCategory::kCache, client,
         "salvage " + std::to_string(entries) + " entries");
@@ -90,15 +88,12 @@ void Collector::onQueryCompleted(schemes::ClientId client,
   if (client < perClient_.size()) ++perClient_[client].queries;
 }
 
-void Collector::resetForMeasurement(const net::Network& net) {
+void Collector::resetForMeasurement() {
   const std::size_t clients = perClient_.size();
   result_ = SimResult{};
   latency_.reset();
   latencyHist_ = sim::Histogram(0.0, 5000.0, 500);
   perClient_.assign(clients, PerClient{});
-  downlinkBaseline_ = net.downlinkUsage();
-  uplinkBaseline_ = net.uplinkUsage();
-  dataBaseline_ = net.dataChannelUsage();
 }
 
 void Collector::onDisconnect() {
@@ -137,16 +132,13 @@ void Collector::onValidityReplySent() {
   trace(sim::TraceCategory::kCheck, -1, "validity reply sent");
 }
 
-SimResult Collector::finalize(double simTime, const net::Network& net) const {
+SimResult Collector::finalize(double simTime) const {
   SimResult r = result_;
   r.simTime = simTime;
   r.avgQueryLatency = latency_.mean();
   r.maxQueryLatency = latency_.max();
   r.p50QueryLatency = latencyHist_.quantile(0.5);
   r.p95QueryLatency = latencyHist_.quantile(0.95);
-  r.downlink = net.downlinkUsage().since(downlinkBaseline_);
-  r.uplink = net.uplinkUsage().since(uplinkBaseline_);
-  r.dataChannels = net.dataChannelUsage().since(dataBaseline_);
 
   if (!perClient_.empty()) {
     double sum = 0, sumSq = 0;

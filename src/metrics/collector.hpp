@@ -132,10 +132,12 @@ struct SimResult {
 /// cache answer is cross-checked against the database's version history.
 class Collector final : public schemes::CacheEventSink {
  public:
-  /// `auditStaleReads`: assert(false) on the first stale answer (tests and
-  /// benches keep this on; it is the correctness invariant of the paper's
-  /// schemes).
-  Collector(const db::Database& database, bool auditStaleReads);
+  /// `database` is the ground truth for the staleness audit and the
+  /// false-invalidation classification; nullptr means there is none (a
+  /// remote client pool). `auditStaleReads`: abort on the first stale
+  /// answer (tests and benches keep this on; it is the correctness
+  /// invariant of the paper's schemes).
+  Collector(const db::Database* database, bool auditStaleReads);
 
   /// Sharded ground truth: when set, staleness audits consult
   /// resolver(item) instead of the construction-time database — in a
@@ -149,11 +151,9 @@ class Collector final : public schemes::CacheEventSink {
 
   // CacheEventSink
   void onInvalidate(schemes::ClientId client, db::ItemId item,
-                    db::Version version, sim::SimTime now) override;
-  void onCacheDrop(schemes::ClientId client, std::size_t entries,
-                   sim::SimTime now) override;
-  void onSalvage(schemes::ClientId client, std::size_t entries,
-                 sim::SimTime now) override;
+                    db::Version version) override;
+  void onCacheDrop(schemes::ClientId client, std::size_t entries) override;
+  void onSalvage(schemes::ClientId client, std::size_t entries) override;
 
   // client state machine hooks
   /// Sizes the per-client accounting; call once before the run starts.
@@ -176,19 +176,19 @@ class Collector final : public schemes::CacheEventSink {
   void onReportBuilt(report::ReportKind kind);
   void onValidityReplySent();
 
-  /// Restarts measurement at the current instant: zeroes every counter and
-  /// records the channels' usage as the baseline finalize() subtracts.
+  /// Restarts measurement at the current instant: zeroes every counter.
   /// Call after the warm-up horizon (SimConfig::warmupTime) so steady-state
   /// figures are not polluted by the cold-cache transient.
-  void resetForMeasurement(const net::Network& net);
+  void resetForMeasurement();
 
   /// Routes a human-readable line per model event into `trace` (which must
   /// already be enabled), timestamped via `simulator`. Both pointers must
   /// outlive the collector. Pass nullptrs to detach.
   void attachTrace(const sim::Simulator* simulator, sim::Trace* trace);
 
-  /// Snapshot of the totals plus the channels' usage.
-  [[nodiscard]] SimResult finalize(double simTime, const net::Network& net) const;
+  /// Snapshot of the totals. The channel-usage fields stay zero: the owner
+  /// of the network, if there is one, fills them in (core::Simulation).
+  [[nodiscard]] SimResult finalize(double simTime) const;
 
   [[nodiscard]] std::uint64_t staleReads() const { return result_.staleReads; }
 
@@ -197,19 +197,16 @@ class Collector final : public schemes::CacheEventSink {
              std::string message);
 
   [[nodiscard]] const db::Database* dbFor(db::ItemId item) const {
-    return resolver_ ? resolver_(item) : &db_;
+    return resolver_ ? resolver_(item) : db_;
   }
 
-  const db::Database& db_;
+  const db::Database* db_;
   std::function<const db::Database*(db::ItemId)> resolver_;
   bool audit_;
   SimResult result_;
   sim::Welford latency_;
   const sim::Simulator* traceSim_ = nullptr;
   sim::Trace* trace_ = nullptr;
-  net::ChannelUsage downlinkBaseline_;
-  net::ChannelUsage uplinkBaseline_;
-  net::ChannelUsage dataBaseline_;
   sim::Histogram latencyHist_{0.0, 5000.0, 500};
 
   struct PerClient {

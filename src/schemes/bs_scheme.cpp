@@ -13,26 +13,11 @@ std::optional<ValidityReply> BsServerScheme::onCheckMessage(
   return std::nullopt;  // BS is pure broadcast: no uplink at all
 }
 
-void applyBsDecision(const report::BsReport& bs, sim::SimTime effectiveTlb,
-                     ClientContext& ctx) {
-  const report::BsReport::Decision d = bs.decide(effectiveTlb);
-  switch (d.action) {
-    case report::BsReport::Action::kNothing:
-      break;
-    case report::BsReport::Action::kDropAll:
-      ctx.dropAll();
-      break;
-    case report::BsReport::Action::kInvalidateSet:
-      for (const db::UpdateRecord& rec : d.marked) ctx.invalidate(rec.item);
-      break;
-  }
-}
-
 ClientOutcome BsClientScheme::onReport(const report::Report& r,
                                        ClientContext& ctx) {
   assert(r.kind == report::ReportKind::kBitSeq);
   const auto& bs = static_cast<const report::BsReport&>(r);
-  applyBsDecision(bs, ctx.lastHeard(), ctx);
+  applyBsDecision(bs.decide(ctx.lastHeard()), ctx);
   ctx.setLastHeard(r.broadcastTime);
   return {};
 }

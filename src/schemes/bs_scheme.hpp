@@ -35,11 +35,23 @@ class BsClientScheme final : public ClientScheme {
   ClientOutcome onReport(const report::Report& r, ClientContext& ctx) override;
 };
 
-/// Applies a BS decision to the cache. Wire-faithful: a marked item is
-/// invalidated regardless of the cached copy's refTime, because the bit
-/// representation carries no per-item timestamps. Shared with the adaptive
-/// schemes' client half.
-void applyBsDecision(const report::BsReport& bs, sim::SimTime effectiveTlb,
-                     ClientContext& ctx);
+/// Applies a BS decision (BsReport::decide) to a cache view with dropAll()
+/// and invalidate(item): a ClientContext, or a swarm PartitionView.
+/// Wire-faithful: a marked item is invalidated regardless of the cached
+/// copy's refTime, because the bit representation carries no per-item
+/// timestamps. Shared with the adaptive schemes' client half.
+template <class View>
+void applyBsDecision(const report::BsReport::Decision& d, View& v) {
+  switch (d.action) {
+    case report::BsReport::Action::kNothing:
+      break;
+    case report::BsReport::Action::kDropAll:
+      v.dropAll();
+      break;
+    case report::BsReport::Action::kInvalidateSet:
+      for (const db::UpdateRecord& rec : d.marked) v.invalidate(rec.item);
+      break;
+  }
+}
 
 }  // namespace mci::schemes

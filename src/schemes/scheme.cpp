@@ -1,27 +1,28 @@
 #include "schemes/scheme.hpp"
 
+#include "core/client_rule.hpp"
+
 namespace mci::schemes {
 
 ClientContext::ClientContext(ClientId id, std::size_t cacheCapacity,
                              const report::SizeModel& sizes,
-                             sim::Simulator& simulator, CacheEventSink* sink,
+                             CacheEventSink* sink,
                              cache::ReplacementPolicy replacement)
     : id_(id),
       cache_(cacheCapacity, replacement, 0x9E3779B9u + id),
       sizes_(sizes),
-      sim_(simulator),
       sink_(sink) {}
 
 void ClientContext::invalidate(db::ItemId item) {
   cache::Entry* e = cache_.find(item);
   if (e == nullptr) return;
-  if (sink_) sink_->onInvalidate(id_, item, e->version, sim_.now());
+  if (sink_) sink_->onInvalidate(id_, item, e->version);
   cache_.erase(item);
 }
 
 std::size_t ClientContext::dropAll() {
   const std::size_t n = cache_.size();
-  if (n > 0 && sink_) sink_->onCacheDrop(id_, n, sim_.now());
+  if (n > 0 && sink_) sink_->onCacheDrop(id_, n);
   cache_.clear();
   return n;
 }
@@ -33,7 +34,7 @@ std::size_t ClientContext::markAllSuspect(sim::SimTime preGapTlb) {
 
 std::size_t ClientContext::dropSuspects() {
   const std::size_t n = cache_.dropSuspects();
-  if (n > 0 && sink_) sink_->onCacheDrop(id_, n, sim_.now());
+  if (n > 0 && sink_) sink_->onCacheDrop(id_, n);
   return n;
 }
 
@@ -42,12 +43,12 @@ void ClientContext::salvageEntry(db::ItemId item, sim::SimTime refTime) {
   if (e == nullptr || !e->suspect) return;
   cache_.clearSuspect(item);
   e->refTime = refTime;
-  if (sink_) sink_->onSalvage(id_, 1, sim_.now());
+  if (sink_) sink_->onSalvage(id_, 1);
 }
 
 std::size_t ClientContext::salvageAllSuspects(sim::SimTime refTime) {
   const std::size_t n = cache_.salvageSuspects(refTime);
-  if (n > 0 && sink_) sink_->onSalvage(id_, n, sim_.now());
+  if (n > 0 && sink_) sink_->onSalvage(id_, n);
   return n;
 }
 
@@ -73,13 +74,7 @@ void ClientContext::restartGapCycle() {
   ++checkEpoch_;  // a reply to the pre-doze check must be ignored
 }
 
-void ClientScheme::onWake(ClientContext& ctx, sim::SimTime /*now*/) {
-  if (ctx.cache().suspectCount() > 0) {
-    ctx.restartGapCycle();
-  } else {
-    ctx.clearGapState();
-  }
-}
+void ClientScheme::onWake(ClientContext& ctx) { core::rule::onWake(ctx); }
 
 void applyTsEntries(const std::vector<db::UpdateRecord>& entries,
                     ClientContext& ctx) {

@@ -11,7 +11,6 @@
 #include "net/units.hpp"
 #include "report/report.hpp"
 #include "report/sizing.hpp"
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace mci::schemes {
@@ -51,22 +50,20 @@ class CacheEventSink {
  public:
   virtual ~CacheEventSink() = default;
   virtual void onInvalidate(ClientId client, db::ItemId item,
-                            db::Version version, sim::SimTime now) = 0;
-  virtual void onCacheDrop(ClientId client, std::size_t entries,
-                           sim::SimTime now) = 0;
-  virtual void onSalvage(ClientId client, std::size_t entries,
-                         sim::SimTime now) = 0;
+                            db::Version version) = 0;
+  virtual void onCacheDrop(ClientId client, std::size_t entries) = 0;
+  virtual void onSalvage(ClientId client, std::size_t entries) = 0;
 };
 
 /// Per-client state shared between the client state machine and the
 /// scheme's client half: the cache, the listening timestamps, and the
 /// salvage bookkeeping, with metric notifications folded into every
-/// mutation.
+/// mutation. Clock-free: every time it holds arrives as an argument. It is
+/// also the object-client view of the adaptive rule (core/client_rule.hpp).
 class ClientContext {
  public:
   ClientContext(ClientId id, std::size_t cacheCapacity,
-                const report::SizeModel& sizes, sim::Simulator& simulator,
-                CacheEventSink* sink,
+                const report::SizeModel& sizes, CacheEventSink* sink,
                 cache::ReplacementPolicy replacement =
                     cache::ReplacementPolicy::kLru);
 
@@ -74,7 +71,9 @@ class ClientContext {
   [[nodiscard]] cache::LruCache& cache() { return cache_; }
   [[nodiscard]] const cache::LruCache& cache() const { return cache_; }
   [[nodiscard]] const report::SizeModel& sizes() const { return sizes_; }
-  [[nodiscard]] sim::SimTime now() const { return sim_.now(); }
+  [[nodiscard]] std::size_t suspectCount() const {
+    return cache_.suspectCount();
+  }
 
   /// Timestamp of the latest invalidation report this client heard (the
   /// paper's Tlb while connected).
@@ -139,7 +138,6 @@ class ClientContext {
   ClientId id_;
   cache::LruCache cache_;
   const report::SizeModel& sizes_;
-  sim::Simulator& sim_;
   CacheEventSink* sink_;
   sim::SimTime lastHeard_ = sim::kTimeEpoch;
   sim::SimTime suspectAsOf_ = sim::kTimeEpoch;
@@ -174,10 +172,10 @@ class ClientScheme {
   /// This client's check/Tlb message finished crossing the uplink.
   virtual void onCheckDelivered(ClientContext& ctx, sim::SimTime now);
 
-  /// The client woke from a doze. Default: a salvage that was in flight
-  /// when the client dozed off can no longer complete reliably — drop the
-  /// suspects and reset the gap state (conservative, never stale).
-  virtual void onWake(ClientContext& ctx, sim::SimTime now);
+  /// The client woke from a doze. Default: the wake rule of
+  /// core/client_rule.hpp (restart the gap cycle of any suspects, else
+  /// reset the gap state; conservative, never stale).
+  virtual void onWake(ClientContext& ctx);
 };
 
 /// Server half of an invalidation scheme: builds the periodic report and

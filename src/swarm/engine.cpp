@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/client_rule.hpp"
+#include "schemes/bs_scheme.hpp"
 #include "schemes/factory.hpp"
 
 namespace mci::swarm {
@@ -140,26 +142,12 @@ void SwarmEmulator::drawQuery(std::uint32_t c, double startModel) {
   pendingFetch_[c] = 0;
 }
 
-void SwarmEmulator::clearGap(std::size_t csIdx) {
-  state_.salvagePending.clear(csIdx);
-  state_.checkSent.clear(csIdx);
-  state_.checkDeliveredAt[csIdx] = kNeverTick;
-  state_.suspectAsOf[csIdx] = 0;
-}
-
-void SwarmEmulator::wake(std::uint32_t c, Tick now) {
+void SwarmEmulator::wake(std::uint32_t c) {
   ++stats_.wakes;
-  // onWake on every shard's gap state (ClientAgent::wake).
+  // The wake rule on every shard's gap state (ClientAgent::wake).
   for (std::uint32_t s = 0; s < state_.shards; ++s) {
-    const std::size_t idx = state_.cs(c, s);
-    if (state_.suspectCount[idx] > 0) {
-      // restartGapCycle: the doze invalidated any in-flight check.
-      state_.salvagePending.set(idx);
-      state_.checkSent.clear(idx);
-      state_.checkDeliveredAt[idx] = kNeverTick;
-    } else {
-      clearGap(idx);
-    }
+    PartitionView p(state_, c, s);
+    core::rule::onWake(p);
   }
   const double wakeModel = state_.dozeEnd[c];
   if (state_.queryAfterWake.get(c)) {
@@ -169,7 +157,6 @@ void SwarmEmulator::wake(std::uint32_t c, Tick now) {
     state_.thinkDeadline[c] = wakeModel + state_.thinkDeadline[c];
     state_.state[c] = ClientState::kThinking;
   }
-  (void)now;
 }
 
 void SwarmEmulator::beginDoze(std::uint32_t c, double nowModel,
@@ -206,99 +193,6 @@ void SwarmEmulator::completeQuery(std::uint32_t c, Tick now) {
         nowModel + state_.rngQuery[c].exponential(cfg_.meanThinkTime);
     state_.state[c] = ClientState::kThinking;
   }
-}
-
-void SwarmEmulator::applyTsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                                  Tick coverage) {
-  // AdaptiveClientScheme::onReport, TS branch, with every timestamp on the
-  // integer tick grid (covers(tlb) == tlb >= coverageStart).
-  const std::size_t idx = state_.cs(c, s);
-  const bool hadSuspects = state_.suspectCount[idx] > 0;
-
-  const auto applyEntries = [&] {
-    // applyTsEntries: invalidate any cached entry the report lists with a
-    // later update time.
-    const std::size_t n = entryItem_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const int slot = state_.findSlot(c, s, entryItem_[i]);
-      if (slot < 0) continue;
-      const std::size_t si = state_.slotIndex(c, slot);
-      if (entryTick_[i] > state_.slotRef[si]) {
-        state_.invalidateSlot(c, s, static_cast<std::uint32_t>(slot));
-      }
-    }
-  };
-
-  if (!hadSuspects && state_.lastHeard[idx] >= coverage) {
-    applyEntries();
-    state_.lastHeard[idx] = now;
-    return;
-  }
-  if (!hadSuspects) {
-    // Gap detected: everything cached becomes suspect as of lastHeard.
-    state_.suspectAsOf[idx] = state_.lastHeard[idx];
-    if (state_.markAllSuspectPartition(c, s) == 0) {
-      applyEntries();
-      clearGap(idx);
-      state_.lastHeard[idx] = now;
-      return;
-    }
-  }
-  applyEntries();
-  if (state_.suspectAsOf[idx] >= coverage) {
-    // The (possibly extended) window reaches back to our Tlb: salvage.
-    state_.salvagePartition(c, s, now);
-    clearGap(idx);
-    state_.lastHeard[idx] = now;
-    return;
-  }
-  if (!state_.checkSent.get(idx)) {
-    // A mid-flip joiner endpoint may not be welcomed yet: nothing was
-    // sent, leave both flags clear and retry on the next report. Suspects
-    // stay unanswerable-as-hits meanwhile (answerShard treats them as
-    // misses), so correctness is unaffected.
-    if (mux_->sendCheck(s, c,
-                        live::LiveClock::tickToTime(state_.suspectAsOf[idx]),
-                        tlbBits_)) {
-      state_.checkSent.set(idx);
-      state_.salvagePending.set(idx);
-    }
-  } else if (state_.checkDeliveredAt[idx] < now) {
-    // The server absorbed our Tlb before building this report and still
-    // did not cover us: the explicit decline. Drop the suspects.
-    state_.dropSuspectsPartition(c, s);
-    clearGap(idx);
-  }
-  state_.lastHeard[idx] = now;
-}
-
-void SwarmEmulator::applyBsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                                  const report::BsReport& bs) {
-  // AdaptiveClientScheme::onReport, helping-BS branch.
-  const std::size_t idx = state_.cs(c, s);
-  const bool hadSuspects = state_.suspectCount[idx] > 0;
-  const Tick effective =
-      hadSuspects ? state_.suspectAsOf[idx] : state_.lastHeard[idx];
-  const report::BsReport::Decision d =
-      bs.decide(live::LiveClock::tickToTime(effective));
-  switch (d.action) {
-    case report::BsReport::Action::kNothing:
-      break;
-    case report::BsReport::Action::kDropAll:
-      state_.dropPartition(c, s);
-      break;
-    case report::BsReport::Action::kInvalidateSet:
-      for (const db::UpdateRecord& rec : d.marked) {
-        const int slot = state_.findSlot(c, s, rec.item);
-        if (slot >= 0) {
-          state_.invalidateSlot(c, s, static_cast<std::uint32_t>(slot));
-        }
-      }
-      break;
-  }
-  if (state_.suspectCount[idx] > 0) state_.salvagePartition(c, s, now);
-  clearGap(idx);
-  state_.lastHeard[idx] = now;
 }
 
 void SwarmEmulator::answerShard(std::uint32_t c, std::uint32_t s, Tick now) {
@@ -358,7 +252,7 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
     // (a) wake dozers whose doze elapsed before this report.
     if (state_.state[c] == ClientState::kDozing) {
       if (state_.dozeEnd[c] > nowModel) continue;  // radio still off
-      wake(c, now);
+      wake(c);
     }
     // (b) promote thinkers whose deadline passed: the query exists from
     // its deadline on, so it is answerable by this very report.
@@ -366,18 +260,28 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
         state_.thinkDeadline[c] <= nowModel) {
       drawQuery(c, state_.thinkDeadline[c]);
     }
-    // (c) the shared decode, applied to this client.
+    // (c) the shared decode, applied to this client by the adaptive rule.
     ++stats_.clientTicks;
+    PartitionView p(state_, c, shard);
     if (isTs) {
-      applyTsClient(c, shard, now, coverage);
+      core::rule::onTsReport(
+          p, now, coverage,
+          [&] { state_.applyTsEntries(c, shard, entryItem_, entryTick_); },
+          [&] {
+            return mux_->sendCheck(
+                shard, c, live::LiveClock::tickToTime(p.suspectAsOf()),
+                tlbBits_);
+          });
     } else {
-      applyBsClient(c, shard, now, *bs);
+      core::rule::onBsReport(p, now, [&](Tick tlb) {
+        schemes::applyBsDecision(bs->decide(live::LiveClock::tickToTime(tlb)),
+                                 p);
+      });
     }
     // (d) answer a waiting query on this shard (unless a salvage reply is
     // in flight on it — maybeAnswerLink's salvagePending guard).
     if (state_.state[c] == ClientState::kAwaiting &&
-        (state_.needAnswer[c] >> shard & 1u) != 0 &&
-        !state_.salvagePending.get(state_.cs(c, shard))) {
+        (state_.needAnswer[c] >> shard & 1u) != 0 && !p.salvagePending()) {
       answerShard(c, shard, now);
     }
     // (e) the per-interval doze coin, flipped on shard 0's reports only.
@@ -452,22 +356,16 @@ void SwarmEmulator::onDataItem(std::uint32_t shard, std::uint32_t client,
   // applied by then is already reflected in the fetched version, and any
   // later update is listed by a later report with time > fetchTick — the
   // entry can never be stale, and the stamp is endpoint-count independent.
-  //
-  // Unless a report was already applied on this shard after the server read
-  // the copy (lastHeard moved past readTick): the TCP reply and the UDP
-  // report stream are unordered, so that report may have listed an update
-  // for this very item while it was still absent — a no-op invalidation.
-  // Caching the copy now would plant an entry behind the partition's
-  // consistency point, where a later legitimately-short extended report
-  // could wrongly salvage it. Drop the late copy instead (the next query
-  // simply misses again). ClientAgent::onDataItem applies the same rule.
+  // A copy read before the partition's lastHeard falls to the cross-channel
+  // late-copy rule instead (the next query simply misses again).
   // File the copy under the item's *current* owner, not the conn's shard
   // tag: during a reshard a reply can come back on a draining conn whose
   // shard left the map, or for an item whose owner changed since the miss
   // went out. Pre-flip the two are identical.
   const std::uint32_t owner = mux_->shardMap().shardOf(item);
   (void)shard;
-  if (readTick >= state_.lastHeard[state_.cs(client, owner)]) {
+  if (core::rule::acceptsFetchedCopy(
+          readTick, state_.lastHeard[state_.cs(client, owner)])) {
     state_.insert(client, owner, item, fetchTick, version);
   } else {
     ++stats_.lateFetchesDropped;
@@ -485,7 +383,7 @@ void SwarmEmulator::onCheckAck(std::uint32_t shard, std::uint32_t client,
   // onCheckDelivered: stamp the ack; the next uncovering report compares
   // checkDeliveredAt against its broadcast tick to detect the decline.
   if (shard >= state_.shards) return;  // drained ack; the shard left the map
-  state_.checkDeliveredAt[state_.cs(client, shard)] = asOfTick;
+  PartitionView(state_, client, shard).setCheckDeliveredAt(asOfTick);
 }
 
 void SwarmEmulator::onConnectionLost(std::uint32_t shard) {
@@ -498,25 +396,18 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
   const std::uint32_t oldShards = state_.shards;
   const std::uint32_t newShards = newMap.shardCount();
 
-  // Pre-flip Tlb per client: the most conservative instant every old
-  // partition is provably consistent at — min over shards of lastHeard,
-  // folding in suspectAsOf where a gap cycle is already running. Every
-  // update a client could have missed around the switch is listed by some
-  // new-owner report (or resolvable via its spliced history) after this
-  // instant, so suspect-as-of-preTlb plus one ordinary gap cycle per
-  // partition is exactly the ClientAgent::applyShardMap argument, swept.
+  // Pre-flip Tlb per client over its old partitions. Every update a
+  // client could have missed around the switch is listed by some new-owner
+  // report (or resolvable via its spliced history) after this instant, so
+  // suspect-as-of-preTlb plus one ordinary gap cycle per partition is
+  // exactly the ClientAgent::applyShardMap argument, swept.
   std::vector<Tick> preTlb(state_.clients, 0);
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
-    Tick t = kNeverTick;
+    core::rule::PreFlipPoint<Tick> preFlip;
     for (std::uint32_t s = 0; s < oldShards; ++s) {
-      const std::size_t idx = state_.cs(c, s);
-      Tick v = state_.lastHeard[idx];
-      if (state_.suspectCount[idx] > 0) {
-        v = std::min(v, state_.suspectAsOf[idx]);
-      }
-      t = std::min(t, v);
+      preFlip.add(PartitionView(state_, c, s));
     }
-    preTlb[c] = t == kNeverTick ? 0 : t;
+    preTlb[c] = preFlip.value();
   }
 
   state_.resizeShards(
@@ -525,16 +416,12 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
 
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
     for (std::uint32_t s = 0; s < newShards; ++s) {
-      const std::size_t idx = state_.cs(c, s);
-      if (s >= oldShards) state_.lastHeard[idx] = preTlb[c];
-      state_.checkDeliveredAt[idx] = kNeverTick;
-      if (state_.markAllSuspectPartition(c, s) > 0) {
-        state_.suspectAsOf[idx] = preTlb[c];
-        state_.salvagePending.set(idx);
-      } else {
-        state_.suspectAsOf[idx] = 0;
-        state_.salvagePending.clear(idx);
-      }
+      // Every partition resumes like a client waking from a doze that
+      // began at preTlb.
+      PartitionView p(state_, c, s);
+      if (s >= oldShards) p.setLastHeard(preTlb[c]);
+      p.markAllSuspect(preTlb[c]);
+      core::rule::onWake(p);
     }
     // Remap an in-flight query's owed-answer mask from old owners to new.
     // Per-item answered state is not tracked, so an already-answered item

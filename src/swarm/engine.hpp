@@ -95,8 +95,9 @@ struct SwarmCohorts {
 ///         every shard, then resume think or query-after-wake),
 ///     (b) promote every thinker whose thinkDeadline <= T to a query
 ///         (drawn from its own rngQuery stream by QueryGenerator's law),
-///     (c) apply the report once-decoded across all awake clients
-///         (AdaptiveClientScheme::onReport, branch for branch),
+///     (c) apply the report once-decoded across all awake clients through
+///         the adaptive client rule of core/client_rule.hpp (the code
+///         AdaptiveClientScheme::onReport runs), over a PartitionView,
 ///     (d) answer waiting queries on shard s (hit/miss/AoI/audit; misses
 ///         are staged on the mux and batch-flushed at tick end),
 ///     (e) flip the interval-coin for still-thinking clients (shard-0
@@ -154,19 +155,14 @@ class SwarmEmulator final : public SwarmSink {
  private:
   [[nodiscard]] MCI_HOT db::ItemId pickItem(sim::Rng& rng) const;
   MCI_HOT void drawQuery(std::uint32_t c, double startModel);
-  MCI_HOT void wake(std::uint32_t c, Tick now);
+  MCI_HOT void wake(std::uint32_t c);
   MCI_HOT void beginDoze(std::uint32_t c, double nowModel,
                          bool queryAfterWake);
   MCI_HOT void completeQuery(std::uint32_t c, Tick now);
-  MCI_HOT void clearGap(std::size_t csIdx);
 
   /// The shared sweep: phases (a)-(e) above for one report.
   MCI_HOT void tick(std::uint32_t shard, Tick now, bool isTs, Tick coverage,
                     const report::BsReport* bs);
-  MCI_HOT void applyTsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                             Tick coverage);
-  void applyBsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                     const report::BsReport& bs);
   MCI_HOT void answerShard(std::uint32_t c, std::uint32_t s, Tick now);
 
   live::Reactor& reactor_;

@@ -8,29 +8,11 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
                            std::uint32_t databaseSize,
                            std::uint32_t cacheCapacity, std::uint64_t seed) {
   MCI_CHECK(numClients >= 1);
-  MCI_CHECK(numShards >= 1 && numShards <= 32)
-      << "swarm needAnswer mask holds at most 32 shards";
   MCI_CHECK(databaseSize >= 1);
   clients = numClients;
-  shards = numShards;
   dbSize = databaseSize;
 
-  // The exact capacity split ClientAgent::onWelcome performs: base share
-  // plus one extra slot for the first capacity % shards shards, floor 1.
-  shardSlotOff.assign(shards + 1, 0);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    std::uint32_t share = cacheCapacity / shards +
-                          (s < cacheCapacity % shards ? 1u : 0u);
-    share = std::max<std::uint32_t>(share, 1);
-    MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
-    shardSlotOff[s + 1] = shardSlotOff[s] + share;
-  }
-  slotsPerClient = shardSlotOff[shards];
-
   const std::size_t nc = clients;
-  const std::size_t ncs = nc * shards;
-  const std::size_t nslots = nc * slotsPerClient;
-
   state.assign(nc, ClientState::kThinking);
   thinkDeadline.assign(nc, 0.0);
   dozeEnd.assign(nc, 0.0);
@@ -50,16 +32,39 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
     rngDisc.push_back(root.fork("disc", c));
   }
 
+  presenceEnabled =
+      static_cast<std::uint64_t>(clients) * dbSize <= kMaxPresenceBits;
+  layoutShards(numShards, cacheCapacity);
+}
+
+void SwarmState::layoutShards(std::uint32_t numShards,
+                              std::uint32_t cacheCapacity) {
+  MCI_CHECK(numShards >= 1 && numShards <= 32)
+      << "swarm needAnswer mask holds at most 32 shards";
+  shards = numShards;
+
+  // The exact capacity split ClientAgent::onWelcome performs: base share
+  // plus one extra slot for the first capacity % shards shards, floor 1.
+  shardSlotOff.assign(shards + 1, 0);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    std::uint32_t share = cacheCapacity / shards +
+                          (s < cacheCapacity % shards ? 1u : 0u);
+    share = std::max<std::uint32_t>(share, 1);
+    MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
+    shardSlotOff[s + 1] = shardSlotOff[s] + share;
+  }
+  slotsPerClient = shardSlotOff[shards];
+
+  const std::size_t ncs = static_cast<std::size_t>(clients) * shards;
+  const std::size_t nslots = static_cast<std::size_t>(clients) * slotsPerClient;
   slotItem.assign(nslots, kEmptySlot);
   slotRef.assign(nslots, 0);
   slotVersion.assign(nslots, 0);
   slotSuspect.assign(nslots, false);
   slotUsed.assign(nslots, false);
-
-  const std::uint64_t presenceBits =
-      static_cast<std::uint64_t>(clients) * dbSize;
-  presenceEnabled = presenceBits <= kMaxPresenceBits;
-  presence.assign(presenceEnabled ? presenceBits : 0, false);
+  presence.assign(
+      presenceEnabled ? static_cast<std::uint64_t>(clients) * dbSize : 0,
+      false);
 
   clockHand.assign(ncs, 0);
   occupancy.assign(ncs, 0);
@@ -75,8 +80,6 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
 void SwarmState::resizeShards(
     std::uint32_t numShards, std::uint32_t cacheCapacity,
     const std::function<std::uint32_t(db::ItemId)>& ownerOf) {
-  MCI_CHECK(numShards >= 1 && numShards <= 32)
-      << "swarm needAnswer mask holds at most 32 shards";
   const std::uint32_t oldShards = shards;
   const std::uint32_t oldSlots = slotsPerClient;
   std::vector<db::ItemId> oldItem = std::move(slotItem);
@@ -84,36 +87,7 @@ void SwarmState::resizeShards(
   std::vector<db::Version> oldVersion = std::move(slotVersion);
   std::vector<Tick> oldLastHeard = std::move(lastHeard);
 
-  shards = numShards;
-  shardSlotOff.assign(shards + 1, 0);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    std::uint32_t share = cacheCapacity / shards +
-                          (s < cacheCapacity % shards ? 1u : 0u);
-    share = std::max<std::uint32_t>(share, 1);
-    MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
-    shardSlotOff[s + 1] = shardSlotOff[s] + share;
-  }
-  slotsPerClient = shardSlotOff[shards];
-
-  const std::size_t nc = clients;
-  const std::size_t ncs = nc * shards;
-  const std::size_t nslots = nc * slotsPerClient;
-  slotItem.assign(nslots, kEmptySlot);
-  slotRef.assign(nslots, 0);
-  slotVersion.assign(nslots, 0);
-  slotSuspect.assign(nslots, false);
-  slotUsed.assign(nslots, false);
-  if (presenceEnabled) {
-    presence.assign(static_cast<std::uint64_t>(clients) * dbSize, false);
-  }
-  clockHand.assign(ncs, 0);
-  occupancy.assign(ncs, 0);
-  suspectCount.assign(ncs, 0);
-  lastHeard.assign(ncs, 0);
-  suspectAsOf.assign(ncs, 0);
-  checkDeliveredAt.assign(ncs, kNeverTick);
-  salvagePending.assign(ncs, false);
-  checkSent.assign(ncs, false);
+  layoutShards(numShards, cacheCapacity);
 
   const std::uint32_t survivors = std::min(oldShards, shards);
   for (std::uint32_t c = 0; c < clients; ++c) {
@@ -287,6 +261,19 @@ void SwarmState::dropPartition(std::uint32_t c, std::uint32_t s) {
   }
   occupancy[csIdx] = 0;
   suspectCount[csIdx] = 0;
+}
+
+void SwarmState::applyTsEntries(std::uint32_t c, std::uint32_t s,
+                                const std::vector<db::ItemId>& items,
+                                const std::vector<Tick>& ticks) {
+  const std::size_t n = items.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const int slot = findSlot(c, s, items[i]);
+    if (slot < 0) continue;
+    if (ticks[i] > slotRef[slotIndex(c, static_cast<std::uint32_t>(slot))]) {
+      invalidateSlot(c, s, static_cast<std::uint32_t>(slot));
+    }
+  }
 }
 
 std::size_t SwarmState::memoryBytes() const {

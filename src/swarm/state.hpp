@@ -37,6 +37,7 @@ class BitArray {
   void clear(std::size_t i) {
     words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
+  void put(std::size_t i, bool value) { value ? set(i) : clear(i); }
   [[nodiscard]] std::size_t size() const { return bits_; }
   [[nodiscard]] std::size_t memoryBytes() const {
     return words_.capacity() * sizeof(std::uint64_t);
@@ -187,8 +188,78 @@ struct SwarmState {
   /// Drops the whole partition (the BS kDropAll action).
   void dropPartition(std::uint32_t c, std::uint32_t s);
 
+  /// applyTsEntries over the decoded (item, tick) columns of a TS report:
+  /// invalidates every cached entry listed with a later update tick.
+  MCI_HOT void applyTsEntries(std::uint32_t c, std::uint32_t s,
+                              const std::vector<db::ItemId>& items,
+                              const std::vector<Tick>& ticks);
+
   /// Approximate resident footprint of the arrays (stats/logs).
   [[nodiscard]] std::size_t memoryBytes() const;
+
+ private:
+  /// Splits the cache across `numShards` partitions and sizes (zeroed)
+  /// every per-slot and per-(client, shard) array for it.
+  void layoutShards(std::uint32_t numShards, std::uint32_t cacheCapacity);
+};
+
+/// One (client, shard) partition of a SwarmState as the state view the
+/// adaptive client rule (core/client_rule.hpp) and schemes::applyBsDecision
+/// run over: the calls ClientContext answers for the sim and ClientAgent,
+/// served from the column arrays with Tick times. Three words; build one
+/// per rule call.
+class PartitionView {
+ public:
+  PartitionView(SwarmState& st, std::uint32_t c, std::uint32_t s)
+      : st_(st), c_(c), s_(s), idx_(st.cs(c, s)) {}
+
+  [[nodiscard]] std::size_t suspectCount() const {
+    return st_.suspectCount[idx_];
+  }
+  [[nodiscard]] Tick lastHeard() const { return st_.lastHeard[idx_]; }
+  void setLastHeard(Tick t) { st_.lastHeard[idx_] = t; }
+  [[nodiscard]] Tick suspectAsOf() const { return st_.suspectAsOf[idx_]; }
+  [[nodiscard]] bool salvagePending() const {
+    return st_.salvagePending.get(idx_);
+  }
+  void setSalvagePending(bool v) { st_.salvagePending.put(idx_, v); }
+  [[nodiscard]] bool checkSent() const { return st_.checkSent.get(idx_); }
+  void setCheckSent(bool v) { st_.checkSent.put(idx_, v); }
+  [[nodiscard]] Tick checkDeliveredAt() const {
+    return st_.checkDeliveredAt[idx_];
+  }
+  void setCheckDeliveredAt(Tick t) { st_.checkDeliveredAt[idx_] = t; }
+
+  void markAllSuspect(Tick preGapTlb) {
+    st_.suspectAsOf[idx_] = preGapTlb;
+    st_.markAllSuspectPartition(c_, s_);
+  }
+  void salvageAllSuspects(Tick refTime) {
+    st_.salvagePartition(c_, s_, refTime);
+  }
+  void dropSuspects() { st_.dropSuspectsPartition(c_, s_); }
+  void dropAll() { st_.dropPartition(c_, s_); }
+  void invalidate(db::ItemId item) {
+    const int slot = st_.findSlot(c_, s_, item);
+    if (slot >= 0) st_.invalidateSlot(c_, s_, static_cast<std::uint32_t>(slot));
+  }
+  void clearGapState() {
+    st_.salvagePending.clear(idx_);
+    st_.checkSent.clear(idx_);
+    st_.checkDeliveredAt[idx_] = kNeverTick;
+    st_.suspectAsOf[idx_] = 0;
+  }
+  void restartGapCycle() {
+    setSalvagePending(suspectCount() > 0);
+    st_.checkSent.clear(idx_);
+    st_.checkDeliveredAt[idx_] = kNeverTick;
+  }
+
+ private:
+  SwarmState& st_;
+  std::uint32_t c_;
+  std::uint32_t s_;
+  std::size_t idx_;
 };
 
 }  // namespace mci::swarm

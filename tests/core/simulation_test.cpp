@@ -159,6 +159,23 @@ TEST(Simulation, SnapshotTracksPartialProgress) {
   EXPECT_LT(early.queriesCompleted, late.queriesCompleted);
 }
 
+// The channel decomposition comes from the simulation's own network (the
+// collector knows none): without a warm-up it is exactly the network's
+// usage so far.
+TEST(Simulation, SnapshotCarriesTheNetworksChannelUsage) {
+  Simulation sim(smallConfig(schemes::SchemeKind::kAaw));
+  sim.runUntil(1000.0);
+  const auto r = sim.snapshot();
+  EXPECT_GT(r.downlink.irBits, 0.0);
+  EXPECT_GT(r.uplink.controlBits, 0.0);
+  EXPECT_DOUBLE_EQ(r.downlink.irBits, sim.network().downlinkUsage().irBits);
+  EXPECT_DOUBLE_EQ(r.uplink.controlBits,
+                   sim.network().uplinkUsage().controlBits);
+  EXPECT_DOUBLE_EQ(r.uplinkCheckBitsPerQuery(),
+                   sim.network().uplinkUsage().controlBits /
+                       static_cast<double>(r.queriesCompleted));
+}
+
 TEST(Simulation, UpdatesPropagateIntoTheDatabase) {
   Simulation sim(smallConfig(schemes::SchemeKind::kTs));
   sim.runUntil(5000.0);

@@ -2,16 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
 
 namespace mci::metrics {
 namespace {
 
 struct Fixture {
   db::Database db{100};
-  sim::Simulator sim;
-  net::Network net{sim, 1000.0, 1000.0};
-  Collector collector{db, /*auditStaleReads=*/false};
+  Collector collector{&db, /*auditStaleReads=*/false};
 };
 
 TEST(Collector, CountsQueryLifecycle) {
@@ -21,7 +18,7 @@ TEST(Collector, CountsQueryLifecycle) {
   f.collector.onCacheMiss(0);
   f.collector.onQueryCompleted(0, 3.0);
   f.collector.onQueryCompleted(0, 5.0);
-  const auto r = f.collector.finalize(100.0, f.net);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_EQ(r.queriesCompleted, 2u);
   EXPECT_EQ(r.cacheHits, 1u);
   EXPECT_EQ(r.cacheMisses, 2u);
@@ -35,10 +32,10 @@ TEST(Collector, ClassifiesFalseInvalidations) {
   Fixture f;
   f.db.applyUpdate(3, 10.0);  // version 1
   // Invalidating version 1 while current is 1: the copy was still good.
-  f.collector.onInvalidate(0, 3, 1, 20.0);
+  f.collector.onInvalidate(0, 3, 1);
   // Invalidating version 0: genuinely stale.
-  f.collector.onInvalidate(0, 3, 0, 20.0);
-  const auto r = f.collector.finalize(100.0, f.net);
+  f.collector.onInvalidate(0, 3, 0);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_EQ(r.invalidations, 2u);
   EXPECT_EQ(r.falseInvalidations, 1u);
 }
@@ -59,10 +56,10 @@ TEST(Collector, DetectsStaleReads) {
 
 TEST(Collector, TracksDropsAndSalvages) {
   Fixture f;
-  f.collector.onCacheDrop(0, 10, 5.0);
-  f.collector.onCacheDrop(1, 3, 6.0);
-  f.collector.onSalvage(0, 7, 8.0);
-  const auto r = f.collector.finalize(100.0, f.net);
+  f.collector.onCacheDrop(0, 10);
+  f.collector.onCacheDrop(1, 3);
+  f.collector.onSalvage(0, 7);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_EQ(r.cacheDropEvents, 2u);
   EXPECT_EQ(r.entriesDropped, 13u);
   EXPECT_EQ(r.entriesSalvaged, 7u);
@@ -75,7 +72,7 @@ TEST(Collector, CountsReportKinds) {
   f.collector.onReportBuilt(report::ReportKind::kTsExtended);
   f.collector.onReportBuilt(report::ReportKind::kBitSeq);
   f.collector.onReportBuilt(report::ReportKind::kSignature);
-  const auto r = f.collector.finalize(100.0, f.net);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_EQ(r.reportsTs, 2u);
   EXPECT_EQ(r.reportsExtended, 1u);
   EXPECT_EQ(r.reportsBs, 1u);
@@ -88,23 +85,34 @@ TEST(Collector, DisconnectionAccounting) {
   f.collector.onReconnect(400.0);
   f.collector.onDisconnect();
   f.collector.onReconnect(100.0);
-  const auto r = f.collector.finalize(100.0, f.net);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_EQ(r.disconnects, 2u);
   EXPECT_DOUBLE_EQ(r.dozeSeconds, 500.0);
 }
 
-TEST(Collector, FinalizeSnapshotsChannels) {
+// The collector knows no network: channel usage is filled in by whoever
+// owns one (core::Simulation), and stays zero for a live client pool.
+TEST(Collector, FinalizeLeavesChannelUsageToTheNetworkOwner) {
   Fixture f;
-  f.net.uplink().sendCheck(64.0, [] {});
-  f.net.downlink().broadcastReport(128.0, [] {});
-  f.sim.runAll();
   f.collector.onCheckSent();
   f.collector.onQueryCompleted(0, 1.0);
-  const auto r = f.collector.finalize(200.0, f.net);
-  EXPECT_DOUBLE_EQ(r.uplink.controlBits, 64.0);
-  EXPECT_DOUBLE_EQ(r.downlink.irBits, 128.0);
-  EXPECT_DOUBLE_EQ(r.uplinkCheckBitsPerQuery(), 64.0);
+  const auto r = f.collector.finalize(200.0);
   EXPECT_EQ(r.checksSent, 1u);
+  EXPECT_DOUBLE_EQ(r.simTime, 200.0);
+  EXPECT_DOUBLE_EQ(r.uplink.totalBits(), 0.0);
+  EXPECT_DOUBLE_EQ(r.downlink.totalBits(), 0.0);
+}
+
+// Without a ground-truth database nothing is audited or classified.
+TEST(Collector, NullDatabaseMeansNoGroundTruth) {
+  Collector collector(nullptr, /*auditStaleReads=*/true);
+  collector.onCacheAnswer(0, 5, 0, /*validAsOf=*/20.0);
+  collector.onInvalidate(0, 5, 0);
+  const auto r = collector.finalize(100.0);
+  EXPECT_EQ(r.cacheHits, 1u);
+  EXPECT_EQ(r.staleReads, 0u);
+  EXPECT_EQ(r.invalidations, 1u);
+  EXPECT_EQ(r.falseInvalidations, 0u);
 }
 
 TEST(Collector, ClientSpreadSummarizesThePopulation) {
@@ -119,7 +127,7 @@ TEST(Collector, ClientSpreadSummarizesThePopulation) {
   f.collector.onCacheMiss(1);
   f.collector.onQueryCompleted(1, 1.0);
   f.collector.onQueryCompleted(1, 1.0);
-  const auto r = f.collector.finalize(100.0, f.net);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_DOUBLE_EQ(r.clients.minQueries, 0.0);
   EXPECT_DOUBLE_EQ(r.clients.maxQueries, 4.0);
   EXPECT_DOUBLE_EQ(r.clients.meanQueries, 2.0);
@@ -135,7 +143,7 @@ TEST(Collector, RadioAccountingFeedsEnergyModel) {
   f.collector.onClientRx(50000.0);
   f.collector.onQueryCompleted(0, 1.0);
   f.collector.onQueryCompleted(1, 1.0);
-  const auto r = f.collector.finalize(100.0, f.net);
+  const auto r = f.collector.finalize(100.0);
   EXPECT_DOUBLE_EQ(r.clientTxBits, 1000.0);
   EXPECT_DOUBLE_EQ(r.clientRxBits, 50000.0);
   // tx at 1e-5 J/bit + rx at 1e-6 J/bit.

@@ -85,13 +85,13 @@ TEST(ApplyBsDecision, DecisionsRouteToCacheOps) {
 
   h.cacheItem(1, 5.0);
   h.cacheItem(2, 5.0);
-  applyBsDecision(*bs, /*effectiveTlb=*/40.0, h.ctx);
+  applyBsDecision(bs->decide(/*effectiveTlb=*/40.0), h.ctx);
   EXPECT_FALSE(h.ctx.cache().contains(1));
   EXPECT_TRUE(h.ctx.cache().contains(2));
 
   // kNothing: tlb at the last update time.
   h.cacheItem(1, 60.0);
-  applyBsDecision(*bs, 50.0, h.ctx);
+  applyBsDecision(bs->decide(50.0), h.ctx);
   EXPECT_TRUE(h.ctx.cache().contains(1));
 }
 

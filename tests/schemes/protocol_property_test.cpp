@@ -151,7 +151,7 @@ struct Episode {
       if (rng.bernoulli(0.3)) update();
     }
     pendingReply.reset();  // replies sent into the void
-    client->onWake(h.ctx, now);
+    client->onWake(h.ctx);
     reportsSinceSalvageStart = 0;
   }
 

@@ -1,14 +1,14 @@
 #pragma once
 
-// Shared scaffolding for scheme-level unit tests: a simulator, a size
-// model, a recording metrics sink, and a ClientContext with a small cache.
+// Shared scaffolding for scheme-level unit tests: a size model, a
+// recording metrics sink, and a (clock-free) ClientContext with a small
+// cache.
 
 #include <cstdint>
 #include <vector>
 
 #include "db/update_history.hpp"
 #include "schemes/scheme.hpp"
-#include "sim/simulator.hpp"
 
 namespace mci::schemes::testutil {
 
@@ -23,15 +23,15 @@ struct RecordingSink final : CacheEventSink {
   std::uint64_t droppedEntries = 0;
   std::uint64_t salvagedEntries = 0;
 
-  void onInvalidate(ClientId client, db::ItemId item, db::Version version,
-                    sim::SimTime) override {
+  void onInvalidate(ClientId client, db::ItemId item,
+                    db::Version version) override {
     invalidations.push_back({client, item, version});
   }
-  void onCacheDrop(ClientId, std::size_t entries, sim::SimTime) override {
+  void onCacheDrop(ClientId, std::size_t entries) override {
     ++dropEvents;
     droppedEntries += entries;
   }
-  void onSalvage(ClientId, std::size_t entries, sim::SimTime) override {
+  void onSalvage(ClientId, std::size_t entries) override {
     salvagedEntries += entries;
   }
 
@@ -44,14 +44,13 @@ struct RecordingSink final : CacheEventSink {
 };
 
 struct ClientHarness {
-  sim::Simulator sim;
   report::SizeModel sizes;
   RecordingSink sink;
   ClientContext ctx;
 
   explicit ClientHarness(std::size_t numItems = 1000,
                          std::size_t cacheCapacity = 32)
-      : sizes(makeSizes(numItems)), ctx(7, cacheCapacity, sizes, sim, &sink) {}
+      : sizes(makeSizes(numItems)), ctx(7, cacheCapacity, sizes, &sink) {}
 
   static report::SizeModel makeSizes(std::size_t numItems) {
     report::SizeModel m;

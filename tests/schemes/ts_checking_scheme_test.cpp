@@ -144,7 +144,7 @@ TEST_F(CheckingFixture, WakeMidSalvageRestartsTheCycle) {
 
   // Client dozes before the reply and wakes much later: suspects survive,
   // and the next report triggers a fresh check with a new epoch.
-  client.onWake(h.ctx, 900.0);
+  client.onWake(h.ctx);
   EXPECT_EQ(h.ctx.cache().suspectCount(), 1u);
   EXPECT_TRUE(h.ctx.salvagePending());
   EXPECT_FALSE(h.ctx.checkSent());
