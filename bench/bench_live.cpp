@@ -384,24 +384,9 @@ BenchRow benchUdpFanout(double minSeconds) {
   live::UdpBatchReceiver drainer;
   const bool batched = live::UdpBatchSender::available();
   std::uint64_t sendSyscalls = 0;
-  std::uint64_t drainSyscalls = 0;
   auto drainAll = [&] {
     for (const int fd : receivers) {
-      bool fellBack = false;
-      while (true) {
-        ++drainSyscalls;
-        const int n = drainer.receive(fd, fellBack);
-        if (fellBack) {
-          // No recvmmsg: classic per-datagram drain.
-          std::uint8_t scratch[kPayload];
-          while (::recv(fd, scratch, sizeof scratch, MSG_DONTWAIT) > 0) {
-            ++drainSyscalls;
-          }
-          ++drainSyscalls;  // the terminating EAGAIN recv
-          break;
-        }
-        if (n < static_cast<int>(live::UdpBatchReceiver::kBatch)) break;
-      }
+      drainer.drain(fd, [](const std::uint8_t*, std::size_t) { return true; });
     }
   };
 
@@ -502,13 +487,15 @@ BenchRow benchLivePool(double simTime) {
   pool.start();
 
   metrics::WallTimer timer;
-  reactor.addTimer(0.02, 0.02, [&] {
-    if (pool.modelNow() >= cfg.simTime) {
-      pool.shutdown();
-      reactor.stop();
-    }
-  });
+  const live::Reactor::TimerHandle stopTimer =
+      reactor.addTimer(0.02, 0.02, [&] {
+        if (pool.modelNow() >= cfg.simTime) {
+          pool.shutdown();
+          reactor.stop();
+        }
+      });
   reactor.run();
+  (void)reactor.cancelTimer(stopTimer);  // periodic: still registered
   const double wall = timer.seconds();
 
   const live::ServerStats& ss = server.stats();

@@ -55,13 +55,15 @@ int main(int argc, char** argv) {
   live::ClientPool pool(reactor, agentOpts);
   pool.start();
 
-  reactor.addTimer(0.05, 0.05, [&] {
-    if (pool.modelNow() >= duration) {
-      pool.shutdown();
-      reactor.stop();
-    }
-  });
+  const live::Reactor::TimerHandle stopTimer =
+      reactor.addTimer(0.05, 0.05, [&] {
+        if (pool.modelNow() >= duration) {
+          pool.shutdown();
+          reactor.stop();
+        }
+      });
   reactor.run();
+  (void)reactor.cancelTimer(stopTimer);  // periodic: still registered
 
   const metrics::SimResult r = pool.finalize();
   std::printf("reports broadcast %-4" PRIu64 " heard %-4" PRIu64

@@ -1,16 +1,13 @@
 #include "live/broadcast_server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -88,16 +85,10 @@ BroadcastServer::~BroadcastServer() {
       << "broadcast timer vanished before shutdown";
   MCI_CHECK(reactor_.cancelTimer(updateTimer_))
       << "update timer vanished before shutdown";
-  for (auto& [fd, conn] : conns_) {
-    reactor_.removeFd(conn.reg);
-    ::close(fd);
-  }
-  conns_.clear();
+  for (auto& [fd, conn] : conns_) reactor_.removeFd(conn.reg);
+  conns_.clear();  // each stream closes its fd
   for (auto& ch : handoffChannels_) {
-    if (ch->fd >= 0) {
-      reactor_.removeFd(ch->reg);
-      ::close(ch->fd);
-    }
+    if (ch->stream.isOpen()) reactor_.removeFd(ch->reg);
   }
   handoffChannels_.clear();
   if (listenFd_ >= 0) {
@@ -189,18 +180,12 @@ void BroadcastServer::setShardMap(ShardMap map) {
   // reshard cutover may hand a daemon a map with a different count, seed,
   // or slot for it. Adopting the slot re-parameterizes ownsItem() so the
   // spec-based hash law and the installed map can never disagree.
-  std::uint32_t selfIndex = kNoShard;
-  for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-    const ShardEndpoint& e = map.endpoint(s);
-    if (e.ipv4 == self_.ipv4 && e.tcpPort == tcpPort_) {
-      selfIndex = s;
-      break;
-    }
-  }
-  if (selfIndex == kNoShard) {
+  const std::optional<std::uint32_t> selfIndex =
+      map.indexOf(self_.ipv4, tcpPort_);
+  if (!selfIndex) {
     throw std::invalid_argument("live: no shard map slot is this daemon");
   }
-  opts_.shardIndex = selfIndex;
+  opts_.shardIndex = *selfIndex;
   opts_.shardCount = map.shardCount();
   opts_.shardHashSeed = map.hashSeed();
   shardMap_ = std::move(map);
@@ -222,10 +207,10 @@ void BroadcastServer::onAcceptable() {
     const int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
     ++stats_.connectionsAccepted;
-    Conn conn;
+    Conn& conn = conns_.try_emplace(fd).first->second;
     conn.peer = peer;
-    const auto emplaced = conns_.emplace(fd, std::move(conn));
-    emplaced.first->second.reg = reactor_.addFd(
+    conn.stream.adopt(reactor_, fd);
+    conn.reg = reactor_.addFd(
         fd, EPOLLIN, [this, fd](std::uint32_t ev) { onConnEvent(fd, ev); },
         owner_);
   }
@@ -234,69 +219,51 @@ void BroadcastServer::onAcceptable() {
 void BroadcastServer::onConnEvent(int fd, std::uint32_t events) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0 ||
+      ((events & EPOLLOUT) != 0 && !it->second.stream.flush())) {
     closeConn(fd);
     return;
   }
-  if ((events & EPOLLOUT) != 0) {
-    flushConn(fd, it->second);
-    it = conns_.find(fd);
-    if (it == conns_.end()) return;
-  }
   if ((events & EPOLLIN) == 0) return;
-
-  std::uint8_t buf[65536];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);  // SOCK_NONBLOCK
-    if (n > 0) {
-      it->second.in.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    closeConn(fd);  // orderly EOF or hard error
-    return;
-  }
-
-  while (true) {
-    std::optional<wire::Frame> frame = it->second.in.next();
-    if (!frame) break;
+  while (std::optional<wire::FrameView> frame = it->second.stream.next()) {
     handleFrame(fd, it->second, *frame);
     it = conns_.find(fd);
     if (it == conns_.end()) return;  // handler closed the connection
   }
-  stats_.badFrames += it->second.in.badFrames() - it->second.badCounted;
-  it->second.badCounted = it->second.in.badFrames();
-  if (it->second.in.corrupt()) {
-    ++stats_.badFrames;
-    closeConn(fd);
+  FrameStream& stream = it->second.stream;
+  stats_.badFrames += stream.takeSkippedFrames();
+  if (stream.failed()) {
+    if (stream.corrupt()) ++stats_.badFrames;
+    closeConn(fd);  // orderly EOF, hard error or lost framing
   }
 }
 
 void BroadcastServer::handleFrame(int fd, Conn& conn,
-                                  const wire::Frame& frame) {
+                                  const wire::FrameView& frame) {
+  // The control decoders read an owned payload.
+  const std::vector<std::uint8_t> payload(frame.payload.begin(),
+                                          frame.payload.end());
   switch (frame.header.type) {
     case wire::FrameType::kHello:
-      if (auto m = wire::decodeHello(frame.payload)) handleHello(fd, conn, *m);
+      if (auto m = wire::decodeHello(payload)) handleHello(fd, conn, *m);
       return;
     case wire::FrameType::kQueryRequest:
       if (!conn.welcomed) return;
-      if (auto m = wire::decodeQueryRequest(frame.payload)) {
+      if (auto m = wire::decodeQueryRequest(payload)) {
         handleQuery(fd, conn, *m);
       }
       return;
     case wire::FrameType::kCheck:
       if (!conn.welcomed) return;
-      if (auto m = wire::decodeCheck(frame.payload)) handleCheck(fd, conn, *m);
+      if (auto m = wire::decodeCheck(payload)) handleCheck(fd, conn, *m);
       return;
     case wire::FrameType::kAudit:
-      if (auto m = wire::decodeAudit(frame.payload)) handleAudit(conn, *m);
+      if (auto m = wire::decodeAudit(payload)) handleAudit(conn, *m);
       return;
     case wire::FrameType::kHandoff:
       // Peer-to-peer, not client traffic: the backfill stream arrives on a
       // plain accepted connection that never Hellos.
-      if (auto m = wire::decodeHandoff(frame.payload)) {
+      if (auto m = wire::decodeHandoff(payload)) {
         handleHandoff(fd, conn, *m);
       } else {
         ++stats_.badFrames;
@@ -475,99 +442,29 @@ void BroadcastServer::handleAudit(Conn& conn, const wire::Audit& a) {
 void BroadcastServer::closeConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  stats_.badFrames += it->second.in.badFrames() - it->second.badCounted;
+  stats_.badFrames += it->second.stream.takeSkippedFrames();
   if (it->second.welcomed) freeIds_.push_back(it->second.clientId);
   reactor_.removeFd(it->second.reg);
-  ::close(fd);
-  conns_.erase(it);
+  conns_.erase(it);  // the stream closes the fd
   ++stats_.connectionsClosed;
 }
 
 bool BroadcastServer::sendFrame(int fd, Conn& conn, wire::FrameType type,
                                 net::TrafficClass trafficClass,
                                 const std::vector<std::uint8_t>& payload) {
-  const std::uint8_t scheme = type == wire::FrameType::kReport
-                                  ? static_cast<std::uint8_t>(opts_.cfg.scheme)
-                                  : wire::kNoScheme;
   const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
-      wire::encodeFrameHeader(type, scheme, trafficClass, payload);
-  const std::size_t frameBytes = hdr.size() + payload.size();
-  const std::size_t queued = conn.out.size() - conn.outOff;
-  if (queued + frameBytes > opts_.maxSendQueueBytes) {
+      wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
+  if (conn.stream.queuedBytes() + hdr.size() + payload.size() >
+      opts_.maxSendQueueBytes) {
     // Whole-frame drop: a wedged client loses replies (and will resync via
     // future reports) but can never wedge the daemon. The connection
     // itself is still healthy.
     ++stats_.framesDropped;
     return true;
   }
-  if (queued == 0) {
-    // Empty-queue fast path: scatter/gather the header and payload to the
-    // socket straight from their own buffers — no assembled frame vector,
-    // no queue copy. Only the unsent tail (socket buffer full) is queued.
-    std::array<iovec, 2> iov{};
-    iov[0].iov_base = const_cast<std::uint8_t*>(hdr.data());
-    iov[0].iov_len = hdr.size();
-    iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
-    iov[1].iov_len = payload.size();
-    msghdr msg{};
-    msg.msg_iov = iov.data();
-    msg.msg_iovlen = payload.empty() ? 1 : 2;
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
-    // SOCK_NONBLOCK in onAcceptable; sendmsg returns EAGAIN, never blocks
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      closeConn(fd);
-      return false;
-    }
-    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == frameBytes) return true;
-    if (sent < hdr.size()) {
-      conn.out.insert(conn.out.end(), hdr.begin() + sent, hdr.end());
-      conn.out.insert(conn.out.end(), payload.begin(), payload.end());
-    } else {
-      conn.out.insert(
-          conn.out.end(),
-          payload.begin() + static_cast<std::ptrdiff_t>(sent - hdr.size()),
-          payload.end());
-    }
-    if (!conn.wantWrite) {
-      conn.wantWrite = true;
-      reactor_.modifyFd(fd, EPOLLIN | EPOLLOUT);
-    }
-    return true;
-  }
-  conn.out.insert(conn.out.end(), hdr.begin(), hdr.end());
-  conn.out.insert(conn.out.end(), payload.begin(), payload.end());
-  flushConn(fd, conn);  // on hard error this closeConn()s, invalidating conn
-  return conns_.find(fd) != conns_.end();
-}
-
-void BroadcastServer::flushConn(int fd, Conn& conn) {
-  while (conn.outOff < conn.out.size()) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
-    // SOCK_NONBLOCK in onAcceptable; send returns EAGAIN, never blocks
-    const ssize_t n = ::send(fd, conn.out.data() + conn.outOff,
-                             conn.out.size() - conn.outOff, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn.wantWrite) {
-        conn.wantWrite = true;
-        reactor_.modifyFd(fd, EPOLLIN | EPOLLOUT);
-      }
-      return;
-    }
-    closeConn(fd);
-    return;
-  }
-  conn.out.clear();
-  conn.outOff = 0;
-  if (conn.wantWrite) {
-    conn.wantWrite = false;
-    reactor_.modifyFd(fd, EPOLLIN);
-  }
+  if (conn.stream.send(hdr, payload)) return true;
+  closeConn(fd);
+  return false;
 }
 
 void BroadcastServer::encodeReportInto(const report::Report& r,
@@ -605,27 +502,17 @@ void BroadcastServer::broadcastTick() {
   const std::span<const std::uint8_t> payload = reportArena_.payload();
   // Test hook (byte-identity pins); capacity reused across ticks.
   lastReportPayload_.assign(payload.begin(), payload.end());
-  if (multicast_) {
-    // One datagram serves every listener of this shard's group.
-    ++stats_.udpSendSyscalls;
-    const ssize_t n = ::sendto(
-        udpFd_, reportArena_.data(), reportArena_.size(), MSG_DONTWAIT,
-        reinterpret_cast<const sockaddr*>(&mcastAddr_), sizeof mcastAddr_);
-    if (n < 0) {
-      ++stats_.udpSendFailures;
-    } else {
-      ++stats_.udpDatagramsSent;
-    }
-  } else {
-    fanOutReport();
-  }
+  fanOutReport(reportArena_);
   lastBroadcastTick_ = btick;
   ++stats_.reportsBroadcast;
 }
 
-void BroadcastServer::fanOutReport() {
-  if (Reactor::supportsBatchedUdp()) {
-    batchAddrs_.clear();
+std::size_t BroadcastServer::fanOutReport(const wire::FrameArena& frame) {
+  batchAddrs_.clear();
+  if (multicast_) {
+    // One datagram serves every listener of this shard's group.
+    batchAddrs_.push_back(&mcastAddr_);
+  } else {
     for (auto& [fd, conn] : conns_) {
       // Port 0 is the Hello's opt-out: a multiplexing endpoint (swarm) or
       // multicast client that has no per-connection downlink of its own.
@@ -635,28 +522,30 @@ void BroadcastServer::fanOutReport() {
       // MCI-ANALYZE-ALLOW(hot-path-alloc): scratch high-water capacity
       batchAddrs_.push_back(&conn.udpAddr);
     }
+  }
+  if (Reactor::supportsBatchedUdp()) {
     const UdpBatchSender::Result res = batchSender_.sendToMany(
-        udpFd_, reportArena_.data(), reportArena_.size(), batchAddrs_);
+        udpFd_, frame.data(), frame.size(), batchAddrs_);
     stats_.udpSendSyscalls += res.syscalls;
     stats_.udpDatagramsSent += res.sent;
     stats_.udpSendFailures += res.failed;
-    if (!res.fellBack) return;
+    if (!res.fellBack) return batchAddrs_.size();
     // The kernel refused the batched call outright (ENOSYS under seccomp
-    // or an emulation layer): disable batching and fall through to the
-    // per-socket loop so this tick still goes out.
+    // or an emulation layer): fall through to the per-socket loop so this
+    // frame still goes out.
   }
-  for (auto& [fd, conn] : conns_) {
-    if (!conn.welcomed || conn.udpAddr.sin_port == 0) continue;
+  for (const sockaddr_in* to : batchAddrs_) {
     ++stats_.udpSendSyscalls;
-    const ssize_t n = ::sendto(
-        udpFd_, reportArena_.data(), reportArena_.size(), MSG_DONTWAIT,
-        reinterpret_cast<const sockaddr*>(&conn.udpAddr), sizeof conn.udpAddr);
+    const ssize_t n =
+        ::sendto(udpFd_, frame.data(), frame.size(), MSG_DONTWAIT,
+                 reinterpret_cast<const sockaddr*>(to), sizeof *to);
     if (n < 0) {
       ++stats_.udpSendFailures;
     } else {
       ++stats_.udpDatagramsSent;
     }
   }
+  return batchAddrs_.size();
 }
 
 void BroadcastServer::scheduleNextUpdate() {
@@ -730,14 +619,8 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
 
   // Which new-map slot is us (kNoShard when the new map removes us)? We
   // never stream to ourselves — items we keep need no handoff.
-  std::uint32_t newSelfIndex = kNoShard;
-  for (std::uint32_t s = 0; s < reshardNew_.shardCount(); ++s) {
-    const ShardEndpoint& e = reshardNew_.endpoint(s);
-    if (e.ipv4 == self_.ipv4 && e.tcpPort == tcpPort_) {
-      newSelfIndex = s;
-      break;
-    }
-  }
+  const std::uint32_t newSelfIndex =
+      reshardNew_.indexOf(self_.ipv4, tcpPort_).value_or(kNoShard);
 
   // Bucket every item we own under the OLD map whose owner changes by its
   // new owner. Never-updated items still get a (count=0) frame: the stream
@@ -754,32 +637,22 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
 
   for (std::uint32_t dst = 0; dst < byDst.size(); ++dst) {
     if (byDst[dst].empty()) continue;
-    auto ch = std::make_unique<HandoffChannel>();
-    ch->dstShard = dst;
+    HandoffChannel& ch =
+        *handoffChannels_.emplace_back(std::make_unique<HandoffChannel>());
     const ShardEndpoint& e = reshardNew_.endpoint(dst);
-    ch->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(e.ipv4);
-    addr.sin_port = htons(e.tcpPort);
-    // MCI-ANALYZE-ALLOW(reactor-blocking): loopback connect to a sibling
-    // daemon completes in the handshake RTT; a one-off per reshard, not a
-    // steady-state path. Nonblocking from here on.
-    if (ch->fd < 0 || ::connect(ch->fd, reinterpret_cast<sockaddr*>(&addr),
-                                sizeof addr) != 0) {
-      if (ch->fd >= 0) ::close(ch->fd);
-      ch->fd = -1;
-      ch->done = true;
-      ++stats_.handoffFailures;
-      handoffChannels_.push_back(std::move(ch));
+    const int fd = dialTcp(e.ipv4, e.tcpPort);
+    if (fd < 0) {
+      closeHandoffChannel(ch, true);
       continue;
     }
-    ::fcntl(ch->fd, F_SETFL, ::fcntl(ch->fd, F_GETFL, 0) | O_NONBLOCK);
-    const int nodelay = 1;
-    ::setsockopt(ch->fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
+    ch.stream.adopt(reactor_, fd);
+    HandoffChannel* cp = &ch;
+    ch.reg = reactor_.addFd(
+        fd, EPOLLIN,
+        [this, cp](std::uint32_t ev) { onHandoffChannel(*cp, ev); }, owner_);
 
-    // Queue the whole stream up front (the unbounded channel buffer IS the
-    // migration; see HandoffChannel) and let the reactor drain it.
+    // Send the whole stream now; the socket takes what it can and the
+    // reactor drains the unbounded tail (see HandoffChannel).
     for (std::size_t i = 0; i < byDst[dst].size(); ++i) {
       const db::ItemId item = byDst[dst][i];
       wire::Handoff h;
@@ -793,17 +666,13 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
                               net::TrafficClass::kBulk);
       wire::encodeHandoffInto(h, w);
       controlArena_.finish(w);
-      ch->out.insert(ch->out.end(), controlArena_.data(),
-                     controlArena_.data() + controlArena_.size());
-      ++ch->itemsQueued;
+      if (!ch.stream.send(controlArena_.frame())) {
+        closeHandoffChannel(ch, true);
+        break;
+      }
+      ++ch.itemsQueued;
       ++stats_.handoffItemsSent;
     }
-
-    HandoffChannel* cp = ch.get();
-    handoffChannels_.push_back(std::move(ch));
-    cp->reg = reactor_.addFd(
-        cp->fd, EPOLLIN | EPOLLOUT,
-        [this, cp](std::uint32_t ev) { onHandoffChannel(*cp, ev); }, owner_);
   }
 
   finishHandoffIfDone();  // fires onDone synchronously when nothing migrates
@@ -812,62 +681,30 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
 void BroadcastServer::onHandoffChannel(HandoffChannel& ch,
                                        std::uint32_t events) {
   if (ch.done) return;
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0 ||
+      ((events & EPOLLOUT) != 0 && !ch.stream.flush())) {
     closeHandoffChannel(ch, true);
-    finishHandoffIfDone();
-    return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    while (ch.outOff < ch.out.size()) {
-      // MCI-ANALYZE-ALLOW(reactor-blocking): fd set O_NONBLOCK at connect
-      const ssize_t n = ::send(ch.fd, ch.out.data() + ch.outOff,
-                               ch.out.size() - ch.outOff, MSG_NOSIGNAL);
-      if (n > 0) {
-        ch.outOff += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      closeHandoffChannel(ch, true);
-      finishHandoffIfDone();
-      return;
+  } else if ((events & EPOLLIN) != 0) {
+    while (std::optional<wire::FrameView> frame = ch.stream.next()) {
+      if (frame->header.type != wire::FrameType::kHandoffAck) continue;
+      const std::vector<std::uint8_t> payload(frame->payload.begin(),
+                                              frame->payload.end());
+      std::optional<wire::HandoffAck> ack = wire::decodeHandoffAck(payload);
+      const bool ok = ack && ack->mapVersion == reshardNew_.version() &&
+                      ack->itemsReceived >= ch.itemsQueued;
+      closeHandoffChannel(ch, !ok);
+      break;
     }
-    if (ch.outOff >= ch.out.size()) {
-      ch.out.clear();
-      ch.outOff = 0;
-      reactor_.modifyFd(ch.fd, EPOLLIN);  // stream sent; wait for the ack
-    }
+    // EOF before the ack: the stream is lost.
+    if (ch.stream.failed()) closeHandoffChannel(ch, true);
   }
-  if ((events & EPOLLIN) == 0) return;
-  std::uint8_t buf[4096];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd set O_NONBLOCK at connect
-    const ssize_t n = ::recv(ch.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      ch.in.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    closeHandoffChannel(ch, true);  // EOF before the ack: stream lost
-    finishHandoffIfDone();
-    return;
-  }
-  while (std::optional<wire::Frame> frame = ch.in.next()) {
-    if (frame->header.type != wire::FrameType::kHandoffAck) continue;
-    std::optional<wire::HandoffAck> ack = wire::decodeHandoffAck(frame->payload);
-    const bool ok = ack && ack->mapVersion == reshardNew_.version() &&
-                    ack->itemsReceived >= ch.itemsQueued;
-    closeHandoffChannel(ch, !ok);
-    finishHandoffIfDone();
-    return;
-  }
+  if (ch.done) finishHandoffIfDone();
 }
 
 void BroadcastServer::closeHandoffChannel(HandoffChannel& ch, bool failed) {
-  if (ch.fd >= 0) {
+  if (ch.stream.isOpen()) {
     reactor_.removeFd(ch.reg);
-    ::close(ch.fd);
-    ch.fd = -1;
+    ch.stream.close();
   }
   ch.done = true;
   if (failed) ++stats_.handoffFailures;
@@ -969,40 +806,15 @@ void BroadcastServer::announceMapUpdate(const ShardMap& map) {
     }
   }
 
-  // IR downlink: one datagram so dozing clients (radio on, uplink closed)
-  // hear the flip the moment they wake into the broadcast stream.
+  // IR downlink: one datagram per listener so dozing clients (radio on,
+  // uplink closed) hear the flip the moment they wake into the broadcast
+  // stream.
   report::BitWriter w = controlArena_.begin(
       wire::FrameType::kMapUpdate, wire::kNoScheme,
       net::TrafficClass::kControl);
   wire::encodeMapUpdateInto(mu, w);
   controlArena_.finish(w);
-  if (multicast_) {
-    ++stats_.udpSendSyscalls;
-    ++stats_.mapUpdatesSent;
-    const ssize_t n = ::sendto(
-        udpFd_, controlArena_.data(), controlArena_.size(), MSG_DONTWAIT,
-        reinterpret_cast<const sockaddr*>(&mcastAddr_), sizeof mcastAddr_);
-    if (n < 0) {
-      ++stats_.udpSendFailures;
-    } else {
-      ++stats_.udpDatagramsSent;
-    }
-  } else {
-    for (auto& [fd, conn] : conns_) {
-      if (!conn.welcomed || conn.udpAddr.sin_port == 0) continue;
-      ++stats_.udpSendSyscalls;
-      ++stats_.mapUpdatesSent;
-      const ssize_t n = ::sendto(
-          udpFd_, controlArena_.data(), controlArena_.size(), MSG_DONTWAIT,
-          reinterpret_cast<const sockaddr*>(&conn.udpAddr),
-          sizeof conn.udpAddr);
-      if (n < 0) {
-        ++stats_.udpSendFailures;
-      } else {
-        ++stats_.udpDatagramsSent;
-      }
-    }
-  }
+  stats_.mapUpdatesSent += fanOutReport(controlArena_);
 }
 
 bool BroadcastServer::reannounceMap(int fd, Conn& conn) {

@@ -14,6 +14,7 @@
 #include "db/database.hpp"
 #include "db/update_history.hpp"
 #include "live/clock.hpp"
+#include "live/frame_stream.hpp"
 #include "live/reactor.hpp"
 #include "live/shard_map.hpp"
 #include "live/udp_batch.hpp"
@@ -213,14 +214,10 @@ class BroadcastServer {
 
  private:
   struct Conn {
-    wire::FrameBuffer in;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    bool wantWrite = false;
+    FrameStream stream;
     bool welcomed = false;
     bool audit = false;
     std::uint32_t clientId = 0;
-    std::uint64_t badCounted = 0;  ///< badFrames() already folded into stats
     Reactor::FdHandle reg;  ///< this conn's reactor registration
     std::uint32_t handoffReceived = 0;  ///< kHandoff frames on this conn
     bool mapReannounced = false;  ///< one-shot misroute correction spent
@@ -229,24 +226,20 @@ class BroadcastServer {
   };
 
   /// Outbound backfill stream of one reshard: all kHandoff frames for one
-  /// destination shard, queued up front (unbounded on purpose — the stream
-  /// IS the migration; the per-client send cap must not drop it) and
-  /// drained by the reactor until the destination's kHandoffAck.
+  /// destination shard, sent up front (queued unbounded on purpose — the
+  /// stream IS the migration; the per-client send cap must not drop it)
+  /// and drained by the reactor until the destination's kHandoffAck.
   struct HandoffChannel {
-    int fd = -1;
+    FrameStream stream;
     Reactor::FdHandle reg;  ///< backfill socket's reactor registration
-    std::uint32_t dstShard = 0;
     std::uint32_t itemsQueued = 0;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    wire::FrameBuffer in;  ///< ack direction
     bool done = false;
   };
 
   void setupSockets();
   void onAcceptable();
   void onConnEvent(int fd, std::uint32_t events);
-  void handleFrame(int fd, Conn& conn, const wire::Frame& frame);
+  void handleFrame(int fd, Conn& conn, const wire::FrameView& frame);
   void handleHello(int fd, Conn& conn, const wire::Hello& hello);
   void handleQuery(int fd, Conn& conn, const wire::QueryRequest& q);
   void handleCheck(int fd, Conn& conn, const wire::Check& c);
@@ -267,25 +260,26 @@ class BroadcastServer {
   /// Post-grace misroute correction: one kMapUpdate on this connection.
   /// Returns false when the send closed the connection.
   [[nodiscard]] bool reannounceMap(int fd, Conn& conn);
-  /// kMapUpdate to every welcomed uplink + one datagram on the IR downlink.
+  /// kMapUpdate to every welcomed uplink and on the IR downlink.
   void announceMapUpdate(const ShardMap& map);
   void onHandoffChannel(HandoffChannel& ch, std::uint32_t events);
   void closeHandoffChannel(HandoffChannel& ch, bool failed);
   void finishHandoffIfDone();
-  /// Queues (or drops, when the queue is full) one frame and flushes.
-  /// Returns false when the flush hit a hard error and closed the
+  /// Sends one frame on the connection's stream, or drops it whole (and
+  /// counts it) when it would push the queue past maxSendQueueBytes.
+  /// Returns false when the send hit a hard error and closed the
   /// connection — `conn` is then dangling and the caller must stop
-  /// touching it. Replaces the old "re-find(fd) after every send"
-  /// convention, which was easy to forget (tools/analyze checked-return).
+  /// touching it (tools/analyze checked-return).
   [[nodiscard]] bool sendFrame(int fd, Conn& conn, wire::FrameType type,
                                net::TrafficClass trafficClass,
                                const std::vector<std::uint8_t>& payload);
-  void flushConn(int fd, Conn& conn);
 
   void broadcastTick();
-  /// Unicast IR fan-out of the arena frame: sendmmsg batches when the
-  /// kernel has them, the classic per-socket sendto loop otherwise.
-  void fanOutReport();
+  /// Sends the finished arena frame on the IR downlink: one datagram to
+  /// the multicast group, or one per welcomed per-client downlink.
+  /// sendmmsg batches when the kernel has them, the per-socket sendto loop
+  /// otherwise. Returns the datagrams attempted.
+  std::size_t fanOutReport(const wire::FrameArena& frame);
   void runUpdateTransaction();
   void scheduleNextUpdate();
   /// Appends the codec bytes of `r` to `w` (an arena writer on the tick

@@ -1,16 +1,12 @@
 #include "live/client_agent.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <stdexcept>
 #include <utility>
 
@@ -19,14 +15,6 @@
 #include "core/scheme_factory.hpp"
 
 namespace mci::live {
-namespace {
-
-int makeNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags < 0 ? -1 : ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
 
 // --- ClientAgent -------------------------------------------------------
 
@@ -37,57 +25,10 @@ ClientAgent::~ClientAgent() {
   cancelTimer();
   for (auto* linkSet : {&links_, &draining_}) {
     for (auto& link : *linkSet) {
-      if (!link) continue;
-      if (link->tcpFd >= 0) {
-        pool_.reactor_.removeFd(link->tcpReg);
-        ::close(link->tcpFd);
-      }
-      if (link->udpFd >= 0) {
-        pool_.reactor_.removeFd(link->udpReg);
-        ::close(link->udpFd);
-      }
+      if (link) closeLink(*link);
     }
   }
   pool_.reactor_.retireOwner(owner_);
-}
-
-int ClientAgent::openDownlinkUdp(std::uint32_t ipv4, std::uint32_t mcastIpv4,
-                                 std::uint16_t mcastPort) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("live agent: socket() failed");
-  sockaddr_in udpAddr{};
-  udpAddr.sin_family = AF_INET;
-  if (mcastIpv4 != 0) {
-    // Multicast downlink: every listener of the shard binds the group port
-    // (shared via SO_REUSEADDR) and joins the group on the shard's
-    // interface — one datagram then reaches them all.
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    udpAddr.sin_addr.s_addr = htonl(INADDR_ANY);
-    udpAddr.sin_port = htons(mcastPort);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&udpAddr),
-               sizeof udpAddr) != 0) {
-      ::close(fd);
-      throw std::runtime_error("live agent: multicast UDP bind failed");
-    }
-    ip_mreq mreq{};
-    mreq.imr_multiaddr.s_addr = htonl(mcastIpv4);
-    mreq.imr_interface.s_addr = htonl(ipv4);
-    if (::setsockopt(fd, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq, sizeof mreq) !=
-        0) {
-      ::close(fd);
-      throw std::runtime_error("live agent: multicast join failed");
-    }
-  } else {
-    udpAddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    udpAddr.sin_port = 0;
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&udpAddr),
-               sizeof udpAddr) != 0) {
-      ::close(fd);
-      throw std::runtime_error("live agent: UDP bind failed");
-    }
-  }
-  return fd;
 }
 
 std::unique_ptr<ClientAgent::Link> ClientAgent::makeLink(
@@ -97,40 +38,35 @@ std::unique_ptr<ClientAgent::Link> ClientAgent::makeLink(
   link->shard = shard;
   link->ipv4 = ipv4;
   link->tcpPort = tcpPort;
+  const int fd = dialTcp(ipv4, tcpPort);
+  if (fd < 0) throw std::runtime_error("live agent: connect failed");
+  // Adopted first: if the downlink throws, the link closes the uplink.
+  link->tcp.adopt(pool_.reactor_, fd);
   link->udpFd = openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
-  link->tcpFd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (link->tcpFd < 0) {
-    throw std::runtime_error("live agent: socket() failed");
-  }
-  // Queries and checks are small, latency-bound frames; disable Nagle so
-  // a fill round trip stays sub-millisecond instead of stretching past a
-  // broadcast period behind the peer's delayed ACK.
-  const int nodelay = 1;
-  ::setsockopt(link->tcpFd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
-               sizeof nodelay);
-
-  sockaddr_in server{};
-  server.sin_family = AF_INET;
-  server.sin_addr.s_addr = htonl(ipv4);
-  server.sin_port = htons(tcpPort);
-  // Blocking connect (instant on loopback), then non-blocking I/O. A
-  // reconnect timer does reach this, so it is a deliberate, justified
-  // exception to the reactor-blocking rule rather than an oversight.
-  // MCI-ANALYZE-ALLOW(reactor-blocking): loopback connect completes in one
-  if (::connect(link->tcpFd, reinterpret_cast<const sockaddr*>(&server),  // RTT
-                sizeof server) != 0 ||
-      makeNonBlocking(link->tcpFd) != 0) {
-    throw std::runtime_error("live agent: connect failed");
-  }
-
   Link* lp = link.get();
   link->tcpReg = pool_.reactor_.addFd(
-      link->tcpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onTcp(*lp, ev); },
-      owner_);
-  link->udpReg = pool_.reactor_.addFd(
-      link->udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
-      owner_);
+      fd, EPOLLIN, [this, lp](std::uint32_t ev) { onTcp(*lp, ev); }, owner_);
+  watchDownlink(*link);
   return link;
+}
+
+void ClientAgent::watchDownlink(Link& link) {
+  Link* lp = &link;
+  link.udpReg = pool_.reactor_.addFd(
+      link.udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
+      owner_);
+}
+
+void ClientAgent::closeLink(Link& link) {
+  if (link.tcp.isOpen()) {
+    pool_.reactor_.removeFd(link.tcpReg);
+    link.tcp.close();
+  }
+  if (link.udpFd >= 0) {
+    pool_.reactor_.removeFd(link.udpReg);
+    ::close(link.udpFd);
+    link.udpFd = -1;
+  }
 }
 
 void ClientAgent::sendHello(Link& link) {
@@ -159,7 +95,7 @@ void ClientAgent::connect() {
 void ClientAgent::shutdown() {
   shuttingDown_ = true;
   for (auto& link : links_) {
-    if (link && link->tcpFd >= 0) {
+    if (link && link->tcp.isOpen()) {
       // Best-effort goodbye: teardown continues whether or not it lands.
       (void)sendFrame(*link, wire::FrameType::kBye,
                       net::TrafficClass::kControl, {});
@@ -171,7 +107,7 @@ void ClientAgent::shutdown() {
 bool ClientAgent::connectionAlive() const {
   if (links_.empty()) return false;
   for (const auto& link : links_) {
-    if (!link || link->tcpFd < 0) return false;
+    if (!link || !link->tcp.isOpen()) return false;
   }
   return true;
 }
@@ -192,17 +128,8 @@ void ClientAgent::dropAgent() {
   for (auto* linkSet : {&links_, &draining_}) {
     for (auto& link : *linkSet) {
       if (!link) continue;
-      if (link->tcpFd >= 0) {
-        if (!link->draining) hadLive = true;
-        pool_.reactor_.removeFd(link->tcpReg);
-        ::close(link->tcpFd);
-        link->tcpFd = -1;
-      }
-      if (link->udpFd >= 0) {
-        pool_.reactor_.removeFd(link->udpReg);
-        ::close(link->udpFd);
-        link->udpFd = -1;
-      }
+      if (link->tcp.isOpen() && !link->draining) hadLive = true;
+      closeLink(*link);
     }
   }
   // One agent = one host: losing any shard link retires the whole agent
@@ -212,67 +139,30 @@ void ClientAgent::dropAgent() {
 }
 
 void ClientAgent::onTcp(Link& link, std::uint32_t events) {
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0 ||
+      ((events & EPOLLOUT) != 0 && !link.tcp.flush())) {
     dropAgent();
     return;
   }
-  if ((events & EPOLLOUT) != 0) flushOut(link);
-  if (link.tcpFd < 0 || (events & EPOLLIN) == 0) return;
-
-  std::uint8_t buf[65536];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): tcpFd is O_NONBLOCK (makeLink)
-    const ssize_t n = ::recv(link.tcpFd, buf, sizeof buf, 0);
-    if (n > 0) {
-      link.in.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    dropAgent();
-    return;
-  }
-  while (link.tcpFd >= 0) {
-    std::optional<wire::Frame> frame = link.in.next();
-    if (!frame) break;
+  if ((events & EPOLLIN) == 0) return;
+  while (std::optional<wire::FrameView> frame = link.tcp.next()) {
     handleFrame(link, *frame);
+    if (!link.tcp.isOpen()) break;  // a handler dropped the agent
   }
-  if (link.tcpFd >= 0 && link.in.corrupt()) {
-    ++pool_.stats_.badFrames;
-    dropAgent();
-  }
+  pool_.stats_.badFrames += link.tcp.takeSkippedFrames();
+  if (!link.tcp.failed()) return;
+  if (link.tcp.corrupt()) ++pool_.stats_.badFrames;
+  dropAgent();  // orderly EOF, hard error or lost framing
 }
 
 void ClientAgent::onUdp(Link& link, std::uint32_t events) {
   if ((events & EPOLLIN) == 0) return;
-  if (Reactor::supportsBatchedUdp() && !pool_.udpRecvFellBack_) {
-    // Batched drain: one recvmmsg pulls up to kBatch datagrams through the
-    // pool's shared buffers, so a tick-burst of reports costs O(batches)
-    // kernel entries. ENOSYS at runtime (probe raced a seccomp filter)
-    // stickily reroutes the whole pool to the classic loop below.
-    for (;;) {
-      bool fellBack = false;
-      const int n = pool_.udpReceiver_.receive(link.udpFd, fellBack);
-      ++pool_.stats_.udpRecvSyscalls;
-      if (fellBack) {
-        pool_.udpRecvFellBack_ = true;
-        break;
-      }
-      if (n == 0) return;  // drained
-      for (int i = 0; i < n; ++i) {
-        const UdpBatchReceiver::Datagram d = pool_.udpReceiver_.datagram(i);
-        if (!handleUdpDatagram(link, d.data, d.len)) return;
-      }
-    }
-  }
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): udpFd is SOCK_NONBLOCK
-    const ssize_t n = ::recv(link.udpFd, buf, sizeof buf, 0);
-    ++pool_.stats_.udpRecvSyscalls;
-    if (n <= 0) return;  // EAGAIN drained, or transient error
-    if (!handleUdpDatagram(link, buf, static_cast<std::size_t>(n))) return;
-  }
+  // The pool's shared buffers take a tick-burst of reports in O(batches)
+  // kernel entries.
+  pool_.stats_.udpRecvSyscalls += pool_.udpReceiver_.drain(
+      link.udpFd, [&](const std::uint8_t* data, std::size_t len) {
+        return handleUdpDatagram(link, data, len);
+      });
 }
 
 bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
@@ -294,33 +184,36 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
     } else {
       ++pool_.stats_.badFrames;
     }
-    return link.tcpFd >= 0;  // the flip may have drained this link
+    return link.tcp.isOpen();  // the flip may have drained this link
   }
   if (frame->header.type != wire::FrameType::kReport) {
     ++pool_.stats_.badFrames;
     return true;
   }
   onReportPayload(link, frame->payload);
-  return link.tcpFd >= 0;  // report handling may have dropped us
+  return link.tcp.isOpen();  // report handling may have dropped us
 }
 
-void ClientAgent::handleFrame(Link& link, const wire::Frame& frame) {
+void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
+  // The control decoders read an owned payload.
+  const std::vector<std::uint8_t> payload(frame.payload.begin(),
+                                          frame.payload.end());
   switch (frame.header.type) {
     case wire::FrameType::kWelcome:
-      if (auto m = wire::decodeWelcome(frame.payload)) onWelcome(link, *m);
+      if (auto m = wire::decodeWelcome(payload)) onWelcome(link, *m);
       return;
     case wire::FrameType::kDataItem:
-      if (auto m = wire::decodeDataItem(frame.payload)) onDataItem(link, *m);
+      if (auto m = wire::decodeDataItem(payload)) onDataItem(link, *m);
       return;
     case wire::FrameType::kCheckAck:
-      if (auto m = wire::decodeCheckAck(frame.payload)) {
+      if (auto m = wire::decodeCheckAck(payload)) {
         if (link.scheme != nullptr) {
           link.scheme->onCheckDelivered(*link.ctx, m->asOf);
         }
       }
       return;
     case wire::FrameType::kValidityReply:
-      if (auto m = wire::decodeValidityReply(frame.payload)) {
+      if (auto m = wire::decodeValidityReply(payload)) {
         onValidityReply(link, *m);
       }
       return;
@@ -328,7 +221,7 @@ void ClientAgent::handleFrame(Link& link, const wire::Frame& frame) {
       // Epoch announce on the uplink: processed even while dozing (the
       // radio gates UDP only), so a host that sleeps through a reshard
       // wakes already pointed at the new cluster.
-      if (auto m = wire::decodeMapUpdate(frame.payload)) {
+      if (auto m = wire::decodeMapUpdate(payload)) {
         pool_.onMapUpdate(m->shardMap);
       } else {
         ++pool_.stats_.badFrames;
@@ -370,10 +263,7 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
       ::close(link.udpFd);
       link.udpFd =
           openDownlinkUdp(seedEp.ipv4, seedEp.multicastIpv4, seedEp.multicastPort);
-      Link* lp = &link;
-      link.udpReg = pool_.reactor_.addFd(
-          link.udpFd, EPOLLIN,
-          [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_);
+      watchDownlink(link);
     }
 
     std::vector<std::unique_ptr<Link>> byShard(map.shardCount());
@@ -464,7 +354,7 @@ void ClientAgent::onReportPayload(Link& link,
   const schemes::ClientOutcome outcome = link.scheme->onReport(*r, *link.ctx);
   if (outcome.sendCheck) {
     sendCheck(link, outcome.check);
-    if (link.tcpFd < 0) return;
+    if (!link.tcp.isOpen()) return;
   }
 
   if (state_ == State::kQuerying) {
@@ -598,7 +488,9 @@ void ClientAgent::maybeCompleteQuery() {
   // A flip mid-query leaves its in-flight legs on the drained links; the
   // retiring daemons grace-serve them to completion before the fds close.
   for (const auto& link : draining_) {
-    if (link->tcpFd >= 0 && (link->needAnswer || !link->fetch.empty())) return;
+    if (link->tcp.isOpen() && (link->needAnswer || !link->fetch.empty())) {
+      return;
+    }
   }
   completeQuery();
 }
@@ -671,75 +563,12 @@ void ClientAgent::sendCheck(Link& link, const schemes::CheckMessage& msg) {
 bool ClientAgent::sendFrame(Link& link, wire::FrameType type,
                             net::TrafficClass trafficClass,
                             const std::vector<std::uint8_t>& payload) {
-  if (link.tcpFd < 0) return false;
+  if (!link.tcp.isOpen()) return false;
   const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
       wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
-  const std::size_t frameBytes = hdr.size() + payload.size();
-  if (link.outOff >= link.out.size()) {
-    // Empty-queue fast path: scatter/gather the header and payload to the
-    // socket from their own buffers; only an unsent tail is queued.
-    std::array<iovec, 2> iov{};
-    iov[0].iov_base = const_cast<std::uint8_t*>(hdr.data());
-    iov[0].iov_len = hdr.size();
-    iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
-    iov[1].iov_len = payload.size();
-    msghdr msg{};
-    msg.msg_iov = iov.data();
-    msg.msg_iovlen = payload.empty() ? 1 : 2;
-    // MCI-ANALYZE-ALLOW(reactor-blocking): tcpFd is O_NONBLOCK (makeLink)
-    const ssize_t n = ::sendmsg(link.tcpFd, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      dropAgent();
-      return false;
-    }
-    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == frameBytes) return true;
-    if (sent < hdr.size()) {
-      link.out.insert(link.out.end(), hdr.begin() + sent, hdr.end());
-      link.out.insert(link.out.end(), payload.begin(), payload.end());
-    } else {
-      link.out.insert(
-          link.out.end(),
-          payload.begin() + static_cast<std::ptrdiff_t>(sent - hdr.size()),
-          payload.end());
-    }
-    if (!link.wantWrite) {
-      link.wantWrite = true;
-      pool_.reactor_.modifyFd(link.tcpFd, EPOLLIN | EPOLLOUT);
-    }
-    return true;
-  }
-  link.out.insert(link.out.end(), hdr.begin(), hdr.end());
-  link.out.insert(link.out.end(), payload.begin(), payload.end());
-  flushOut(link);  // on hard error this runs dropAgent(), zeroing tcpFd
-  return link.tcpFd >= 0;
-}
-
-void ClientAgent::flushOut(Link& link) {
-  while (link.outOff < link.out.size()) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): tcpFd is O_NONBLOCK (makeLink)
-    const ssize_t n = ::send(link.tcpFd, link.out.data() + link.outOff,
-                             link.out.size() - link.outOff, MSG_NOSIGNAL);
-    if (n > 0) {
-      link.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!link.wantWrite) {
-        link.wantWrite = true;
-        pool_.reactor_.modifyFd(link.tcpFd, EPOLLIN | EPOLLOUT);
-      }
-      return;
-    }
-    dropAgent();
-    return;
-  }
-  link.out.clear();
-  link.outOff = 0;
-  if (link.wantWrite) {
-    link.wantWrite = false;
-    pool_.reactor_.modifyFd(link.tcpFd, EPOLLIN);
-  }
+  if (link.tcp.send(hdr, payload)) return true;
+  dropAgent();
+  return false;
 }
 
 void ClientAgent::applyShardMap(const ShardMap& map) {
@@ -765,17 +594,11 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
   std::vector<std::unique_ptr<Link>> byShard(map.shardCount());
   for (auto& l : links_) {
     if (!l) continue;
-    bool placed = false;
-    for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-      const ShardEndpoint& ep = map.endpoint(s);
-      if (!byShard[s] && ep.ipv4 == l->ipv4 && ep.tcpPort == l->tcpPort) {
-        l->shard = s;
-        byShard[s] = std::move(l);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
+    const std::optional<std::uint32_t> s = map.indexOf(l->ipv4, l->tcpPort);
+    if (s && !byShard[*s]) {
+      l->shard = *s;
+      byShard[*s] = std::move(l);
+    } else {
       l->shard = kUnknownShard;
       l->draining = true;
       draining_.push_back(std::move(l));
@@ -800,7 +623,7 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
       return;
     }
     sendHello(*links_[s]);
-    if (links_[s]->tcpFd < 0) return;  // hello failed; dropAgent() ran
+    if (!links_[s]->tcp.isOpen()) return;  // hello failed; dropAgent() ran
   }
 
   // Migrate cached copies whose owner changed. Two passes per source cache
@@ -855,17 +678,7 @@ void ClientAgent::closeDrainingLinks() {
   // (reactor handlers up the stack may still hold references); only the
   // fds close.
   for (auto& link : draining_) {
-    if (!link) continue;
-    if (link->tcpFd >= 0) {
-      pool_.reactor_.removeFd(link->tcpReg);
-      ::close(link->tcpFd);
-      link->tcpFd = -1;
-    }
-    if (link->udpFd >= 0) {
-      pool_.reactor_.removeFd(link->udpReg);
-      ::close(link->udpFd);
-      link->udpFd = -1;
-    }
+    if (link) closeLink(*link);
   }
 }
 

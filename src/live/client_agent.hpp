@@ -11,6 +11,7 @@
 #include "core/config.hpp"
 #include "db/database.hpp"
 #include "live/clock.hpp"
+#include "live/frame_stream.hpp"
 #include "live/reactor.hpp"
 #include "live/shard_map.hpp"
 #include "live/udp_batch.hpp"
@@ -51,6 +52,8 @@ struct PoolStats {
   std::uint64_t reportsHeard = 0;
   /// reportsHeard split by originating shard (sized at configuration).
   std::vector<std::uint64_t> reportsHeardPerShard;
+  /// Undecodable frames, including uplink frames skipped for a failed
+  /// checksum.
   std::uint64_t badFrames = 0;
   std::uint64_t connectionsLost = 0;  ///< TCP closed other than by shutdown()
   std::uint64_t mapUpdatesHeard = 0;  ///< kMapUpdate frames (TCP or IR)
@@ -132,14 +135,10 @@ class ClientAgent {
     std::uint32_t ipv4 = 0;       ///< endpoint identity: survives reshards
     std::uint16_t tcpPort = 0;    ///< (a shard's index may change; this not)
     bool draining = false;        ///< endpoint left the map; finish + close
-    int tcpFd = -1;
+    FrameStream tcp;  ///< the uplink
     int udpFd = -1;
     Reactor::FdHandle tcpReg;  ///< uplink registration (removeFd on close)
     Reactor::FdHandle udpReg;  ///< downlink registration
-    wire::FrameBuffer in;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    bool wantWrite = false;
     std::uint32_t clientId = 0;  ///< this shard's id for us
     std::unique_ptr<schemes::ClientContext> ctx;
     std::unique_ptr<schemes::ClientScheme> scheme;
@@ -148,16 +147,17 @@ class ClientAgent {
     std::vector<db::ItemId> fetch;    ///< outstanding fetches on this shard
   };
 
+  /// Dials the shard's uplink and opens its downlink (group-joined when
+  /// mcastIpv4 != 0). Throws std::runtime_error on socket failure.
   [[nodiscard]] std::unique_ptr<Link> makeLink(std::uint32_t shard,
                                                std::uint32_t ipv4,
                                                std::uint16_t tcpPort,
                                                std::uint32_t mcastIpv4,
                                                std::uint16_t mcastPort);
-  /// Opens the downlink socket: group-joined when mcastIpv4 != 0, else a
-  /// loopback-bound ephemeral unicast socket. Throws on failure.
-  [[nodiscard]] static int openDownlinkUdp(std::uint32_t ipv4,
-                                           std::uint32_t mcastIpv4,
-                                           std::uint16_t mcastPort);
+  /// Registers link.udpFd with the reactor.
+  void watchDownlink(Link& link);
+  /// Deregisters and closes both of the link's sockets.
+  void closeLink(Link& link);
   void sendHello(Link& link);
 
   void onTcp(Link& link, std::uint32_t events);
@@ -166,7 +166,7 @@ class ClientAgent {
   /// dropped this agent (the caller must stop draining).
   bool handleUdpDatagram(Link& link, const std::uint8_t* data,
                          std::size_t len);
-  void handleFrame(Link& link, const wire::Frame& frame);
+  void handleFrame(Link& link, const wire::FrameView& frame);
   void onWelcome(Link& link, const wire::Welcome& w);
   void onReportPayload(Link& link, const std::vector<std::uint8_t>& payload);
   void onDataItem(Link& link, const wire::DataItem& d);
@@ -180,13 +180,12 @@ class ClientAgent {
   void beginDoze(bool queryAfterWake);
   void wake();
   void sendCheck(Link& link, const schemes::CheckMessage& msg);
-  /// Queues one frame on the link and flushes. Returns false when the
-  /// flush hit a hard error and dropAgent() already ran (the Link object
-  /// survives with tcpFd == -1, but the caller must stop this exchange).
+  /// Sends one frame on the link's uplink. Returns false when the link is
+  /// closed or the send hit a hard error and dropAgent() already ran (the
+  /// Link object survives, closed, but the caller must stop this exchange).
   [[nodiscard]] bool sendFrame(Link& link, wire::FrameType type,
                                net::TrafficClass trafficClass,
                                const std::vector<std::uint8_t>& payload);
-  void flushOut(Link& link);
   void cancelTimer();
   void dropAgent();
   void closeDrainingLinks();
@@ -300,11 +299,8 @@ class ClientPool {
   ShardMap shardMap_;
 
   PoolStats stats_;
-  /// Shared recvmmsg drain buffer (one per pool, not per agent) plus the
-  /// sticky runtime fallback: a single ENOSYS routes every later drain to
-  /// the per-datagram recv loop.
+  /// Shared downlink drain buffer: one per pool, not per agent.
   UdpBatchReceiver udpReceiver_;
-  bool udpRecvFellBack_ = false;
   std::vector<std::unique_ptr<ClientAgent>> agents_;
 };
 

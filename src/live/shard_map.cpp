@@ -14,6 +14,14 @@ ShardMap ShardMap::single(ShardEndpoint self) {
   return ShardMap(1, kDefaultHashSeed, {self});
 }
 
+std::optional<std::uint32_t> ShardMap::indexOf(std::uint32_t ipv4,
+                                               std::uint16_t tcpPort) const {
+  for (std::uint32_t s = 0; s < shardCount(); ++s) {
+    if (shards_[s].ipv4 == ipv4 && shards_[s].tcpPort == tcpPort) return s;
+  }
+  return std::nullopt;
+}
+
 std::uint32_t ShardMap::shardOfItem(db::ItemId item, std::uint64_t hashSeed,
                                     std::uint32_t shardCount) {
   if (shardCount <= 1) return 0;

@@ -75,6 +75,11 @@ class ShardMap {
     return shards_;
   }
 
+  /// The slot whose endpoint is (ipv4, tcpPort), if any. Endpoint identity
+  /// is what survives a reshard; a daemon's slot index may change.
+  [[nodiscard]] std::optional<std::uint32_t> indexOf(
+      std::uint32_t ipv4, std::uint16_t tcpPort) const;
+
   /// Owner shard of `item`. Requires valid().
   [[nodiscard]] std::uint32_t shardOf(db::ItemId item) const {
     MCI_CHECK(valid()) << "shardOf(" << item << ") on an empty shard map";

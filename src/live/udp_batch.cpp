@@ -74,7 +74,8 @@ UdpBatchSender::Result UdpBatchSender::sendToMany(
 }
 
 UdpBatchReceiver::UdpBatchReceiver()
-    : storage_(static_cast<std::size_t>(kBatch) * kDatagramBytes) {
+    : storage_(static_cast<std::size_t>(kBatch) * kDatagramBytes),
+      recvFellBack_(!UdpBatchSender::available()) {
   for (unsigned j = 0; j < kBatch; ++j) {
     iovs_[j].iov_base =
         storage_.data() + static_cast<std::size_t>(j) * kDatagramBytes;
@@ -97,6 +98,19 @@ int UdpBatchReceiver::receive(int fd, bool& fellBack) {
     return 0;  // drained (EAGAIN) or transient error: same as a recv loop
   }
   return n;
+}
+
+int UdpBatchReceiver::receiveNext(int fd, bool& more) {
+  if (!recvFellBack_) {
+    const int n = receive(fd, recvFellBack_);
+    // An ENOSYS batch received nothing; go round again with recv.
+    more = recvFellBack_ || n == static_cast<int>(kBatch);
+    return n;
+  }
+  const ssize_t n = ::recv(fd, storage_.data(), kDatagramBytes, MSG_DONTWAIT);
+  more = n > 0;
+  hdrs_[0].msg_len = n > 0 ? static_cast<unsigned>(n) : 0;
+  return n > 0 ? 1 : 0;
 }
 
 UdpBatchReceiver::Datagram UdpBatchReceiver::datagram(int i) const {

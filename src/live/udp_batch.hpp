@@ -17,10 +17,11 @@ namespace mci::live {
 /// costs O(N / kBatch) kernel entries instead of O(N).
 ///
 /// Availability is probed once at first use (`available()`): a kernel,
-/// seccomp filter or emulation layer without the syscalls answers ENOSYS,
-/// and every call site keeps the classic one-datagram loop as a per-call
-/// fallback (`Result::fellBack` / the `fellBack` out-param), so behaviour
-/// is identical either way — only the syscall count changes.
+/// seccomp filter or emulation layer without the syscalls answers ENOSYS.
+/// The sender reports that per call (`Result::fellBack`) and its caller
+/// runs a sendto loop; UdpBatchReceiver::drain falls back to single recv
+/// calls by itself. Behaviour is identical either way — only the syscall
+/// count changes.
 class UdpBatchSender {
  public:
   /// Datagrams per sendmmsg call (bounds the reused header/iovec arrays).
@@ -67,6 +68,29 @@ class UdpBatchReceiver {
 
   UdpBatchReceiver();
 
+  /// Drains nonblocking `fd`, handing every datagram in arrival order to
+  /// `onDatagram(const std::uint8_t* data, std::size_t len) -> bool`; a
+  /// false return stops the drain (the handler closed `fd`). Batches go
+  /// through recvmmsg; once the kernel refuses it (ENOSYS) this receiver
+  /// drains with single recv calls for good. A short batch ends the drain:
+  /// the socket was empty then, and level-triggered epoll reports anything
+  /// that lands later. Returns the kernel entries spent (one per recvmmsg
+  /// or recv call).
+  template <typename OnDatagram>
+  MCI_HOT std::uint64_t drain(int fd, OnDatagram&& onDatagram) {
+    std::uint64_t syscalls = 0;
+    bool more = true;
+    while (more) {
+      ++syscalls;
+      const int n = receiveNext(fd, more);
+      for (int i = 0; i < n; ++i) {
+        const Datagram d = datagram(i);
+        if (!onDatagram(d.data, d.len)) return syscalls;
+      }
+    }
+    return syscalls;
+  }
+
   /// One recvmmsg: up to kBatch datagrams into the internal buffers.
   /// Returns the count (0 = drained / would-block / transient error).
   /// Sets `fellBack` when the kernel refused the syscall (ENOSYS) — the
@@ -77,9 +101,15 @@ class UdpBatchReceiver {
   [[nodiscard]] Datagram datagram(int i) const;
 
  private:
+  /// One kernel entry of drain(): a recvmmsg batch, or a single recv into
+  /// slot 0 after the sticky fallback. `more` is false once the socket is
+  /// known to be empty.
+  MCI_HOT int receiveNext(int fd, bool& more);
+
   std::vector<std::uint8_t> storage_;  ///< kBatch contiguous slots
   std::array<mmsghdr, kBatch> hdrs_{};
   std::array<iovec, kBatch> iovs_{};
+  bool recvFellBack_ = false;  ///< recvmmsg refused: single recv from now on
 };
 
 }  // namespace mci::live

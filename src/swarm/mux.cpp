@@ -1,30 +1,18 @@
 #include "swarm/mux.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
 #include "net/message.hpp"
 
 namespace mci::swarm {
-namespace {
-
-int makeNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return -1;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
 
 UplinkMux::UplinkMux(live::Reactor& reactor, SwarmSink& sink, Options opts)
     : reactor_(reactor),
@@ -50,82 +38,40 @@ std::uint16_t UplinkMux::boundPort(int fd) {
   return ntohs(addr.sin_port);
 }
 
-int UplinkMux::openDownlinkUdp(std::uint32_t ipv4, std::uint32_t mcastIpv4,
-                               std::uint16_t mcastPort) {
-  const int fd =
-      ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("swarm mux: UDP socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  if (mcastIpv4 != 0) {
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    addr.sin_port = htons(mcastPort);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(fd);
-      throw std::runtime_error("swarm mux: multicast UDP bind failed");
-    }
-    ip_mreq mreq{};
-    mreq.imr_multiaddr.s_addr = htonl(mcastIpv4);
-    mreq.imr_interface.s_addr = htonl(ipv4);
-    if (::setsockopt(fd, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq,
-                     sizeof mreq) != 0) {
-      ::close(fd);
-      throw std::runtime_error("swarm mux: multicast join failed");
-    }
-  } else {
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(fd);
-      throw std::runtime_error("swarm mux: UDP bind failed");
-    }
-  }
+void UplinkMux::openDownlink(Link& link, std::uint32_t ipv4,
+                             std::uint32_t mcastIpv4, std::uint16_t mcastPort) {
+  link.udpFd = live::openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
   // The whole swarm's IR stream funnels through one socket per shard;
   // give the kernel room for a tick burst that the engine is still
   // chewing on (best effort — the cap may clamp it).
   const int rcvbuf = 1 << 21;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-  return fd;
+  ::setsockopt(link.udpFd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  Link* lp = &link;
+  link.udpReg = reactor_.addFd(
+      link.udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
+      owner_);
+}
+
+void UplinkMux::closeDownlink(Link& link) {
+  if (link.udpFd < 0) return;
+  reactor_.removeFd(link.udpReg);
+  ::close(link.udpFd);
+  link.udpFd = -1;
 }
 
 std::unique_ptr<UplinkMux::Conn> UplinkMux::dialConn(std::uint32_t shard,
                                                      std::uint32_t endpoint,
                                                      std::uint32_t ipv4,
                                                      std::uint16_t tcpPort) {
+  const int fd = live::dialTcp(ipv4, tcpPort);
+  if (fd < 0) throw std::runtime_error("swarm mux: connect failed");
   auto conn = std::make_unique<Conn>();
   conn->shard = shard;
   conn->endpoint = endpoint;
-  conn->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (conn->fd < 0) throw std::runtime_error("swarm mux: socket() failed");
-  // Fetch frames are small and latency-bound: without TCP_NODELAY, Nagle
-  // holds them behind the peer's delayed ACK and a loopback round trip
-  // stretches to tens of milliseconds — a whole broadcast period at high
-  // time scales, turning every miss fill into a late (discarded) copy.
-  const int one = 1;
-  ::setsockopt(conn->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-
-  sockaddr_in server{};
-  server.sin_family = AF_INET;
-  server.sin_addr.s_addr = htonl(ipv4);
-  server.sin_port = htons(tcpPort);
-  // Blocking connect (instant on loopback), then non-blocking I/O — the
-  // same deliberate exception ClientAgent::makeLink documents.
-  // MCI-ANALYZE-ALLOW(reactor-blocking): loopback connect, one RTT
-  if (::connect(conn->fd, reinterpret_cast<const sockaddr*>(&server),
-                sizeof server) != 0 ||
-      makeNonBlocking(conn->fd) != 0) {
-    ::close(conn->fd);
-    throw std::runtime_error("swarm mux: connect failed");
-  }
-
+  conn->tcp.adopt(reactor_, fd);
   Conn* cp = conn.get();
   conn->reg = reactor_.addFd(
-      conn->fd, EPOLLIN, [this, cp](std::uint32_t ev) { onTcp(*cp, ev); },
-      owner_);
+      fd, EPOLLIN, [this, cp](std::uint32_t ev) { onTcp(*cp, ev); }, owner_);
   return conn;
 }
 
@@ -133,13 +79,10 @@ void UplinkMux::sendHello(Conn& conn, std::uint16_t udpPort) {
   live::wire::Hello h;
   h.udpPort = udpPort;
   h.audit = false;  // the swarm audits locally against the real databases
-  const std::vector<std::uint8_t> payload = live::wire::encodeHello(h);
-  const auto frame =
-      live::wire::encodeFrame(live::wire::FrameType::kHello,
-                              live::wire::kNoScheme,
-                              net::TrafficClass::kControl, payload);
-  conn.out.insert(conn.out.end(), frame.begin(), frame.end());
-  flushOut(conn);
+  const std::vector<std::uint8_t> frame = live::wire::encodeFrame(
+      live::wire::FrameType::kHello, live::wire::kNoScheme,
+      net::TrafficClass::kControl, live::wire::encodeHello(h));
+  if (!conn.tcp.send(frame)) dropConn(conn);
 }
 
 void UplinkMux::connect() {
@@ -149,18 +92,33 @@ void UplinkMux::connect() {
   }
   // Seed link at slot 0 until the Welcome names its shard; its downlink is
   // unicast-bound now and swapped if the shard turns out to be multicast.
-  auto link = std::make_unique<Link>();
-  link->shard = kUnknownShard;
-  link->udpFd = openDownlinkUdp(ntohl(seed.s_addr), 0, 0);
-  Link* lp = link.get();
-  link->udpReg = reactor_.addFd(
-      link->udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
-      owner_);
-  link->conns.push_back(dialConn(kUnknownShard, 0, ntohl(seed.s_addr),
-                                 opts_.port));
-  const std::uint16_t port = boundPort(link->udpFd);
-  links_.push_back(std::move(link));
-  sendHello(*links_.front()->conns.front(), port);
+  // Stored before anything is registered, so closeAll() reaches every fd
+  // even if a dial throws.
+  Link& link = *links_.emplace_back(std::make_unique<Link>());
+  openDownlink(link, ntohl(seed.s_addr), 0, 0);
+  link.conns.push_back(
+      dialConn(kUnknownShard, 0, ntohl(seed.s_addr), opts_.port));
+  sendHello(*link.conns.front(), boundPort(link.udpFd));
+}
+
+void UplinkMux::dialShard(std::uint32_t s) {
+  const live::ShardEndpoint& ep = map_.endpoint(s);
+  if (links_[s] == nullptr) {
+    links_[s] = std::make_unique<Link>();
+    links_[s]->shard = s;
+    openDownlink(*links_[s], ep.ipv4, ep.multicastIpv4, ep.multicastPort);
+  }
+  Link& link = *links_[s];
+  // Endpoint 0 owns the shard's one downlink; every other endpoint opts
+  // out of the unicast fan-out with port 0 (see wire::Hello), and so does
+  // every endpoint of a multicast shard.
+  const std::uint16_t downlinkPort =
+      ep.multicastIpv4 != 0 ? 0 : boundPort(link.udpFd);
+  for (auto e = static_cast<std::uint32_t>(link.conns.size());
+       e < opts_.endpointsPerShard; ++e) {
+    link.conns.push_back(dialConn(s, e, ep.ipv4, ep.tcpPort));
+    sendHello(*link.conns.back(), e == 0 ? downlinkPort : 0);
+  }
 }
 
 void UplinkMux::buildCluster(const live::wire::Welcome& w) {
@@ -178,43 +136,12 @@ void UplinkMux::buildCluster(const live::wire::Welcome& w) {
   if (seedEp.multicastIpv4 != 0) {
     // The seed downlink was dialed unicast before the map was known, but
     // this shard only broadcasts to its group: swap in a joined socket.
-    reactor_.removeFd(seedLink->udpReg);
-    ::close(seedLink->udpFd);
-    seedLink->udpFd = openDownlinkUdp(seedEp.ipv4, seedEp.multicastIpv4,
-                                      seedEp.multicastPort);
-    Link* lp = seedLink.get();
-    seedLink->udpReg = reactor_.addFd(
-        seedLink->udpFd, EPOLLIN,
-        [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_);
+    closeDownlink(*seedLink);
+    openDownlink(*seedLink, seedEp.ipv4, seedEp.multicastIpv4,
+                 seedEp.multicastPort);
   }
   links_[w.shardIndex] = std::move(seedLink);
-
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const live::ShardEndpoint& ep = map_.endpoint(s);
-    if (links_[s] == nullptr) {
-      auto link = std::make_unique<Link>();
-      link->shard = s;
-      link->udpFd = openDownlinkUdp(ep.ipv4, ep.multicastIpv4,
-                                    ep.multicastPort);
-      Link* lp = link.get();
-      link->udpReg = reactor_.addFd(
-          link->udpFd, EPOLLIN,
-          [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_);
-      links_[s] = std::move(link);
-    }
-    Link& link = *links_[s];
-    const bool multicast = ep.multicastIpv4 != 0;
-    const std::uint16_t downlinkPort =
-        multicast ? 0 : boundPort(link.udpFd);
-    for (std::uint32_t e =
-             static_cast<std::uint32_t>(link.conns.size());
-         e < opts_.endpointsPerShard; ++e) {
-      link.conns.push_back(dialConn(s, e, ep.ipv4, ep.tcpPort));
-      // Endpoint 0 owns the shard's one downlink; every other endpoint
-      // opts out of the unicast fan-out with port 0 (see wire::Hello).
-      sendHello(*link.conns.back(), e == 0 ? downlinkPort : 0);
-    }
-  }
+  for (std::uint32_t s = 0; s < shards; ++s) dialShard(s);
 }
 
 void UplinkMux::handleWelcome(Conn& conn, const live::wire::Welcome& w) {
@@ -259,34 +186,13 @@ void UplinkMux::onTcp(Conn& conn, std::uint32_t events) {
 
 void UplinkMux::onUdpIo(Link& link, std::uint32_t events) {
   if ((events & EPOLLIN) == 0) return;
-  if (live::Reactor::supportsBatchedUdp() && !udpRecvFellBack_) {
-    for (;;) {
-      bool fellBack = false;
-      const int n = udpReceiver_.receive(link.udpFd, fellBack);
-      ++stats_.udpRecvSyscalls;
-      if (fellBack) {
-        udpRecvFellBack_ = true;
-        break;
-      }
-      if (n == 0) return;  // drained
-      for (int i = 0; i < n; ++i) {
-        const live::UdpBatchReceiver::Datagram d = udpReceiver_.datagram(i);
-        handleDatagram(link, d.data, d.len);
-        // A kMapUpdate in this batch may have retired the link (reshard
-        // shrink): its downlink is already closed, drop the rest.
-        if (link.udpFd < 0) return;
-      }
-    }
-  }
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): udpFd is SOCK_NONBLOCK
-    const ssize_t n = ::recv(link.udpFd, buf, sizeof buf, 0);
-    ++stats_.udpRecvSyscalls;
-    if (n <= 0) return;  // EAGAIN drained, or transient error
-    handleDatagram(link, buf, static_cast<std::size_t>(n));
-    if (link.udpFd < 0) return;  // retired by a kMapUpdate just handled
-  }
+  stats_.udpRecvSyscalls += udpReceiver_.drain(
+      link.udpFd, [&](const std::uint8_t* data, std::size_t len) {
+        handleDatagram(link, data, len);
+        // A kMapUpdate may have retired the link (reshard shrink): its
+        // downlink is already closed, drop the rest.
+        return link.udpFd >= 0;
+      });
 }
 
 void UplinkMux::handleDatagram(Link& link, const std::uint8_t* data,
@@ -324,32 +230,25 @@ void UplinkMux::handleDatagram(Link& link, const std::uint8_t* data,
 }
 
 void UplinkMux::onTcpIo(Conn& conn, std::uint32_t events) {
-  if (conn.fd < 0) return;
-  if ((events & EPOLLOUT) != 0) flushOut(conn);
-  if (conn.fd < 0 || (events & EPOLLIN) == 0) return;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd is O_NONBLOCK (dialConn)
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n == 0) {
-      dropConn(conn);
-      return;
-    }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      dropConn(conn);
-      return;
-    }
-    conn.in.append(buf, static_cast<std::size_t>(n));
-    while (auto f = conn.in.nextView()) {
-      handleFrameView(conn, *f);
-      if (conn.fd < 0) return;
-    }
-    if (conn.in.corrupt()) {
-      dropConn(conn);
-      return;
-    }
+  if (!conn.tcp.isOpen()) return;
+  if ((events & EPOLLOUT) != 0 && !conn.tcp.flush()) {
+    dropConn(conn);
+    return;
   }
+  if ((events & EPOLLIN) == 0) return;
+  // Replies correlate FIFO, so one skipped (checksum-failed) frame would
+  // pair every later reply with the wrong request: drop the conn before
+  // the next frame is matched, as on lost framing.
+  std::uint64_t skipped = 0;
+  while (std::optional<live::wire::FrameView> f = conn.tcp.next()) {
+    skipped = conn.tcp.takeSkippedFrames();
+    if (skipped != 0) break;
+    handleFrameView(conn, *f);
+    if (!conn.tcp.isOpen()) return;
+  }
+  skipped += conn.tcp.takeSkippedFrames();
+  stats_.badFrames += skipped;
+  if (skipped != 0 || conn.tcp.failed()) dropConn(conn);
 }
 
 void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
@@ -435,7 +334,7 @@ void UplinkMux::queueFetch(std::uint32_t shard, std::uint32_t client,
                            db::ItemId item, Tick tick) {
   Link& link = *links_[shard];
   Conn& conn = *link.conns[client % opts_.endpointsPerShard];
-  if (conn.fd < 0) return;  // endpoint died; the run is already unsound
+  if (!conn.tcp.isOpen()) return;  // endpoint died; the run is already unsound
   // staged grows to the per-tick miss high-water mark only; cleared
   // (capacity kept) every flush
   // MCI-ANALYZE-ALLOW(hot-path-alloc): scratch high-water capacity
@@ -454,7 +353,7 @@ void UplinkMux::flushConnStaged(Conn& conn) {
   if (!conn.welcomed) return;  // server drops queries pre-Welcome; hold the
                                // batch, handleWelcome re-invokes us
   std::size_t off = 0;
-  while (off < conn.staged.size() && conn.fd >= 0) {
+  while (off < conn.staged.size() && conn.tcp.isOpen()) {
     const std::size_t n = std::min<std::size_t>(
         conn.staged.size() - off, opts_.maxItemsPerQueryFrame);
     report::BitWriter w =
@@ -475,7 +374,7 @@ bool UplinkMux::sendCheck(std::uint32_t shard, std::uint32_t client,
                           double tlbSeconds, double sizeBits) {
   Link& link = *links_[shard];
   Conn& conn = *link.conns[client % opts_.endpointsPerShard];
-  if (conn.fd < 0 || !conn.welcomed) return false;
+  if (!conn.tcp.isOpen() || !conn.welcomed) return false;
   live::wire::Check c;
   c.tlb = tlbSeconds;
   c.epoch = 0;  // FIFO correlation; the adaptive check carries no epoch
@@ -512,58 +411,29 @@ void UplinkMux::applyMapUpdate(const live::ShardMap& map) {
     if (l == nullptr) continue;
     const live::ShardEndpoint& oldEp =
         old.endpoint(static_cast<std::uint32_t>(oldS));
-    bool placed = false;
-    for (std::uint32_t s = 0; s < newCount && !placed; ++s) {
-      const live::ShardEndpoint& ep = map_.endpoint(s);
-      if (byShard[s] == nullptr && ep.ipv4 == oldEp.ipv4 &&
-          ep.tcpPort == oldEp.tcpPort) {
-        l->shard = s;
-        for (auto& c : l->conns) c->shard = s;
-        byShard[s] = std::move(l);
-        placed = true;
-      }
+    const std::optional<std::uint32_t> s =
+        map_.indexOf(oldEp.ipv4, oldEp.tcpPort);
+    if (s && byShard[*s] == nullptr) {
+      l->shard = *s;
+      for (auto& c : l->conns) c->shard = *s;
+      byShard[*s] = std::move(l);
+      continue;
     }
-    if (!placed) {
-      // Endpoint retired: the IR downlink dies now, uplink conns drain
-      // their in-flight replies (grace-served by the retiring daemon).
-      l->shard = kUnknownShard;
-      if (l->udpFd >= 0) {
-        reactor_.removeFd(l->udpReg);
-        ::close(l->udpFd);
-        l->udpFd = -1;
-      }
-      for (auto& c : l->conns) {
-        c->draining = true;
-        maybeCloseDrained(*c);
-      }
-      drainingLinks_.push_back(std::move(l));
+    // Endpoint retired: the IR downlink dies now, uplink conns drain
+    // their in-flight replies (grace-served by the retiring daemon).
+    l->shard = kUnknownShard;
+    closeDownlink(*l);
+    for (auto& c : l->conns) {
+      c->draining = true;
+      maybeCloseDrained(*c);
     }
+    drainingLinks_.push_back(std::move(l));
   }
   links_ = std::move(byShard);
 
   // Dial joiners. In-process loopback: dialConn's failure throw aborts the
   // run, same contract as the initial connect().
-  for (std::uint32_t s = 0; s < newCount; ++s) {
-    if (links_[s] != nullptr) continue;
-    const live::ShardEndpoint& ep = map_.endpoint(s);
-    auto link = std::make_unique<Link>();
-    link->shard = s;
-    link->udpFd = openDownlinkUdp(ep.ipv4, ep.multicastIpv4,
-                                  ep.multicastPort);
-    Link* lp = link.get();
-    link->udpReg = reactor_.addFd(
-        link->udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
-        owner_);
-    links_[s] = std::move(link);
-    Link& lnk = *links_[s];
-    const bool multicast = ep.multicastIpv4 != 0;
-    const std::uint16_t downlinkPort =
-        multicast ? 0 : boundPort(lnk.udpFd);
-    for (std::uint32_t e = 0; e < opts_.endpointsPerShard; ++e) {
-      lnk.conns.push_back(dialConn(s, e, ep.ipv4, ep.tcpPort));
-      sendHello(*lnk.conns.back(), e == 0 ? downlinkPort : 0);
-    }
-  }
+  for (std::uint32_t s = 0; s < newCount; ++s) dialShard(s);
 
   // Drained conns no longer count toward readiness; joiners re-welcome.
   welcomedConns_ = 0;
@@ -577,71 +447,24 @@ void UplinkMux::applyMapUpdate(const live::ShardMap& map) {
 }
 
 void UplinkMux::maybeCloseDrained(Conn& conn) {
-  if (!conn.draining || conn.fd < 0) return;
+  if (!conn.draining || !conn.tcp.isOpen()) return;
   if (!conn.fetchQueue.empty() || !conn.ackQueue.empty()) return;
   // Quiet close, no Bye: the retiring daemon may already be gone.
   reactor_.removeFd(conn.reg);
-  ::close(conn.fd);
-  conn.fd = -1;
+  conn.tcp.close();
 }
 
 bool UplinkMux::sendArena(Conn& conn) {
-  if (conn.fd < 0) return false;
-  if (conn.outOff >= conn.out.size()) {
-    // Empty-queue fast path: write the arena frame straight to the socket.
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd is O_NONBLOCK (dialConn)
-    const ssize_t n = ::send(conn.fd, arena_.data(), arena_.size(),
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      dropConn(conn);
-      return false;
-    }
-    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == arena_.size()) return true;
-    conn.out.clear();
-    conn.outOff = 0;
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water mark only
-    conn.out.insert(conn.out.end(), arena_.data() + sent,
-                    arena_.data() + arena_.size());
-  } else {
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water mark only
-    conn.out.insert(conn.out.end(), arena_.data(),
-                    arena_.data() + arena_.size());
-  }
-  if (!conn.wantWrite) {
-    conn.wantWrite = true;
-    reactor_.modifyFd(conn.fd, EPOLLIN | EPOLLOUT);
-  }
-  return conn.fd >= 0;
-}
-
-void UplinkMux::flushOut(Conn& conn) {
-  while (conn.fd >= 0 && conn.outOff < conn.out.size()) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd is O_NONBLOCK (dialConn)
-    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.outOff,
-                             conn.out.size() - conn.outOff, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      dropConn(conn);
-      return;
-    }
-    conn.outOff += static_cast<std::size_t>(n);
-  }
-  if (conn.outOff >= conn.out.size()) {
-    conn.out.clear();
-    conn.outOff = 0;
-    if (conn.wantWrite) {
-      conn.wantWrite = false;
-      reactor_.modifyFd(conn.fd, EPOLLIN);
-    }
-  }
+  if (!conn.tcp.isOpen()) return false;
+  if (conn.tcp.send(arena_.frame())) return true;
+  dropConn(conn);
+  return false;
 }
 
 void UplinkMux::dropConn(Conn& conn) {
-  if (conn.fd < 0) return;
+  if (!conn.tcp.isOpen()) return;
   reactor_.removeFd(conn.reg);
-  ::close(conn.fd);
-  conn.fd = -1;
+  conn.tcp.close();
   // A draining conn's EOF is the retiring daemon going away on schedule,
   // not a failure.
   if (!shuttingDown_ && !conn.draining) {
@@ -657,10 +480,8 @@ void UplinkMux::shutdown() {
                                            net::TrafficClass::kControl, {});
   for (auto& link : links_) {
     for (auto& connPtr : link->conns) {
-      Conn& conn = *connPtr;
-      if (conn.fd < 0) continue;
       // Best-effort Bye; the close right after is the real goodbye.
-      (void)::send(conn.fd, bye.data(), bye.size(), MSG_NOSIGNAL);
+      if (connPtr->tcp.isOpen()) (void)connPtr->tcp.send(bye);
     }
   }
   closeAll();
@@ -671,17 +492,12 @@ void UplinkMux::closeAll() {
     for (auto& link : *linkSet) {
       if (link == nullptr) continue;
       for (auto& connPtr : link->conns) {
-        if (connPtr->fd >= 0) {
+        if (connPtr->tcp.isOpen()) {
           reactor_.removeFd(connPtr->reg);
-          ::close(connPtr->fd);
-          connPtr->fd = -1;
+          connPtr->tcp.close();
         }
       }
-      if (link->udpFd >= 0) {
-        reactor_.removeFd(link->udpReg);
-        ::close(link->udpFd);
-        link->udpFd = -1;
-      }
+      closeDownlink(*link);
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "core/annotations.hpp"
 #include "core/check.hpp"
 #include "db/item.hpp"
+#include "live/frame_stream.hpp"
 #include "live/reactor.hpp"
 #include "live/shard_map.hpp"
 #include "live/udp_batch.hpp"
@@ -56,6 +57,8 @@ class SwarmSink {
 
 struct MuxStats {
   std::uint64_t reportsHeard = 0;
+  /// Undecodable frames, including uplink frames skipped for a failed
+  /// checksum (each of those also drops its conn).
   std::uint64_t badFrames = 0;
   std::uint64_t ignoredFrames = 0;  ///< types the swarm has no use for
   std::uint64_t udpRecvSyscalls = 0;
@@ -214,7 +217,7 @@ class UplinkMux {
 
   /// One TCP endpoint of one shard.
   struct Conn {
-    int fd = -1;
+    live::FrameStream tcp;
     std::uint32_t shard = kUnknownShard;
     std::uint32_t endpoint = 0;
     bool welcomed = false;
@@ -222,11 +225,7 @@ class UplinkMux {
     /// queues drain (in-flight replies are grace-served by the retiring
     /// daemon). Never counted as a lost connection.
     bool draining = false;
-    live::Reactor::FdHandle reg;  ///< reactor registration of fd
-    live::wire::FrameBuffer in;
-    std::vector<std::uint8_t> out;  ///< unsent tail; high-water capacity
-    std::size_t outOff = 0;
-    bool wantWrite = false;
+    live::Reactor::FdHandle reg;  ///< reactor registration of tcp's fd
     Ring<PendingFetch> fetchQueue;   ///< kDataItem correlation, FIFO
     Ring<std::uint32_t> ackQueue;    ///< kCheckAck correlation, FIFO
     std::vector<db::ItemId> staged;  ///< this tick's fetch items, in order
@@ -244,12 +243,16 @@ class UplinkMux {
                                                std::uint32_t endpoint,
                                                std::uint32_t ipv4,
                                                std::uint16_t tcpPort);
-  [[nodiscard]] static int openDownlinkUdp(std::uint32_t ipv4,
-                                           std::uint32_t mcastIpv4,
-                                           std::uint16_t mcastPort);
+  /// Opens and registers link.udpFd (group-joined when mcastIpv4 != 0).
+  void openDownlink(Link& link, std::uint32_t ipv4, std::uint32_t mcastIpv4,
+                    std::uint16_t mcastPort);
+  void closeDownlink(Link& link);
   [[nodiscard]] static std::uint16_t boundPort(int fd);
   void sendHello(Conn& conn, std::uint16_t udpPort);
   void buildCluster(const live::wire::Welcome& w);
+  /// Gives shard `s` of map_ a downlink if it has none and dials its
+  /// missing endpoints, each with its Hello.
+  void dialShard(std::uint32_t s);
 
   void onUdp(Link& link, std::uint32_t events);
   void onTcp(Conn& conn, std::uint32_t events);
@@ -269,10 +272,9 @@ class UplinkMux {
   /// Closes a draining conn once both correlation queues are empty.
   void maybeCloseDrained(Conn& conn);
 
-  /// Sends the arena's finished frame on `conn` (direct write, queue the
-  /// unsent tail). Returns false when the connection died.
-  MCI_HOT bool sendArena(Conn& conn);
-  void flushOut(Conn& conn);
+  /// Sends the arena's finished frame on `conn`. Returns false when the
+  /// connection is (now) dead.
+  [[nodiscard]] MCI_HOT bool sendArena(Conn& conn);
   void dropConn(Conn& conn);
   void closeAll();
 
@@ -297,7 +299,6 @@ class UplinkMux {
   bool sawWelcome_ = false;
 
   live::UdpBatchReceiver udpReceiver_;
-  bool udpRecvFellBack_ = false;
   live::wire::FrameArena arena_;  ///< uplink frames, capacity reused
   MuxStats stats_;
 };

@@ -177,6 +177,13 @@ TEST(ShardMap, DecodeRejectsStaleEpochBeforeParsingEndpoints) {
   }
 }
 
+TEST(ShardMap, IndexOfMatchesTheWholeEndpointIdentity) {
+  const ShardMap map = mapOf(3);  // 127.0.0.1 on ports 4000..4002
+  EXPECT_EQ(map.indexOf(0x7F000001u, 4001), std::optional<std::uint32_t>(1));
+  EXPECT_EQ(map.indexOf(0x0A000001u, 4001), std::nullopt);  // another host
+  EXPECT_EQ(map.indexOf(0x7F000001u, 4003), std::nullopt);  // port differs
+}
+
 TEST(ShardMap, SingleSynthesizesTheUnshardedDeployment) {
   const ShardEndpoint self{0x7F000001u, 4242, 0, 0};
   const ShardMap map = ShardMap::single(self);

@@ -103,6 +103,33 @@ TEST(UdpBatchReceiver, BurstsAboveBatchSizeSplitAcrossCalls) {
   }
 }
 
+// drain() is the one downlink loop every endpoint runs; it must work on
+// both sides of the recvmmsg probe, so this case never skips.
+TEST(UdpBatchReceiver, DrainYieldsEveryDatagramInOrder) {
+  BoundSocket rxSock;
+  BoundSocket txSock;
+  const int total = 40;  // batches of 16, 16, 8: the short one ends it
+  for (int i = 0; i < total; ++i) {
+    sendOne(txSock.fd, rxSock.addr, "datagram-" + std::to_string(i));
+  }
+
+  UdpBatchReceiver rx;
+  std::vector<std::string> got;
+  const std::uint64_t syscalls =
+      rx.drain(rxSock.fd, [&](const std::uint8_t* data, std::size_t len) {
+        got.emplace_back(reinterpret_cast<const char*>(data), len);
+        return true;
+      });
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(total));
+  for (int i = 0; i < total; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)],
+              "datagram-" + std::to_string(i));
+  }
+  // One kernel entry per recvmmsg batch, or per recv (plus the EAGAIN one)
+  // where the kernel has no recvmmsg.
+  EXPECT_EQ(syscalls, UdpBatchSender::available() ? 3u : total + 1u);
+}
+
 TEST(UdpBatchReceiver, EmptySocketReturnsZeroWithoutFallback) {
   if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
   BoundSocket rxSock;

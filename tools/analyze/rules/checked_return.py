@@ -28,6 +28,10 @@ DESCRIPTION = (
 WATCHED: List[Tuple[str, Optional[str]]] = [
     ("sendFrame", "BroadcastServer"),
     ("sendFrame", "ClientAgent"),
+    ("sendArena", "UplinkMux"),
+    ("send", "FrameStream"),
+    ("flush", "FrameStream"),
+    ("next", "FrameStream"),
     ("next", "FrameBuffer"),
     ("cancel", "EventQueue"),
     ("cancelTimer", "Reactor"),
