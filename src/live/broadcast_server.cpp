@@ -224,13 +224,22 @@ void BroadcastServer::onConnEvent(int fd, std::uint32_t events) {
     closeConn(fd);
     return;
   }
-  if ((events & EPOLLIN) == 0) return;
-  while (std::optional<wire::FrameView> frame = it->second.stream.next()) {
-    handleFrame(fd, it->second, *frame);
-    it = conns_.find(fd);
-    if (it == conns_.end()) return;  // handler closed the connection
+  if ((events & EPOLLIN) != 0) {
+    // Every reply this event produces rides one batch: a query's DataItems
+    // leave in chunked writes instead of one sendmsg each.
+    it->second.stream.cork();
+    while (std::optional<wire::FrameView> frame = it->second.stream.next()) {
+      handleFrame(fd, it->second, *frame);
+      it = conns_.find(fd);
+      if (it == conns_.end()) return;  // handler closed the connection
+    }
+    if (!it->second.stream.uncork()) {
+      closeConn(fd);
+      return;
+    }
   }
   FrameStream& stream = it->second.stream;
+  stats_.tcpSendSyscalls += stream.takeSendSyscalls();
   stats_.badFrames += stream.takeSkippedFrames();
   if (stream.failed()) {
     if (stream.corrupt()) ++stats_.badFrames;
@@ -360,8 +369,11 @@ void BroadcastServer::handleQuery(int fd, Conn& conn,
     d.item = item;
     d.version = db_.currentVersion(item);
     d.readTime = readTime;
-    if (!sendFrame(fd, conn, wire::FrameType::kDataItem,
-                   net::TrafficClass::kBulk, wire::encodeDataItem(d))) {
+    report::BitWriter w = replyArena_.begin(
+        wire::FrameType::kDataItem, wire::kNoScheme, net::TrafficClass::kBulk);
+    wire::encodeDataItemInto(d, w);
+    replyArena_.finish(w);
+    if (!sendFrame(fd, conn, replyArena_.frame())) {
       return;  // send error closed the connection
     }
   }
@@ -443,7 +455,11 @@ void BroadcastServer::closeConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   stats_.badFrames += it->second.stream.takeSkippedFrames();
-  if (it->second.welcomed) freeIds_.push_back(it->second.clientId);
+  stats_.tcpSendSyscalls += it->second.stream.takeSendSyscalls();
+  if (it->second.welcomed) {
+    // MCI-ANALYZE-ALLOW(hot-path-alloc): <= numClients ids, once per close
+    freeIds_.push_back(it->second.clientId);
+  }
   reactor_.removeFd(it->second.reg);
   conns_.erase(it);  // the stream closes the fd
   ++stats_.connectionsClosed;
@@ -454,15 +470,31 @@ bool BroadcastServer::sendFrame(int fd, Conn& conn, wire::FrameType type,
                                 const std::vector<std::uint8_t>& payload) {
   const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
       wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
-  if (conn.stream.queuedBytes() + hdr.size() + payload.size() >
-      opts_.maxSendQueueBytes) {
-    // Whole-frame drop: a wedged client loses replies (and will resync via
-    // future reports) but can never wedge the daemon. The connection
-    // itself is still healthy.
-    ++stats_.framesDropped;
-    return true;
+  return sendFrame(fd, conn, hdr, payload);
+}
+
+bool BroadcastServer::sendFrame(int fd, Conn& conn,
+                                std::span<const std::uint8_t> head,
+                                std::span<const std::uint8_t> payload) {
+  FrameStream& stream = conn.stream;
+  const std::size_t bytes = head.size() + payload.size();
+  if (stream.queuedBytes() + bytes > opts_.maxSendQueueBytes) {
+    // Only bytes the kernel refused count against the cap: a corked batch
+    // is offered to the kernel first, so a client that keeps reading never
+    // loses a frame to batching.
+    if (!stream.writeBlocked() && !stream.flush()) {
+      closeConn(fd);
+      return false;
+    }
+    if (stream.queuedBytes() + bytes > opts_.maxSendQueueBytes) {
+      // Whole-frame drop: a wedged client loses replies (and will resync
+      // via future reports) but can never wedge the daemon. The
+      // connection itself is still healthy.
+      ++stats_.framesDropped;
+      return true;
+    }
   }
-  if (conn.stream.send(hdr, payload)) return true;
+  if (stream.send(head, payload)) return true;
   closeConn(fd);
   return false;
 }
@@ -673,6 +705,7 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
       ++ch.itemsQueued;
       ++stats_.handoffItemsSent;
     }
+    stats_.tcpSendSyscalls += ch.stream.takeSendSyscalls();
   }
 
   finishHandoffIfDone();  // fires onDone synchronously when nothing migrates
@@ -698,6 +731,7 @@ void BroadcastServer::onHandoffChannel(HandoffChannel& ch,
     // EOF before the ack: the stream is lost.
     if (ch.stream.failed()) closeHandoffChannel(ch, true);
   }
+  stats_.tcpSendSyscalls += ch.stream.takeSendSyscalls();
   if (ch.done) finishHandoffIfDone();
 }
 
@@ -804,6 +838,7 @@ void BroadcastServer::announceMapUpdate(const ShardMap& map) {
                    net::TrafficClass::kControl, payload)) {
       continue;  // that connection is gone; keep announcing to the rest
     }
+    stats_.tcpSendSyscalls += it->second.stream.takeSendSyscalls();
   }
 
   // IR downlink: one datagram per listener so dozing clients (radio on,

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,10 @@ struct ServerStats {
   /// O(clients) — bench_live gates the ratio.
   std::uint64_t udpSendSyscalls = 0;
   std::uint64_t udpDatagramsSent = 0;  ///< IR datagrams the kernel accepted
+  /// Kernel entries the TCP replies cost (sendmsg/send calls of every
+  /// connection and handoff stream). The replies of one readiness event
+  /// leave as one batch, so a 200-item query costs one, not 200.
+  std::uint64_t tcpSendSyscalls = 0;
   std::uint64_t connectionsAccepted = 0;
   std::uint64_t connectionsClosed = 0;
   std::uint64_t queryRequests = 0;
@@ -109,7 +114,9 @@ struct ServerStats {
 /// Single-threaded: everything runs on the caller's Reactor. The IR timer
 /// can never block on a slow client — IR goes out as non-blocking UDP
 /// datagrams, and TCP replies ride bounded send queues with whole-frame
-/// drops (ServerStats::framesDropped).
+/// drops (ServerStats::framesDropped). Every reply one readiness event on
+/// a connection produces is corked into one batch and leaves in as few
+/// writes as the kernel allows.
 ///
 /// All model timestamps are LiveClock millisecond ticks with three ordering
 /// rules that re-establish, on a wall clock, the same-instant guarantees the
@@ -241,7 +248,7 @@ class BroadcastServer {
   void onConnEvent(int fd, std::uint32_t events);
   void handleFrame(int fd, Conn& conn, const wire::FrameView& frame);
   void handleHello(int fd, Conn& conn, const wire::Hello& hello);
-  void handleQuery(int fd, Conn& conn, const wire::QueryRequest& q);
+  MCI_HOT void handleQuery(int fd, Conn& conn, const wire::QueryRequest& q);
   void handleCheck(int fd, Conn& conn, const wire::Check& c);
   void handleAudit(Conn& conn, const wire::Audit& a);
   void handleHandoff(int fd, Conn& conn, const wire::Handoff& h);
@@ -265,11 +272,16 @@ class BroadcastServer {
   void onHandoffChannel(HandoffChannel& ch, std::uint32_t events);
   void closeHandoffChannel(HandoffChannel& ch, bool failed);
   void finishHandoffIfDone();
-  /// Sends one frame on the connection's stream, or drops it whole (and
-  /// counts it) when it would push the queue past maxSendQueueBytes.
-  /// Returns false when the send hit a hard error and closed the
-  /// connection — `conn` is then dangling and the caller must stop
-  /// touching it (tools/analyze checked-return).
+  /// Sends one frame (header bytes then payload bytes, or a finished
+  /// FrameArena as one span) on the connection's stream, or drops it
+  /// whole (and counts it) when the bytes the kernel refused would pass
+  /// maxSendQueueBytes. Returns false when the send hit a hard error and
+  /// closed the connection — `conn` is then dangling and the caller must
+  /// stop touching it (tools/analyze checked-return).
+  [[nodiscard]] MCI_HOT bool sendFrame(
+      int fd, Conn& conn, std::span<const std::uint8_t> head,
+      std::span<const std::uint8_t> payload = {});
+  /// sendFrame for an encoded control payload: frames it, then sends.
   [[nodiscard]] bool sendFrame(int fd, Conn& conn, wire::FrameType type,
                                net::TrafficClass trafficClass,
                                const std::vector<std::uint8_t>& payload);
@@ -337,6 +349,7 @@ class BroadcastServer {
   /// The tick's IR frame, encoded once and shared by every destination;
   /// buffer capacity is reused across ticks.
   wire::FrameArena reportArena_;
+  wire::FrameArena replyArena_;  ///< kDataItem replies, reused per item
   report::BsWire bsScratch_;  ///< BS wire levels, reused across ticks
   UdpBatchSender batchSender_;
   std::vector<const sockaddr_in*> batchAddrs_;  ///< reused per tick

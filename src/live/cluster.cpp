@@ -71,6 +71,7 @@ ServerStats Cluster::totalStats() const {
     t.misroutedItems += s.misroutedItems;
     t.udpSendSyscalls += s.udpSendSyscalls;
     t.udpDatagramsSent += s.udpDatagramsSent;
+    t.tcpSendSyscalls += s.tcpSendSyscalls;
     t.updatesFrozen += s.updatesFrozen;
     t.handoffItemsSent += s.handoffItemsSent;
     t.handoffItemsReceived += s.handoffItemsReceived;

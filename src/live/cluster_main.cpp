@@ -245,16 +245,16 @@ int main(int argc, char** argv) {
   std::printf("shards=%u reports=%" PRIu64 " updates=%" PRIu64
               " thinned=%" PRIu64 " queries=%" PRIu64 " checks=%" PRIu64
               " audits=%" PRIu64 " accepted=%" PRIu64 " dropped=%" PRIu64
-              " bad=%" PRIu64 " misrouted=%" PRIu64 " stale=%" PRIu64
-              " frozen=%" PRIu64 " handoff_sent=%" PRIu64
+              " tcp_sends=%" PRIu64 " bad=%" PRIu64 " misrouted=%" PRIu64
+              " stale=%" PRIu64 " frozen=%" PRIu64 " handoff_sent=%" PRIu64
               " handoff_recv=%" PRIu64 " handoff_failed=%" PRIu64
               " grace_served=%" PRIu64 " map_updates=%" PRIu64
               " reannounces=%" PRIu64 " epoch=%u\n",
               cluster.shardCount(), t.reportsBroadcast, t.updatesApplied,
               t.updatesThinned, t.queryRequests, t.checksReceived,
               t.auditsReceived, t.connectionsAccepted, t.framesDropped,
-              t.badFrames, t.misroutedItems, cluster.staleReads(),
-              t.updatesFrozen, t.handoffItemsSent, t.handoffItemsReceived,
+              t.tcpSendSyscalls, t.badFrames, t.misroutedItems,
+              cluster.staleReads(), t.updatesFrozen, t.handoffItemsSent, t.handoffItemsReceived,
               t.handoffFailures, t.graceServed, t.mapUpdatesSent,
               t.mapReannounces, cluster.epoch());
   for (std::uint32_t s = 0; s < cluster.shardCount(); ++s) {

@@ -13,16 +13,11 @@
 #include <array>
 #include <cerrno>
 #include <stdexcept>
+#include <utility>
 
 #include "core/check.hpp"
 
 namespace mci::live {
-namespace {
-
-/// Bytes one recv pulls into the reassembly buffer.
-constexpr std::size_t kChunkBytes = 1 << 16;
-
-}  // namespace
 
 int dialTcp(std::uint32_t ipv4, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -95,13 +90,14 @@ void FrameStream::close() {
   out_.clear();
   outOff_ = 0;
   wantWrite_ = false;
+  corked_ = false;
 }
 
 bool FrameStream::send(std::span<const std::uint8_t> head,
                        std::span<const std::uint8_t> payload) {
   MCI_DCHECK(isOpen()) << "send on a closed FrameStream";
   std::size_t sent = 0;
-  if (queuedBytes() == 0) {
+  if (!corked_ && queuedBytes() == 0) {
     // Empty-queue fast path: scatter/gather straight from the caller's
     // buffers — no assembled frame, no queue copy unless the socket
     // buffer fills mid-frame.
@@ -113,15 +109,14 @@ bool FrameStream::send(std::span<const std::uint8_t> head,
     msghdr msg{};
     msg.msg_iov = iov.data();
     msg.msg_iovlen = payload.empty() ? 1 : 2;
+    ++sendSyscalls_;
     const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
     sent = n > 0 ? static_cast<std::size_t>(n) : 0;
     if (sent == head.size() + payload.size()) return true;
-    out_.clear();
-    outOff_ = 0;
   }
-  // A queued tail means EPOLLOUT is already on; appending keeps frame
-  // order and leaves the write to flush().
+  // Uncorked, a queued tail means EPOLLOUT is already on; appending keeps
+  // frame order and leaves the write to flush().
   const std::size_t fromHead = std::min(sent, head.size());
   // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water capacity only
   out_.insert(out_.end(), head.begin() + static_cast<std::ptrdiff_t>(fromHead),
@@ -130,12 +125,25 @@ bool FrameStream::send(std::span<const std::uint8_t> head,
   out_.insert(out_.end(),
               payload.begin() + static_cast<std::ptrdiff_t>(sent - fromHead),
               payload.end());
+  if (corked_) {
+    // A long batch is written a chunk at a time, so a burst never parks
+    // whole in user space; behind an armed EPOLLOUT the kernel is full and
+    // flush() runs when it signals room.
+    return wantWrite_ || queuedBytes() < kChunkBytes || flush();
+  }
   watchWritable(true);
   return true;
 }
 
+bool FrameStream::uncork() {
+  corked_ = false;
+  if (wantWrite_ || queuedBytes() == 0) return true;
+  return flush();
+}
+
 bool FrameStream::flush() {
   while (outOff_ < out_.size()) {
+    ++sendSyscalls_;
     const ssize_t n = ::send(fd_, out_.data() + outOff_, out_.size() - outOff_,
                              MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
@@ -143,6 +151,14 @@ bool FrameStream::flush() {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Compact once the drained prefix outweighs the tail: a reader that
+      // is slow but never fully behind would otherwise grow the buffer by
+      // everything ever sent. The move costs at most the bytes drained.
+      if (outOff_ >= queuedBytes()) {
+        out_.erase(out_.begin(),
+                   out_.begin() + static_cast<std::ptrdiff_t>(outOff_));
+        outOff_ = 0;
+      }
       watchWritable(true);
       return true;
     }
@@ -152,6 +168,10 @@ bool FrameStream::flush() {
   outOff_ = 0;
   watchWritable(false);
   return true;
+}
+
+std::uint64_t FrameStream::takeSendSyscalls() {
+  return std::exchange(sendSyscalls_, 0);
 }
 
 void FrameStream::watchWritable(bool on) {

@@ -33,13 +33,23 @@ namespace mci::live {
 /// The owner registers the fd with its Reactor for EPOLLIN (keeping the
 /// handle and owner tag) before the first send(), and removes it before
 /// close(). The stream only toggles EPOLLOUT interest through modifyFd:
-/// on while a tail is queued, off once flush() drains it.
+/// on once the kernel refuses queued bytes, off once flush() drains them.
 ///
-/// Errors are return values, never callbacks: send() and flush() return
-/// false on a hard socket error, and next() ends with failed() set on EOF,
-/// a hard error or lost framing. The owner then runs its own close policy.
+/// Errors are return values, never callbacks: send(), flush() and uncork()
+/// return false on a hard socket error, and next() ends with failed() set
+/// on EOF, a hard error or lost framing. The owner then runs its own close
+/// policy.
+///
+/// Batch mode: between cork() and uncork() send() only appends to the
+/// unsent tail, so every reply of one readiness event leaves in as few
+/// writes as the kernel allows. The bytes and their order on the wire are
+/// the same as unbatched; only their grouping into syscalls changes.
 class FrameStream {
  public:
+  /// Bytes one recv pulls into the reassembly buffer, and the batch size
+  /// at which a corked stream writes without waiting for uncork().
+  static constexpr std::size_t kChunkBytes = 1 << 16;
+
   FrameStream() = default;
   ~FrameStream() { close(); }
 
@@ -62,19 +72,38 @@ class FrameStream {
   /// FrameArena is a single span with an empty payload). With nothing
   /// queued, one sendmsg puts both on the wire from the caller's buffers
   /// and only the unsent tail is copied; behind a queued tail the frame is
-  /// appended whole, keeping order, for flush() to drain. False on a hard
-  /// socket error (no SIGPIPE).
+  /// appended whole, keeping order, for flush() to drain. Corked, the
+  /// frame is appended and the tail is written once it reaches
+  /// kChunkBytes, unless EPOLLOUT is already armed. False on a hard socket
+  /// error (no SIGPIPE).
   [[nodiscard]] bool send(std::span<const std::uint8_t> head,
                           std::span<const std::uint8_t> payload = {});
 
   /// Writes the queued tail on EPOLLOUT; drops EPOLLOUT interest once it
-  /// is empty. False on a hard socket error.
+  /// is empty, arms it when the kernel refuses bytes. False on a hard
+  /// socket error.
   [[nodiscard]] bool flush();
+
+  /// Starts a batch: send() appends without a syscall until uncork().
+  void cork() { corked_ = true; }
+  /// Ends the batch and writes what it left queued; EPOLLOUT is armed only
+  /// if the kernel refuses bytes. False on a hard socket error.
+  [[nodiscard]] bool uncork();
 
   /// Bytes accepted by send() that the kernel has not taken yet.
   [[nodiscard]] std::size_t queuedBytes() const {
     return out_.size() - outOff_;
   }
+  /// The kernel refused part of the tail and EPOLLOUT is armed: every
+  /// queued byte is waiting on the peer, not on a write attempt.
+  [[nodiscard]] bool writeBlocked() const { return wantWrite_; }
+  /// Bytes the send queue holds allocated (test hook: the queue compacts,
+  /// so a slow reader cannot grow it without bound).
+  [[nodiscard]] std::size_t queueCapacity() const { return out_.capacity(); }
+
+  /// sendmsg/send calls made since the previous call; the owner sums them
+  /// (ServerStats::tcpSendSyscalls).
+  [[nodiscard]] std::uint64_t takeSendSyscalls();
 
   /// Next complete, checksum-verified frame. A recv chunk is pulled only
   /// when the buffered bytes hold no complete frame, so frames are handed
@@ -107,6 +136,8 @@ class FrameStream {
   std::vector<std::uint8_t> out_;  ///< unsent tail; high-water capacity
   std::size_t outOff_ = 0;
   bool wantWrite_ = false;  ///< EPOLLOUT interest is on
+  bool corked_ = false;     ///< between cork() and uncork()
+  std::uint64_t sendSyscalls_ = 0;  ///< since the last takeSendSyscalls()
 };
 
 }  // namespace mci::live

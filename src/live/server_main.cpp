@@ -148,11 +148,11 @@ int main(int argc, char** argv) {
   const live::ServerStats& s = server.stats();
   std::printf("reports=%" PRIu64 " updates=%" PRIu64 " thinned=%" PRIu64
               " queries=%" PRIu64 " checks=%" PRIu64 " audits=%" PRIu64
-              " accepted=%" PRIu64 " dropped=%" PRIu64 " bad=%" PRIu64
-              " misrouted=%" PRIu64 " stale=%" PRIu64 "\n",
+              " accepted=%" PRIu64 " dropped=%" PRIu64 " tcp_sends=%" PRIu64
+              " bad=%" PRIu64 " misrouted=%" PRIu64 " stale=%" PRIu64 "\n",
               s.reportsBroadcast, s.updatesApplied, s.updatesThinned,
               s.queryRequests, s.checksReceived, s.auditsReceived,
-              s.connectionsAccepted, s.framesDropped, s.badFrames,
-              s.misroutedItems, server.staleReads());
+              s.connectionsAccepted, s.framesDropped, s.tcpSendSyscalls,
+              s.badFrames, s.misroutedItems, server.staleReads());
   return server.staleReads() == 0 ? 0 : 1;
 }

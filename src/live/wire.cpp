@@ -285,11 +285,15 @@ std::optional<QueryRequest> decodeQueryRequest(
   return m;
 }
 
-std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
-  report::BitWriter w;
+void encodeDataItemInto(const DataItem& m, report::BitWriter& w) {
   w.write(m.item, 32);
   w.write(m.version, 32);
   w.write(doubleBits(m.readTime), 64);
+}
+
+std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
+  report::BitWriter w;
+  encodeDataItemInto(m, w);
   return w.finish();
 }
 

@@ -274,6 +274,10 @@ MCI_HOT void encodeQueryRequestInto(std::span<const db::ItemId> items,
     const std::vector<std::uint8_t>& payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeDataItem(const DataItem& m);
+/// Appends the DataItem payload to `w`; encodeDataItem routes through
+/// this. The server's query replies encode every item through one reused
+/// FrameArena this way, allocating nothing per item.
+MCI_HOT void encodeDataItemInto(const DataItem& m, report::BitWriter& w);
 [[nodiscard]] std::optional<DataItem> decodeDataItem(
     const std::vector<std::uint8_t>& payload);
 

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <optional>
@@ -151,6 +152,96 @@ TEST(FrameStream, SendToAClosedPeerFailsWithoutSigpipe) {
       reactor.addFd(sv[0], EPOLLIN, [](std::uint32_t) {});
   EXPECT_FALSE(stream.send(frameOf(wire::FrameType::kBye, {})));
   reactor.removeFd(reg);
+}
+
+TEST_F(FrameStreamTest, CorkedSendsBelowAChunkMakeNoSyscall) {
+  const std::vector<std::uint8_t> frame =
+      frameOf(wire::FrameType::kDataItem, payloadOf(0));
+  stream_.cork();
+  std::size_t queued = 0;
+  while (queued + frame.size() < FrameStream::kChunkBytes) {
+    ASSERT_TRUE(stream_.send(frame));
+    queued += frame.size();
+  }
+  EXPECT_EQ(stream_.takeSendSyscalls(), 0u) << "a corked send wrote";
+  EXPECT_EQ(stream_.queuedBytes(), queued);
+  EXPECT_FALSE(stream_.writeBlocked());
+  for (int i = 0; i < 3; ++i) reactor_.runOnce(0);
+  EXPECT_EQ(events_ & EPOLLOUT, 0u) << "a corked batch armed EPOLLOUT";
+  EXPECT_TRUE(readPeer().empty());
+
+  // Reaching a chunk writes it; the tiny socket refuses most, so EPOLLOUT
+  // is armed and further corked sends wait for it without a syscall.
+  ASSERT_TRUE(stream_.send(frame));
+  EXPECT_GT(stream_.takeSendSyscalls(), 0u) << "a full chunk must write";
+  EXPECT_TRUE(stream_.writeBlocked());
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(stream_.send(frame));
+  EXPECT_EQ(stream_.takeSendSyscalls(), 0u) << "wrote behind an armed EPOLLOUT";
+  EXPECT_TRUE(stream_.uncork());
+  EXPECT_EQ(stream_.takeSendSyscalls(), 0u);
+}
+
+TEST_F(FrameStreamTest, UncorkOnAFullSocketArmsEpolloutAndDrainsInOrder) {
+  std::vector<std::uint8_t> expected;
+  stream_.cork();
+  for (std::size_t i = 0; i < 4; ++i) {  // ~40 KB: under a chunk
+    const std::vector<std::uint8_t> frame =
+        frameOf(wire::FrameType::kDataItem, payloadOf(i));
+    ASSERT_TRUE(stream_.send(frame));
+    expected.insert(expected.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(stream_.takeSendSyscalls(), 0u);
+  ASSERT_TRUE(stream_.uncork());
+  EXPECT_GT(stream_.takeSendSyscalls(), 0u) << "uncork never wrote";
+  EXPECT_GT(stream_.queuedBytes(), 0u) << "batch fit the socket buffer";
+  EXPECT_TRUE(stream_.writeBlocked()) << "a refused tail must arm EPOLLOUT";
+
+  std::vector<std::uint8_t> got;
+  for (int round = 0; round < 10'000 && got.size() < expected.size();
+       ++round) {
+    const std::vector<std::uint8_t> chunk = readPeer();
+    got.insert(got.end(), chunk.begin(), chunk.end());
+    reactor_.runOnce(0);
+  }
+  EXPECT_TRUE(flushOk_);
+  EXPECT_NE(events_ & EPOLLOUT, 0u);
+  EXPECT_EQ(stream_.queuedBytes(), 0u);
+  EXPECT_FALSE(stream_.writeBlocked());
+  EXPECT_EQ(got, expected) << "frames must arrive byte-identical, in order";
+}
+
+TEST_F(FrameStreamTest, UncorkToAClosedPeerFailsWithoutSigpipe) {
+  stream_.cork();
+  ASSERT_TRUE(stream_.send(frameOf(wire::FrameType::kDataItem, payloadOf(1))));
+  ::close(peer_);
+  peer_ = -1;
+  EXPECT_FALSE(stream_.uncork());  // EPIPE, and no SIGPIPE killed us
+}
+
+TEST_F(FrameStreamTest, SlowReaderCannotGrowTheQueueWithoutBound) {
+  // The peer drains half of what is queued each round, so the tail never
+  // empties; without compaction the buffer would hold everything sent.
+  constexpr std::size_t kLevel = 64 * 1024;
+  const std::vector<std::uint8_t> frame =
+      frameOf(wire::FrameType::kDataItem, payloadOf(0));
+  std::size_t sent = 0;
+  std::size_t maxCapacity = 0;
+  for (int round = 0; round < 200; ++round) {
+    while (stream_.queuedBytes() < kLevel) {
+      ASSERT_TRUE(stream_.send(frame));
+      sent += frame.size();
+    }
+    const std::size_t target = stream_.queuedBytes() / 2;
+    while (stream_.queuedBytes() > target) {
+      (void)readPeer();
+      reactor_.runOnce(0);
+    }
+    ASSERT_GT(stream_.queuedBytes(), 0u) << "round " << round;
+    maxCapacity = std::max(maxCapacity, stream_.queueCapacity());
+  }
+  ASSERT_TRUE(flushOk_);
+  ASSERT_GT(sent, 40 * kLevel);
+  EXPECT_LE(maxCapacity, 8 * kLevel) << "queue grew with the bytes sent";
 }
 
 TEST_F(FrameStreamTest, ChecksumFailedFrameIsSkippedAndCounted) {

@@ -13,7 +13,9 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -228,6 +230,116 @@ TEST(LiveLoopback, WedgedClientNeverBlocksTheBroadcast) {
 
   ::close(tcp);
   ::close(udp);
+}
+
+/// What the server sent a raw uplink for one 200-item query.
+struct QueryReplies {
+  std::vector<std::uint8_t> got;       ///< reply bytes, Welcome excluded
+  std::vector<std::uint8_t> expected;  ///< one encodeFrame per item, in order
+  std::uint64_t tcpSendSyscalls = 0;   ///< server send calls for the query
+  std::uint64_t framesDropped = 0;
+};
+
+/// Says Hello on a raw TCP uplink, waits for the Welcome, sends one
+/// 200-item kQueryRequest and reads the replies as they arrive, driving
+/// the server's reactor in between. No updates run, so every reply's
+/// version is the item's current one.
+QueryReplies serveOneQuery(ServerOptions opts) {
+  QueryReplies r;
+  Reactor reactor;
+  opts.cfg = baseConfig(schemes::SchemeKind::kAaw);
+  opts.cfg.meanUpdateInterarrival = 1e12;
+  opts.timeScale = 100.0;
+  BroadcastServer server(reactor, opts);
+
+  const int tcp = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(tcp, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.tcpPort());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(tcp, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  std::vector<std::uint8_t> in;
+  const auto readUntil = [&](auto done) {
+    std::uint8_t buf[4096];
+    for (int round = 0; round < 10'000 && !done(); ++round) {
+      reactor.runOnce(1);
+      for (ssize_t n; (n = ::recv(tcp, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
+        in.insert(in.end(), buf, buf + n);
+      }
+    }
+  };
+
+  // Port 0: no IR downlink, so every send the server makes is a reply.
+  const auto helloFrame = wire::encodeFrame(
+      wire::FrameType::kHello, wire::kNoScheme, net::TrafficClass::kControl,
+      wire::encodeHello(wire::Hello{.udpPort = 0, .audit = false}));
+  EXPECT_EQ(::send(tcp, helloFrame.data(), helloFrame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(helloFrame.size()));
+  std::size_t welcomeBytes = 0;
+  readUntil([&] {
+    welcomeBytes = wire::frameSize(in.data(), in.size());
+    return welcomeBytes > 0 && in.size() >= welcomeBytes;
+  });
+  EXPECT_GT(welcomeBytes, 0u) << "no Welcome";
+  const std::uint64_t sendsBefore = server.stats().tcpSendSyscalls;
+
+  constexpr std::size_t kItems = 200;
+  wire::QueryRequest query;
+  for (db::ItemId i = 0; i < kItems; ++i) query.items.push_back(i);
+  const auto queryFrame = wire::encodeFrame(
+      wire::FrameType::kQueryRequest, wire::kNoScheme,
+      net::TrafficClass::kControl, wire::encodeQueryRequest(query));
+  EXPECT_EQ(::send(tcp, queryFrame.data(), queryFrame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(queryFrame.size()));
+  const std::size_t replyBytes =
+      kItems * (wire::kHeaderBytes + wire::encodeDataItem({}).size());
+  readUntil([&] { return in.size() >= welcomeBytes + replyBytes; });
+  r.got.assign(in.begin() + static_cast<std::ptrdiff_t>(welcomeBytes),
+               in.end());
+  r.tcpSendSyscalls = server.stats().tcpSendSyscalls - sendsBefore;
+  r.framesDropped = server.stats().framesDropped;
+
+  // Every reply of one query carries the same read time; take it from the
+  // first frame and rebuild what one encodeFrame per item would send.
+  std::optional<wire::Frame> first =
+      wire::decodeFrame(r.got.data(), r.got.size());
+  EXPECT_TRUE(first.has_value());
+  std::optional<wire::DataItem> firstItem;
+  if (first) firstItem = wire::decodeDataItem(first->payload);
+  EXPECT_TRUE(firstItem.has_value());
+  for (db::ItemId i = 0; firstItem && i < kItems; ++i) {
+    const wire::DataItem d{.item = i,
+                           .version = server.database().currentVersion(i),
+                           .readTime = firstItem->readTime};
+    const std::vector<std::uint8_t> f =
+        wire::encodeFrame(wire::FrameType::kDataItem, wire::kNoScheme,
+                          net::TrafficClass::kBulk, wire::encodeDataItem(d));
+    r.expected.insert(r.expected.end(), f.begin(), f.end());
+  }
+  ::close(tcp);
+  return r;
+}
+
+/// The replies to one query leave as one corked batch: 200 DataItems cost
+/// the server at most two TCP send calls instead of one each.
+TEST(LiveLoopback, OneQueryCostsAtMostTwoTcpSendCalls) {
+  const QueryReplies r = serveOneQuery(ServerOptions{});
+  EXPECT_EQ(r.got.size(), r.expected.size());
+  EXPECT_GE(r.tcpSendSyscalls, 1u);
+  EXPECT_LE(r.tcpSendSyscalls, 2u);
+}
+
+/// Batching must not cost a reading client frames: the send-queue cap
+/// counts only bytes the kernel refused, so ~6 KB of replies pass a 1 KB
+/// cap whole, byte-identical to one encodeFrame per item, in order.
+TEST(LiveLoopback, ReadingClientLosesNoFramesToATinySendCap) {
+  ServerOptions opts;
+  opts.maxSendQueueBytes = 1024;
+  const QueryReplies r = serveOneQuery(opts);
+  EXPECT_EQ(r.framesDropped, 0u);
+  EXPECT_EQ(r.got, r.expected) << "reply bytes differ from per-item frames";
 }
 
 /// The K=1 shard pin: a daemon carrying an explicit (0 of 1) shard spec —

@@ -31,6 +31,7 @@ WATCHED: List[Tuple[str, Optional[str]]] = [
     ("sendArena", "UplinkMux"),
     ("send", "FrameStream"),
     ("flush", "FrameStream"),
+    ("uncork", "FrameStream"),
     ("next", "FrameStream"),
     ("next", "FrameBuffer"),
     ("cancel", "EventQueue"),
