@@ -6,6 +6,14 @@
 //         in-file single-bit reference writer (the pre-word-at-a-time
 //         codec) producing byte-identical frames; speedup_vs_bitloop is
 //         the gated ratio and is machine-independent by construction.
+//   * envelope/dataitem
+//       — one framed DataItem reply per iteration: FrameArena encode
+//         (header + encodeDataItemInto + CRC) and decodeFrameView plus the
+//         swarm mux's in-place field parse, against an in-file reference
+//         with a byte-at-a-time CRC and single-bit writer/reader (the
+//         envelope before slice-by-8 and the whole-byte paths); frames are
+//         pinned byte-identical before timing. speedup_vs_bytewise is
+//         the gated ratio.
 //   * udp_fanout/64
 //       — one IR datagram to 64 loopback sockets: sendmmsg batches vs the
 //         classic sendto loop, syscalls counted per tick. syscall_reduction
@@ -30,13 +38,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +58,7 @@
 #include "live/client_agent.hpp"
 #include "live/reactor.hpp"
 #include "live/udp_batch.hpp"
+#include "live/wire.hpp"
 #include "metrics/walltime.hpp"
 #include "report/bs_report.hpp"
 #include "report/codec.hpp"
@@ -176,34 +189,44 @@ void requireIdentical(const char* what, const std::vector<std::uint8_t>& fast,
   }
 }
 
+/// Seconds per call of `fn`, timed for at least `minSeconds` after one
+/// warm-up call (caches and buffer high-water marks).
+template <typename Fn>
+double secondsPerCall(Fn&& fn, double minSeconds) {
+  fn();
+  std::uint64_t calls = 0;
+  metrics::WallTimer timer;
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++calls;
+    elapsed = timer.seconds();
+  } while (elapsed < minSeconds);
+  return elapsed / static_cast<double>(calls);
+}
+
+constexpr int kAllocProbeRounds = 16;
+
+/// Allocations across kAllocProbeRounds calls of `fn` after a warm-up
+/// call: the steady-state probe (zero when buffers are reused).
+template <typename Fn>
+double steadyAllocs(Fn&& fn) {
+  fn();
+  const std::uint64_t before = allocsNow();
+  for (int i = 0; i < kAllocProbeRounds; ++i) fn();
+  return static_cast<double>(allocsNow() - before);
+}
+
 /// Times `fast()` and `slow()` (each re-encoding one report into a reused
 /// buffer) for `minSeconds` apiece and emits the rate + the gated ratio.
 template <typename Fast, typename Slow>
 BenchRow benchEncodePair(const std::string& name, std::size_t itemsPerEncode,
                          double minSeconds, Fast&& fast, Slow&& slow) {
-  auto timeLoop = [&](auto&& fn) {
-    fn();  // warm caches and buffer high-water marks
-    std::uint64_t encodes = 0;
-    metrics::WallTimer timer;
-    double elapsed = 0.0;
-    do {
-      fn();
-      ++encodes;
-      elapsed = timer.seconds();
-    } while (elapsed < minSeconds);
-    return elapsed / static_cast<double>(encodes);  // seconds per encode
-  };
-
   // Steady-state allocation probe on the fast path only (the reference
   // writer regrows its vector every encode by design).
-  fast();
-  const std::uint64_t allocsBefore = allocsNow();
-  constexpr int kAllocProbeRounds = 16;
-  for (int i = 0; i < kAllocProbeRounds; ++i) fast();
-  const auto allocs = static_cast<double>(allocsNow() - allocsBefore);
-
-  const double fastSec = timeLoop(fast);
-  const double slowSec = timeLoop(slow);
+  const double allocs = steadyAllocs(fast);
+  const double fastSec = secondsPerCall(fast, minSeconds);
+  const double slowSec = secondsPerCall(slow, minSeconds);
 
   BenchRow row;
   row.name = name;
@@ -337,6 +360,196 @@ BenchRow benchEncodeSig(double minSeconds) {
 }
 
 // ---------------------------------------------------------------------------
+// envelope/dataitem: one DataItem reply frame, encoded and decoded.
+// ---------------------------------------------------------------------------
+
+/// Byte-at-a-time table CRC-32 (reflected 0xEDB88320): the envelope
+/// checksum before slice-by-8.
+struct ByteCrc {
+  std::array<std::uint32_t, 256> table{};
+  ByteCrc() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+  }
+  std::uint32_t operator()(const std::uint8_t* data, std::size_t len,
+                           std::uint32_t seed = 0) const {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+      c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+  }
+};
+
+/// Single-bit reader, the mirror of BitLoopWriter.
+struct BitLoopReader {
+  const std::uint8_t* data = nullptr;
+  std::size_t bits = 0;
+  std::size_t pos = 0;
+  bool ok = true;
+
+  std::uint64_t read(int n) {
+    if (pos + static_cast<std::size_t>(n) > bits) {
+      ok = false;
+      pos = bits;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (int b = 0; b < n; ++b, ++pos) {
+      v = (v << 1) | ((data[pos / 8] >> (7 - pos % 8)) & 1u);
+    }
+    return v;
+  }
+};
+
+/// The reference envelope: header fields and payload through the bit loop,
+/// checksum patched in by the byte-at-a-time CRC.
+void refEncodeDataItemFrame(const ByteCrc& crc, const live::wire::DataItem& d,
+                            BitLoopWriter& w) {
+  w.out.clear();
+  w.bitCount = 0;
+  w.write(live::wire::kMagic, 16);
+  w.write(live::wire::kVersion, 8);
+  w.write(static_cast<std::uint8_t>(live::wire::FrameType::kDataItem), 8);
+  w.write(live::wire::kNoScheme, 8);
+  w.write(static_cast<std::uint8_t>(net::TrafficClass::kBulk), 8);
+  w.write(128, 32);  // payloadBits
+  w.write(0, 32);    // checksum, patched below
+  w.write(d.item, 32);
+  w.write(d.version, 32);
+  w.write(std::bit_cast<std::uint64_t>(d.readTime), 64);
+  const std::uint32_t sum = crc(w.out.data(), w.out.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    w.out[10 + i] = static_cast<std::uint8_t>(sum >> (24 - 8 * i));
+  }
+}
+
+/// The reference decode: header through the bit loop, checksum verified
+/// over the zeroed-checksum frame, payload fields through the bit loop.
+bool refDecodeDataItemFrame(const ByteCrc& crc, const std::uint8_t* data,
+                            std::size_t len, live::wire::DataItem& d) {
+  constexpr std::size_t kHdr = live::wire::kHeaderBytes;
+  BitLoopReader hdr{data, kHdr * 8};
+  if (hdr.read(16) != live::wire::kMagic || hdr.read(8) != live::wire::kVersion)
+    return false;
+  hdr.read(16);  // type, scheme
+  hdr.read(8);   // traffic class
+  const std::size_t payload = (hdr.read(32) + 7) / 8;
+  const auto sum = static_cast<std::uint32_t>(hdr.read(32));
+  if (!hdr.ok || len < kHdr + payload) return false;
+  static constexpr std::uint8_t kZeros[4] = {0, 0, 0, 0};
+  std::uint32_t c = crc(data, 10);
+  c = crc(kZeros, 4, c);
+  c = crc(data + kHdr, payload, c);
+  if (c != sum) return false;
+  BitLoopReader r{data + kHdr, payload * 8};
+  d.item = static_cast<db::ItemId>(r.read(32));
+  d.version = static_cast<db::Version>(r.read(32));
+  d.readTime = std::bit_cast<double>(r.read(64));
+  return r.ok;
+}
+
+/// The fast decode: the mux's path (decodeFrameView + in-place parse).
+bool decodeDataItemFrame(std::span<const std::uint8_t> frame,
+                         live::wire::DataItem& d) {
+  const auto f = live::wire::decodeFrameView(frame.data(), frame.size());
+  if (!f) return false;
+  report::BitReader r(f->payload.data(), f->payload.size());
+  d.item = static_cast<db::ItemId>(r.read(32));
+  d.version = static_cast<db::Version>(r.read(32));
+  d.readTime = std::bit_cast<double>(r.read(64));
+  return r.ok();
+}
+
+bool sameItem(const live::wire::DataItem& a, const live::wire::DataItem& b) {
+  return a.item == b.item && a.version == b.version &&
+         std::bit_cast<std::uint64_t>(a.readTime) ==
+             std::bit_cast<std::uint64_t>(b.readTime);
+}
+
+BenchRow benchEnvelopeDataItem(double minSeconds) {
+  constexpr std::size_t kItems = 256;
+  std::vector<live::wire::DataItem> items(kItems);
+  sim::Rng rng(17);
+  for (live::wire::DataItem& d : items) {
+    d.item = static_cast<db::ItemId>(rng.uniformInt(0, 65535));
+    d.version = static_cast<db::Version>(rng.uniformInt(0, 1 << 20));
+    d.readTime = std::round(rng.uniform01() * 1e8) / 1e3;
+  }
+
+  const ByteCrc crc;
+  live::wire::FrameArena arena;
+  BitLoopWriter ref;
+  // Pin: the fast encode is the reference frame byte for byte, and each
+  // decoder reads back the item from the other's frame.
+  for (const live::wire::DataItem& d : items) {
+    report::BitWriter w = arena.begin(live::wire::FrameType::kDataItem,
+                                      live::wire::kNoScheme,
+                                      net::TrafficClass::kBulk);
+    live::wire::encodeDataItemInto(d, w);
+    arena.finish(w);
+    refEncodeDataItemFrame(crc, d, ref);
+    const std::span<const std::uint8_t> fast = arena.frame();
+    requireIdentical("envelope/dataitem",
+                     std::vector<std::uint8_t>(fast.begin(), fast.end()),
+                     ref.out);
+    live::wire::DataItem a;
+    live::wire::DataItem b;
+    if (!decodeDataItemFrame(ref.out, a) ||
+        !refDecodeDataItemFrame(crc, fast.data(), fast.size(), b) ||
+        !sameItem(a, d) || !sameItem(b, d)) {
+      std::fprintf(stderr, "bench_live: envelope/dataitem: decode differs "
+                           "from the encoded item\n");
+      std::exit(1);
+    }
+  }
+
+  // One pass = encode then decode every item; the sink keeps both live.
+  std::uint64_t sink = 0;
+  auto fast = [&] {
+    for (const live::wire::DataItem& d : items) {
+      report::BitWriter w = arena.begin(live::wire::FrameType::kDataItem,
+                                        live::wire::kNoScheme,
+                                        net::TrafficClass::kBulk);
+      live::wire::encodeDataItemInto(d, w);
+      arena.finish(w);
+      live::wire::DataItem back;
+      if (decodeDataItemFrame(arena.frame(), back)) sink += back.version;
+    }
+  };
+  auto slow = [&] {
+    for (const live::wire::DataItem& d : items) {
+      refEncodeDataItemFrame(crc, d, ref);
+      live::wire::DataItem back;
+      if (refDecodeDataItemFrame(crc, ref.out.data(), ref.out.size(), back)) {
+        sink += back.version;
+      }
+    }
+  };
+  const double allocs = steadyAllocs(fast);
+  const double fastSec = secondsPerCall(fast, minSeconds);
+  const double slowSec = secondsPerCall(slow, minSeconds);
+  if (sink == 0) std::fprintf(stderr, "bench_live: empty decode sink\n");
+
+  BenchRow row;
+  row.name = "envelope/dataitem";
+  row.metrics.emplace_back("ns_per_frame", fastSec * 1e9 / kItems);
+  row.metrics.emplace_back("ns_per_frame_bytewise", slowSec * 1e9 / kItems);
+  row.metrics.emplace_back("speedup_vs_bytewise", slowSec / fastSec);
+  row.metrics.emplace_back(
+      "allocs_per_item_steady",
+      allocs / static_cast<double>(kItems * kAllocProbeRounds));
+  row.metrics.emplace_back("frame_bytes",
+                           static_cast<double>(arena.frame().size()));
+  return row;
+}
+
+// ---------------------------------------------------------------------------
 // udp_fanout/64: one encoded IR datagram to 64 loopback destinations.
 // ---------------------------------------------------------------------------
 
@@ -421,11 +634,7 @@ BenchRow benchUdpFanout(double minSeconds) {
   };
 
   // Steady-state allocation probe across the batched send + drain loop.
-  batchedTick();
-  const std::uint64_t allocsBefore = allocsNow();
-  constexpr int kAllocProbeRounds = 16;
-  for (int i = 0; i < kAllocProbeRounds; ++i) batchedTick();
-  const auto allocs = static_cast<double>(allocsNow() - allocsBefore);
+  const double allocs = steadyAllocs(batchedTick);
 
   std::uint64_t batchSyscallsPerTick = kClients;
   const double batchedSec = batched
@@ -591,6 +800,7 @@ int main(int argc, char** argv) {
   rows.push_back(benchEncodeTs(minSeconds));
   rows.push_back(benchEncodeBs(minSeconds));
   rows.push_back(benchEncodeSig(minSeconds));
+  rows.push_back(benchEnvelopeDataItem(minSeconds));
   std::fprintf(stderr, "bench_live: udp fan-out ...\n");
   rows.push_back(benchUdpFanout(minSeconds));
   std::fprintf(stderr, "bench_live: live pool (simtime=%g) ...\n", simTime);

@@ -80,7 +80,9 @@ struct FrameView {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). `seed` chains
-/// multi-buffer computation: pass a previous call's return value.
+/// multi-buffer computation: pass a previous call's return value. Computed
+/// slice-by-8 (eight bytes per step) from byte loads, so the result does
+/// not depend on host byte order or alignment.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                                   std::uint32_t seed = 0);
 

@@ -52,11 +52,23 @@ std::uint64_t bitReverse64(std::uint64_t w) {
 
 void BitWriter::write(std::uint64_t value, int bits) {
   assert(bits >= 1 && bits <= 64);
-  if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
   std::vector<std::uint8_t>& out = target();
+  // Frame buffers are reused across ticks (arena / lastReportPayload_ keep
+  // capacity), so both appends below grow to a high-water mark only.
+  if (((bitCount_ | static_cast<std::size_t>(bits)) & 7) == 0) {
+    // Whole-byte path: a byte-aligned cursor and a whole-byte field (every
+    // envelope, DataItem, QueryRequest and Check field) append the field's
+    // low bits/8 bytes big-endian, with no per-byte shift or mask.
+    for (int shift = bits - 8; shift >= 0; shift -= 8) {
+      // MCI-ANALYZE-ALLOW(hot-path-alloc): reused frame buffer, high-water
+      out.push_back(static_cast<std::uint8_t>(value >> shift));
+    }
+    bitCount_ += static_cast<std::size_t>(bits);
+    return;
+  }
+  if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
   while (bits > 0) {
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): frame buffers are reused across
-    // ticks (arena / lastReportPayload_ keep capacity) — high-water only.
+    // MCI-ANALYZE-ALLOW(hot-path-alloc): reused frame buffer, high-water only
     if (bitCount_ % 8 == 0) out.push_back(0);
     const int avail = 8 - static_cast<int>(bitCount_ % 8);
     const int chunk = std::min(avail, bits);
@@ -81,8 +93,9 @@ void BitWriter::writeBitVec(const BitVec& bits) {
     // each the bit-reversal of the corresponding word byte (ascending
     // positions are LSB-first in the word, MSB-first on the wire).
     std::vector<std::uint8_t>& out = target();
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): grows the reused frame buffer to
-    // its high-water mark only, same as the write() appends.
+    // Grows the reused frame buffer to its high-water mark only, same as
+    // the write() appends.
+    // MCI-ANALYZE-ALLOW(hot-path-alloc): reused frame buffer, high-water only
     out.reserve(out.size() + (n + 7) / 8);
     for (std::size_t wi = 0; wi < fullWords; ++wi) {
       const std::uint64_t w = words[wi];
@@ -117,14 +130,26 @@ std::uint64_t BitReader::read(int bits) {
     pos_ = bits_;  // park at the end: later reads keep failing cheaply
     return 0;
   }
+  // The cursor IS the bounds enforcement: pos_ + bits <= bits_ was checked
+  // above, so no byte read below reaches past the constructor's span.
   std::uint64_t value = 0;
+  if (((pos_ | static_cast<std::size_t>(bits)) & 7) == 0) {
+    // Whole-byte path: a byte-aligned cursor and a whole-byte field read
+    // bits/8 big-endian bytes with no per-byte shift or mask.
+    // MCI-ANALYZE-ALLOW(codec-bounds): pos_ + bits <= bits_ checked above
+    const std::uint8_t* src = data_ + pos_ / 8;
+    for (int i = 0; i < bits / 8; ++i) {
+      // MCI-ANALYZE-ALLOW(codec-bounds): i < bits / 8, inside the check
+      value = (value << 8) | src[i];
+    }
+    pos_ += static_cast<std::size_t>(bits);
+    return value;
+  }
   int remaining = bits;
   while (remaining > 0) {
     const int avail = 8 - static_cast<int>(pos_ % 8);
     const int chunk = std::min(avail, remaining);
-    // MCI-ANALYZE-ALLOW(codec-bounds): the cursor IS the bounds
-    // enforcement — pos_ + bits <= bits_ was checked above, so pos_/8
-    // cannot reach past the span handed to the constructor.
+    // MCI-ANALYZE-ALLOW(codec-bounds): pos_ + bits <= bits_ checked above
     const std::uint8_t byte = data_[pos_ / 8];
     const std::uint64_t piece =
         (byte >> (avail - chunk)) & ((std::uint64_t{1} << chunk) - 1);
@@ -150,9 +175,9 @@ void BitReader::readBitVec(BitVec& out, std::size_t bits) {
   const std::size_t tailBits = bits % 64;
   if (pos_ % 8 == 0) {
     // Byte-aligned fast path: mirror of writeBitVec — reassemble each
-    // word from eight bit-reversed wire bytes.
-    // MCI-ANALYZE-ALLOW(codec-bounds): bits <= bits_ - pos_ was checked
-    // above, so src stays inside the constructor's span.
+    // word from eight bit-reversed wire bytes. bits <= bits_ - pos_ was
+    // checked above, so src stays inside the constructor's span.
+    // MCI-ANALYZE-ALLOW(codec-bounds): bits <= bits_ - pos_ checked above
     const std::uint8_t* src = data_ + pos_ / 8;
     for (std::size_t wi = 0; wi < fullWords; ++wi) {
       std::uint64_t w = 0;

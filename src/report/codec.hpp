@@ -18,7 +18,8 @@ namespace mci::report {
 /// granularity and the byte vector is the padded frame.
 ///
 /// write() moves whole bytes per iteration (<= 9 byte ops for a 64-bit
-/// field, not 64 single-bit ops), and writeBitVec() moves whole 64-bit
+/// field, not 64 single-bit ops) and appends a whole-byte field at a
+/// byte-aligned cursor in one insert; writeBitVec() moves whole 64-bit
 /// words of a packed bit vector with one masked tail — the BS wire levels
 /// serialize at memory bandwidth instead of a bit at a time. Both paths
 /// emit the exact byte stream the original single-bit loop produced
@@ -71,7 +72,9 @@ class BitReader {
   BitReader(const std::uint8_t* data, std::size_t len)
       : data_(data), bits_(len * 8) {}
 
-  /// Reads `bits` bits (1..64); returns 0 and clears ok() on underrun.
+  /// Reads `bits` bits (1..64); returns 0 and clears ok() on underrun. A
+  /// whole-byte field at a byte-aligned cursor is read as bytes (after the
+  /// same bound check).
   MCI_HOT std::uint64_t read(int bits);
 
   /// Reads `bits` bits into `out` (resized to `bits`, positions ascending),

@@ -8,6 +8,13 @@
 #include "schemes/factory.hpp"
 
 namespace mci::swarm {
+namespace {
+
+/// How much of a partition's leading slotItem run a fetch hint warms: two
+/// cache lines, the head of findSlot's scan and of the free-slot search.
+constexpr std::size_t kPrefetchSlotBytes = 128;
+
+}  // namespace
 
 SwarmEmulator::SwarmEmulator(live::Reactor& reactor, SwarmOptions opts)
     : reactor_(reactor), opts_(std::move(opts)) {
@@ -376,6 +383,44 @@ void SwarmEmulator::onDataItem(std::uint32_t shard, std::uint32_t client,
       state_.needAnswer[client] == 0 && pendingFetch_[client] == 0) {
     completeQuery(client, std::max(lastTick_, fetchTick));
   }
+}
+
+void SwarmEmulator::prefetchDataItem(std::uint32_t client,
+                                     db::ItemId item) const {
+  // Starts loading what onDataItem -> insert -> completeQuery will touch
+  // for this reply; the loads stall the mux loop when they miss. Writes
+  // nothing. A reshard can be mid-flip, so indices outside the current
+  // state are skipped rather than hinted.
+  if (client >= state_.clients) return;
+  const std::uint32_t owner = mux_->shardMap().shardOf(item);
+  if (owner >= state_.shards) return;
+  const std::size_t csIdx = state_.cs(client, owner);
+  __builtin_prefetch(&state_.lastHeard[csIdx]);
+  __builtin_prefetch(&state_.occupancy[csIdx]);
+  __builtin_prefetch(&state_.clockHand[csIdx]);
+  const std::size_t share = state_.shareOf(owner);
+  if (share > 0) {
+    // findSlot and the free-slot scan start at the partition's first slot.
+    const std::size_t first =
+        state_.slotIndex(client, state_.shardSlotOff[owner]);
+    const auto* items = reinterpret_cast<const char*>(&state_.slotItem[first]);
+    const std::size_t itemBytes = share * sizeof(db::ItemId);
+    for (std::size_t off = 0; off < itemBytes && off < kPrefetchSlotBytes;
+         off += 64) {
+      __builtin_prefetch(items + off);
+    }
+    __builtin_prefetch(&state_.slotRef[first]);
+    __builtin_prefetch(&state_.slotVersion[first]);
+    __builtin_prefetch(state_.slotUsed.wordOf(first));
+    __builtin_prefetch(state_.slotSuspect.wordOf(first));
+  }
+  if (state_.presenceEnabled && item < state_.dbSize) {
+    __builtin_prefetch(
+        state_.presence.wordOf(state_.presenceIndex(client, item)));
+  }
+  __builtin_prefetch(&pendingFetch_[client]);
+  __builtin_prefetch(&state_.state[client]);
+  __builtin_prefetch(&state_.needAnswer[client]);
 }
 
 void SwarmEmulator::onCheckAck(std::uint32_t shard, std::uint32_t client,

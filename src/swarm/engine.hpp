@@ -146,6 +146,8 @@ class SwarmEmulator final : public SwarmSink {
                        std::size_t len) override;
   void onDataItem(std::uint32_t shard, std::uint32_t client, db::ItemId item,
                   db::Version version, Tick fetchTick, Tick readTick) override;
+  MCI_HOT void prefetchDataItem(std::uint32_t client,
+                                db::ItemId item) const override;
   void onCheckAck(std::uint32_t shard, std::uint32_t client,
                   Tick asOfTick) override;
   void onConnectionLost(std::uint32_t shard) override;

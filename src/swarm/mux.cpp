@@ -280,6 +280,10 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
         return;
       }
       const PendingFetch pf = conn.fetchQueue.front();
+      if (conn.fetchQueue.size() > kPrefetchDistance) {
+        const PendingFetch& ahead = conn.fetchQueue.at(kPrefetchDistance);
+        sink_.prefetchDataItem(ahead.client, ahead.item);
+      }
       conn.fetchQueue.pop();
       MCI_CHECK(pf.item == item)
           << "swarm mux: fetch reply out of order (sent " << pf.item

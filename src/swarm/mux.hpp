@@ -39,6 +39,15 @@ class SwarmSink {
   virtual void onDataItem(std::uint32_t shard, std::uint32_t client,
                           db::ItemId item, db::Version version, Tick fetchTick,
                           Tick readTick) = 0;
+  /// Replies on a connection arrive strictly in request order, so the mux
+  /// knows a few replies ahead which (client, item) onDataItem will see and
+  /// hints it here. A sink may start loading the state that call will
+  /// touch. A hint only: it must change nothing, and must tolerate any
+  /// client or item (the owner may not match its state mid-reshard).
+  virtual void prefetchDataItem(std::uint32_t client, db::ItemId item) const {
+    (void)client;
+    (void)item;
+  }
   /// The server absorbed `client`'s Tlb check as of `asOfTick`.
   virtual void onCheckAck(std::uint32_t shard, std::uint32_t client,
                           Tick asOfTick) = 0;
@@ -95,6 +104,12 @@ class Ring {
   [[nodiscard]] MCI_HOT const T& front() const {
     MCI_DCHECK(count_ > 0) << "Ring::front on empty ring";
     return buf_[head_];
+  }
+
+  /// The i-th entry from the front (0 = front()).
+  [[nodiscard]] MCI_HOT const T& at(std::size_t i) const {
+    MCI_DCHECK(i < count_) << "Ring::at(" << i << ") on a ring of " << count_;
+    return buf_[(head_ + i) & (buf_.size() - 1)];
   }
 
   MCI_HOT void pop() {
@@ -160,6 +175,11 @@ class UplinkMux {
     /// accumulates the counter's delta across every mux event callback.
     std::uint64_t (*allocProbe)() = nullptr;
   };
+
+  /// How many replies ahead of the one being handled the mux hints
+  /// SwarmSink::prefetchDataItem: far enough for the hinted lines to land
+  /// before their reply is handled, near enough that they are still cached.
+  static constexpr std::size_t kPrefetchDistance = 6;
 
   UplinkMux(live::Reactor& reactor, SwarmSink& sink, Options opts);
   ~UplinkMux();

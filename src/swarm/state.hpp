@@ -39,6 +39,10 @@ class BitArray {
   }
   void put(std::size_t i, bool value) { value ? set(i) : clear(i); }
   [[nodiscard]] std::size_t size() const { return bits_; }
+  /// The word holding bit i (prefetch hints).
+  [[nodiscard]] const std::uint64_t* wordOf(std::size_t i) const {
+    return &words_[i >> 6];
+  }
   [[nodiscard]] std::size_t memoryBytes() const {
     return words_.capacity() * sizeof(std::uint64_t);
   }

@@ -77,6 +77,32 @@ class SuppressionsTest(unittest.TestCase):
         s = self._load("w();  // MCI-ANALYZE-ALLOW rule-a: oops\n")
         self.assertEqual(len(s.errors), 1)
 
+    def test_allow_wrapping_onto_a_comment_line_is_an_error(self):
+        # The statement sits two lines below the allow, outside its window.
+        s = self._load(
+            "    // MCI-ANALYZE-ALLOW(rule-a): the reason starts here and\n"
+            "    // wraps onto a second comment line\n"
+            "    v.push_back(1);\n"
+        )
+        self.assertEqual(len(s.errors), 1)
+        self.assertEqual(s.errors[0].rule, "suppression-syntax")
+        self.assertEqual(s.errors[0].line, 1)
+        self.assertFalse(s.is_allowed("rule-a", "x.cpp", 3))
+
+    def test_allow_below_its_reasoning_or_trailing_code_is_fine(self):
+        s = self._load(
+            "    // Longer reasoning may sit above the allow.\n"
+            "    // MCI-ANALYZE-ALLOW(rule-a): short reason\n"
+            "    v.push_back(1);\n"
+            "    w.push_back(2);  // MCI-ANALYZE-ALLOW(rule-b): trailing\n"
+            "    // and a comment after a trailing allow is not a wrap\n"
+            "///   heap_.push_back(e);  // MCI-ANALYZE-ALLOW(rule-c): doc\n"
+            "///                        // example that wraps\n"
+        )
+        self.assertEqual(s.errors, [])
+        self.assertTrue(s.is_allowed("rule-a", "x.cpp", 3))
+        self.assertTrue(s.is_allowed("rule-b", "x.cpp", 4))
+
     def test_filter(self):
         s = self._load("// MCI-ANALYZE-ALLOW(r): ok here\nf();\n")
         kept = s.filter([

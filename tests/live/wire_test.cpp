@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 namespace mci::live::wire {
 namespace {
@@ -22,6 +23,46 @@ TEST(Crc32, SeedChainsAcrossBuffers) {
   const char* s = "123456789";
   const auto* b = reinterpret_cast<const std::uint8_t*>(s);
   EXPECT_EQ(crc32(b + 4, 5, crc32(b, 4)), crc32(b, 9));
+}
+
+/// Byte-at-a-time CRC-32 over the reflected polynomial, one shift per bit:
+/// the reference the slice-by-8 envelope checksum must reproduce.
+std::uint32_t referenceCrc32(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..300 cover no full slice, exact multiples of 8 and every
+  // tail; offsets 0..7 cover every start alignment of the byte loads.
+  std::vector<std::uint8_t> buf(300 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    const std::uint8_t* data = buf.data() + off;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      for (const std::uint32_t seed :
+           {0u, 0xFFFFFFFFu, 0x12345678u, referenceCrc32(buf.data(), off, 0)}) {
+        ASSERT_EQ(crc32(data, len, seed), referenceCrc32(data, len, seed))
+            << "off=" << off << " len=" << len << " seed=" << seed;
+      }
+      // Chaining at any split point equals one pass over the whole run.
+      const std::size_t split = len / 3;
+      ASSERT_EQ(crc32(data + split, len - split, crc32(data, split)),
+                referenceCrc32(data, len, 0))
+          << "off=" << off << " len=" << len << " split=" << split;
+    }
+  }
 }
 
 TEST(Frame, RoundTripsHeaderAndPayload) {

@@ -152,6 +152,88 @@ TEST(WordCodec, ReadBitVecUnderrunLeavesOutputEmpty) {
   EXPECT_EQ(out.size(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Scalar write/read: the whole-byte path vs the bit loop
+// ---------------------------------------------------------------------------
+
+/// Single-bit reader: the mirror of BitLoopWriter.
+std::uint64_t bitLoopRead(const std::vector<std::uint8_t>& bytes,
+                          std::size_t pos, int bits) {
+  std::uint64_t v = 0;
+  for (int b = 0; b < bits; ++b, ++pos) {
+    v = (v << 1) | ((bytes[pos / 8] >> (7 - pos % 8)) & 1u);
+  }
+  return v;
+}
+
+TEST(WordCodec, ScalarWriteMatchesBitLoopAtEveryOffsetAndWidth) {
+  // Offsets 0 and whole-byte widths take the whole-byte path; every other
+  // pair takes the chunked loop. The value carries bits above the width,
+  // which neither path may emit, and a trailing field checks the cursor.
+  sim::Rng rng(0xC0DEC + 7);
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int width = 1; width <= 64; ++width) {
+      const std::uint64_t value = rng.bits();
+      BitWriter w;
+      BitLoopWriter ref;
+      for (int i = 0; i < offset; ++i) {
+        w.write(i & 1, 1);
+        ref.write(i & 1, 1);
+      }
+      w.write(value, width);
+      ref.write(value, width);
+      w.write(0xA5, 8);
+      ref.write(0xA5, 8);
+      ASSERT_EQ(w.bitCount(), ref.bitCount)
+          << "offset=" << offset << " width=" << width;
+      ASSERT_EQ(w.finish(), ref.out)
+          << "offset=" << offset << " width=" << width;
+    }
+  }
+}
+
+TEST(WordCodec, ScalarReadMatchesBitLoopAtEveryOffsetAndWidth) {
+  sim::Rng rng(0xC0DEC + 8);
+  std::vector<std::uint8_t> bytes(24);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.bits() & 0xFF);
+  }
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int width = 1; width <= 64; ++width) {
+      BitReader r(bytes);
+      if (offset != 0) r.skip(offset);
+      const auto at = static_cast<std::size_t>(offset);
+      ASSERT_EQ(r.read(width), bitLoopRead(bytes, at, width))
+          << "offset=" << offset << " width=" << width;
+      ASSERT_EQ(r.bitsRead(), at + static_cast<std::size_t>(width));
+      // The next field starts exactly where the last one ended.
+      const std::size_t next = at + static_cast<std::size_t>(width);
+      ASSERT_EQ(r.read(8), bitLoopRead(bytes, next, 8))
+          << "offset=" << offset << " width=" << width;
+      ASSERT_TRUE(r.ok());
+    }
+  }
+}
+
+TEST(WordCodec, AlignedReadUnderrunReturnsZeroAndParks) {
+  // 5 bytes: an aligned 32-bit read fits, the aligned 16-bit read after it
+  // does not. It must fail the bound before touching a byte.
+  const std::vector<std::uint8_t> bytes = {0xDE, 0xAD, 0xBE, 0xEF, 0x42};
+  BitReader r(bytes.data(), bytes.size());
+  EXPECT_EQ(r.read(32), 0xDEADBEEFu);
+  EXPECT_EQ(r.read(16), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.bitsRead(), 40u) << "cursor parks at the end";
+  EXPECT_EQ(r.read(8), 0u) << "a parked cursor keeps failing";
+  EXPECT_FALSE(r.ok());
+
+  // A whole-word read one byte short of the span fails the same way.
+  BitReader r2(bytes.data(), 4);
+  EXPECT_EQ(r2.read(64), 0u);
+  EXPECT_FALSE(r2.ok());
+  EXPECT_EQ(r2.bitsRead(), 32u);
+}
+
 TEST(WordCodec, ExternalBufferWriterAppendsAfterExistingBytes) {
   sim::Rng rng(0xC0DEC + 2);
   const BitVec v = randomVec(rng, 130, 0.5);

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "db/update_history.hpp"
 #include "live/client_agent.hpp"
@@ -231,6 +233,170 @@ TEST(Swarm, TsWireParseMatchesReportCodec) {
     EXPECT_DOUBLE_EQ(codec.dequantize(t), decoded->entries()[i].time);
   }
   EXPECT_TRUE(r.ok());
+}
+
+/// A sink that records every fetch reply and every prefetch hint, and
+/// queues `fetches` fetches for clients 0..fetches-1 on one endpoint once
+/// the mux is ready.
+class RecordingSink final : public SwarmSink {
+ public:
+  struct Hint {
+    std::size_t repliesBefore = 0;  ///< replies delivered when it was hinted
+    std::uint32_t client = 0;
+    db::ItemId item = 0;
+  };
+
+  RecordingSink(live::Reactor& reactor, std::uint32_t fetches)
+      : reactor_(reactor), fetches_(fetches) {}
+
+  void attach(UplinkMux& mux) { mux_ = &mux; }
+
+  static db::ItemId itemFor(std::uint32_t client) {
+    return (7 * client + 3) % 500;
+  }
+
+  void onWelcome(const live::wire::Welcome&) override {}
+  void onMuxReady() override {
+    for (std::uint32_t c = 0; c < fetches_; ++c) {
+      mux_->queueFetch(0, c, itemFor(c), /*tick=*/0);
+    }
+    mux_->flushFetches();
+  }
+  void onReportPayload(std::uint32_t, const std::uint8_t*,
+                       std::size_t) override {}
+  void onDataItem(std::uint32_t, std::uint32_t client, db::ItemId item,
+                  db::Version, Tick, Tick) override {
+    replies.emplace_back(client, item);
+    if (replies.size() == fetches_) reactor_.stop();
+  }
+  void prefetchDataItem(std::uint32_t client, db::ItemId item) const override {
+    hints.push_back({replies.size(), client, item});
+  }
+  void onCheckAck(std::uint32_t, std::uint32_t, Tick) override {}
+  void onConnectionLost(std::uint32_t) override { reactor_.stop(); }
+
+  std::vector<std::pair<std::uint32_t, db::ItemId>> replies;
+  mutable std::vector<Hint> hints;
+
+ private:
+  live::Reactor& reactor_;
+  std::uint32_t fetches_;
+  UplinkMux* mux_ = nullptr;
+};
+
+// Replies on one connection come back in request order, so the mux can name
+// the reply kPrefetchDistance ahead of the one it is handling: every hint
+// must be exactly that reply, and the hints stop once fewer are queued.
+TEST(SwarmMux, PrefetchHintsNameTheReplyTheDistanceAhead) {
+  constexpr std::size_t kDistance = UplinkMux::kPrefetchDistance;
+  constexpr auto kFetches = static_cast<std::uint32_t>(kDistance + 10);
+  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.timeScale = 400.0;
+  live::Cluster cluster(reactor, co);
+
+  RecordingSink sink(reactor, kFetches);
+  UplinkMux::Options mo;
+  mo.port = cluster.seedPort();
+  mo.endpointsPerShard = 1;  // every fetch on the one endpoint
+  UplinkMux mux(reactor, sink, mo);
+  sink.attach(mux);
+  mux.connect();
+  const live::Reactor::TimerHandle guard =
+      reactor.addTimer(10.0, 0, [&] { reactor.stop(); });
+  reactor.run();
+  (void)reactor.cancelTimer(guard);
+  mux.shutdown();
+
+  ASSERT_EQ(sink.replies.size(), kFetches) << "not every fetch came back";
+  for (std::uint32_t c = 0; c < kFetches; ++c) {
+    EXPECT_EQ(sink.replies[c].first, c);
+    EXPECT_EQ(sink.replies[c].second, RecordingSink::itemFor(c));
+  }
+  ASSERT_EQ(sink.hints.size(), kFetches - kDistance)
+      << "one hint per reply while more than the distance are queued";
+  for (std::size_t k = 0; k < sink.hints.size(); ++k) {
+    const RecordingSink::Hint& h = sink.hints[k];
+    EXPECT_EQ(h.repliesBefore, k) << "hint " << k << " out of order";
+    const std::size_t target = h.repliesBefore + kDistance;
+    ASSERT_LT(target, sink.replies.size());
+    EXPECT_EQ(h.client, sink.replies[target].first) << "hint " << k;
+    EXPECT_EQ(h.item, sink.replies[target].second) << "hint " << k;
+  }
+}
+
+// The engine's hint must be safe for a client or an owner shard its state
+// does not have (mid-reshard the map can run ahead of the state): it skips
+// them and writes nothing. The engine is configured for one shard while
+// its mux joins a two-shard cluster, so half the items hash to a shard the
+// state lacks. ASan/UBSan builds check the "safe" part.
+TEST(Swarm, PrefetchHintIsBoundsSafeAndWritesNothing) {
+  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  cfg.broadcastPeriod = 100.0;  // no report reaches the mismatched state
+  constexpr std::uint32_t kClients = 16;
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.cfg.numClients = kClients;
+  co.timeScale = 1.0;
+  co.shardCount = 2;
+  live::Cluster cluster(reactor, co);
+
+  SwarmOptions so;
+  so.cfg = cfg;
+  so.port = cluster.seedPort();
+  so.clients = kClients;
+  so.endpointsPerShard = 1;
+  SwarmEmulator em(reactor, so);
+  live::wire::Welcome w;
+  w.scheme = static_cast<std::uint8_t>(schemes::SchemeKind::kAaw);
+  w.dbSize = cfg.dbSize;
+  w.numClients = kClients;
+  w.cacheCapacity = 50;
+  w.broadcastPeriod = cfg.broadcastPeriod;
+  w.windowIntervals = 10;
+  w.shardMap = live::ShardMap::single(cluster.shardMap().endpoint(0));
+  em.onWelcome(w);  // state for one shard; the mux learns two
+  em.start();
+  const live::Reactor::TimerHandle poll = reactor.addTimer(0.001, 0.001, [&] {
+    if (em.mux().shardMap().valid()) reactor.stop();
+  });
+  const live::Reactor::TimerHandle guard =
+      reactor.addTimer(10.0, 0, [&] { reactor.stop(); });
+  reactor.run();
+  (void)reactor.cancelTimer(poll);
+  (void)reactor.cancelTimer(guard);
+
+  const live::ShardMap& map = em.mux().shardMap();
+  ASSERT_EQ(map.shardCount(), 2u);
+  ASSERT_EQ(em.state().shards, 1u);
+  std::vector<db::ItemId> owner0;
+  std::vector<db::ItemId> owner1;
+  for (db::ItemId item = 0; item < cfg.dbSize; ++item) {
+    (map.shardOf(item) == 0 ? owner0 : owner1).push_back(item);
+  }
+  ASSERT_FALSE(owner0.empty());
+  ASSERT_FALSE(owner1.empty());
+
+  const SwarmState before = em.state();
+  for (const std::uint32_t client :
+       {0u, kClients - 1, kClients, ~std::uint32_t{0}}) {
+    for (const db::ItemId item :
+         {owner0.front(), owner0.back(), owner1.front(), owner1.back(),
+          static_cast<db::ItemId>(cfg.dbSize), ~db::ItemId{0}}) {
+      em.prefetchDataItem(client, item);
+    }
+  }
+  const SwarmState& after = em.state();
+  EXPECT_EQ(after.lastHeard, before.lastHeard);
+  EXPECT_EQ(after.occupancy, before.occupancy);
+  EXPECT_EQ(after.clockHand, before.clockHand);
+  EXPECT_EQ(after.slotItem, before.slotItem);
+  EXPECT_EQ(after.needAnswer, before.needAnswer);
+  EXPECT_EQ(after.state, before.state);
+  em.shutdown();
 }
 
 }  // namespace

@@ -113,6 +113,11 @@ class Suppressions:
     An allow on line N suppresses matching findings on line N and line N+1
     (i.e. it may sit on the offending line or on its own line above). The
     rule list is comma-separated; ``*`` matches every rule.
+
+    An allow on its own line whose reason wraps onto a comment-only next
+    line would cover that comment, not the statement below it, so it is a
+    ``suppression-syntax`` error: keep the allow on one line directly above
+    (or on) its statement and put longer reasoning above it.
     """
 
     def __init__(self) -> None:
@@ -156,6 +161,22 @@ class Suppressions:
                         line=lineno,
                         column=1,
                         message="MCI-ANALYZE-ALLOW without a reason",
+                    )
+                )
+                continue
+            next_line = lines[lineno].strip() if lineno < len(lines) else ""
+            if (text.lstrip().startswith("// MCI-ANALYZE-ALLOW")
+                    and next_line.startswith("//")):
+                self.errors.append(
+                    Finding(
+                        rule="suppression-syntax",
+                        file=rel,
+                        line=lineno,
+                        column=1,
+                        message="MCI-ANALYZE-ALLOW continues onto a comment "
+                        "line, so it cannot reach its statement (an allow "
+                        "covers its own line and the next); put it on the "
+                        "line directly above the statement",
                     )
                 )
                 continue

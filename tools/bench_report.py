@@ -13,7 +13,8 @@ With `--live-out` it additionally drives `bench_live` (schema
 "mci-bench-live-v1": word-at-a-time codec speedups, sendmmsg fan-out
 syscall counts, loopback server+pool latency percentiles) and enforces the
 live gates: machine-independent ratios (speedup_vs_bitloop on the BS
-codec, syscall_reduction on the fan-out) must clear their hard floors and
+codec, speedup_vs_bytewise on the DataItem frame envelope,
+syscall_reduction on the fan-out) must clear their hard floors and
 must not regress more than --gate-tolerance (default 15%) against
 `--live-baseline` (the committed BENCH_live.json). Wall-clock metrics are
 reported but never gated — only ratios and counts survive a runner change.
@@ -138,6 +139,7 @@ RATE_METRICS = ("items_per_s", "sim_s_per_wall_s")
 LIVE_GATES = {
     ("encode_bs/65536", "speedup_vs_bitloop"): 3.0,
     ("encode_sig/1024", "speedup_vs_bitloop"): 1.5,
+    ("envelope/dataitem", "speedup_vs_bytewise"): 1.5,
     ("udp_fanout/64", "syscall_reduction"): 5.0,
     ("live_pool/64", "udp_syscall_reduction"): 5.0,
 }
