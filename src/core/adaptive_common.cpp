@@ -1,8 +1,8 @@
 #include "core/adaptive_common.hpp"
 
 #include <algorithm>
-#include <cassert>
 
+#include "core/check.hpp"
 #include "core/client_rule.hpp"
 
 namespace mci::core {
@@ -15,7 +15,7 @@ AdaptiveServerBase::AdaptiveServerBase(const db::UpdateHistory& history,
       sizes_(sizes),
       period_(broadcastPeriod),
       window_(windowIntervals) {
-  assert(period_ > 0 && window_ >= 1);
+  MCI_CHECK(period_ > 0 && window_ >= 1);
 }
 
 std::optional<schemes::ValidityReply> AdaptiveServerBase::onCheckMessage(
@@ -64,8 +64,8 @@ schemes::ClientOutcome AdaptiveClientScheme::onReport(
     return {};
   }
 
-  assert(r.kind == report::ReportKind::kTsWindow ||
-         r.kind == report::ReportKind::kTsExtended);
+  MCI_CHECK(r.kind == report::ReportKind::kTsWindow ||
+            r.kind == report::ReportKind::kTsExtended);
   const auto& ts = static_cast<const report::TsReport&>(r);
   schemes::ClientOutcome out;
   rule::onTsReport(

@@ -1,12 +1,74 @@
 #include "core/client.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 #include "core/check.hpp"
 #include "core/server.hpp"
 
 namespace mci::core {
+
+/// The simulator client as the lifecycle's view: one partition (leg_),
+/// deadlines as simulator events.
+class Client::Life : public lifecycle::HostView {
+ public:
+  explicit Life(Client& c)
+      : HostView(c.life_, c.queryGen_, c.disc_, c.collector_, c.id()),
+        c_(c) {}
+
+  template <class F>
+  void forEachPartition(F&& f) {
+    f(c_.ctx_);
+  }
+  static bool isCoinPartition(const lifecycle::QueryLeg*) { return true; }
+  [[nodiscard]] bool anyOwed() const { return c_.leg_.owed; }
+  [[nodiscard]] bool anyFetchOutstanding() const {
+    return !c_.leg_.fetch.empty();
+  }
+
+  bool drawQuery(double now) {
+    c_.queryGen_.nextQuery(c_.leg_.items);
+    life_.queryStart = now;
+    c_.leg_.owed = true;
+    return true;
+  }
+  void armThink(double duration) {
+    c_.thinkEvent_ = c_.sim_.schedule(duration, [client = &c_] {
+      client->thinkEvent_ = sim::kInvalidEventId;
+      Life v(*client);
+      lifecycle::issueQuery(v, client->sim_.now());
+    });
+  }
+  void cancelThink() {
+    if (c_.thinkEvent_ == sim::kInvalidEventId) return;
+    // The think handler clears thinkEvent_ before running, so a live id
+    // always names a pending event.
+    MCI_CHECK(c_.sim_.cancel(c_.thinkEvent_)) << "think event already fired";
+    c_.thinkEvent_ = sim::kInvalidEventId;
+  }
+  void armWake(double now, double duration) {
+    noteDoze(now);
+    c_.sim_.schedule(duration, [client = &c_] {
+      Life v(*client);
+      lifecycle::wake(v, client->sim_.now());
+    });
+  }
+  void requestFetches(lifecycle::QueryLeg* leg) {
+    if (leg->fetch.empty()) return;
+    const net::Bits bits = c_.ctx_.sizes().queryRequestBits();
+    if (c_.collector_) c_.collector_->onClientTx(bits);
+    // The fetch list is stable until this request's delivery callback runs:
+    // onDataItem (the only mutator) fires only for items the server was
+    // already asked for, and the server learns of this query exactly here.
+    c_.net_.uplink().sendRequest(bits, [client = &c_] {
+      client->server_.onQueryRequest(client->id(), client->leg_.fetch);
+    });
+  }
+  void recordCompletion(double now) {
+    HostView::recordCompletion(now);
+    c_.leg_.items.clear();
+  }
+
+ private:
+  Client& c_;
+};
 
 Client::Client(sim::Simulator& simulator, net::Network& network, Server& server,
                const report::SizeModel& sizes,
@@ -23,39 +85,22 @@ Client::Client(sim::Simulator& simulator, net::Network& network, Server& server,
       disc_(disconnector),
       collector_(collector),
       ctx_(id, cacheCapacity, sizes, collector, replacement) {
-  assert(scheme_ != nullptr);
+  MCI_DCHECK(scheme_ != nullptr);
+  leg_.ctx = &ctx_;
 }
 
-void Client::start() { startThink(queryGen_.thinkTime()); }
-
-void Client::startThink(double duration) {
-  state_ = State::kThinking;
-  thinkDeadline_ = sim_.now() + duration;
-  thinkEvent_ = sim_.schedule(duration, [this] {
-    thinkEvent_ = sim::kInvalidEventId;
-    issueQuery();
-  });
-}
-
-void Client::issueQuery() {
-  queryGen_.nextQuery(queryItems_);
-  queryStart_ = sim_.now();
-  state_ = State::kAwaitingReport;
+void Client::start() {
+  Life v(*this);
+  lifecycle::startThink(v, sim_.now(), v.drawThink());
 }
 
 void Client::onReportDelivered(const report::ReportPtr& r) {
-  if (!connected_) return;
+  if (!connected()) return;
   if (collector_) collector_->onClientRx(r->sizeBits);  // listening costs
   const schemes::ClientOutcome outcome = scheme_->onReport(*r, ctx_);
   if (outcome.sendCheck) sendCheck(outcome.check);
-
-  if (state_ == State::kAwaitingReport || state_ == State::kAwaitingSalvage) {
-    maybeAnswerQuery();
-  } else if (state_ == State::kThinking &&
-             disc_.params().model == workload::DisconnectModel::kIntervalCoin &&
-             disc_.shouldDisconnect()) {
-    beginDoze(/*queryAfterWake=*/false);
-  }
+  Life v(*this);
+  lifecycle::onReportHeard(v, &leg_, sim_.now());
 }
 
 void Client::sendCheck(const schemes::CheckMessage& msg) {
@@ -74,105 +119,27 @@ void Client::sendCheck(const schemes::CheckMessage& msg) {
   });
 }
 
-void Client::maybeAnswerQuery() {
-  assert(state_ == State::kAwaitingReport || state_ == State::kAwaitingSalvage);
-  if (ctx_.salvagePending()) {
-    state_ = State::kAwaitingSalvage;
-    return;
-  }
-  pendingFetch_.clear();
-  for (db::ItemId item : queryItems_) {
-    cache::Entry* e = ctx_.cache().find(item);
-    if (e != nullptr && !e->suspect) {
-      ctx_.cache().touch(item);
-      if (collector_) {
-        collector_->onCacheAnswer(ctx_.id(), item, e->version, ctx_.lastHeard());
-      }
-    } else {
-      if (collector_) collector_->onCacheMiss(ctx_.id());
-      pendingFetch_.push_back(item);
-    }
-  }
-  if (pendingFetch_.empty()) {
-    completeQuery();
-    return;
-  }
-  state_ = State::kFetching;
-  if (collector_) collector_->onClientTx(ctx_.sizes().queryRequestBits());
-  // pendingFetch_ is stable until this request's delivery callback runs:
-  // onDataItem (the only mutator) fires only for items the server was
-  // already asked for, and the server learns of this query exactly here.
-  net_.uplink().sendRequest(
-      ctx_.sizes().queryRequestBits(),
-      [this] { server_.onQueryRequest(ctx_.id(), pendingFetch_); });
-}
-
 void Client::onDataItem(db::ItemId item, db::Version version,
                         sim::SimTime readTime) {
-  assert(connected_ && "clients never doze with downloads in flight");
+  MCI_DCHECK(connected()) << "clients never doze with downloads in flight";
   if (collector_) collector_->onClientRx(ctx_.sizes().dataItemBits());
-  cache::Entry entry;
-  entry.item = item;
-  entry.version = version;
-  entry.refTime = readTime;
-  entry.suspect = false;
-  ctx_.cache().insert(entry);
-
-  auto it = std::find(pendingFetch_.begin(), pendingFetch_.end(), item);
-  if (it != pendingFetch_.end()) pendingFetch_.erase(it);
-  if (state_ == State::kFetching && pendingFetch_.empty()) completeQuery();
-}
-
-void Client::completeQuery() {
-  if (collector_) collector_->onQueryCompleted(ctx_.id(), sim_.now() - queryStart_);
-  ++completed_;
-  queryItems_.clear();
-  if (disc_.params().model == workload::DisconnectModel::kPostQuery &&
-      disc_.shouldDisconnect()) {
-    beginDoze(/*queryAfterWake=*/true);
-  } else {
-    startThink(queryGen_.thinkTime());
-  }
-}
-
-void Client::beginDoze(bool queryAfterWake) {
-  assert(state_ == State::kThinking);
-  if (thinkEvent_ != sim::kInvalidEventId) {
-    // The think handler clears thinkEvent_ before running, so a live id
-    // always names a pending event.
-    MCI_CHECK(sim_.cancel(thinkEvent_)) << "think event already fired";
-    thinkEvent_ = sim::kInvalidEventId;
-  }
-  connected_ = false;
-  state_ = State::kDozing;
-  dozeStart_ = sim_.now();
-  queryAfterWake_ = queryAfterWake;
-  if (collector_) collector_->onDisconnect();
-  sim_.schedule(disc_.duration(), [this] { wake(); });
-}
-
-void Client::wake() {
-  assert(state_ == State::kDozing);
-  connected_ = true;
-  if (collector_) collector_->onReconnect(sim_.now() - dozeStart_);
-  scheme_->onWake(ctx_);
-  if (queryAfterWake_) {
-    // Post-query model: the doze *replaced* the think time.
-    issueQuery();
-  } else {
-    // Interval-coin model: the doze interrupted a think; finish it.
-    const double remaining = std::max(0.0, thinkDeadline_ - dozeStart_);
-    startThink(remaining);
-  }
+  Life v(*this);
+  lifecycle::onFetchedCopy(v, &leg_, sim_.now(), item, readTime, [&] {
+    cache::Entry entry;
+    entry.item = item;
+    entry.version = version;
+    entry.refTime = readTime;
+    entry.suspect = false;
+    ctx_.cache().insert(entry);
+  });
 }
 
 void Client::onValidityReply(const schemes::ValidityReply& reply) {
-  if (!connected_) return;  // missed while dozing; epoch guard covers stragglers
+  if (!connected()) return;  // missed while dozing; epoch guard covers stragglers
   if (collector_) collector_->onClientRx(reply.sizeBits);
   scheme_->onValidityReply(reply, ctx_);
-  if (state_ == State::kAwaitingReport || state_ == State::kAwaitingSalvage) {
-    maybeAnswerQuery();
-  }
+  Life v(*this);
+  lifecycle::tryAnswer(v, &leg_, sim_.now());
 }
 
 }  // namespace mci::core

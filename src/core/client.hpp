@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/client_lifecycle.hpp"
 #include "metrics/collector.hpp"
 #include "net/network.hpp"
 #include "report/report.hpp"
@@ -16,15 +17,12 @@ namespace mci::core {
 
 class Server;
 
-/// A mobile host: the paper's client loop (§4).
-///
-/// Life cycle: think (exponential) → issue a query → wait for the next
-/// invalidation report → let the scheme validate the cache → answer hits
-/// locally, fetch misses via uplink request + downlink transfer → complete
-/// → think again. While thinking, the client may doze (probability p per
-/// broadcast interval, or per completed query — DisconnectModel); while
-/// dozing it hears nothing and answers nothing. On wake it resumes with its
-/// pre-doze Tlb and lets the scheme sort out what survived.
+/// A mobile host of the simulator: the paper's client loop (§4), the
+/// shared lifecycle of core/client_lifecycle.hpp (docs/protocols.md,
+/// "Client lifecycle") over one cache partition. This class keeps only the
+/// mechanics: simulator events for the think and wake deadlines, the
+/// uplink request and check messages, the virtual ClientScheme that
+/// validates the cache, and the Collector's accounting.
 class Client {
  public:
   Client(sim::Simulator& simulator, net::Network& network, Server& server,
@@ -52,28 +50,22 @@ class Client {
   /// server read it from the database (its currency point).
   void onDataItem(db::ItemId item, db::Version version, sim::SimTime readTime);
 
-  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool connected() const {
+    return life_.phase != lifecycle::Phase::kDozing;
+  }
   [[nodiscard]] schemes::ClientId id() const { return ctx_.id(); }
   [[nodiscard]] schemes::ClientContext& context() { return ctx_; }
   [[nodiscard]] const schemes::ClientContext& context() const { return ctx_; }
 
-  enum class State {
-    kThinking,        ///< between queries, connected, listening
-    kDozing,          ///< disconnected (power off)
-    kAwaitingReport,  ///< query issued, waiting for the next IR
-    kAwaitingSalvage, ///< query issued, cache validity unresolved
-    kFetching,        ///< misses requested, downloads in flight
-  };
-  [[nodiscard]] State state() const { return state_; }
-  [[nodiscard]] std::uint64_t queriesCompleted() const { return completed_; }
+  [[nodiscard]] lifecycle::Phase phase() const { return life_.phase; }
+  [[nodiscard]] std::uint64_t queriesCompleted() const {
+    return life_.completed;
+  }
 
  private:
-  void startThink(double duration);
-  void issueQuery();
-  void maybeAnswerQuery();
-  void completeQuery();
-  void beginDoze(bool queryAfterWake);
-  void wake();
+  /// This client as the lifecycle's view (defined in client.cpp).
+  class Life;
+
   void sendCheck(const schemes::CheckMessage& msg);
 
   sim::Simulator& sim_;
@@ -85,19 +77,9 @@ class Client {
   metrics::Collector* collector_;
   schemes::ClientContext ctx_;
 
-  State state_ = State::kThinking;
-  bool connected_ = true;
-
+  lifecycle::HostLife life_;
+  lifecycle::QueryLeg leg_;  ///< the one partition: ctx_
   sim::EventId thinkEvent_ = sim::kInvalidEventId;
-  sim::SimTime thinkDeadline_ = 0;
-
-  sim::SimTime dozeStart_ = 0;
-  bool queryAfterWake_ = false;
-
-  std::vector<db::ItemId> queryItems_;
-  sim::SimTime queryStart_ = 0;
-  std::vector<db::ItemId> pendingFetch_;
-  std::uint64_t completed_ = 0;
 };
 
 }  // namespace mci::core

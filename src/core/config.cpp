@@ -22,6 +22,27 @@ report::SizeModel SimConfig::sizeModel() const {
   return m;
 }
 
+workload::AccessPattern SimConfig::queryPattern() const {
+  return workload == WorkloadKind::kHotCold
+             ? workload::AccessPattern::hotCold(dbSize, hotQuery)
+             : workload::AccessPattern::uniform(dbSize);
+}
+
+workload::QueryGenerator::Params SimConfig::queryParams() const {
+  workload::QueryGenerator::Params p;
+  p.meanThinkTime = meanThinkTime;
+  p.meanItemsPerQuery = meanItemsPerQuery;
+  return p;
+}
+
+workload::Disconnector::Params SimConfig::disconnectParams() const {
+  workload::Disconnector::Params p;
+  p.model = disconnectModel;
+  p.probability = disconnectProb;
+  p.meanDuration = meanDisconnectTime;
+  return p;
+}
+
 void SimConfig::validate() const {
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("SimConfig: " + what);

@@ -9,6 +9,7 @@
 #include "schemes/factory.hpp"
 #include "workload/disconnect.hpp"
 #include "workload/pattern.hpp"
+#include "workload/query_generator.hpp"
 
 namespace mci::core {
 
@@ -99,6 +100,12 @@ struct SimConfig {
 
   /// The bit-size model implied by this configuration.
   [[nodiscard]] report::SizeModel sizeModel() const;
+
+  /// The client workload every face draws by: the query pattern, think
+  /// and query-size means, and the disconnection law.
+  [[nodiscard]] workload::AccessPattern queryPattern() const;
+  [[nodiscard]] workload::QueryGenerator::Params queryParams() const;
+  [[nodiscard]] workload::Disconnector::Params disconnectParams() const;
 
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const;

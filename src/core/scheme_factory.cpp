@@ -1,9 +1,8 @@
 #include "core/scheme_factory.hpp"
 
-#include <cassert>
-
 #include "core/aaw_scheme.hpp"
 #include "core/afw_scheme.hpp"
+#include "core/check.hpp"
 #include "schemes/at_scheme.hpp"
 #include "schemes/bs_scheme.hpp"
 #include "schemes/dts_scheme.hpp"
@@ -27,7 +26,7 @@ std::unique_ptr<schemes::ServerScheme> makeServerScheme(
       return std::make_unique<schemes::AtServerScheme>(history, sizes,
                                                        cfg.broadcastPeriod);
     case SchemeKind::kSig:
-      assert(sigTable != nullptr);
+      MCI_DCHECK(sigTable != nullptr);
       return std::make_unique<schemes::SigServerScheme>(*sigTable, sizes);
     case SchemeKind::kDts: {
       schemes::DtsServerScheme::Params dts;
@@ -53,7 +52,7 @@ std::unique_ptr<schemes::ServerScheme> makeServerScheme(
       return std::make_unique<AawServerScheme>(
           history, sizes, cfg.broadcastPeriod, cfg.windowIntervals);
   }
-  assert(false && "unknown scheme");
+  MCI_CHECK(false) << "unknown scheme";
   return nullptr;
 }
 
@@ -66,7 +65,7 @@ std::unique_ptr<schemes::ClientScheme> makeClientScheme(
     case SchemeKind::kAt:
       return std::make_unique<schemes::TsClientScheme>();
     case SchemeKind::kSig:
-      assert(sigTable != nullptr);
+      MCI_DCHECK(sigTable != nullptr);
       return std::make_unique<schemes::SigClientScheme>(
           *sigTable, sigInitialCombined, cfg.sigVotes);
     case SchemeKind::kDts:
@@ -81,7 +80,7 @@ std::unique_ptr<schemes::ClientScheme> makeClientScheme(
     case SchemeKind::kAaw:
       return std::make_unique<AdaptiveClientScheme>();
   }
-  assert(false && "unknown scheme");
+  MCI_CHECK(false) << "unknown scheme";
   return nullptr;
 }
 

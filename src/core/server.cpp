@@ -1,7 +1,7 @@
 #include "core/server.hpp"
 
-#include <cassert>
 
+#include "core/check.hpp"
 #include "core/client.hpp"
 
 namespace mci::core {
@@ -17,12 +17,12 @@ Server::Server(sim::Simulator& simulator, net::Network& network,
       sizes_(sizes),
       collector_(collector),
       period_(broadcastPeriod) {
-  assert(period_ > 0);
+  MCI_CHECK(period_ > 0);
 }
 
 void Server::registerClient(Client* client) {
-  assert(client != nullptr);
-  assert(client->id() == clients_.size() && "client ids must be dense");
+  MCI_DCHECK(client != nullptr);
+  MCI_DCHECK(client->id() == clients_.size()) << "client ids must be dense";
   clients_.push_back(client);
 }
 
@@ -51,7 +51,7 @@ void Server::onCheckMessage(const schemes::CheckMessage& msg) {
   if (!reply.has_value()) return;
   reply->epoch = msg.epoch;
   if (collector_) collector_->onValidityReplySent();
-  assert(reply->client < clients_.size());
+  MCI_DCHECK(reply->client < clients_.size());
   Client* c = clients_[reply->client];
   net_.downlink().sendValidityReport(
       reply->sizeBits, [c, rep = *reply] {
@@ -61,7 +61,7 @@ void Server::onCheckMessage(const schemes::CheckMessage& msg) {
 
 void Server::onQueryRequest(schemes::ClientId client,
                             const std::vector<db::ItemId>& items) {
-  assert(client < clients_.size());
+  MCI_DCHECK(client < clients_.size());
   Client* c = clients_[client];
   for (db::ItemId item : items) {
     // The payload is read when the transfer *completes*: the server

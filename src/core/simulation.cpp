@@ -56,17 +56,9 @@ Simulation::Simulation(SimConfig cfg)
   }
 
   // Client population.
-  const workload::AccessPattern queryPattern =
-      cfg_.workload == WorkloadKind::kHotCold
-          ? workload::AccessPattern::hotCold(cfg_.dbSize, cfg_.hotQuery)
-          : workload::AccessPattern::uniform(cfg_.dbSize);
-  workload::QueryGenerator::Params qp;
-  qp.meanThinkTime = cfg_.meanThinkTime;
-  qp.meanItemsPerQuery = cfg_.meanItemsPerQuery;
-  workload::Disconnector::Params dp;
-  dp.model = cfg_.disconnectModel;
-  dp.probability = cfg_.disconnectProb;
-  dp.meanDuration = cfg_.meanDisconnectTime;
+  const workload::AccessPattern queryPattern = cfg_.queryPattern();
+  const workload::QueryGenerator::Params qp = cfg_.queryParams();
+  const workload::Disconnector::Params dp = cfg_.disconnectParams();
 
   clients_.reserve(cfg_.numClients);
   sim::Rng hetero = root.fork("heterogeneity");

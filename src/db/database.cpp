@@ -1,18 +1,19 @@
 #include "db/database.hpp"
 
 #include <algorithm>
-#include <cassert>
+
+#include "core/check.hpp"
 
 namespace mci::db {
 
 Database::Database(std::size_t numItems) : perItem_(numItems) {
-  assert(numItems > 0);
+  MCI_CHECK(numItems > 0);
 }
 
 void Database::applyUpdate(ItemId item, sim::SimTime now) {
-  assert(item < perItem_.size());
+  MCI_DCHECK(item < perItem_.size());
   PerItem& p = perItem_[item];
-  assert(p.updateTimes.empty() || p.updateTimes.back() <= now);
+  MCI_DCHECK(p.updateTimes.empty() || p.updateTimes.back() <= now);
   ++p.version;
   p.updateTimes.push_back(now);
   ++totalUpdates_;
@@ -20,8 +21,8 @@ void Database::applyUpdate(ItemId item, sim::SimTime now) {
 
 void Database::installSnapshot(ItemId item,
                                const std::vector<sim::SimTime>& times) {
-  assert(item < perItem_.size());
-  assert(std::is_sorted(times.begin(), times.end()));
+  MCI_DCHECK(item < perItem_.size());
+  MCI_DCHECK(std::is_sorted(times.begin(), times.end()));
   PerItem& p = perItem_[item];
   if (p.updateTimes.size() >= times.size()) return;  // local already newer
   totalUpdates_ += times.size() - p.updateTimes.size();
@@ -30,23 +31,23 @@ void Database::installSnapshot(ItemId item,
 }
 
 const std::vector<sim::SimTime>& Database::updateTimes(ItemId item) const {
-  assert(item < perItem_.size());
+  MCI_DCHECK(item < perItem_.size());
   return perItem_[item].updateTimes;
 }
 
 Version Database::currentVersion(ItemId item) const {
-  assert(item < perItem_.size());
+  MCI_DCHECK(item < perItem_.size());
   return perItem_[item].version;
 }
 
 sim::SimTime Database::lastUpdateTime(ItemId item) const {
-  assert(item < perItem_.size());
+  MCI_DCHECK(item < perItem_.size());
   const auto& times = perItem_[item].updateTimes;
   return times.empty() ? sim::kTimeEpoch : times.back();
 }
 
 Version Database::versionAt(ItemId item, sim::SimTime t) const {
-  assert(item < perItem_.size());
+  MCI_DCHECK(item < perItem_.size());
   const auto& times = perItem_[item].updateTimes;
   // Count updates with time <= t.
   const auto it = std::upper_bound(times.begin(), times.end(), t);

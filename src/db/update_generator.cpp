@@ -1,7 +1,8 @@
 #include "db/update_generator.hpp"
 
-#include <cassert>
 #include <utility>
+
+#include "core/check.hpp"
 
 namespace mci::db {
 
@@ -14,9 +15,9 @@ UpdateGenerator::UpdateGenerator(sim::Simulator& simulator, Database& database,
       params_(params),
       picker_(std::move(picker)),
       rng_(rng) {
-  assert(params_.meanInterarrival > 0);
-  assert(params_.meanItemsPerTxn >= 1);
-  assert(picker_);
+  MCI_CHECK(params_.meanInterarrival > 0);
+  MCI_CHECK(params_.meanItemsPerTxn >= 1);
+  MCI_DCHECK(picker_);
 }
 
 void UpdateGenerator::start() { scheduleNext(); }

@@ -1,15 +1,16 @@
 #include "db/update_history.hpp"
 
 #include <algorithm>
-#include <cassert>
+
+#include "core/check.hpp"
 
 namespace mci::db {
 
 UpdateHistory::UpdateHistory(std::size_t numItems) : nodes_(numItems) {}
 
 void UpdateHistory::record(ItemId item, sim::SimTime now) {
-  assert(item < nodes_.size());
-  assert(now >= lastTime_);
+  MCI_DCHECK(item < nodes_.size());
+  MCI_DCHECK(now >= lastTime_);
   Node& n = nodes_[item];
   if (n.linked) {
     unlink(item);
@@ -23,7 +24,7 @@ void UpdateHistory::record(ItemId item, sim::SimTime now) {
 }
 
 void UpdateHistory::spliceRecord(ItemId item, sim::SimTime t) {
-  assert(item < nodes_.size());
+  MCI_DCHECK(item < nodes_.size());
   if (t == sim::kTimeEpoch) return;  // never updated: nothing to splice
   Node& n = nodes_[item];
   if (n.linked) {
@@ -102,13 +103,13 @@ void UpdateHistory::mostRecent(std::size_t k,
 }
 
 sim::SimTime UpdateHistory::lastUpdateOf(ItemId item) const {
-  assert(item < nodes_.size());
+  MCI_DCHECK(item < nodes_.size());
   return nodes_[item].linked ? nodes_[item].lastTime : sim::kTimeEpoch;
 }
 
 void UpdateHistory::unlink(ItemId item) {
   Node& n = nodes_[item];
-  assert(n.linked);
+  MCI_DCHECK(n.linked);
   if (n.prev != kNone) nodes_[n.prev].next = n.next;
   if (n.next != kNone) nodes_[n.next].prev = n.prev;
   if (head_ == item) head_ = n.next;
@@ -119,7 +120,7 @@ void UpdateHistory::unlink(ItemId item) {
 
 void UpdateHistory::pushFront(ItemId item) {
   Node& n = nodes_[item];
-  assert(!n.linked);
+  MCI_DCHECK(!n.linked);
   n.prev = kNone;
   n.next = head_;
   if (head_ != kNone) nodes_[head_].prev = item;

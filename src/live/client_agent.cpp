@@ -18,6 +18,118 @@ namespace mci::live {
 
 // --- ClientAgent -------------------------------------------------------
 
+/// The agent as the lifecycle's view: one partition per shard link,
+/// deadlines as reactor timers on the pool clock.
+class ClientAgent::Life : public core::lifecycle::HostView {
+ public:
+  explicit Life(ClientAgent& a)
+      : HostView(a.life_, *a.queryGen_, *a.disc_, a.pool_.collector_.get(),
+                 a.agentId_),
+        a_(a) {}
+
+  template <class F>
+  void forEachPartition(F&& f) {
+    // Every shard link slept through its own stretch of reports.
+    for (auto& link : a_.links_) {
+      if (link->scheme != nullptr) f(*link->ctx);
+    }
+  }
+  /// One coin per broadcast interval: shard 0's reports, the simulator's
+  /// cadence regardless of cluster size.
+  static bool isCoinPartition(const Link* link) { return link->shard == 0; }
+  /// A flip mid-query leaves its in-flight legs on the drained links; the
+  /// retiring daemons grace-serve them to completion before the fds close.
+  [[nodiscard]] bool anyOwed() const {
+    return anyLeg([](const Link& l) { return l.owed; });
+  }
+  [[nodiscard]] bool anyFetchOutstanding() const {
+    return anyLeg([](const Link& l) { return !l.fetch.empty(); });
+  }
+
+  bool drawQuery(double now) {
+    if (!a_.connectionAlive()) return false;
+    if (!a_.welcomed()) {
+      // Mid-flip: joiner links are dialed but not yet welcomed. Retry on a
+      // short timer instead of stalling the state machine forever.
+      core::lifecycle::startThink(*this, now, 0.01);
+      return false;
+    }
+    a_.queryGen_->nextQuery(a_.queryItems_);
+    life_.queryStart = now;
+    a_.queryStartWall_ = a_.pool_.reactor_.nowSeconds();
+    // Fan the query out by owner shard; each involved link answers on its
+    // own shard's next report (per-shard consistency point).
+    for (auto& link : a_.links_) {
+      link->items.clear();
+      link->fetch.clear();
+      link->owed = false;
+    }
+    const ShardMap& map = a_.pool_.shardMap();
+    for (db::ItemId item : a_.queryItems_) {
+      Link& link = *a_.links_[map.shardOf(item)];
+      link.items.push_back(item);
+      link.owed = true;
+    }
+    return true;
+  }
+  void armThink(double duration) {
+    a_.armTimer(duration, [](ClientAgent& a) {
+      Life v(a);
+      core::lifecycle::issueQuery(v, a.pool_.clock_->nowModel());
+    });
+  }
+  void cancelThink() { a_.cancelTimer(); }
+  void armWake(double now, double duration) {
+    noteDoze(now);
+    a_.armTimer(duration, [](ClientAgent& a) {
+      Life v(a);
+      core::lifecycle::wake(v, a.pool_.clock_->nowModel());
+    });
+  }
+  bool hit(Link* link, db::ItemId item, const cache::Entry* e) {
+    HostView::hit(link, item, e);
+    if (!a_.pool_.opts_.sendAudit) return true;
+    wire::Audit audit;
+    audit.item = item;
+    audit.version = e->version;
+    audit.validAsOf = link->ctx->lastHeard();
+    return a_.sendFrame(*link, wire::FrameType::kAudit,
+                        net::TrafficClass::kControl, wire::encodeAudit(audit));
+  }
+  void requestFetches(Link* link) {
+    if (link->fetch.empty()) return;
+    a_.pool_.collector_->onClientTx(a_.pool_.sizes_.queryRequestBits());
+    wire::QueryRequest q;
+    q.items = link->fetch;
+    // A failed send already ran dropAgent(); the leg stays outstanding.
+    (void)a_.sendFrame(*link, wire::FrameType::kQueryRequest,
+                       net::TrafficClass::kBulk, wire::encodeQueryRequest(q));
+  }
+  void recordCompletion(double now) {
+    HostView::recordCompletion(now);
+    const double wallSec =
+        a_.pool_.reactor_.nowSeconds() - a_.queryStartWall_;
+    a_.pool_.stats_.queryLatencyUs.record(
+        wallSec > 0 ? static_cast<std::uint64_t>(wallSec * 1e6) : 0);
+    a_.queryItems_.clear();
+    a_.closeDrainingLinks();  // no query in flight: drained links can close
+  }
+
+ private:
+  template <class Pred>
+  [[nodiscard]] bool anyLeg(Pred pred) const {
+    for (const auto& link : a_.links_) {
+      if (pred(*link)) return true;
+    }
+    for (const auto& link : a_.draining_) {
+      if (link->tcp.isOpen() && pred(*link)) return true;
+    }
+    return false;
+  }
+
+  ClientAgent& a_;
+};
+
 ClientAgent::ClientAgent(ClientPool& pool, std::size_t index)
     : pool_(pool), index_(index), owner_(pool.reactor_.makeOwner()) {}
 
@@ -112,6 +224,16 @@ bool ClientAgent::connectionAlive() const {
   return true;
 }
 
+void ClientAgent::armTimer(double modelSeconds, void (*fire)(ClientAgent&)) {
+  timer_ = pool_.reactor_.addTimer(
+      pool_.clock_->wallDelay(modelSeconds), 0,
+      [this, fire] {
+        timer_ = {};
+        fire(*this);
+      },
+      owner_);
+}
+
 void ClientAgent::cancelTimer() {
   if (timer_.valid()) {
     // One-shot handlers zero timer_ before anything else, so a valid
@@ -135,7 +257,7 @@ void ClientAgent::dropAgent() {
   // One agent = one host: losing any shard link retires the whole agent
   // (a real client would re-dial; the load generator just counts it).
   if (hadLive && !shuttingDown_) ++pool_.stats_.connectionsLost;
-  state_ = State::kIdle;
+  running_ = false;
 }
 
 void ClientAgent::onTcp(Link& link, std::uint32_t events) {
@@ -169,7 +291,7 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
                                     std::size_t len) {
   // A dozing host's radio is off: the datagram is consumed from the
   // kernel but never heard by the model.
-  if (!radioOn_ || link.scheme == nullptr) return true;
+  if (!radioOn() || link.scheme == nullptr) return true;
   std::optional<wire::Frame> frame = wire::decodeFrame(data, len);
   if (!frame) {
     ++pool_.stats_.badFrames;
@@ -281,15 +403,10 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
     // an agent whose seed identity is k draws the exact query/doze schedule
     // the simulator's client k draws.
     const sim::Rng root(pool_.opts_.cfg.seed);
-    workload::QueryGenerator::Params qp;
-    qp.meanThinkTime = pool_.agentCfg_.meanThinkTime;
-    qp.meanItemsPerQuery = pool_.agentCfg_.meanItemsPerQuery;
-    queryGen_.emplace(*pool_.queryPattern_, qp, root.fork("query", agentId_));
-    workload::Disconnector::Params dp;
-    dp.model = pool_.agentCfg_.disconnectModel;
-    dp.probability = pool_.agentCfg_.disconnectProb;
-    dp.meanDuration = pool_.agentCfg_.meanDisconnectTime;
-    disc_.emplace(dp, root.fork("disc", agentId_));
+    queryGen_.emplace(*pool_.queryPattern_, pool_.agentCfg_.queryParams(),
+                      root.fork("query", agentId_));
+    disc_.emplace(pool_.agentCfg_.disconnectParams(),
+                  root.fork("disc", agentId_));
     mapVersion_ = map.version();
   } else if (link.shard != w.shardIndex) {
     dropAgent();  // the map pointed us at a daemon claiming another slot
@@ -303,9 +420,10 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   std::uint32_t share = w.cacheCapacity / shards +
                         (link.shard < w.cacheCapacity % shards ? 1 : 0);
   share = std::max<std::uint32_t>(share, 1);
-  link.ctx = std::make_unique<schemes::ClientContext>(
+  link.ownCtx = std::make_unique<schemes::ClientContext>(
       link.clientId, share, pool_.sizes_, pool_.collector_.get(),
       pool_.agentCfg_.replacement);
+  link.ctx = link.ownCtx.get();
   link.scheme = core::makeClientScheme(pool_.agentCfg_, pool_.sigTable_.get(),
                                        pool_.sigInitial_);
 
@@ -334,8 +452,10 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   }
 
   ++welcomedLinks_;
-  if (welcomedLinks_ == links_.size() && state_ == State::kIdle) {
-    startThink(queryGen_->thinkTime());
+  if (welcomedLinks_ == links_.size() && !running_) {
+    running_ = true;
+    Life v(*this);
+    core::lifecycle::startThink(v, pool_.clock_->nowModel(), v.drawThink());
   }
 }
 
@@ -357,39 +477,30 @@ void ClientAgent::onReportPayload(Link& link,
     if (!link.tcp.isOpen()) return;
   }
 
-  if (state_ == State::kQuerying) {
-    maybeAnswerLink(link);
-    maybeCompleteQuery();
-  } else if (state_ == State::kThinking && link.shard == 0 &&
-             disc_->params().model == workload::DisconnectModel::kIntervalCoin &&
-             disc_->shouldDisconnect()) {
-    // Coin on shard 0's reports only: one flip per broadcast interval,
-    // exactly the simulator's cadence, regardless of cluster size.
-    beginDoze(/*queryAfterWake=*/false);
-  }
+  if (!running_) return;
+  Life v(*this);
+  core::lifecycle::onReportHeard(v, &link, pool_.clock_->nowModel());
 }
 
 void ClientAgent::onDataItem(Link& link, const wire::DataItem& d) {
-  if (link.scheme == nullptr) return;
+  if (link.scheme == nullptr || !running_) return;
   pool_.collector_->onClientRx(pool_.sizes_.dataItemBits());
-  // The cross-channel late-copy rule: a copy read before the shard's
-  // lastHeard is dropped and the next query simply misses again.
-  if (core::rule::acceptsFetchedCopy(d.readTime, link.ctx->lastHeard())) {
-    cache::Entry entry;
-    entry.item = d.item;
-    entry.version = d.version;
-    entry.refTime = d.readTime;
-    entry.suspect = false;
-    link.ctx->cache().insert(entry);
-  }
-
-  auto it = std::find(link.fetch.begin(), link.fetch.end(), d.item);
-  if (it != link.fetch.end()) link.fetch.erase(it);
-  maybeCompleteQuery();
+  // A copy read before the shard's lastHeard falls to the late-copy rule
+  // and the next query simply misses again.
+  Life v(*this);
+  (void)core::lifecycle::onFetchedCopy(
+      v, &link, pool_.clock_->nowModel(), d.item, d.readTime, [&] {
+        cache::Entry entry;
+        entry.item = d.item;
+        entry.version = d.version;
+        entry.refTime = d.readTime;
+        entry.suspect = false;
+        link.ctx->cache().insert(entry);
+      });
 }
 
 void ClientAgent::onValidityReply(Link& link, const wire::ValidityReplyMsg& vr) {
-  if (link.scheme == nullptr || !radioOn_) return;
+  if (link.scheme == nullptr || !radioOn()) return;
   pool_.collector_->onClientRx(vr.sizeBits);
   schemes::ValidityReply reply;
   reply.client = link.clientId;
@@ -398,152 +509,9 @@ void ClientAgent::onValidityReply(Link& link, const wire::ValidityReplyMsg& vr) 
   reply.sizeBits = vr.sizeBits;
   reply.epoch = vr.epoch;
   link.scheme->onValidityReply(reply, *link.ctx);
-  if (state_ == State::kQuerying) {
-    maybeAnswerLink(link);
-    maybeCompleteQuery();
-  }
-}
-
-void ClientAgent::startThink(double modelSeconds) {
-  state_ = State::kThinking;
-  thinkDeadline_ = pool_.clock_->nowModel() + modelSeconds;
-  timer_ = pool_.reactor_.addTimer(
-      pool_.clock_->wallDelay(modelSeconds), 0,
-      [this] {
-        timer_ = {};
-        issueQuery();
-      },
-      owner_);
-}
-
-void ClientAgent::issueQuery() {
-  if (!connectionAlive()) return;
-  if (!welcomed()) {
-    // Mid-flip: joiner links are dialed but not yet welcomed. Retry on a
-    // short timer instead of stalling the state machine forever.
-    startThink(0.01);
-    return;
-  }
-  queryGen_->nextQuery(queryItems_);
-  queryStart_ = pool_.clock_->nowModel();
-  queryStartWall_ = pool_.reactor_.nowSeconds();
-  state_ = State::kQuerying;
-  // Fan the query out by owner shard; each involved link answers on its
-  // own shard's next report (per-shard consistency point).
-  for (auto& link : links_) {
-    link->items.clear();
-    link->fetch.clear();
-    link->needAnswer = false;
-  }
-  const ShardMap& map = pool_.shardMap();
-  for (db::ItemId item : queryItems_) {
-    Link& link = *links_[map.shardOf(item)];
-    link.items.push_back(item);
-    link.needAnswer = true;
-  }
-}
-
-void ClientAgent::maybeAnswerLink(Link& link) {
-  if (!link.needAnswer) return;
-  if (link.ctx->salvagePending()) return;  // that shard's reply is in flight
-  link.needAnswer = false;
-  link.fetch.clear();
-  for (db::ItemId item : link.items) {
-    cache::Entry* e = link.ctx->cache().find(item);
-    if (e != nullptr && !e->suspect) {
-      link.ctx->cache().touch(item);
-      pool_.collector_->onCacheAnswer(agentId_, item, e->version,
-                                      link.ctx->lastHeard());
-      if (pool_.opts_.sendAudit) {
-        wire::Audit a;
-        a.item = item;
-        a.version = e->version;
-        a.validAsOf = link.ctx->lastHeard();
-        if (!sendFrame(link, wire::FrameType::kAudit,
-                       net::TrafficClass::kControl, wire::encodeAudit(a))) {
-          return;  // connection died; dropAgent() already ran
-        }
-      }
-    } else {
-      pool_.collector_->onCacheMiss(agentId_);
-      link.fetch.push_back(item);
-    }
-  }
-  if (!link.fetch.empty()) {
-    pool_.collector_->onClientTx(pool_.sizes_.queryRequestBits());
-    wire::QueryRequest q;
-    q.items = link.fetch;
-    if (!sendFrame(link, wire::FrameType::kQueryRequest,
-                   net::TrafficClass::kBulk, wire::encodeQueryRequest(q))) {
-      return;  // connection died; dropAgent() already ran
-    }
-  }
-}
-
-void ClientAgent::maybeCompleteQuery() {
-  if (state_ != State::kQuerying) return;
-  for (const auto& link : links_) {
-    if (link->needAnswer || !link->fetch.empty()) return;
-  }
-  // A flip mid-query leaves its in-flight legs on the drained links; the
-  // retiring daemons grace-serve them to completion before the fds close.
-  for (const auto& link : draining_) {
-    if (link->tcp.isOpen() && (link->needAnswer || !link->fetch.empty())) {
-      return;
-    }
-  }
-  completeQuery();
-}
-
-void ClientAgent::completeQuery() {
-  pool_.collector_->onQueryCompleted(agentId_,
-                                     pool_.clock_->nowModel() - queryStart_);
-  const double wallSec = pool_.reactor_.nowSeconds() - queryStartWall_;
-  pool_.stats_.queryLatencyUs.record(
-      wallSec > 0 ? static_cast<std::uint64_t>(wallSec * 1e6) : 0);
-  ++completed_;
-  queryItems_.clear();
-  closeDrainingLinks();  // no query in flight: drained links can close now
-  if (disc_->params().model == workload::DisconnectModel::kPostQuery &&
-      disc_->shouldDisconnect()) {
-    beginDoze(/*queryAfterWake=*/true);
-  } else {
-    startThink(queryGen_->thinkTime());
-  }
-}
-
-void ClientAgent::beginDoze(bool queryAfterWake) {
-  cancelTimer();
-  radioOn_ = false;
-  state_ = State::kDozing;
-  dozeStart_ = pool_.clock_->nowModel();
-  queryAfterWake_ = queryAfterWake;
-  pool_.collector_->onDisconnect();
-  timer_ = pool_.reactor_.addTimer(
-      pool_.clock_->wallDelay(disc_->duration()), 0,
-      [this] {
-        timer_ = {};
-        wake();
-      },
-      owner_);
-}
-
-void ClientAgent::wake() {
-  radioOn_ = true;
-  pool_.collector_->onReconnect(pool_.clock_->nowModel() - dozeStart_);
-  // Every shard link slept through its own stretch of reports; each scheme
-  // instance judges its own gap against its shard's windows.
-  for (auto& link : links_) {
-    if (link->scheme != nullptr) {
-      link->scheme->onWake(*link->ctx);
-    }
-  }
-  if (queryAfterWake_) {
-    issueQuery();
-  } else {
-    const double remaining = std::max(0.0, thinkDeadline_ - dozeStart_);
-    startThink(remaining);
-  }
+  if (!running_) return;
+  Life v(*this);
+  core::lifecycle::tryAnswer(v, &link, pool_.clock_->nowModel());
 }
 
 void ClientAgent::sendCheck(Link& link, const schemes::CheckMessage& msg) {
@@ -669,7 +637,7 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
 
   // Drained links close once no query leg is in flight on them; mid-query
   // they stay open so the retiring daemon can grace-serve the answers.
-  if (state_ != State::kQuerying) closeDrainingLinks();
+  if (life_.phase != core::lifecycle::Phase::kQuerying) closeDrainingLinks();
 }
 
 void ClientAgent::closeDrainingLinks() {
@@ -748,11 +716,7 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
 
   sizes_ = agentCfg_.sizeModel();
   codec_ = std::make_unique<report::ReportCodec>(sizes_);
-  queryPattern_.emplace(
-      agentCfg_.workload == core::WorkloadKind::kHotCold
-          ? workload::AccessPattern::hotCold(agentCfg_.dbSize,
-                                             agentCfg_.hotQuery)
-          : workload::AccessPattern::uniform(agentCfg_.dbSize));
+  queryPattern_.emplace(agentCfg_.queryPattern());
   clock_.emplace(w.timeScale);
 
   // No local ground truth: auditing happens either through the resolver

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/client_lifecycle.hpp"
 #include "core/config.hpp"
 #include "db/database.hpp"
 #include "live/clock.hpp"
@@ -69,11 +70,13 @@ struct PoolStats {
 
 class ClientPool;
 
-/// One mobile host speaking the live wire protocol: the state machine of
-/// core::Client (think → query → answer-on-next-report → fetch misses →
-/// doze coin) driven by reactor timers and real sockets instead of
-/// simulator events. Dozing is modeled faithfully: the agent ignores its
-/// UDP sockets while dozing (the radio is off) but keeps TCP up.
+/// One mobile host speaking the live wire protocol: the shared client
+/// lifecycle of core/client_lifecycle.hpp (docs/protocols.md, "Client
+/// lifecycle") driven by reactor timers and real sockets instead of
+/// simulator events. This class keeps the mechanics: timers, per-shard
+/// Links, audits and draining links. Dozing is modeled faithfully: the
+/// agent ignores its UDP sockets while dozing (the radio is off) but keeps
+/// TCP up.
 ///
 /// Against a cluster the agent holds one downlink + uplink pair per shard
 /// (discovered from the seed shard's Welcome) and routes by item: queries,
@@ -82,8 +85,7 @@ class ClientPool;
 /// gaps are tracked against that shard's report stream. A query fans out
 /// to every involved shard and completes when each has answered on its own
 /// next report and all fetches drained; cache capacity is split evenly
-/// across the per-shard caches. The doze coin is flipped once per interval
-/// (on shard 0's reports), matching the simulator's per-report flip.
+/// across the per-shard caches.
 class ClientAgent {
  public:
   ClientAgent(ClientPool& pool, std::size_t index);
@@ -116,21 +118,20 @@ class ClientAgent {
   /// The agent's identity: its client id on the seed shard (RNG streams
   /// and per-client metrics key off this, like a simulator client id).
   [[nodiscard]] std::uint32_t clientId() const { return agentId_; }
-  [[nodiscard]] std::uint64_t queriesCompleted() const { return completed_; }
+  [[nodiscard]] std::uint64_t queriesCompleted() const {
+    return life_.completed;
+  }
 
  private:
   static constexpr std::uint32_t kUnknownShard = 0xFFFFFFFFu;
 
-  enum class State {
-    kIdle,      ///< before all Welcomes
-    kThinking,
-    kQuerying,  ///< per-link needAnswer/fetch flags carry the progress
-    kDozing,
-  };
+  /// This agent as the lifecycle's view (defined in client_agent.cpp).
+  class Life;
 
   /// One shard's connection pair plus the per-shard half of the client
-  /// model: scheme instance, context (cache partition, Tlb, gap state).
-  struct Link {
+  /// model: scheme instance, context (cache partition, Tlb, gap state) and
+  /// the query leg in flight on this shard.
+  struct Link : core::lifecycle::QueryLeg {
     std::uint32_t shard = kUnknownShard;
     std::uint32_t ipv4 = 0;       ///< endpoint identity: survives reshards
     std::uint16_t tcpPort = 0;    ///< (a shard's index may change; this not)
@@ -140,11 +141,8 @@ class ClientAgent {
     Reactor::FdHandle tcpReg;  ///< uplink registration (removeFd on close)
     Reactor::FdHandle udpReg;  ///< downlink registration
     std::uint32_t clientId = 0;  ///< this shard's id for us
-    std::unique_ptr<schemes::ClientContext> ctx;
+    std::unique_ptr<schemes::ClientContext> ownCtx;  ///< QueryLeg::ctx
     std::unique_ptr<schemes::ClientScheme> scheme;
-    bool needAnswer = false;          ///< query items await this shard's report
-    std::vector<db::ItemId> items;    ///< current query's items on this shard
-    std::vector<db::ItemId> fetch;    ///< outstanding fetches on this shard
   };
 
   /// Dials the shard's uplink and opens its downlink (group-joined when
@@ -172,13 +170,6 @@ class ClientAgent {
   void onDataItem(Link& link, const wire::DataItem& d);
   void onValidityReply(Link& link, const wire::ValidityReplyMsg& vr);
 
-  void startThink(double modelSeconds);
-  void issueQuery();
-  void maybeAnswerLink(Link& link);
-  void maybeCompleteQuery();
-  void completeQuery();
-  void beginDoze(bool queryAfterWake);
-  void wake();
   void sendCheck(Link& link, const schemes::CheckMessage& msg);
   /// Sends one frame on the link's uplink. Returns false when the link is
   /// closed or the send hit a hard error and dropAgent() already ran (the
@@ -186,7 +177,13 @@ class ClientAgent {
   [[nodiscard]] bool sendFrame(Link& link, wire::FrameType type,
                                net::TrafficClass trafficClass,
                                const std::vector<std::uint8_t>& payload);
+  /// Arms the agent's one timer to run `fire` after `modelSeconds`.
+  void armTimer(double modelSeconds, void (*fire)(ClientAgent&));
   void cancelTimer();
+  /// False while dozing: UDP frames are not heard.
+  [[nodiscard]] bool radioOn() const {
+    return life_.phase != core::lifecycle::Phase::kDozing;
+  }
   void dropAgent();
   void closeDrainingLinks();
 
@@ -217,16 +214,15 @@ class ClientAgent {
   std::optional<workload::QueryGenerator> queryGen_;
   std::optional<workload::Disconnector> disc_;
 
-  State state_ = State::kIdle;
-  bool radioOn_ = true;  ///< false while dozing: UDP frames are not heard
-  Reactor::TimerHandle timer_;
-  sim::SimTime thinkDeadline_ = 0;  ///< pool-clock model time
-  sim::SimTime dozeStart_ = 0;
-  sim::SimTime queryStart_ = 0;
+  /// Pool-clock model times; the links' query legs carry a query's
+  /// progress.
+  core::lifecycle::HostLife life_;
+  /// The lifecycle runs: set once every link is welcomed, cleared when the
+  /// agent is dropped.
+  bool running_ = false;
+  Reactor::TimerHandle timer_;  ///< the think or the wake deadline
   double queryStartWall_ = 0;  ///< reactor seconds; feeds queryLatencyUs
-  bool queryAfterWake_ = false;
   std::vector<db::ItemId> queryItems_;
-  std::uint64_t completed_ = 0;
 };
 
 /// N ClientAgents sharing one reactor, one metrics collector, and one

@@ -1,9 +1,9 @@
 #include "metrics/series.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <sstream>
 
+#include "core/check.hpp"
 #include "metrics/table.hpp"
 
 namespace mci::metrics {
@@ -21,7 +21,7 @@ std::string FigureData::toTable(int yPrecision) const {
   for (std::size_t i = 0; i < xs.size(); ++i) {
     std::vector<std::string> row{Table::fmt(xs[i], xPrecision)};
     for (const Series& s : series) {
-      assert(s.ys.size() == xs.size());
+      MCI_DCHECK(s.ys.size() == xs.size());
       std::string cell = Table::fmt(s.ys[i], yPrecision);
       if (!s.sds.empty()) {
         cell += "+-" + Table::fmt(s.sds[i], yPrecision);

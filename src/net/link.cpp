@@ -1,17 +1,18 @@
 #include "net/link.hpp"
 
-#include <cassert>
 #include <utility>
+
+#include "core/check.hpp"
 
 namespace mci::net {
 
 PriorityLink::PriorityLink(sim::Simulator& simulator, BitsPerSecond bandwidth)
     : sim_(simulator), bandwidth_(bandwidth) {
-  assert(bandwidth_ > 0);
+  MCI_CHECK(bandwidth_ > 0);
 }
 
 void PriorityLink::submit(TrafficClass cls, Bits size, DeliveryFn onDone) {
-  assert(size > 0);
+  MCI_DCHECK(size > 0);
   Transfer t{cls, size, std::move(onDone)};
   if (!current_.active) {
     begin(std::move(t));
@@ -48,7 +49,7 @@ int PriorityLink::highestNonEmptyClass() const {
 }
 
 void PriorityLink::startNext() {
-  assert(!current_.active);
+  MCI_DCHECK(!current_.active);
   const int c = highestNonEmptyClass();
   if (c < 0) return;
   auto& q = queues_[static_cast<std::size_t>(c)];
@@ -58,7 +59,7 @@ void PriorityLink::startNext() {
 }
 
 void PriorityLink::begin(Transfer t) {
-  assert(!current_.active);
+  MCI_DCHECK(!current_.active);
   current_.active = true;
   current_.transfer = std::move(t);
   current_.startedAt = sim_.now();
@@ -67,9 +68,10 @@ void PriorityLink::begin(Transfer t) {
 }
 
 void PriorityLink::preemptCurrent() {
-  assert(current_.active);
+  MCI_DCHECK(current_.active);
   const bool cancelled = sim_.cancel(current_.completion);
-  assert(cancelled && "completion event must still be pending on preemption");
+  MCI_DCHECK(cancelled)
+      << "completion event must still be pending on preemption";
   (void)cancelled;
   const double elapsed = sim_.now() - current_.startedAt;
   const Bits sent = elapsed * bandwidth_;
@@ -87,7 +89,7 @@ void PriorityLink::preemptCurrent() {
 }
 
 void PriorityLink::complete() {
-  assert(current_.active);
+  MCI_DCHECK(current_.active);
   const auto idx = static_cast<std::size_t>(current_.transfer.cls);
   busySeconds_[idx] += sim_.now() - current_.startedAt;
   deliveredBits_[idx] += current_.transfer.remaining;

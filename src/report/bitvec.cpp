@@ -1,7 +1,8 @@
 #include "report/bitvec.hpp"
 
 #include <bit>
-#include <cassert>
+
+#include "core/check.hpp"
 
 namespace mci::report {
 
@@ -14,17 +15,17 @@ void BitVec::assign(std::size_t bits) {
 }
 
 void BitVec::set(std::size_t i) {
-  assert(i < size_);
+  MCI_DCHECK(i < size_);
   words_[i >> 6] |= (std::uint64_t{1} << (i & 63));
 }
 
 void BitVec::reset(std::size_t i) {
-  assert(i < size_);
+  MCI_DCHECK(i < size_);
   words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
 }
 
 bool BitVec::test(std::size_t i) const {
-  assert(i < size_);
+  MCI_DCHECK(i < size_);
   return (words_[i >> 6] >> (i & 63)) & 1;
 }
 
@@ -35,7 +36,7 @@ std::size_t BitVec::count() const {
 }
 
 std::size_t BitVec::rank(std::size_t i) const {
-  assert(i <= size_);
+  MCI_DCHECK(i <= size_);
   std::size_t n = 0;
   const std::size_t fullWords = i >> 6;
   for (std::size_t w = 0; w < fullWords; ++w) {

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
+
+#include "core/check.hpp"
 
 namespace mci::report {
 namespace {
@@ -51,7 +52,7 @@ std::uint64_t bitReverse64(std::uint64_t w) {
 }  // namespace
 
 void BitWriter::write(std::uint64_t value, int bits) {
-  assert(bits >= 1 && bits <= 64);
+  MCI_DCHECK(bits >= 1 && bits <= 64);
   std::vector<std::uint8_t>& out = target();
   // Frame buffers are reused across ticks (arena / lastReportPayload_ keep
   // capacity), so both appends below grow to a high-water mark only.
@@ -124,7 +125,7 @@ void BitWriter::writeBitVec(const BitVec& bits) {
 }
 
 std::uint64_t BitReader::read(int bits) {
-  assert(bits >= 1 && bits <= 64);
+  MCI_DCHECK(bits >= 1 && bits <= 64);
   if (pos_ + static_cast<std::size_t>(bits) > bits_) {
     ok_ = false;
     pos_ = bits_;  // park at the end: later reads keep failing cheaply
@@ -207,7 +208,7 @@ void BitReader::readBitVec(BitVec& out, std::size_t bits) {
 }
 
 void BitReader::skip(int bits) {
-  assert(bits >= 1);
+  MCI_DCHECK(bits >= 1);
   if (pos_ + static_cast<std::size_t>(bits) > bits_) {
     ok_ = false;
     pos_ = bits_;
@@ -217,7 +218,7 @@ void BitReader::skip(int bits) {
 }
 
 bool BitReader::fits(std::uint64_t count, int bitsEach) const {
-  assert(bitsEach >= 1);
+  MCI_DCHECK(bitsEach >= 1);
   if (!ok_) return false;
   return count <= (bits_ - pos_) / static_cast<std::size_t>(bitsEach);
 }

@@ -1,6 +1,7 @@
 #include "report/sig_report.hpp"
 
-#include <cassert>
+#include "core/check.hpp"
+
 
 namespace mci::report {
 namespace {
@@ -22,7 +23,7 @@ SignatureTable::SignatureTable(std::size_t numItems, std::size_t subsets,
       perItem_(perItem),
       seed_(seed),
       combined_(subsets, 0) {
-  assert(subsets > 0 && perItem > 0);
+  MCI_CHECK(subsets > 0 && perItem > 0);
   // Fold every item's initial (version 0) signature in, so combined values
   // are meaningful from the start.
   for (db::ItemId item = 0; item < numItems_; ++item) {

@@ -1,13 +1,14 @@
 #include "report/sizing.hpp"
 
 #include <bit>
-#include <cassert>
+
+#include "core/check.hpp"
 
 namespace mci::report {
 namespace {
 
 int ceilLog2(std::size_t n) {
-  assert(n >= 1);
+  MCI_CHECK(n >= 1);
   if (n == 1) return 1;  // still need one bit to name the only element
   return std::bit_width(n - 1);
 }

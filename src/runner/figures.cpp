@@ -1,9 +1,10 @@
 #include "runner/figures.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
+
+#include "core/check.hpp"
 
 namespace mci::runner {
 namespace {
@@ -177,7 +178,7 @@ const FigureSpec& figureByNumber(int number) {
   for (const FigureSpec& f : paperFigures()) {
     if (f.number == number) return f;
   }
-  assert(false && "unknown figure number");
+  MCI_CHECK(false) << "unknown figure number";
   std::abort();
 }
 

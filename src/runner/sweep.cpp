@@ -1,8 +1,8 @@
 #include "runner/sweep.hpp"
 
 #include <atomic>
-#include <cassert>
 
+#include "core/check.hpp"
 #include "core/simulation.hpp"
 #include "runner/thread_pool.hpp"
 
@@ -11,8 +11,8 @@ namespace mci::runner {
 std::vector<SweepCell> runSweep(
     const SweepSpec& spec, unsigned threads,
     const std::function<void(std::size_t, std::size_t)>& progress) {
-  assert(spec.apply);
-  assert(!spec.xs.empty() && !spec.schemes.empty());
+  MCI_DCHECK(spec.apply);
+  MCI_DCHECK(!spec.xs.empty() && !spec.schemes.empty());
 
   const std::size_t total = spec.xs.size() * spec.schemes.size();
   std::vector<SweepCell> cells(total);

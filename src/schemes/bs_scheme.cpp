@@ -1,6 +1,7 @@
 #include "schemes/bs_scheme.hpp"
 
-#include <cassert>
+#include "core/check.hpp"
+
 
 namespace mci::schemes {
 
@@ -15,7 +16,7 @@ std::optional<ValidityReply> BsServerScheme::onCheckMessage(
 
 ClientOutcome BsClientScheme::onReport(const report::Report& r,
                                        ClientContext& ctx) {
-  assert(r.kind == report::ReportKind::kBitSeq);
+  MCI_CHECK(r.kind == report::ReportKind::kBitSeq);
   const auto& bs = static_cast<const report::BsReport&>(r);
   applyBsDecision(bs.decide(ctx.lastHeard()), ctx);
   ctx.setLastHeard(r.broadcastTime);

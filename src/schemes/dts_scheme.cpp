@@ -1,9 +1,9 @@
 #include "schemes/dts_scheme.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_map>
 
+#include "core/check.hpp"
 #include "report/ts_report.hpp"
 
 namespace mci::schemes {
@@ -17,9 +17,9 @@ DtsServerScheme::DtsServerScheme(const db::UpdateHistory& history,
       sizes_(sizes),
       period_(broadcastPeriod),
       params_(params) {
-  assert(params_.minWindow >= 1);
-  assert(params_.maxWindow >= params_.minWindow);
-  assert(params_.alpha > 0);
+  MCI_CHECK(params_.minWindow >= 1);
+  MCI_CHECK(params_.maxWindow >= params_.minWindow);
+  MCI_CHECK(params_.alpha > 0);
 }
 
 int DtsServerScheme::windowFor(db::ItemId item, sim::SimTime now) const {
@@ -60,7 +60,7 @@ std::optional<ValidityReply> DtsServerScheme::onCheckMessage(
 
 ClientOutcome DtsClientScheme::onReport(const report::Report& r,
                                         ClientContext& ctx) {
-  assert(r.kind == report::ReportKind::kTsWindow);
+  MCI_CHECK(r.kind == report::ReportKind::kTsWindow);
   const auto& ts = static_cast<const report::TsReport&>(r);
 
   // Listed records always apply (stale proofs).

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <map>
+
+#include "core/check.hpp"
 
 namespace mci::schemes {
 
@@ -25,7 +26,7 @@ GcoreServerScheme::GcoreServerScheme(const db::UpdateHistory& history,
     : TsServerScheme(history, sizes, broadcastPeriod, windowIntervals),
       db_(database),
       groupSize_(groupSize) {
-  assert(groupSize_ >= 1);
+  MCI_CHECK(groupSize_ >= 1);
 }
 
 std::optional<ValidityReply> GcoreServerScheme::onCheckMessage(
@@ -55,7 +56,7 @@ std::optional<ValidityReply> GcoreServerScheme::onCheckMessage(
 
 ClientOutcome GcoreClientScheme::onReport(const report::Report& r,
                                           ClientContext& ctx) {
-  assert(r.kind == report::ReportKind::kTsWindow);
+  MCI_CHECK(r.kind == report::ReportKind::kTsWindow);
   const auto& ts = static_cast<const report::TsReport&>(r);
   const bool hadSuspects = ctx.cache().suspectCount() > 0;
 

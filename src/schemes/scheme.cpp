@@ -1,7 +1,5 @@
 #include "schemes/scheme.hpp"
 
-#include "core/client_rule.hpp"
-
 namespace mci::schemes {
 
 ClientContext::ClientContext(ClientId id, std::size_t cacheCapacity,
@@ -73,8 +71,6 @@ void ClientContext::restartGapCycle() {
   checkDeliveredAt_ = sim::kTimeInfinity;
   ++checkEpoch_;  // a reply to the pre-doze check must be ignored
 }
-
-void ClientScheme::onWake(ClientContext& ctx) { core::rule::onWake(ctx); }
 
 void applyTsEntries(const std::vector<db::UpdateRecord>& entries,
                     ClientContext& ctx) {

@@ -171,11 +171,6 @@ class ClientScheme {
 
   /// This client's check/Tlb message finished crossing the uplink.
   virtual void onCheckDelivered(ClientContext& ctx, sim::SimTime now);
-
-  /// The client woke from a doze. Default: the wake rule of
-  /// core/client_rule.hpp (restart the gap cycle of any suspects, else
-  /// reset the gap state; conservative, never stale).
-  virtual void onWake(ClientContext& ctx);
 };
 
 /// Server half of an invalidation scheme: builds the periodic report and

@@ -1,6 +1,6 @@
 #include "schemes/sig_scheme.hpp"
 
-#include <cassert>
+#include "core/check.hpp"
 
 namespace mci::schemes {
 
@@ -19,15 +19,15 @@ SigClientScheme::SigClientScheme(const report::SignatureTable& table,
     : table_(table),
       stored_(std::move(initialCombined)),
       votesNeeded_(votesNeeded > 0 ? votesNeeded : table.membershipsPerItem()) {
-  assert(stored_.size() == table_.numSubsets());
+  MCI_DCHECK(stored_.size() == table_.numSubsets());
 }
 
 ClientOutcome SigClientScheme::onReport(const report::Report& r,
                                         ClientContext& ctx) {
-  assert(r.kind == report::ReportKind::kSignature);
+  MCI_CHECK(r.kind == report::ReportKind::kSignature);
   const auto& sig = static_cast<const report::SigReport&>(r);
   const std::vector<std::uint64_t>& fresh = sig.combined();
-  assert(fresh.size() == stored_.size());
+  MCI_CHECK(fresh.size() == stored_.size());
 
   std::vector<char>& changed = changedScratch_;
   changed.assign(fresh.size(), 0);

@@ -1,6 +1,7 @@
 #include "schemes/ts_checking_scheme.hpp"
 
-#include <cassert>
+#include "core/check.hpp"
+
 
 namespace mci::schemes {
 
@@ -18,7 +19,7 @@ std::optional<ValidityReply> TsCheckingServerScheme::onCheckMessage(
 
 ClientOutcome TsCheckingClientScheme::onReport(const report::Report& r,
                                                ClientContext& ctx) {
-  assert(r.kind == report::ReportKind::kTsWindow);
+  MCI_CHECK(r.kind == report::ReportKind::kTsWindow);
   const auto& ts = static_cast<const report::TsReport&>(r);
   const bool hadSuspects = ctx.cache().suspectCount() > 0;
 

@@ -1,6 +1,7 @@
 #include "schemes/ts_scheme.hpp"
 
-#include <cassert>
+#include "core/check.hpp"
+
 
 namespace mci::schemes {
 
@@ -11,7 +12,7 @@ TsServerScheme::TsServerScheme(const db::UpdateHistory& history,
       sizes_(sizes),
       period_(broadcastPeriod),
       window_(windowIntervals) {
-  assert(period_ > 0 && window_ >= 1);
+  MCI_CHECK(period_ > 0 && window_ >= 1);
 }
 
 report::ReportPtr TsServerScheme::buildReport(sim::SimTime now) {
@@ -25,7 +26,7 @@ std::optional<ValidityReply> TsServerScheme::onCheckMessage(
 
 ClientOutcome TsClientScheme::onReport(const report::Report& r,
                                        ClientContext& ctx) {
-  assert(r.kind == report::ReportKind::kTsWindow);
+  MCI_CHECK(r.kind == report::ReportKind::kTsWindow);
   const auto& ts = static_cast<const report::TsReport&>(r);
   if (ts.covers(ctx.lastHeard())) {
     applyTsEntries(ts.entries(), ctx);

@@ -1,10 +1,11 @@
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
 #include <utility>
+
+#include "core/check.hpp"
 
 namespace mci::sim {
 
@@ -65,7 +66,7 @@ class InlineFn {
 
   /// Invokes the stored callable. Precondition: engaged.
   void operator()() {
-    assert(ops_ != nullptr && "invoking an empty InlineFn");
+    MCI_DCHECK(ops_ != nullptr) << "invoking an empty InlineFn";
     ops_->invoke(storage_);
   }
 

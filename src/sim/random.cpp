@@ -1,7 +1,8 @@
 #include "sim/random.hpp"
 
-#include <cassert>
 #include <cmath>
+
+#include "core/check.hpp"
 
 namespace mci::sim {
 namespace {
@@ -61,12 +62,12 @@ double Rng::uniform01() {
 }
 
 double Rng::uniformReal(double lo, double hi) {
-  assert(lo <= hi);
+  MCI_DCHECK(lo <= hi);
   return lo + (hi - lo) * uniform01();
 }
 
 std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
+  MCI_DCHECK(lo <= hi);
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
   if (range == 0) return static_cast<std::int64_t>(engine_());  // full range
   // Rejection-free Lemire-style reduction is overkill here; modulo bias is
@@ -75,7 +76,7 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::exponential(double mean) {
-  assert(mean > 0);
+  MCI_DCHECK(mean > 0);
   double u = uniform01();
   // Guard: -log(0) is inf; shift to the smallest representable positive.
   if (u <= 0.0) u = 0x1.0p-53;
@@ -85,7 +86,7 @@ double Rng::exponential(double mean) {
 bool Rng::bernoulli(double p) { return uniform01() < p; }
 
 int Rng::poisson(double mean) {
-  assert(mean >= 0);
+  MCI_DCHECK(mean >= 0);
   // Knuth inversion; fine for the small means (<= ~20) the model uses.
   const double limit = std::exp(-mean);
   double prod = 1.0;

@@ -1,8 +1,9 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "core/check.hpp"
 
 namespace mci::sim {
 
@@ -27,7 +28,7 @@ double Welford::variance() const {
 double Welford::stddev() const { return std::sqrt(variance()); }
 
 void TimeWeighted::set(double value, SimTime now) {
-  assert(now >= lastChange_);
+  MCI_DCHECK(now >= lastChange_);
   weightedSum_ += value_ * (now - lastChange_);
   value_ = value;
   lastChange_ = now;
@@ -42,7 +43,7 @@ double TimeWeighted::average(SimTime now) const {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), bins_(bins, 0) {
-  assert(hi > lo && bins > 0);
+  MCI_DCHECK(hi > lo && bins > 0);
 }
 
 void Histogram::add(double x) {

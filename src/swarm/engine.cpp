@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/client_rule.hpp"
+#include "core/client_lifecycle.hpp"
 #include "schemes/bs_scheme.hpp"
 #include "schemes/factory.hpp"
+#include "workload/query_generator.hpp"
 
 namespace mci::swarm {
 namespace {
@@ -15,6 +16,123 @@ namespace {
 constexpr std::size_t kPrefetchSlotBytes = 128;
 
 }  // namespace
+
+/// One emulated client as the lifecycle's view: the SwarmState row plus
+/// the emulator's mechanics. Deadlines are polled at report ticks (tick
+/// phases (a) and (b)), so arming and cancelling them is free; `tick` is
+/// the report tick hits and misses are stamped with.
+class SwarmEmulator::Life : public ClientRow {
+ public:
+  Life(SwarmEmulator& e, std::uint32_t c, Tick tick)
+      : ClientRow(e.state_, c), e_(e), tick_(tick) {}
+
+  [[nodiscard]] const workload::Disconnector::Params& dozeParams() const {
+    return e_.dozeParams_;
+  }
+  double drawThink() {
+    return st_.rngQuery[c_].exponential(e_.cfg_.meanThinkTime);
+  }
+  bool drawQuery(double now) {
+    // QueryGenerator's law from this client's own stream, into a shared
+    // scratch, so the RNG consumption (and thus every later draw) matches
+    // a pool agent of the same id exactly. Only the first kMaxQueryItems
+    // items are kept; with the paper's meanItemsPerQuery the overflow
+    // probability is negligible (P[1+Poisson(mean-1) > 16]).
+    std::vector<db::ItemId>& items = e_.queryScratch_;
+    sim::Rng& rng = st_.rngQuery[c_];
+    if (e_.zipf_) {
+      workload::drawQueryItems(rng, e_.cfg_.meanItemsPerQuery, *e_.zipf_,
+                               items);
+    } else {
+      workload::drawQueryItems(rng, e_.cfg_.meanItemsPerQuery, *e_.pattern_,
+                               items);
+    }
+    const auto kept = static_cast<std::uint32_t>(
+        std::min<std::size_t>(items.size(), SwarmState::kMaxQueryItems));
+    std::uint32_t mask = 0;
+    const std::size_t base =
+        static_cast<std::size_t>(c_) * SwarmState::kMaxQueryItems;
+    const live::ShardMap& map = e_.mux_->shardMap();
+    for (std::uint32_t i = 0; i < kept; ++i) {
+      st_.queryItems[base + i] = items[i];
+      mask |= 1u << map.shardOf(items[i]);
+    }
+    st_.queryCount[c_] = static_cast<std::uint8_t>(kept);
+    st_.needAnswer[c_] = mask;
+    st_.queryStart[c_] = now;
+    e_.pendingFetch_[c_] = 0;
+    return true;
+  }
+  static void armThink(double) {}
+  static void cancelThink() {}
+  void armWake(double now, double duration) {
+    ++e_.stats_.dozes;
+    st_.dozeEnd[c_] = now + duration;
+  }
+  void onWoken(double) { ++e_.stats_.wakes; }
+
+  template <class F>
+  void forEachQueryItem(std::uint32_t s, F&& f) {
+    truth_ = e_.opts_.auditDbResolver
+                 ? e_.opts_.auditDbResolver(s)
+                 : (s < e_.opts_.auditDbs.size() ? e_.opts_.auditDbs[s]
+                                                 : nullptr);
+    const std::size_t base =
+        static_cast<std::size_t>(c_) * SwarmState::kMaxQueryItems;
+    const live::ShardMap& map = e_.mux_->shardMap();
+    const std::uint32_t n = st_.queryCount[c_];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const db::ItemId item = st_.queryItems[base + i];
+      if (map.shardOf(item) == s && !f(item)) return;
+    }
+  }
+  bool hit(std::uint32_t s, db::ItemId item, Slot h) {
+    // Second-chance touch, AoI sample, staleness audit at the per-shard
+    // consistency point (lastHeard), like onCacheAnswer.
+    st_.slotUsed.set(h.index);
+    ++e_.stats_.cacheHits;
+    e_.cohorts_.aoiMs[c_ % e_.opts_.cohorts].record(tick_ -
+                                                    st_.slotRef[h.index]);
+    if (truth_ != nullptr) {
+      const Tick heard = lastHeard(s);
+      const db::Version expect =
+          truth_->versionAt(item, live::LiveClock::tickToTime(heard));
+      if (st_.slotVersion[h.index] < expect) {
+        ++e_.stats_.staleReads;
+        MCI_CHECK(!e_.cfg_.auditStaleReads)
+            << "STALE READ: swarm client " << c_ << " item " << item
+            << " cached v" << st_.slotVersion[h.index] << ", server had v"
+            << expect << " at tick " << heard;
+      }
+    }
+    return true;
+  }
+  void miss(std::uint32_t s, db::ItemId item) {
+    ++e_.stats_.cacheMisses;
+    ++e_.pendingFetch_[c_];
+    e_.mux_->queueFetch(s, c_, item, tick_);
+  }
+  /// Misses are staged on the mux and batch-flushed at tick end.
+  static void requestFetches(std::uint32_t) {}
+  [[nodiscard]] bool anyFetchOutstanding() const {
+    return e_.pendingFetch_[c_] != 0;
+  }
+  void retireFetch(std::uint32_t, db::ItemId) {
+    MCI_DCHECK(e_.pendingFetch_[c_] > 0) << "DataItem with no pending fetch";
+    if (e_.pendingFetch_[c_] > 0) --e_.pendingFetch_[c_];
+  }
+  void recordCompletion(double now) {
+    ++e_.stats_.queriesCompleted;
+    const double latencyMs = std::max(0.0, (now - st_.queryStart[c_]) * 1000.0);
+    e_.cohorts_.latencyMs[c_ % e_.opts_.cohorts].record(
+        static_cast<std::uint64_t>(latencyMs));
+  }
+
+ private:
+  SwarmEmulator& e_;
+  Tick tick_;
+  const db::Database* truth_ = nullptr;  ///< audit truth of the shard answered
+};
 
 SwarmEmulator::SwarmEmulator(live::Reactor& reactor, SwarmOptions opts)
     : reactor_(reactor), opts_(std::move(opts)) {
@@ -77,10 +195,7 @@ void SwarmEmulator::onWelcome(const live::wire::Welcome& w) {
   if (opts_.zipfTheta >= 0.0) {
     zipf_.emplace(cfg_.dbSize, opts_.zipfTheta);
   } else {
-    pattern_.emplace(cfg_.workload == core::WorkloadKind::kHotCold
-                         ? workload::AccessPattern::hotCold(cfg_.dbSize,
-                                                            cfg_.hotQuery)
-                         : workload::AccessPattern::uniform(cfg_.dbSize));
+    pattern_.emplace(cfg_.queryPattern());
   }
 
   const std::uint32_t shards = w.shardMap.shardCount();
@@ -88,6 +203,7 @@ void SwarmEmulator::onWelcome(const live::wire::Welcome& w) {
     MCI_CHECK(opts_.auditDbs.size() == shards)
         << "auditDbs must have one database per shard";
   }
+  dozeParams_ = cfg_.disconnectParams();
   cacheCapacity_ = w.cacheCapacity;
   state_.configure(opts_.clients, shards,
                    static_cast<std::uint32_t>(cfg_.dbSize), w.cacheCapacity,
@@ -100,172 +216,29 @@ void SwarmEmulator::onMuxReady() {
   // Every client starts its first think at model time 0, like a pool agent
   // welcomed at startup. First draw of the "query" stream = think time.
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
-    state_.thinkDeadline[c] =
-        state_.rngQuery[c].exponential(cfg_.meanThinkTime);
-  }
-}
-
-db::ItemId SwarmEmulator::pickItem(sim::Rng& rng) const {
-  return zipf_ ? zipf_->pick(rng) : pattern_->pick(rng);
-}
-
-void SwarmEmulator::drawQuery(std::uint32_t c, double startModel) {
-  // QueryGenerator::nextQuery's law, drawn from this client's own stream
-  // into a shared scratch so the RNG consumption (and thus every later
-  // draw) matches a pool agent of the same id exactly. Only the first
-  // kMaxQueryItems items are kept; with the paper's meanItemsPerQuery the
-  // overflow probability is negligible (P[1+Poisson(mean-1) > 16]).
-  sim::Rng& rng = state_.rngQuery[c];
-  queryScratch_.clear();
-  const int count = 1 + rng.poisson(cfg_.meanItemsPerQuery - 1.0);
-  int attempts = 0;
-  while (static_cast<int>(queryScratch_.size()) < count &&
-         attempts < count * 16) {
-    ++attempts;
-    const db::ItemId candidate = pickItem(rng);
-    if (std::find(queryScratch_.begin(), queryScratch_.end(), candidate) ==
-        queryScratch_.end()) {
-      // MCI-ANALYZE-ALLOW(hot-path-alloc): scratch high-water capacity
-      queryScratch_.push_back(candidate);
-    }
-  }
-  // MCI-ANALYZE-ALLOW(hot-path-alloc): scratch high-water capacity
-  if (queryScratch_.empty()) queryScratch_.push_back(pickItem(rng));
-
-  const auto kept = static_cast<std::uint32_t>(std::min<std::size_t>(
-      queryScratch_.size(), SwarmState::kMaxQueryItems));
-  std::uint32_t mask = 0;
-  const std::size_t base =
-      static_cast<std::size_t>(c) * SwarmState::kMaxQueryItems;
-  const live::ShardMap& map = mux_->shardMap();
-  for (std::uint32_t i = 0; i < kept; ++i) {
-    state_.queryItems[base + i] = queryScratch_[i];
-    mask |= 1u << map.shardOf(queryScratch_[i]);
-  }
-  state_.queryCount[c] = static_cast<std::uint8_t>(kept);
-  state_.needAnswer[c] = mask;
-  state_.queryStart[c] = startModel;
-  state_.state[c] = ClientState::kAwaiting;
-  pendingFetch_[c] = 0;
-}
-
-void SwarmEmulator::wake(std::uint32_t c) {
-  ++stats_.wakes;
-  // The wake rule on every shard's gap state (ClientAgent::wake).
-  for (std::uint32_t s = 0; s < state_.shards; ++s) {
-    PartitionView p(state_, c, s);
-    core::rule::onWake(p);
-  }
-  const double wakeModel = state_.dozeEnd[c];
-  if (state_.queryAfterWake.get(c)) {
-    drawQuery(c, wakeModel);
-  } else {
-    // thinkDeadline holds the *remaining* think time (stored at beginDoze).
-    state_.thinkDeadline[c] = wakeModel + state_.thinkDeadline[c];
-    state_.state[c] = ClientState::kThinking;
-  }
-}
-
-void SwarmEmulator::beginDoze(std::uint32_t c, double nowModel,
-                              bool queryAfterWake) {
-  ++stats_.dozes;
-  if (!queryAfterWake) {
-    // Park the remaining think time; wake() resumes it (startThink(max(0,
-    // thinkDeadline - dozeStart)) in the pool).
-    state_.thinkDeadline[c] =
-        std::max(0.0, state_.thinkDeadline[c] - nowModel);
-  }
-  if (queryAfterWake) {
-    state_.queryAfterWake.set(c);
-  } else {
-    state_.queryAfterWake.clear(c);
-  }
-  state_.dozeEnd[c] =
-      nowModel + state_.rngDisc[c].exponential(cfg_.meanDisconnectTime);
-  state_.state[c] = ClientState::kDozing;
-}
-
-void SwarmEmulator::completeQuery(std::uint32_t c, Tick now) {
-  ++stats_.queriesCompleted;
-  const double nowModel = live::LiveClock::tickToTime(now);
-  const double latencyMs =
-      std::max(0.0, (nowModel - state_.queryStart[c]) * 1000.0);
-  cohorts_.latencyMs[c % opts_.cohorts].record(
-      static_cast<std::uint64_t>(latencyMs));
-  if (cfg_.disconnectModel == workload::DisconnectModel::kPostQuery &&
-      state_.rngDisc[c].bernoulli(cfg_.disconnectProb)) {
-    beginDoze(c, nowModel, /*queryAfterWake=*/true);
-  } else {
-    state_.thinkDeadline[c] =
-        nowModel + state_.rngQuery[c].exponential(cfg_.meanThinkTime);
-    state_.state[c] = ClientState::kThinking;
-  }
-}
-
-void SwarmEmulator::answerShard(std::uint32_t c, std::uint32_t s, Tick now) {
-  state_.needAnswer[c] &= ~(1u << s);
-  const std::size_t base =
-      static_cast<std::size_t>(c) * SwarmState::kMaxQueryItems;
-  const std::size_t csIdx = state_.cs(c, s);
-  const live::ShardMap& map = mux_->shardMap();
-  const db::Database* truth =
-      opts_.auditDbResolver
-          ? opts_.auditDbResolver(s)
-          : (s < opts_.auditDbs.size() ? opts_.auditDbs[s] : nullptr);
-  const std::uint32_t n = state_.queryCount[c];
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const db::ItemId item = state_.queryItems[base + i];
-    if (map.shardOf(item) != s) continue;
-    const int slot = state_.findSlot(c, s, item);
-    const std::size_t si =
-        slot >= 0 ? state_.slotIndex(c, static_cast<std::uint32_t>(slot)) : 0;
-    if (slot >= 0 && !state_.slotSuspect.get(si)) {
-      // Cache hit: second-chance touch, AoI sample, staleness audit at the
-      // per-shard consistency point (lastHeard), like onCacheAnswer.
-      state_.slotUsed.set(si);
-      ++stats_.cacheHits;
-      cohorts_.aoiMs[c % opts_.cohorts].record(now - state_.slotRef[si]);
-      if (truth != nullptr) {
-        const db::Version expect = truth->versionAt(
-            item, live::LiveClock::tickToTime(state_.lastHeard[csIdx]));
-        if (state_.slotVersion[si] < expect) {
-          ++stats_.staleReads;
-          MCI_CHECK(!cfg_.auditStaleReads)
-              << "STALE READ: swarm client " << c << " item " << item
-              << " cached v" << state_.slotVersion[si] << ", server had v"
-              << expect << " at tick " << state_.lastHeard[csIdx];
-        }
-      }
-    } else {
-      ++stats_.cacheMisses;
-      ++pendingFetch_[c];
-      mux_->queueFetch(s, c, item, now);
-    }
-  }
-  if (state_.needAnswer[c] == 0 && pendingFetch_[c] == 0) {
-    completeQuery(c, now);
+    Life v(*this, c, 0);
+    core::lifecycle::startThink(v, 0.0, v.drawThink());
   }
 }
 
 void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
                          Tick coverage, const report::BsReport* bs) {
+  using core::lifecycle::Phase;
   lastTick_ = std::max(lastTick_, now);
   const double nowModel = live::LiveClock::tickToTime(now);
-  const bool intervalCoin =
-      cfg_.disconnectModel == workload::DisconnectModel::kIntervalCoin;
   const std::uint32_t nc = state_.clients;
 
   for (std::uint32_t c = 0; c < nc; ++c) {
+    Life v(*this, c, now);
     // (a) wake dozers whose doze elapsed before this report.
-    if (state_.state[c] == ClientState::kDozing) {
+    if (v.phase() == Phase::kDozing) {
       if (state_.dozeEnd[c] > nowModel) continue;  // radio still off
-      wake(c);
+      core::lifecycle::wake(v, state_.dozeEnd[c]);
     }
     // (b) promote thinkers whose deadline passed: the query exists from
     // its deadline on, so it is answerable by this very report.
-    if (state_.state[c] == ClientState::kThinking &&
-        state_.thinkDeadline[c] <= nowModel) {
-      drawQuery(c, state_.thinkDeadline[c]);
+    if (v.phase() == Phase::kThinking && state_.thinkDeadline[c] <= nowModel) {
+      core::lifecycle::issueQuery(v, state_.thinkDeadline[c]);
     }
     // (c) the shared decode, applied to this client by the adaptive rule.
     ++stats_.clientTicks;
@@ -285,18 +258,9 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
                                  p);
       });
     }
-    // (d) answer a waiting query on this shard (unless a salvage reply is
-    // in flight on it — maybeAnswerLink's salvagePending guard).
-    if (state_.state[c] == ClientState::kAwaiting &&
-        (state_.needAnswer[c] >> shard & 1u) != 0 && !p.salvagePending()) {
-      answerShard(c, shard, now);
-    }
-    // (e) the per-interval doze coin, flipped on shard 0's reports only.
-    if (intervalCoin && shard == 0 &&
-        state_.state[c] == ClientState::kThinking &&
-        state_.rngDisc[c].bernoulli(cfg_.disconnectProb)) {
-      beginDoze(c, nowModel, /*queryAfterWake=*/false);
-    }
+    // (d) answer a waiting query on this shard, or (e) flip a thinker's
+    // interval coin on shard 0's reports.
+    core::lifecycle::onReportHeard(v, shard, nowModel);
   }
   mux_->flushFetches();
 }
@@ -371,18 +335,12 @@ void SwarmEmulator::onDataItem(std::uint32_t shard, std::uint32_t client,
   // went out. Pre-flip the two are identical.
   const std::uint32_t owner = mux_->shardMap().shardOf(item);
   (void)shard;
-  if (core::rule::acceptsFetchedCopy(
-          readTick, state_.lastHeard[state_.cs(client, owner)])) {
-    state_.insert(client, owner, item, fetchTick, version);
-  } else {
-    ++stats_.lateFetchesDropped;
-  }
-  MCI_DCHECK(pendingFetch_[client] > 0) << "DataItem with no pending fetch";
-  if (pendingFetch_[client] > 0) --pendingFetch_[client];
-  if (state_.state[client] == ClientState::kAwaiting &&
-      state_.needAnswer[client] == 0 && pendingFetch_[client] == 0) {
-    completeQuery(client, std::max(lastTick_, fetchTick));
-  }
+  Life v(*this, client, lastTick_);
+  const bool kept = core::lifecycle::onFetchedCopy(
+      v, owner, live::LiveClock::tickToTime(std::max(lastTick_, fetchTick)),
+      item, readTick,
+      [&] { state_.insert(client, owner, item, fetchTick, version); });
+  if (!kept) ++stats_.lateFetchesDropped;
 }
 
 void SwarmEmulator::prefetchDataItem(std::uint32_t client,
@@ -419,7 +377,7 @@ void SwarmEmulator::prefetchDataItem(std::uint32_t client,
         state_.presence.wordOf(state_.presenceIndex(client, item)));
   }
   __builtin_prefetch(&pendingFetch_[client]);
-  __builtin_prefetch(&state_.state[client]);
+  __builtin_prefetch(&state_.phase[client]);
   __builtin_prefetch(&state_.needAnswer[client]);
 }
 
@@ -472,7 +430,7 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
     // Per-item answered state is not tracked, so an already-answered item
     // sharing its new shard with a still-owed one is answered again — a
     // harmless double count, never a dropped or stale answer.
-    if (state_.state[c] == ClientState::kAwaiting) {
+    if (state_.phase[c] == core::lifecycle::Phase::kQuerying) {
       const std::uint32_t oldMask = state_.needAnswer[c];
       std::uint32_t mask = 0;
       if (oldMask != 0) {
@@ -487,7 +445,11 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
         }
       }
       state_.needAnswer[c] = mask;
-      if (mask == 0 && pendingFetch_[c] == 0) completeQuery(c, lastTick_);
+      Life v(*this, c, lastTick_);
+      if (core::lifecycle::queryDone(v)) {
+        core::lifecycle::completeQuery(v,
+                                       live::LiveClock::tickToTime(lastTick_));
+      }
     }
   }
 }

@@ -84,33 +84,25 @@ struct SwarmCohorts {
 };
 
 /// The vectorized client emulator: drives the whole SwarmState population
-/// from the per-shard report stream one UplinkMux delivers.
+/// from the per-shard report stream one UplinkMux delivers. Every client
+/// runs the shared lifecycle of core/client_lifecycle.hpp
+/// (docs/protocols.md, "Client lifecycle") over its SwarmState row; this
+/// class keeps the mechanics: the columns, the mux, cohort histograms, and
+/// deadlines polled at report ticks instead of timers. On a shard-s report
+/// at tick T, for every client:
 ///
-/// Where ClientPool runs one state machine (timers, sockets, scheme
-/// objects) per agent, the emulator runs the same model as flat array
-/// sweeps keyed off report arrivals ("lazy ticks"):
+///   (a) wake it if dozing and its dozeEnd <= T,
+///   (b) promote it to a query if thinking and its thinkDeadline <= T,
+///   (c) apply the once-decoded report through core/client_rule.hpp over a
+///       PartitionView,
+///   (d)-(e) hand the report to the lifecycle: answer on shard s (misses
+///       are staged on the mux and flushed at tick end), or flip the
+///       interval coin on shard 0.
 ///
-///   on a shard-s report at tick T:
-///     (a) wake every dozer whose dozeEnd <= T (onWake gap handling on
-///         every shard, then resume think or query-after-wake),
-///     (b) promote every thinker whose thinkDeadline <= T to a query
-///         (drawn from its own rngQuery stream by QueryGenerator's law),
-///     (c) apply the report once-decoded across all awake clients through
-///         the adaptive client rule of core/client_rule.hpp (the code
-///         AdaptiveClientScheme::onReport runs), over a PartitionView,
-///     (d) answer waiting queries on shard s (hit/miss/AoI/audit; misses
-///         are staged on the mux and batch-flushed at tick end),
-///     (e) flip the interval-coin for still-thinking clients (shard-0
-///         reports only, kIntervalCoin model — matching the pool).
-///
-/// Timer-driven and report-driven execution are observationally equivalent
-/// here because every client-visible event in this model — report
-/// application, query answering, doze coins — happens at a report anyway;
-/// think/doze deadlines only need to be resolved against the report's
-/// model tick. All model time lives on the LiveClock millisecond grid, so
-/// every scheme comparison is an exact integer compare and a run is a pure
-/// function of (seed, report tick sequence) — independent, in particular,
-/// of how many TCP endpoints the mux multiplexes the uplink over.
+/// Every client-visible event happens at a report, so this is
+/// observationally equivalent to timers. All model time lives on the
+/// LiveClock millisecond grid: a run is a pure function of (seed, report
+/// tick sequence), independent of how many endpoints the mux uses.
 ///
 /// Only the adaptive schemes (AFW/AAW) are supported; configure() rejects
 /// anything else.
@@ -155,17 +147,12 @@ class SwarmEmulator final : public SwarmSink {
                    const live::ShardMap& newMap) override;
 
  private:
-  [[nodiscard]] MCI_HOT db::ItemId pickItem(sim::Rng& rng) const;
-  MCI_HOT void drawQuery(std::uint32_t c, double startModel);
-  MCI_HOT void wake(std::uint32_t c);
-  MCI_HOT void beginDoze(std::uint32_t c, double nowModel,
-                         bool queryAfterWake);
-  MCI_HOT void completeQuery(std::uint32_t c, Tick now);
+  /// One client row as the lifecycle's view (defined in engine.cpp).
+  class Life;
 
   /// The shared sweep: phases (a)-(e) above for one report.
   MCI_HOT void tick(std::uint32_t shard, Tick now, bool isTs, Tick coverage,
                     const report::BsReport* bs);
-  MCI_HOT void answerShard(std::uint32_t c, std::uint32_t s, Tick now);
 
   live::Reactor& reactor_;
   SwarmOptions opts_;
@@ -181,6 +168,7 @@ class SwarmEmulator final : public SwarmSink {
   int tsBits_ = 32;
   int itemBits_ = 14;
   double tlbBits_ = 0;  ///< SizeModel::tlbMessageBits(), sent with checks
+  workload::Disconnector::Params dozeParams_;
 
   SwarmState state_;
   std::vector<std::uint32_t> pendingFetch_;  ///< outstanding items, per client
@@ -190,7 +178,7 @@ class SwarmEmulator final : public SwarmSink {
   // Shared decode scratch for the current TS report (capacity reused).
   std::vector<db::ItemId> entryItem_;
   std::vector<Tick> entryTick_;
-  std::vector<db::ItemId> queryScratch_;  ///< nextQuery mirror buffer
+  std::vector<db::ItemId> queryScratch_;  ///< drawQueryItems buffer
   std::vector<std::uint8_t> bsFrame_;     ///< BS decode copy (rare path)
 
   SwarmStats stats_;

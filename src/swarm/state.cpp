@@ -13,7 +13,7 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
   dbSize = databaseSize;
 
   const std::size_t nc = clients;
-  state.assign(nc, ClientState::kThinking);
+  phase.assign(nc, core::lifecycle::Phase::kThinking);
   thinkDeadline.assign(nc, 0.0);
   dozeEnd.assign(nc, 0.0);
   queryAfterWake.assign(nc, false);
@@ -278,7 +278,7 @@ void SwarmState::applyTsEntries(std::uint32_t c, std::uint32_t s,
 
 std::size_t SwarmState::memoryBytes() const {
   std::size_t bytes = 0;
-  bytes += state.capacity() * sizeof(ClientState);
+  bytes += phase.capacity() * sizeof(core::lifecycle::Phase);
   bytes += thinkDeadline.capacity() * sizeof(double);
   bytes += dozeEnd.capacity() * sizeof(double);
   bytes += rngQuery.capacity() * sizeof(sim::Rng);

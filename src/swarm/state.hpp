@@ -7,6 +7,7 @@
 
 #include "core/annotations.hpp"
 #include "core/check.hpp"
+#include "core/client_lifecycle.hpp"
 #include "db/item.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -52,13 +53,6 @@ class BitArray {
   std::size_t bits_ = 0;
 };
 
-/// What one emulated client is doing between report ticks.
-enum class ClientState : std::uint8_t {
-  kThinking = 0,  ///< think timer running; promoted lazily at tick time
-  kAwaiting = 1,  ///< query issued, waiting for each shard's next report
-  kDozing = 2,    ///< radio off; reports are not heard until dozeEnd
-};
-
 /// Struct-of-arrays state for the whole emulated population.
 ///
 /// This is the vectorized analogue of ClientAgent + ClientContext +
@@ -91,8 +85,11 @@ struct SwarmState {
   bool presenceEnabled = false;
 
   // --- per-client scalars ---
-  std::vector<ClientState> state;
-  std::vector<double> thinkDeadline;  ///< model s; valid while kThinking
+  /// The lifecycle phase; deadlines are resolved lazily at report ticks.
+  std::vector<core::lifecycle::Phase> phase;
+  /// Model s; valid while thinking. While dozing: the parked remaining
+  /// think of an interval-coin doze.
+  std::vector<double> thinkDeadline;
   std::vector<double> dozeEnd;        ///< model s; valid while kDozing
   BitArray queryAfterWake;            ///< post-query doze: query on wake
   std::vector<sim::Rng> rngQuery;     ///< fork("query", c): think + items
@@ -264,6 +261,56 @@ class PartitionView {
   std::uint32_t c_;
   std::uint32_t s_;
   std::size_t idx_;
+};
+
+/// The state half of the lifecycle view (core/client_lifecycle.hpp) over
+/// one client row of a SwarmState, partitions keyed by shard index. The
+/// emulator's view derives from it and adds the mechanics.
+class ClientRow {
+ public:
+  /// A cache lookup: the slot (-1 when absent) and its flat index.
+  struct Slot {
+    int slot;
+    std::size_t index;
+  };
+
+  ClientRow(SwarmState& st, std::uint32_t c) : st_(st), c_(c) {}
+
+  core::lifecycle::Phase phase() const { return st_.phase[c_]; }
+  void setPhase(core::lifecycle::Phase p) { st_.phase[c_] = p; }
+  double thinkDeadline() const { return st_.thinkDeadline[c_]; }
+  void setThinkDeadline(double t) { st_.thinkDeadline[c_] = t; }
+  bool queryAfterWake() const { return st_.queryAfterWake.get(c_); }
+  void setQueryAfterWake(bool b) { st_.queryAfterWake.put(c_, b); }
+  sim::Rng& dozeRng() { return st_.rngDisc[c_]; }
+
+  template <class F>
+  void forEachPartition(F&& f) {
+    for (std::uint32_t s = 0; s < st_.shards; ++s) {
+      PartitionView p(st_, c_, s);
+      f(p);
+    }
+  }
+  /// Shard 0's reports mark the broadcast intervals.
+  static bool isCoinPartition(std::uint32_t s) { return s == 0; }
+  bool owes(std::uint32_t s) const { return (st_.needAnswer[c_] >> s & 1u); }
+  void settleOwed(std::uint32_t s) { st_.needAnswer[c_] &= ~(1u << s); }
+  bool anyOwed() const { return st_.needAnswer[c_] != 0; }
+  bool salvagePending(std::uint32_t s) const {
+    return st_.salvagePending.get(st_.cs(c_, s));
+  }
+  Tick lastHeard(std::uint32_t s) const { return st_.lastHeard[st_.cs(c_, s)]; }
+  Slot lookup(std::uint32_t s, db::ItemId item) const {
+    const int slot = st_.findSlot(c_, s, item);
+    const auto u = static_cast<std::uint32_t>(slot);
+    return {slot, slot >= 0 ? st_.slotIndex(c_, u) : 0};
+  }
+  static bool present(Slot h) { return h.slot >= 0; }
+  bool suspect(Slot h) const { return st_.slotSuspect.get(h.index); }
+
+ protected:
+  SwarmState& st_;
+  std::uint32_t c_;
 };
 
 }  // namespace mci::swarm

@@ -26,7 +26,8 @@ enum class DisconnectModel {
   return m == DisconnectModel::kIntervalCoin ? "interval-coin" : "post-query";
 }
 
-/// Per-client disconnection behaviour: the coin and the doze duration.
+/// Per-client disconnection behaviour: the coin and the doze duration,
+/// drawn coin first from the client's own "disc" stream.
 class Disconnector {
  public:
   struct Params {
@@ -38,13 +39,19 @@ class Disconnector {
   Disconnector(Params params, sim::Rng rng) : params_(params), rng_(rng) {}
 
   /// One disconnection decision (at an interval boundary or query end,
-  /// depending on the model).
-  bool shouldDisconnect() { return rng_.bernoulli(params_.probability); }
+  /// depending on the model), from a stream held anywhere: a
+  /// Disconnector's own, or a swarm client's rngDisc column.
+  static bool coin(const Params& p, sim::Rng& rng) {
+    return rng.bernoulli(p.probability);
+  }
 
-  /// Draws the doze duration.
-  double duration() { return rng_.exponential(params_.meanDuration); }
+  /// Draws the doze duration; always after the coin that started it.
+  static double duration(const Params& p, sim::Rng& rng) {
+    return rng.exponential(p.meanDuration);
+  }
 
   [[nodiscard]] const Params& params() const { return params_; }
+  sim::Rng& rng() { return rng_; }
 
  private:
   Params params_;

@@ -1,17 +1,19 @@
 #include "workload/pattern.hpp"
 
-#include <cassert>
+#include "core/check.hpp"
+
 
 namespace mci::workload {
 
 AccessPattern::AccessPattern(std::size_t numItems, bool hotCold, HotColdSpec spec)
     : numItems_(numItems), hotCold_(hotCold), spec_(spec) {
-  assert(numItems_ > 0);
+  MCI_CHECK(numItems_ > 0);
   if (hotCold_) {
-    assert(spec_.hotLo < spec_.hotHi);
-    assert(spec_.hotHi <= numItems_);
-    assert(spec_.hotHi - spec_.hotLo < numItems_ && "cold region must be non-empty");
-    assert(spec_.hotProb >= 0.0 && spec_.hotProb <= 1.0);
+    MCI_CHECK(spec_.hotLo < spec_.hotHi);
+    MCI_CHECK(spec_.hotHi <= numItems_);
+    MCI_CHECK(spec_.hotHi - spec_.hotLo < numItems_)
+        << "cold region must be non-empty";
+    MCI_CHECK(spec_.hotProb >= 0.0 && spec_.hotProb <= 1.0);
   }
 }
 

@@ -1,15 +1,14 @@
 #include "workload/query_generator.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include "core/check.hpp"
 
 namespace mci::workload {
 
 QueryGenerator::QueryGenerator(AccessPattern pattern, Params params,
                                sim::Rng rng)
     : pattern_(pattern), params_(params), rng_(rng) {
-  assert(params_.meanThinkTime > 0);
-  assert(params_.meanItemsPerQuery >= 1.0);
+  MCI_CHECK(params_.meanThinkTime > 0);
+  MCI_CHECK(params_.meanItemsPerQuery >= 1.0);
 }
 
 double QueryGenerator::thinkTime() {
@@ -23,23 +22,7 @@ std::vector<db::ItemId> QueryGenerator::nextQuery() {
 }
 
 void QueryGenerator::nextQuery(std::vector<db::ItemId>& out) {
-  std::vector<db::ItemId>& items = out;
-  items.clear();
-  // 1 + Poisson(mean-1): at least one item, exact mean.
-  const int count = 1 + rng_.poisson(params_.meanItemsPerQuery - 1.0);
-  items.reserve(static_cast<std::size_t>(count));
-  // Draw distinct items; with small counts relative to the region sizes a
-  // bounded number of retries suffices, and we fall back to accepting a
-  // duplicate-free prefix rather than spinning.
-  int attempts = 0;
-  while (static_cast<int>(items.size()) < count && attempts < count * 16) {
-    ++attempts;
-    const db::ItemId candidate = pattern_.pick(rng_);
-    if (std::find(items.begin(), items.end(), candidate) == items.end()) {
-      items.push_back(candidate);
-    }
-  }
-  if (items.empty()) items.push_back(pattern_.pick(rng_));
+  drawQueryItems(rng_, params_.meanItemsPerQuery, pattern_, out);
 }
 
 }  // namespace mci::workload

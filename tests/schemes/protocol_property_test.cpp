@@ -20,6 +20,7 @@
 
 #include "core/aaw_scheme.hpp"
 #include "core/afw_scheme.hpp"
+#include "core/client_rule.hpp"
 #include "db/database.hpp"
 #include "scheme_test_util.hpp"
 #include "schemes/at_scheme.hpp"
@@ -151,7 +152,7 @@ struct Episode {
       if (rng.bernoulli(0.3)) update();
     }
     pendingReply.reset();  // replies sent into the void
-    client->onWake(h.ctx);
+    core::rule::onWake(h.ctx);
     reportsSinceSalvageStart = 0;
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/client_rule.hpp"
 #include "db/database.hpp"
 #include "scheme_test_util.hpp"
 
@@ -144,7 +145,7 @@ TEST_F(CheckingFixture, WakeMidSalvageRestartsTheCycle) {
 
   // Client dozes before the reply and wakes much later: suspects survive,
   // and the next report triggers a fresh check with a new epoch.
-  client.onWake(h.ctx);
+  core::rule::onWake(h.ctx);
   EXPECT_EQ(h.ctx.cache().suspectCount(), 1u);
   EXPECT_TRUE(h.ctx.salvagePending());
   EXPECT_FALSE(h.ctx.checkSent());

@@ -1,11 +1,19 @@
-// Step-level differential test of the adaptive client rule's two views:
-// one scripted AFW/AAW episode runs through AdaptiveClientScheme on a
-// ClientContext (the sim and ClientAgent) and through the shared rule on a
-// swarm PartitionView of a 1-client SwarmState, exactly as
-// SwarmEmulator::tick and onDataItem call it. Every time sits on the
-// millisecond grid, so after each step the two must agree bit for bit on
-// lastHeard, suspectAsOf, checkSent, salvagePending, checkDeliveredAt and
-// the cached and suspect item sets.
+// Step-level differential tests of the shared client code's two views.
+//
+// The adaptive client rule: one scripted AFW/AAW episode runs through
+// AdaptiveClientScheme on a ClientContext (the sim and ClientAgent) and
+// through the shared rule on a swarm PartitionView of a 1-client
+// SwarmState, exactly as SwarmEmulator::tick and onDataItem call it. Every
+// time sits on the millisecond grid, so after each step the two must agree
+// bit for bit on lastHeard, suspectAsOf, checkSent, salvagePending,
+// checkDeliveredAt and the cached and suspect item sets.
+//
+// The client lifecycle: one scripted think/query/doze sequence runs
+// through core/client_lifecycle.hpp on a HostView (the fields core::Client
+// and ClientAgent keep) and on a swarm ClientRow. After every step both
+// must agree on phase, deadlines, owed mask, outstanding fetches and the
+// draws consumed from each random stream, and both must match the draw
+// order the lifecycle documents, replayed on reference streams.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +23,7 @@
 #include <string>
 
 #include "core/adaptive_common.hpp"
+#include "core/client_lifecycle.hpp"
 #include "core/client_rule.hpp"
 #include "db/update_history.hpp"
 #include "live/clock.hpp"
@@ -23,6 +32,8 @@
 #include "schemes/bs_scheme.hpp"
 #include "schemes/scheme_test_util.hpp"
 #include "swarm/state.hpp"
+#include "workload/pattern.hpp"
+#include "workload/query_generator.hpp"
 
 namespace mci::swarm {
 namespace {
@@ -106,7 +117,7 @@ struct Episode {
   }
 
   void wake() {
-    scheme.onWake(h.ctx);
+    core::rule::onWake(h.ctx);
     PartitionView p = view();
     core::rule::onWake(p);
   }
@@ -289,6 +300,375 @@ TEST(ClientRule, PreFlipPointFoldsInSuspectAnchors) {
   EXPECT_DOUBLE_EQ(clean.value(), 480.0);
   EXPECT_DOUBLE_EQ(core::rule::PreFlipPoint<sim::SimTime>{}.value(),
                    sim::kTimeEpoch);
+}
+
+// --- the client lifecycle -------------------------------------------------
+
+namespace life = core::lifecycle;
+using life::Phase;
+
+constexpr std::uint64_t kSeed = 11;
+constexpr std::size_t kDbSize = 1000;
+constexpr std::uint32_t kCapacity = 8;
+constexpr double kMeanThink = 100.0;
+constexpr double kMeanItems = 4.0;
+
+workload::AccessPattern lifePattern() {
+  return workload::AccessPattern::uniform(kDbSize);
+}
+
+workload::QueryGenerator::Params lifeQueryParams() {
+  workload::QueryGenerator::Params qp;
+  qp.meanThinkTime = kMeanThink;
+  qp.meanItemsPerQuery = kMeanItems;
+  return qp;
+}
+
+/// The disconnection law both views read; the script switches its model.
+struct Law {
+  workload::Disconnector::Params params;
+  Law() {
+    params.model = workload::DisconnectModel::kPostQuery;
+    params.probability = 1.0;  // every coin lands: the script decides
+    params.meanDuration = 300.0;
+  }
+};
+
+/// The fields core::Client and ClientAgent keep, one partition.
+struct HostClient {
+  life::HostLife life;
+  workload::QueryGenerator queries{lifePattern(), lifeQueryParams(),
+                                   sim::Rng(kSeed).fork("query", 0)};
+  workload::Disconnector disc{Law().params, sim::Rng(kSeed).fork("disc", 0)};
+  schemes::testutil::ClientHarness h{kDbSize, kCapacity};
+  life::QueryLeg leg;
+  double wakeAt = -1;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  HostClient() { leg.ctx = &h.ctx; }
+};
+
+/// HostView (the production state half) plus core::Client's mechanics,
+/// minus the simulator.
+class HostSide : public life::HostView {
+ public:
+  HostSide(HostClient& c, const Law& law)
+      : HostView(c.life, c.queries, c.disc, nullptr, 0), c_(c), law_(law) {}
+
+  [[nodiscard]] life::QueryLeg* part() { return &c_.leg; }
+  [[nodiscard]] const workload::Disconnector::Params& dozeParams() const {
+    return law_.params;
+  }
+  template <class F>
+  void forEachPartition(F&& f) {
+    f(c_.h.ctx);
+  }
+  [[nodiscard]] static bool isCoinPartition(const life::QueryLeg*) {
+    return true;
+  }
+  [[nodiscard]] bool anyOwed() const { return c_.leg.owed; }
+  [[nodiscard]] bool anyFetchOutstanding() const {
+    return !c_.leg.fetch.empty();
+  }
+  bool drawQuery(double now) {
+    c_.queries.nextQuery(c_.leg.items);
+    life_.queryStart = now;
+    c_.leg.owed = true;
+    return true;
+  }
+  static void armThink(double) {}
+  static void cancelThink() {}
+  void armWake(double now, double duration) {
+    noteDoze(now);
+    c_.wakeAt = now + duration;
+  }
+  bool hit(life::QueryLeg* leg, db::ItemId item, const cache::Entry* e) {
+    ++c_.hits;
+    return HostView::hit(leg, item, e);
+  }
+  void miss(life::QueryLeg* leg, db::ItemId item) {
+    ++c_.misses;
+    HostView::miss(leg, item);
+  }
+  static void requestFetches(const life::QueryLeg*) {}
+  void recordCompletion(double now) {
+    HostView::recordCompletion(now);
+    c_.leg.items.clear();
+  }
+
+ private:
+  HostClient& c_;
+  const Law& law_;
+};
+
+/// One SwarmState row, with the emulator's per-client fetch count.
+struct RowClient {
+  SwarmState st;
+  workload::AccessPattern pattern = lifePattern();
+  std::vector<db::ItemId> scratch;
+  std::uint32_t pending = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t completed = 0;
+
+  RowClient() { st.configure(1, 1, kDbSize, kCapacity, kSeed); }
+};
+
+/// ClientRow (the production state half) plus the emulator's mechanics.
+class RowSide : public ClientRow {
+ public:
+  RowSide(RowClient& c, const Law& law)
+      : ClientRow(c.st, 0), rc_(c), law_(law) {}
+
+  [[nodiscard]] static std::uint32_t part() { return 0; }
+  [[nodiscard]] const workload::Disconnector::Params& dozeParams() const {
+    return law_.params;
+  }
+  double drawThink() { return st_.rngQuery[0].exponential(kMeanThink); }
+  bool drawQuery(double now) {
+    workload::drawQueryItems(st_.rngQuery[0], kMeanItems, rc_.pattern,
+                             rc_.scratch);
+    const auto kept = static_cast<std::uint32_t>(std::min<std::size_t>(
+        rc_.scratch.size(), SwarmState::kMaxQueryItems));
+    for (std::uint32_t i = 0; i < kept; ++i) {
+      st_.queryItems[i] = rc_.scratch[i];
+    }
+    st_.queryCount[0] = static_cast<std::uint8_t>(kept);
+    st_.needAnswer[0] = 1;
+    st_.queryStart[0] = now;
+    rc_.pending = 0;
+    return true;
+  }
+  static void armThink(double) {}
+  static void cancelThink() {}
+  void armWake(double now, double duration) {
+    st_.dozeEnd[0] = now + duration;
+  }
+  static void onWoken(double) {}
+  template <class F>
+  void forEachQueryItem(std::uint32_t, F&& f) {
+    for (std::uint32_t i = 0; i < st_.queryCount[0]; ++i) {
+      if (!f(st_.queryItems[i])) return;
+    }
+  }
+  bool hit(std::uint32_t, db::ItemId, Slot h) {
+    st_.slotUsed.set(h.index);
+    ++rc_.hits;
+    return true;
+  }
+  void miss(std::uint32_t, db::ItemId) {
+    ++rc_.misses;
+    ++rc_.pending;
+  }
+  static void requestFetches(std::uint32_t) {}
+  [[nodiscard]] bool anyFetchOutstanding() const { return rc_.pending != 0; }
+  void retireFetch(std::uint32_t, db::ItemId) {
+    ASSERT_GT(rc_.pending, 0u);
+    --rc_.pending;
+  }
+  void recordCompletion(double) { ++rc_.completed; }
+
+ private:
+  RowClient& rc_;
+  const Law& law_;
+};
+
+/// Both clients, driven in lockstep.
+struct Lifecycle {
+  Law law;
+  HostClient host;
+  RowClient row;
+
+  HostSide hv() { return HostSide(host, law); }
+  RowSide rv() { return RowSide(row, law); }
+
+  template <class Step>
+  void both(Step&& step) {
+    HostSide h = hv();
+    step(h);
+    RowSide r = rv();
+    step(r);
+  }
+
+  /// A copy of `item` the server read at `t`, cached on both sides.
+  void cache(db::ItemId item, double t) {
+    host.h.cacheItem(item, t, 0);
+    row.st.insert(0, 0, item, toTick(t), 0);
+  }
+
+  /// Every outstanding fetch lands at `t`, read at `t`.
+  void landFetches(double t) {
+    const std::vector<db::ItemId> items = host.leg.fetch;
+    for (db::ItemId item : items) {
+      both([&](auto& v) {
+        (void)life::onFetchedCopy(v, v.part(), t, item, readTimeOf(v, t),
+                                  [] {});
+      });
+    }
+  }
+
+  static sim::SimTime readTimeOf(const HostSide&, double t) { return t; }
+  static Tick readTimeOf(const RowSide&, double t) { return toTick(t); }
+
+  [[nodiscard]] std::vector<db::ItemId> rowItems() const {
+    return {row.st.queryItems.begin(),
+            row.st.queryItems.begin() + row.st.queryCount[0]};
+  }
+
+  /// The next draw of each stream, without consuming it.
+  [[nodiscard]] static double peek(sim::Rng rng) { return rng.uniform01(); }
+
+  void expectSame(const std::string& step) {
+    SCOPED_TRACE(step);
+    const SwarmState& st = row.st;
+    EXPECT_EQ(host.life.phase, st.phase[0]);
+    EXPECT_EQ(host.life.thinkDeadline, st.thinkDeadline[0]);
+    EXPECT_EQ(host.life.queryAfterWake, st.queryAfterWake.get(0));
+    if (host.life.phase == Phase::kDozing) {
+      EXPECT_EQ(host.wakeAt, st.dozeEnd[0]);
+    }
+    if (host.life.phase == Phase::kQuerying) {
+      EXPECT_EQ(host.life.queryStart, st.queryStart[0]);
+      EXPECT_EQ(host.leg.items, rowItems());
+    }
+    EXPECT_EQ(host.leg.owed ? 1u : 0u, st.needAnswer[0]);
+    EXPECT_EQ(host.leg.fetch.size(), row.pending);
+    EXPECT_EQ(host.hits, row.hits);
+    EXPECT_EQ(host.misses, row.misses);
+    EXPECT_EQ(host.life.completed, row.completed);
+    workload::QueryGenerator q = host.queries;
+    EXPECT_EQ(q.thinkTime(), sim::Rng(st.rngQuery[0]).exponential(kMeanThink));
+    workload::Disconnector d = host.disc;
+    EXPECT_EQ(peek(d.rng()), peek(st.rngDisc[0]));
+  }
+};
+
+TEST(ClientLifecycleParity, ScriptedLifecycleAgreesAfterEveryStep) {
+  Lifecycle e;
+  // Reference streams replaying the documented draw order: "query" gives
+  // think, items, think...; "disc" gives coin, duration, coin, duration.
+  workload::QueryGenerator refQuery(lifePattern(), lifeQueryParams(),
+                                    sim::Rng(kSeed).fork("query", 0));
+  sim::Rng refDisc = sim::Rng(kSeed).fork("disc", 0);
+
+  e.both([](auto& v) { life::startThink(v, 0.0, v.drawThink()); });
+  e.expectSame("start");
+  const double firstThink = refQuery.thinkTime();
+  EXPECT_EQ(e.host.life.phase, Phase::kThinking);
+  EXPECT_EQ(e.host.life.thinkDeadline, firstThink);
+
+  // Think elapses: the query exists from its deadline on.
+  const double issued = e.host.life.thinkDeadline;
+  e.both([&](auto& v) { life::issueQuery(v, issued); });
+  e.expectSame("query issued at the think deadline");
+  EXPECT_EQ(e.host.leg.items, refQuery.nextQuery());
+  ASSERT_GE(e.host.leg.items.size(), 2u) << "the script needs a hit and a miss";
+  EXPECT_EQ(e.host.life.phase, Phase::kQuerying);
+
+  // One item is cached and fresh, another cached but suspect, the rest
+  // absent: one hit, the others fetched.
+  e.cache(e.host.leg.items[0], 1.0);
+  e.cache(e.host.leg.items[1], 1.0);
+  e.host.h.ctx.cache().find(e.host.leg.items[1])->suspect = true;
+  e.row.st.slotSuspect.set(e.row.st.slotIndex(
+      0, static_cast<std::uint32_t>(e.row.st.findSlot(0, 0, e.host.leg.items[1]))));
+
+  const double heard = std::ceil(issued) + 1.0;
+  e.both([&](auto& v) { life::onReportHeard(v, v.part(), heard); });
+  e.expectSame("report answers: a hit and misses");
+  EXPECT_EQ(e.host.hits, 1u);
+  EXPECT_EQ(e.host.leg.fetch.size(), e.host.leg.items.size() - 1);
+  EXPECT_FALSE(e.host.leg.owed);
+
+  // The fetches land; the last completes the query, the post-query coin
+  // lands and the doze replaces the next think.
+  const double landed = heard + 2.0;
+  e.landFetches(landed);
+  e.expectSame("fetches landed, post-query doze");
+  EXPECT_EQ(e.host.life.completed, 1u);
+  EXPECT_EQ(e.host.life.phase, Phase::kDozing);
+  EXPECT_TRUE(e.host.life.queryAfterWake);
+  EXPECT_TRUE(refDisc.bernoulli(1.0));
+  EXPECT_EQ(e.host.wakeAt, landed + refDisc.exponential(300.0));
+
+  // Wake: the query the doze replaced, with no think drawn in between. A
+  // salvage is pending on the partition, so the next report cannot answer.
+  const double woke = e.host.wakeAt;
+  e.both([&](auto& v) { life::wake(v, woke); });
+  e.expectSame("query after wake");
+  EXPECT_EQ(e.host.life.phase, Phase::kQuerying);
+  EXPECT_EQ(e.host.life.queryStart, woke);
+  EXPECT_EQ(e.host.leg.items, refQuery.nextQuery());
+
+  e.host.h.ctx.setSalvagePending(true);
+  PartitionView(e.row.st, 0, 0).setSalvagePending(true);
+  const double gated = std::ceil(woke) + 1.0;
+  e.both([&](auto& v) { life::onReportHeard(v, v.part(), gated); });
+  e.expectSame("salvage pending gates the answer");
+  EXPECT_TRUE(e.host.leg.owed);
+
+  // The salvage resolves (a validity reply): answer now. The model is
+  // switched to the interval coin, so completion draws the next think.
+  e.host.h.ctx.setSalvagePending(false);
+  PartitionView(e.row.st, 0, 0).setSalvagePending(false);
+  e.law.params.model = workload::DisconnectModel::kIntervalCoin;
+  e.both([&](auto& v) { life::tryAnswer(v, v.part(), gated + 0.5); });
+  e.expectSame("validity reply answers");
+  EXPECT_FALSE(e.host.leg.owed);
+  const double done = gated + 3.0;
+  e.landFetches(done);
+  e.expectSame("second query complete, next think");
+  EXPECT_EQ(e.host.life.completed, 2u);
+  EXPECT_EQ(e.host.life.phase, Phase::kThinking);
+  EXPECT_EQ(e.host.life.thinkDeadline, done + refQuery.thinkTime());
+
+  // A report in mid-think: the interval coin lands, the doze parks the
+  // remaining think.
+  const double deadline = e.host.life.thinkDeadline;
+  const double coin = done + 0.25;
+  ASSERT_LT(coin, deadline);
+  e.both([&](auto& v) { life::onReportHeard(v, v.part(), coin); });
+  e.expectSame("interval-coin doze in mid-think");
+  EXPECT_EQ(e.host.life.phase, Phase::kDozing);
+  EXPECT_FALSE(e.host.life.queryAfterWake);
+  EXPECT_EQ(e.host.life.thinkDeadline, deadline - coin);
+  EXPECT_TRUE(refDisc.bernoulli(1.0));
+  EXPECT_EQ(e.host.wakeAt, coin + refDisc.exponential(300.0));
+
+  // Wake: the rest of the think, not a fresh one.
+  const double back = e.host.wakeAt;
+  e.both([&](auto& v) { life::wake(v, back); });
+  e.expectSame("wake resumes the remaining think");
+  EXPECT_EQ(e.host.life.phase, Phase::kThinking);
+  EXPECT_EQ(e.host.life.thinkDeadline, back + (deadline - coin));
+
+  // Under the post-query model a report heard while thinking flips nothing.
+  e.law.params.model = workload::DisconnectModel::kPostQuery;
+  e.both([&](auto& v) { life::onReportHeard(v, v.part(), back + 1.0); });
+  e.expectSame("no interval coin under the post-query model");
+  EXPECT_EQ(Lifecycle::peek(e.host.disc.rng()), Lifecycle::peek(refDisc));
+  EXPECT_EQ(e.host.life.phase, Phase::kThinking);
+}
+
+// The one query law: from the same stream, QueryGenerator (the sim and
+// ClientAgent) and the swarm's draw pick the same items and leave the
+// stream in the same state.
+TEST(QueryDrawLaw, QueryGeneratorAndSwarmDrawAgree) {
+  const workload::AccessPattern hot = workload::AccessPattern::hotCold(
+      kDbSize, workload::HotColdSpec{});
+  workload::QueryGenerator gen(hot, lifeQueryParams(),
+                               sim::Rng(kSeed).fork("query", 3));
+  SwarmState st;
+  st.configure(4, 1, kDbSize, kCapacity, kSeed);
+  std::vector<db::ItemId> swarmItems;
+  for (int q = 0; q < 200; ++q) {
+    const std::vector<db::ItemId> simItems = gen.nextQuery();
+    workload::drawQueryItems(st.rngQuery[3], kMeanItems, hot, swarmItems);
+    ASSERT_EQ(simItems, swarmItems) << "query " << q;
+  }
+  EXPECT_EQ(gen.thinkTime(), st.rngQuery[3].exponential(kMeanThink));
+
 }
 
 }  // namespace

@@ -395,7 +395,7 @@ TEST(Swarm, PrefetchHintIsBoundsSafeAndWritesNothing) {
   EXPECT_EQ(after.clockHand, before.clockHand);
   EXPECT_EQ(after.slotItem, before.slotItem);
   EXPECT_EQ(after.needAnswer, before.needAnswer);
-  EXPECT_EQ(after.state, before.state);
+  EXPECT_EQ(after.phase, before.phase);
   em.shutdown();
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Determinism lint: reject nondeterminism sources in src/ and bench/.
+"""Determinism lint: reject nondeterminism sources and raw asserts.
 
 Every figure this repository emits must be bit-reproducible per seed
 (ROADMAP.md), so the production sources may not read entropy or wall-clock
@@ -18,13 +18,19 @@ Banned patterns
 4. `std::mt19937` / `std::mt19937_64` outside src/sim/random.* — all
    simulation randomness flows through sim::Rng so streams are explicitly
    seeded and fork()-decorrelated.
+5. Raw `assert(` in src/ (bench/ is exempt). NDEBUG compiles it out of
+   every Release build, so an invariant written that way never runs where
+   the figures are made. Use MCI_CHECK (always on) for conditions that
+   guard input from outside the program (config, CLI, wire) and
+   MCI_DCHECK (Debug and sanitizer builds) for the rest; both live in
+   src/core/check.hpp. `static_assert` is a different thing and passes.
 
-The former rule 5 (range-for over unordered containers) moved to the
+An earlier rule 5 (range-for over unordered containers) moved to the
 AST-based `ordered-iteration` rule in tools/analyze/mci_analyze.py, which
 sees through typedefs, auto, and members declared in other headers where
 the old per-file regex could not. This script stays as the zero-dependency
-fallback for the remaining token-level rules — they need no type
-information, so regexes are exact for them. See docs/analysis.md.
+fallback for the token-level rules — they need no type information, so
+regexes are exact for them. See docs/analysis.md.
 
 Suppressions
 ------------
@@ -57,28 +63,40 @@ SUPPRESS_OK = re.compile(r"NOLINT-DETERMINISM\(.+\)")
 SUPPRESS_BARE = re.compile(r"NOLINT-DETERMINISM(?!\()")
 
 SIMPLE_RULES = [
-    # (regex on comment-stripped code, allowlist, message)
+    # (regex on comment-stripped code, scanned dirs, allowlist, message)
     (
         re.compile(r"(?<![\w:])s?rand(om)?\s*\("),
+        SCAN_DIRS,
         (),
         "C rand()/srand()/random() is banned; use sim::Rng with an explicit seed",
     ),
     (
         re.compile(r"std\s*::\s*random_device"),
+        SCAN_DIRS,
         RNG_ALLOWLIST,
         "std::random_device outside src/sim/random.* breaks seed reproducibility",
     ),
     (
         re.compile(r"std\s*::\s*chrono\s*::\s*\w*_clock\s*::\s*now"),
+        SCAN_DIRS,
         WALLTIME_ALLOWLIST,
         "host clock reads are banned outside the wall-time allowlist; "
         "simulated time comes from sim::Simulator",
     ),
     (
         re.compile(r"std\s*::\s*mt19937(_64)?\b"),
+        SCAN_DIRS,
         RNG_ALLOWLIST,
         "raw std::mt19937 outside src/sim/random.* — route randomness "
         "through sim::Rng so every stream is explicitly seeded",
+    ),
+    (
+        re.compile(r"(?<![\w:])assert\s*\("),
+        ("src",),
+        (),
+        "raw assert() is compiled out of Release builds; use MCI_CHECK "
+        "(outside input) or MCI_DCHECK (internal invariant) from "
+        "core/check.hpp",
     ),
 ]
 
@@ -163,8 +181,8 @@ def lint_file(root: Path, path: Path) -> list[str]:
                 "NOLINT-DETERMINISM(<why this is safe>)"
             )
 
-    for pattern, allowlist, message in SIMPLE_RULES:
-        if rel in allowlist:
+    for pattern, dirs, allowlist, message in SIMPLE_RULES:
+        if rel in allowlist or rel.split("/", 1)[0] not in dirs:
             continue
         for ln, line in enumerate(code_lines, start=1):
             if pattern.search(line) and not suppressed(raw_lines, ln):
