@@ -128,6 +128,9 @@ struct SwarmPhaseResult {
   double meanOccupancy = 0;
   std::size_t memoryBytes = 0;
   std::uint32_t shardsFinal = 0;
+  /// Update items the cluster applied per model second heard: the update
+  /// stream the hit ratio is measured against.
+  double updatesPerModelS = 0;
   /// Hit ratio over [tailFrac * simTime, simTime) — on a reshard run this
   /// window opens after the epoch switch, so it is the post-switch figure
   /// the acceptance gate compares against a control run's same window.
@@ -230,6 +233,11 @@ SwarmPhaseResult runSwarm(const core::SimConfig& cfg, double timeScale,
   r.wallSeconds = timer.seconds();
   r.memoryBytes = em.memoryBytes();
   r.shardsFinal = cluster.shardCount();
+  if (em.modelNow() > 0) {
+    r.updatesPerModelS =
+        static_cast<double>(cluster.totalStats().updatesApplied) /
+        em.modelNow();
+  }
   if (tailMarked) {
     const std::uint64_t th = r.stats.cacheHits - tailHits;
     const std::uint64_t tm = r.stats.cacheMisses - tailMisses;
@@ -439,6 +447,8 @@ int main(int argc, char** argv) {
   put("hit_ratio_parity", parity);
   put("hit_ratio_tail", sw.tailHitRatio);
   put("stale_reads", static_cast<double>(sw.stats.staleReads));
+  put("unsupported_reports",
+      static_cast<double>(sw.stats.unsupportedReports));
   put("reports_processed", static_cast<double>(sw.stats.reportsProcessed));
   put("client_ticks", static_cast<double>(sw.stats.clientTicks));
   put("clients_per_s", sw.wallSeconds > 0
@@ -454,6 +464,7 @@ int main(int argc, char** argv) {
       static_cast<double>(sw.memoryBytes) / clients);
   put("mean_occupancy", sw.meanOccupancy);
   put("dozes", static_cast<double>(sw.stats.dozes));
+  put("updates_per_model_s", sw.updatesPerModelS);
   put("model_s_per_wall_s",
       sw.wallSeconds > 0 ? cfg.simTime / sw.wallSeconds : 0.0);
   if (plan.enabled) {

@@ -17,6 +17,30 @@ constexpr std::size_t kPrefetchSlotBytes = 128;
 
 }  // namespace
 
+std::optional<TsHeader> parseTsReport(const std::uint8_t* data,
+                                      std::size_t len, int itemBits,
+                                      int tsBits, std::uint32_t dbSize,
+                                      std::vector<TsEntry>& entries) {
+  report::BitReader r(data, len);
+  if (r.read(2) != 0) return std::nullopt;
+  TsHeader h;
+  h.extended = r.read(1) != 0;
+  h.now = static_cast<Tick>(r.read(tsBits));
+  h.coverage = static_cast<Tick>(r.read(tsBits));
+  const std::uint64_t count = r.read(24);
+  if (!r.fits(count, itemBits + tsBits)) return std::nullopt;
+  entries.clear();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t item = r.read(itemBits);
+    const auto tick = static_cast<Tick>(r.read(tsBits));
+    if (item >= dbSize) return std::nullopt;
+    // MCI-ANALYZE-ALLOW(hot-path-alloc): entry scratch high-water only
+    entries.push_back({static_cast<db::ItemId>(item), tick});
+  }
+  if (!r.ok()) return std::nullopt;
+  return h;
+}
+
 /// One emulated client as the lifecycle's view: the SwarmState row plus
 /// the emulator's mechanics. Deadlines are polled at report ticks (tick
 /// phases (a) and (b)), so arming and cancelling them is free; `tick` is
@@ -209,6 +233,7 @@ void SwarmEmulator::onWelcome(const live::wire::Welcome& w) {
                    static_cast<std::uint32_t>(cfg_.dbSize), w.cacheCapacity,
                    cfg_.seed);
   pendingFetch_.assign(opts_.clients, 0);
+  listedTick_ = ListedTicks(state_.dbSize);
 }
 
 void SwarmEmulator::onMuxReady() {
@@ -246,7 +271,11 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
     if (isTs) {
       core::rule::onTsReport(
           p, now, coverage,
-          [&] { state_.applyTsEntries(c, shard, entryItem_, entryTick_); },
+          [&] {
+            if (!entries_.empty()) {
+              state_.applyTsEntries(c, shard, listedTick_.data());
+            }
+          },
           [&] {
             return mux_->sendCheck(
                 shard, c, live::LiveClock::tickToTime(p.suspectAsOf()),
@@ -272,32 +301,19 @@ void SwarmEmulator::onReportPayload(std::uint32_t shard,
   report::BitReader r(data, len);
   const std::uint64_t kind = r.read(2);
   if (kind == 0) {
-    // TS window / extended report, parsed in place into the entry scratch:
-    // [kind:2][extended:1][T][coverageStart][count:24] count x [id][t].
-    // tests/swarm/swarm_test.cpp pins this parse against codec.decodeTs.
-    const bool extended = r.read(1) != 0;
-    const auto now = static_cast<Tick>(r.read(tsBits_));
-    const auto coverage = static_cast<Tick>(r.read(tsBits_));
-    const std::uint64_t count = r.read(24);
-    if (!r.fits(count, itemBits_ + tsBits_)) {
+    // TS window / extended report: parsed in place and bound-checked, then
+    // folded into the listed-tick table the partition passes read.
+    const std::optional<TsHeader> h = parseTsReport(
+        data, len, itemBits_, tsBits_, state_.dbSize, entries_);
+    if (!h) {
       ++stats_.unsupportedReports;
       return;
     }
-    entryItem_.clear();
-    entryTick_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      // MCI-ANALYZE-ALLOW(hot-path-alloc): entry scratch high-water only
-      entryItem_.push_back(static_cast<db::ItemId>(r.read(itemBits_)));
-      // MCI-ANALYZE-ALLOW(hot-path-alloc): entry scratch high-water only
-      entryTick_.push_back(static_cast<Tick>(r.read(tsBits_)));
-    }
-    if (!r.ok()) {
-      ++stats_.unsupportedReports;
-      return;
-    }
+    listedTick_.list(entries_);
     ++stats_.reportsProcessed;
-    if (extended) ++stats_.extendedReports;
-    tick(shard, now, /*isTs=*/true, coverage, nullptr);
+    if (h->extended) ++stats_.extendedReports;
+    tick(shard, h->now, /*isTs=*/true, h->coverage, nullptr);
+    listedTick_.clear(entries_);
     return;
   }
   if (kind == 1) {

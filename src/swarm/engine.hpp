@@ -77,6 +77,26 @@ struct SwarmStats {
   }
 };
 
+/// The fixed fields of a TS window / extended report.
+struct TsHeader {
+  bool extended = false;
+  Tick now = 0;       ///< broadcast tick T
+  Tick coverage = 0;  ///< first tick the entries cover
+};
+
+/// Parses a TS report payload in place, without the allocating codec:
+/// [kind:2 = 0][extended:1][T][coverage][count:24] count x [id][t], ids
+/// `itemBits` wide and times `tsBits` wide. Fills `entries` in wire order
+/// (capacity reused). Returns nullopt, with `entries` unspecified, when the
+/// payload is not a TS report, is truncated, or lists an id >= `dbSize`:
+/// an id field is wider than the database (10 bits for 1 000 items), and a
+/// forged id must never reach a per-item table. tests/swarm/swarm_test.cpp
+/// pins it against ReportCodec::decodeTs.
+std::optional<TsHeader> parseTsReport(const std::uint8_t* data,
+                                      std::size_t len, int itemBits,
+                                      int tsBits, std::uint32_t dbSize,
+                                      std::vector<TsEntry>& entries);
+
 /// Per-cohort histograms plus their exact merge (Hist::merge).
 struct SwarmCohorts {
   std::vector<metrics::Hist> aoiMs;      ///< hit age-of-information, ms
@@ -94,7 +114,8 @@ struct SwarmCohorts {
 ///   (a) wake it if dozing and its dozeEnd <= T,
 ///   (b) promote it to a query if thinking and its thinkDeadline <= T,
 ///   (c) apply the once-decoded report through core/client_rule.hpp over a
-///       PartitionView,
+///       PartitionView; its entries are applied as one pass over the
+///       partition's slots against the report's listed-tick table,
 ///   (d)-(e) hand the report to the lifecycle: answer on shard s (misses
 ///       are staged on the mux and flushed at tick end), or flip the
 ///       interval coin on shard 0.
@@ -176,8 +197,10 @@ class SwarmEmulator final : public SwarmSink {
   std::uint32_t cacheCapacity_ = 0;  ///< from Welcome; reused at reshard
 
   // Shared decode scratch for the current TS report (capacity reused).
-  std::vector<db::ItemId> entryItem_;
-  std::vector<Tick> entryTick_;
+  std::vector<TsEntry> entries_;
+  /// The current TS report's entries_ as a per-item table: listed before
+  /// the sweep, cleared after it.
+  ListedTicks listedTick_;
   std::vector<db::ItemId> queryScratch_;  ///< drawQueryItems buffer
   std::vector<std::uint8_t> bsFrame_;     ///< BS decode copy (rare path)
 

@@ -4,6 +4,21 @@
 
 namespace mci::swarm {
 
+void ListedTicks::list(const std::vector<TsEntry>& entries) {
+  MCI_DCHECK(!listed_) << "list() without clear() after the last report";
+  listed_ = true;
+  for (const TsEntry& e : entries) {
+    MCI_DCHECK(e.item + std::size_t{1} < tick_.size())
+        << "entry id past the table (parseTsReport bounds ids)";
+    tick_[e.item] = std::max(tick_[e.item], e.tick);
+  }
+}
+
+void ListedTicks::clear(const std::vector<TsEntry>& entries) {
+  listed_ = false;
+  for (const TsEntry& e : entries) tick_[e.item] = 0;
+}
+
 void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
                            std::uint32_t databaseSize,
                            std::uint32_t cacheCapacity, std::uint64_t seed) {
@@ -183,7 +198,7 @@ void SwarmState::invalidateSlot(std::uint32_t c, std::uint32_t s,
                                 std::uint32_t slot) {
   const std::size_t idx = slotIndex(c, slot);
   const db::ItemId item = slotItem[idx];
-  if (item == kEmptySlot) return;
+  MCI_DCHECK(item != kEmptySlot) << "invalidating an empty slot";
   const std::size_t csIdx = cs(c, s);
   if (presenceEnabled) presence.clear(presenceIndex(c, item));
   if (slotSuspect.get(idx)) {
@@ -264,14 +279,15 @@ void SwarmState::dropPartition(std::uint32_t c, std::uint32_t s) {
 }
 
 void SwarmState::applyTsEntries(std::uint32_t c, std::uint32_t s,
-                                const std::vector<db::ItemId>& items,
-                                const std::vector<Tick>& ticks) {
-  const std::size_t n = items.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const int slot = findSlot(c, s, items[i]);
-    if (slot < 0) continue;
-    if (ticks[i] > slotRef[slotIndex(c, static_cast<std::uint32_t>(slot))]) {
-      invalidateSlot(c, s, static_cast<std::uint32_t>(slot));
+                                const Tick* listedTick) {
+  const std::size_t base = slotIndex(c, 0);
+  const std::uint32_t hi = shardSlotOff[s + 1];
+  for (std::uint32_t slot = shardSlotOff[s]; slot < hi; ++slot) {
+    // kEmptySlot clamps to the sentinel. Invalidations are rare, so the
+    // one branch is almost never taken.
+    const db::ItemId item = std::min(slotItem[base + slot], dbSize);
+    if (listedTick[item] > slotRef[base + slot]) [[unlikely]] {
+      invalidateSlot(c, s, slot);
     }
   }
 }

@@ -53,6 +53,37 @@ class BitArray {
   std::size_t bits_ = 0;
 };
 
+/// One (item, update tick) record of a TS report.
+struct TsEntry {
+  db::ItemId item;
+  Tick tick;
+};
+
+/// The listed-tick table SwarmState::applyTsEntries reads: per item, the
+/// latest tick the current TS report lists it with (0 = unlisted), plus a
+/// permanent zero at index dbSize that empty slots read. list() fills it
+/// from a report's entries; clear() with the same entries zeroes just
+/// those items again, so no report pays for a memset of the whole table.
+class ListedTicks {
+ public:
+  ListedTicks() = default;
+  /// dbSize + 1 zero ticks.
+  explicit ListedTicks(std::uint32_t dbSize)
+      : tick_(static_cast<std::size_t>(dbSize) + 1, 0) {}
+
+  /// Raises every entry's item to the latest tick listed for it.
+  void list(const std::vector<TsEntry>& entries);
+  /// Zeroes the items `entries` listed; must follow every list().
+  void clear(const std::vector<TsEntry>& entries);
+
+  [[nodiscard]] const Tick* data() const { return tick_.data(); }
+  [[nodiscard]] Tick operator[](db::ItemId item) const { return tick_[item]; }
+
+ private:
+  std::vector<Tick> tick_;
+  bool listed_ = false;  ///< list() ran and clear() has not yet
+};
+
 /// Struct-of-arrays state for the whole emulated population.
 ///
 /// This is the vectorized analogue of ClientAgent + ClientContext +
@@ -66,9 +97,11 @@ class BitArray {
 /// with CLOCK (second-chance) replacement: a per-slot used bit plus a
 /// per-partition hand approximates the sim's exact LRU within the parity
 /// tolerance while keeping eviction branch-light and allocation-free. An
-/// optional per-client presence bitmap over the database makes the
-/// report-entry membership test O(1); when clients*dbSize would exceed the
-/// bitmap budget the kernels fall back to scanning the (small) partition.
+/// optional per-client presence bitmap over the database lets lookup and
+/// insert rule out an uncached item in O(1); when clients*dbSize would
+/// exceed the bitmap budget they scan the (small) partition instead. A TS
+/// report does not probe it: applyTsEntries makes one pass over each
+/// partition's slots against the report's per-item tick table.
 struct SwarmState {
   static constexpr std::uint32_t kMaxQueryItems = 16;
   static constexpr db::ItemId kEmptySlot = ~db::ItemId{0};
@@ -173,7 +206,8 @@ struct SwarmState {
   void insert(std::uint32_t c, std::uint32_t s, db::ItemId item, Tick ref,
               db::Version version);
 
-  /// Invalidates the slot (ClientContext::invalidate of a found entry).
+  /// Invalidates the slot (ClientContext::invalidate of a found entry);
+  /// the slot must hold an item.
   MCI_HOT void invalidateSlot(std::uint32_t c, std::uint32_t s,
                               std::uint32_t slot);
 
@@ -189,11 +223,14 @@ struct SwarmState {
   /// Drops the whole partition (the BS kDropAll action).
   void dropPartition(std::uint32_t c, std::uint32_t s);
 
-  /// applyTsEntries over the decoded (item, tick) columns of a TS report:
-  /// invalidates every cached entry listed with a later update tick.
+  /// applyTsEntries for one TS report: invalidates every entry of the
+  /// partition whose item the report lists with a tick later than its
+  /// refTime. `listedTick` holds dbSize + 1 ticks: per item the latest
+  /// tick the report lists it with (0 = unlisted; refTime >= 0, so 0 never
+  /// invalidates), and a zero at index dbSize that empty slots read. One
+  /// pass over the partition's slots, no presence probe and no search.
   MCI_HOT void applyTsEntries(std::uint32_t c, std::uint32_t s,
-                              const std::vector<db::ItemId>& items,
-                              const std::vector<Tick>& ticks);
+                              const Tick* listedTick);
 
   /// Approximate resident footprint of the arrays (stats/logs).
   [[nodiscard]] std::size_t memoryBytes() const;

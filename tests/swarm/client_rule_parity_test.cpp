@@ -21,6 +21,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/adaptive_common.hpp"
 #include "core/client_lifecycle.hpp"
@@ -74,17 +75,18 @@ struct Episode {
           [] { return false; });
     }
 
-    entryItem.clear();
-    entryTick.clear();
+    // The listed-tick table SwarmEmulator::onReportPayload builds.
+    std::vector<TsEntry> entries;
     for (const db::UpdateRecord& rec : r.entries()) {
-      entryItem.push_back(rec.item);
-      entryTick.push_back(toTick(rec.time));
+      entries.push_back({rec.item, toTick(rec.time)});
     }
+    ListedTicks listed(st.dbSize);
+    listed.list(entries);
     bool swarmSent = false;
     PartitionView p = view();
     core::rule::onTsReport(
         p, toTick(r.broadcastTime), toTick(r.coverageStart()),
-        [&] { st.applyTsEntries(0, 0, entryItem, entryTick); },
+        [&] { st.applyTsEntries(0, 0, listed.data()); },
         [&] {
           swarmSent = sendOk;
           return sendOk;
@@ -153,9 +155,6 @@ struct Episode {
     EXPECT_EQ(simItems(false), swarmItems(false));
     EXPECT_EQ(simItems(true), swarmItems(true));
   }
-
-  std::vector<db::ItemId> entryItem;
-  std::vector<Tick> entryTick;
 };
 
 /// IR(w) with w*L = 100 s.

@@ -194,45 +194,138 @@ TEST(Swarm, NonAdaptiveServerIsRejected) {
   EXPECT_THROW(runSwarm(cfg, 400.0, 10, 1, 1), std::runtime_error);
 }
 
-// Pins the engine's in-place TS parse — [kind:2][extended:1][T:tsBits]
-// [coverage:tsBits][count:24] then count x [item:itemBits][t:tsBits] —
-// against the allocating codec over the same bytes.
+// Pins the engine's in-place TS parse (parseTsReport, the function
+// onReportPayload calls) against the allocating codec over the same bytes,
+// for a window and an extended report.
 TEST(Swarm, TsWireParseMatchesReportCodec) {
   core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
   const report::SizeModel sizes = cfg.sizeModel();
   report::ReportCodec codec(sizes, 1e-3);
+  const auto dbSize = static_cast<std::uint32_t>(cfg.dbSize);
 
   db::UpdateHistory hist(cfg.dbSize);
   hist.record(3, 101.25);
   hist.record(250, 107.5);
   hist.record(499, 119.875);
-  const std::shared_ptr<const report::TsReport> ts =
-      report::TsReport::build(hist, sizes, 120.0, 100.0);
-  const std::vector<std::uint8_t> wire = codec.encode(*ts);
+  for (const auto& ts : {report::TsReport::build(hist, sizes, 120.0, 100.0),
+                         report::TsReport::buildExtended(hist, sizes, 120.0,
+                                                         90.0)}) {
+    const std::vector<std::uint8_t> wire = codec.encode(*ts);
+    std::vector<TsEntry> entries;
+    const std::optional<TsHeader> h =
+        parseTsReport(wire.data(), wire.size(), sizes.itemIdBits(),
+                      sizes.timestampBits, dbSize, entries);
+    ASSERT_TRUE(h.has_value());
 
-  // The engine's parse, performed here field by field.
-  report::BitReader r(wire.data(), wire.size());
-  ASSERT_EQ(r.read(2), 0u);       // kind TS
-  ASSERT_EQ(r.read(1), 0u);       // extended flag
-  const int tsBits = sizes.timestampBits;
-  const int itemBits = sizes.itemIdBits();
-  const auto now = r.read(tsBits);
-  const auto coverage = r.read(tsBits);
-  const auto count = r.read(24);
-  ASSERT_TRUE(r.fits(count, itemBits + tsBits));
+    const std::shared_ptr<const report::TsReport> decoded =
+        codec.decodeTs(wire);
+    ASSERT_TRUE(decoded != nullptr);
+    EXPECT_EQ(h->extended, decoded->extended());
+    EXPECT_DOUBLE_EQ(codec.dequantize(h->now), decoded->broadcastTime);
+    EXPECT_DOUBLE_EQ(codec.dequantize(h->coverage), decoded->coverageStart());
+    ASSERT_EQ(entries.size(), decoded->entries().size());
+    ASSERT_EQ(entries.size(), 3u);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(entries[i].item, decoded->entries()[i].item);
+      EXPECT_DOUBLE_EQ(codec.dequantize(entries[i].tick),
+                       decoded->entries()[i].time);
+    }
 
-  const std::shared_ptr<const report::TsReport> decoded = codec.decodeTs(wire);
-  ASSERT_TRUE(decoded != nullptr);
-  EXPECT_DOUBLE_EQ(codec.dequantize(now), decoded->broadcastTime);
-  EXPECT_DOUBLE_EQ(codec.dequantize(coverage), decoded->coverageStart());
-  ASSERT_EQ(count, decoded->entries().size());
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto item = static_cast<db::ItemId>(r.read(itemBits));
-    const auto t = r.read(tsBits);
-    EXPECT_EQ(item, decoded->entries()[i].item);
-    EXPECT_DOUBLE_EQ(codec.dequantize(t), decoded->entries()[i].time);
+    // Every proper prefix is truncated somewhere and must be refused.
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      EXPECT_FALSE(parseTsReport(wire.data(), len, sizes.itemIdBits(),
+                                 sizes.timestampBits, dbSize, entries))
+          << "a " << len << "-byte prefix parsed";
+    }
   }
-  EXPECT_TRUE(r.ok());
+}
+
+/// A TS report over `sizes` whose entries the caller picks freely: ids
+/// up to the id field's width, past the database included.
+std::vector<std::uint8_t> tsWire(const report::SizeModel& sizes,
+                                 std::vector<db::UpdateRecord> entries,
+                                 sim::SimTime now) {
+  const report::ReportCodec codec(sizes, 1e-3);
+  return codec.encode(*report::TsReport::fromParts(
+      report::ReportKind::kTsWindow, sizes, now, now - 100.0,
+      std::move(entries)));
+}
+
+// The id field is wider than the database: 500 items take 9 bits, so a
+// frame can name ids up to 511. Such a report must be refused whole.
+TEST(Swarm, TsWireParseRejectsIdsPastTheDatabase) {
+  const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  const report::SizeModel sizes = cfg.sizeModel();
+  ASSERT_EQ(sizes.itemIdBits(), 9);
+  std::vector<TsEntry> entries;
+  for (const db::ItemId forged : {500u, 511u}) {
+    const std::vector<std::uint8_t> wire =
+        tsWire(sizes, {{3, 101.0}, {forged, 102.0}, {7, 103.0}}, 110.0);
+    EXPECT_FALSE(parseTsReport(wire.data(), wire.size(), sizes.itemIdBits(),
+                               sizes.timestampBits, 500, entries))
+        << "id " << forged;
+  }
+  const std::vector<std::uint8_t> ok =
+      tsWire(sizes, {{3, 101.0}, {499, 102.0}}, 110.0);
+  EXPECT_TRUE(parseTsReport(ok.data(), ok.size(), sizes.itemIdBits(),
+                            sizes.timestampBits, 500, entries));
+  EXPECT_EQ(entries.size(), 2u);
+}
+
+// A forged report reaching a running emulator is counted as unsupported and
+// leaves every client column as it was. 128 clients x 500 items fill the
+// presence bitmap's words exactly, so a per-entry presence probe of id 511
+// for the last client would read past its end (the asan-ubsan lane).
+TEST(Swarm, ForgedEntryIdIsRejectedBeforeAnyState) {
+  const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  const report::SizeModel sizes = cfg.sizeModel();
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.cfg.numClients = 128;
+  co.timeScale = 400.0;
+  live::Cluster cluster(reactor, co);
+
+  SwarmOptions so;
+  so.cfg = co.cfg;
+  so.port = cluster.seedPort();
+  so.clients = 128;
+  so.endpointsPerShard = 1;
+  so.auditDbs = cluster.auditDbs();
+  SwarmEmulator em(reactor, so);
+  em.start();
+
+  bool injected = false;
+  const live::Reactor::TimerHandle tick = reactor.addTimer(0.01, 0.01, [&] {
+    if (!em.ready() || em.modelNow() < 100.0) return;
+    if (!injected) {
+      injected = true;
+      const SwarmStats before = em.stats();
+      const SwarmState snapshot = em.state();
+      const std::vector<std::uint8_t> wire = tsWire(
+          sizes, {{3, em.modelNow()}, {511, em.modelNow()}}, em.modelNow());
+      em.onReportPayload(0, wire.data(), wire.size());
+      EXPECT_EQ(em.stats().unsupportedReports,
+                before.unsupportedReports + 1);
+      EXPECT_EQ(em.stats().reportsProcessed, before.reportsProcessed);
+      EXPECT_EQ(em.stats().clientTicks, before.clientTicks);
+      EXPECT_EQ(em.state().slotItem, snapshot.slotItem);
+      EXPECT_EQ(em.state().slotRef, snapshot.slotRef);
+      EXPECT_EQ(em.state().lastHeard, snapshot.lastHeard);
+      EXPECT_EQ(em.state().occupancy, snapshot.occupancy);
+    }
+    if (em.modelNow() >= 300.0) {
+      em.shutdown();
+      reactor.stop();
+    }
+  });
+  reactor.run();
+  (void)reactor.cancelTimer(tick);
+  EXPECT_TRUE(injected);
+  // The run goes on sound after the refusal.
+  EXPECT_EQ(em.stats().staleReads, 0u);
+  EXPECT_EQ(cluster.staleReads(), 0u);
+  EXPECT_GT(em.stats().queriesCompleted, 0u);
 }
 
 /// A sink that records every fetch reply and every prefetch hint, and

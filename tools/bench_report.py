@@ -82,15 +82,28 @@ def run_google_micro(build: Path, name: str, min_time: float) -> list[dict]:
     return []
 
 
+# Extra mci_swarm arguments per non-default swarm row. The reshard run
+# starts on 4 shards and grows to 6 live at 40% of the horizon. The
+# write-heavy row runs AFW on 2 shards at 100x the default update rate, so
+# every IR lists hundreds of items; its time scale is pinned at x30
+# because at x60 its hit ratio swings by a third between runs.
+SWARM_RESHARD_ARGS = ("--shards", "4", "--reshard")
+SWARM_WRITEHEAVY_ARGS = ("--scheme", "AFW", "--shards", "2",
+                         "--endpoints", "2", "--update-gap", "0.5")
+SWARM_WRITEHEAVY_TIMESCALE = 30.0
+
+
 def run_swarm(build: Path, clients: int, simtime: float,
-              timescale: float, reshard: bool = False) -> list[dict]:
+              timescale: float, extra: tuple[str, ...] = (),
+              name: str = "") -> list[dict]:
     """Runs the mci_swarm harness (swarm emulator vs equivalent-seed
     ClientPool) in its committed gate configuration and returns its bench
     rows for the live report. The model knobs are pinned here so the
     hit_ratio_parity number is comparable across machines and runs: only
-    population size, horizon and time scale are runner-adjustable. With
-    ``reshard`` the run starts on 4 shards and grows to 6 live at 40% of
-    the horizon (the "swarm-reshard/<clients>" row)."""
+    population size, horizon and time scale are runner-adjustable.
+    ``extra`` is appended to the command line (SWARM_RESHARD_ARGS,
+    SWARM_WRITEHEAVY_ARGS); a non-empty ``name`` renames the rows, which
+    mci_swarm names "swarm/<clients>" or "swarm-reshard/<clients>"."""
     exe = build / "src" / "mci_swarm"
     if not exe.exists():
         sys.exit(f"bench_report: {exe} not found — build the repo first")
@@ -102,15 +115,18 @@ def run_swarm(build: Path, clients: int, simtime: float,
            "--bufferfrac", "0.1",
            "--hotcold",
            "--parity-agents", "8",
-           "--seed", "7"]
-    if reshard:
-        cmd += ["--shards", "4", "--reshard"]
+           "--seed", "7",
+           *extra]
     print("bench_report: running", " ".join(cmd), file=sys.stderr)
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         sys.exit(f"bench_report: mci_swarm failed ({proc.returncode})")
-    return list(json.loads(proc.stdout).get("benches", []))
+    rows = list(json.loads(proc.stdout).get("benches", []))
+    if name:
+        for row in rows:
+            row["name"] = name
+    return rows
 
 
 def load_baseline(path: Path) -> dict[str, dict[str, float]]:
@@ -167,16 +183,17 @@ def check_live_gates(benches: list[dict],
     return failures
 
 
-# Swarm fidelity gates, applied to every "swarm/<clients>" and
-# "swarm-reshard/<clients>" row. All three are machine-independent: parity
-# is a ratio of two hit ratios from the same process, allocations are
-# counted per client-tick, and stale reads are audited against the
-# in-process authoritative databases. Reshard rows additionally prove the
+# Swarm fidelity gates, applied to every "swarm/<clients>",
+# "swarm-reshard/<clients>" and "swarm-writeheavy/<clients>" row. All are
+# machine-independent: parity is a ratio of two hit ratios from the same
+# process, allocations are counted per client-tick, stale reads are audited
+# against the in-process authoritative databases, and a real cluster never
+# sends a report the swarm must refuse. Reshard rows additionally prove the
 # epoch switch actually happened and hold the post-switch AoI tail against
 # their baseline (the transition must not leave clients serving old news).
 SWARM_PARITY_FLOOR = 0.85        # min(hit)/max(hit) vs the agent pool
 SWARM_MAX_ALLOCS_PER_TICK = 0.01  # steady-state mux-callback allocations
-SWARM_BASELINE_METRICS = ("hit_ratio_parity", "clients_per_s")
+SWARM_ROW_KINDS = ("swarm", "swarm-reshard", "swarm-writeheavy")
 SWARM_RESHARD_BASELINE_METRICS = ("hit_ratio_parity", "hit_ratio_tail")
 
 
@@ -186,9 +203,10 @@ def check_swarm_gates(benches: list[dict],
     failures = []
     for row in benches:
         name = row.get("name", "")
-        reshard = name.startswith("swarm-reshard/")
-        if not name.startswith("swarm/") and not reshard:
+        kind = name.split("/", 1)[0]
+        if kind not in SWARM_ROW_KINDS:
             continue
+        reshard = kind == "swarm-reshard"
         parity = row.get("hit_ratio_parity", 0.0)
         if parity < SWARM_PARITY_FLOOR:
             failures.append(
@@ -201,6 +219,9 @@ def check_swarm_gates(benches: list[dict],
                 f"(max {SWARM_MAX_ALLOCS_PER_TICK:g})")
         if row.get("stale_reads", 0) != 0:
             failures.append(f"{name}: stale_reads = {row['stale_reads']:g}")
+        if row.get("unsupported_reports", 0) != 0:
+            failures.append(f"{name}: unsupported_reports = "
+                            f"{row['unsupported_reports']:g}")
         if reshard:
             if row.get("epoch_switches", 0) < 1:
                 failures.append(f"{name}: epoch_switches = "
@@ -275,9 +296,12 @@ def main() -> int:
     parser.add_argument("--skip-kernel", action="store_true",
                         help="only run the live suite (requires --live-out)")
     parser.add_argument("--swarm", action="store_true",
-                        help="also run mci_swarm (swarm-vs-pool parity and "
-                             "allocs-per-client-tick gates); the row is "
-                             "merged into the --live-out report")
+                        help="also run mci_swarm twice, the default row "
+                             "and the write-heavy row (AFW, 2 shards, "
+                             "update gap 0.5 s, at x30), both under the "
+                             "parity, allocs-per-client-tick, stale and "
+                             "refused-report gates; the rows are merged "
+                             "into the --live-out report")
     parser.add_argument("--swarm-clients", type=int, default=100000,
                         help="emulated swarm population (default 100000)")
     parser.add_argument("--swarm-simtime", type=float, default=2400.0,
@@ -295,7 +319,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.skip_kernel and not args.live_out:
         parser.error("--skip-kernel requires --live-out")
-    if (args.swarm or args.swarm_reshard) and not args.live_out:
+    any_swarm = args.swarm or args.swarm_reshard
+    if any_swarm and not args.live_out:
         parser.error("--swarm/--swarm-reshard requires --live-out")
 
     benches: list[dict] = []
@@ -318,11 +343,16 @@ def main() -> int:
             live_benches += run_swarm(args.build, args.swarm_clients,
                                       args.swarm_simtime,
                                       args.swarm_timescale)
+            live_benches += run_swarm(
+                args.build, args.swarm_clients, args.swarm_simtime,
+                SWARM_WRITEHEAVY_TIMESCALE, SWARM_WRITEHEAVY_ARGS,
+                name=f"swarm-writeheavy/{args.swarm_clients}")
         if args.swarm_reshard:
             live_benches += run_swarm(args.build,
                                       args.swarm_reshard_clients,
                                       args.swarm_simtime,
-                                      args.swarm_timescale, reshard=True)
+                                      args.swarm_timescale,
+                                      SWARM_RESHARD_ARGS)
         if args.live_baseline and args.live_baseline.exists():
             live_baseline = load_baseline(args.live_baseline)
 
@@ -368,7 +398,7 @@ def main() -> int:
     if args.live_out:
         failures += check_live_gates(live_benches, live_baseline,
                                      args.gate_tolerance)
-    if args.swarm:
+    if any_swarm:
         failures += check_swarm_gates(live_benches, live_baseline,
                                       args.gate_tolerance)
     if failures:
