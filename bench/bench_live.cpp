@@ -9,11 +9,16 @@
 //   * envelope/dataitem
 //       — one framed DataItem reply per iteration: FrameArena encode
 //         (header + encodeDataItemInto + CRC) and decodeFrameView plus the
-//         swarm mux's in-place field parse, against an in-file reference
+//         swarm mux's DataItemReader, against an in-file reference
 //         with a byte-at-a-time CRC and single-bit writer/reader (the
 //         envelope before slice-by-8 and the whole-byte paths); frames are
 //         pinned byte-identical before timing. speedup_vs_bytewise is
 //         the gated ratio.
+//   * envelope/dataitem_batch/4096
+//       — one query's reply as one kDataItem frame of 4096 records (the
+//         server's FrameArena encode, decodeFrameView plus DataItemReader)
+//         against the same byte-wise reference; pinned byte-identical
+//         before timing, reported per item.
 //   * udp_fanout/64
 //       — one IR datagram to 64 loopback sockets: sendmmsg batches vs the
 //         classic sendto loop, syscalls counted per tick. syscall_reduction
@@ -23,6 +28,10 @@
 //         --simtime model seconds: IR syscalls per tick from ServerStats,
 //         drain syscalls per report from PoolStats, and the p50/p99/p999
 //         of live query latency from the pool's Hist.
+//
+// Each fast path and its reference are timed in alternating rounds, and
+// each side keeps its best round, so a drift in host speed cannot skew a
+// gated ratio the way two back-to-back windows could.
 //
 // Allocations are counted by replacing the global operator new/delete;
 // the encode and fan-out loops must not allocate in steady state
@@ -38,6 +47,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -47,7 +57,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -205,6 +217,30 @@ double secondsPerCall(Fn&& fn, double minSeconds) {
   return elapsed / static_cast<double>(calls);
 }
 
+/// Seconds per call of a fast path and of its reference.
+struct PairTiming {
+  double fastSec = 0.0;
+  double slowSec = 0.0;
+};
+
+constexpr int kTimingRounds = 8;
+
+/// Times `fast` and `slow` in kTimingRounds alternating rounds of
+/// minSeconds / kTimingRounds apiece and keeps each side's fastest round.
+/// Drift in the host's speed then lands on both sides alike, instead of on
+/// whichever side a single back-to-back window happened to time second.
+template <typename Fast, typename Slow>
+PairTiming timePair(Fast&& fast, Slow&& slow, double minSeconds) {
+  PairTiming best{std::numeric_limits<double>::infinity(),
+                  std::numeric_limits<double>::infinity()};
+  const double roundSeconds = minSeconds / kTimingRounds;
+  for (int round = 0; round < kTimingRounds; ++round) {
+    best.fastSec = std::min(best.fastSec, secondsPerCall(fast, roundSeconds));
+    best.slowSec = std::min(best.slowSec, secondsPerCall(slow, roundSeconds));
+  }
+  return best;
+}
+
 constexpr int kAllocProbeRounds = 16;
 
 /// Allocations across kAllocProbeRounds calls of `fn` after a warm-up
@@ -218,15 +254,15 @@ double steadyAllocs(Fn&& fn) {
 }
 
 /// Times `fast()` and `slow()` (each re-encoding one report into a reused
-/// buffer) for `minSeconds` apiece and emits the rate + the gated ratio.
+/// buffer) for `minSeconds` apiece, in alternating rounds, and emits the
+/// rate + the gated ratio.
 template <typename Fast, typename Slow>
 BenchRow benchEncodePair(const std::string& name, std::size_t itemsPerEncode,
                          double minSeconds, Fast&& fast, Slow&& slow) {
   // Steady-state allocation probe on the fast path only (the reference
   // writer regrows its vector every encode by design).
   const double allocs = steadyAllocs(fast);
-  const double fastSec = secondsPerCall(fast, minSeconds);
-  const double slowSec = secondsPerCall(slow, minSeconds);
+  const auto [fastSec, slowSec] = timePair(fast, slow, minSeconds);
 
   BenchRow row;
   row.name = name;
@@ -454,16 +490,16 @@ bool refDecodeDataItemFrame(const ByteCrc& crc, const std::uint8_t* data,
   return r.ok;
 }
 
-/// The fast decode: the mux's path (decodeFrameView + in-place parse).
+/// The fast decode: the mux's path (decodeFrameView + DataItemReader).
 bool decodeDataItemFrame(std::span<const std::uint8_t> frame,
                          live::wire::DataItem& d) {
   const auto f = live::wire::decodeFrameView(frame.data(), frame.size());
   if (!f) return false;
-  report::BitReader r(f->payload.data(), f->payload.size());
-  d.item = static_cast<db::ItemId>(r.read(32));
-  d.version = static_cast<db::Version>(r.read(32));
-  d.readTime = std::bit_cast<double>(r.read(64));
-  return r.ok();
+  std::optional<live::wire::DataItemReader> reply =
+      live::wire::DataItemReader::parse(f->payload);
+  if (!reply || reply->size() != 1) return false;
+  d = reply->next();
+  return true;
 }
 
 bool sameItem(const live::wire::DataItem& a, const live::wire::DataItem& b) {
@@ -532,14 +568,176 @@ BenchRow benchEnvelopeDataItem(double minSeconds) {
     }
   };
   const double allocs = steadyAllocs(fast);
-  const double fastSec = secondsPerCall(fast, minSeconds);
-  const double slowSec = secondsPerCall(slow, minSeconds);
+  const auto [fastSec, slowSec] = timePair(fast, slow, minSeconds);
   if (sink == 0) std::fprintf(stderr, "bench_live: empty decode sink\n");
 
   BenchRow row;
   row.name = "envelope/dataitem";
   row.metrics.emplace_back("ns_per_frame", fastSec * 1e9 / kItems);
   row.metrics.emplace_back("ns_per_frame_bytewise", slowSec * 1e9 / kItems);
+  row.metrics.emplace_back("speedup_vs_bytewise", slowSec / fastSec);
+  row.metrics.emplace_back(
+      "allocs_per_item_steady",
+      allocs / static_cast<double>(kItems * kAllocProbeRounds));
+  row.metrics.emplace_back("frame_bytes",
+                           static_cast<double>(arena.frame().size()));
+  return row;
+}
+
+// ---------------------------------------------------------------------------
+// envelope/dataitem_batch/4096: one query's reply as one frame.
+// ---------------------------------------------------------------------------
+
+/// The reference batched reply: header, first record and (item, version)
+/// pairs through the bit loop, checksum by the byte-at-a-time CRC.
+void refEncodeDataItemBatch(const ByteCrc& crc,
+                            const std::vector<live::wire::DataItem>& items,
+                            BitLoopWriter& w) {
+  w.out.clear();
+  w.bitCount = 0;
+  w.write(live::wire::kMagic, 16);
+  w.write(live::wire::kVersion, 8);
+  w.write(static_cast<std::uint8_t>(live::wire::FrameType::kDataItem), 8);
+  w.write(live::wire::kNoScheme, 8);
+  w.write(static_cast<std::uint8_t>(net::TrafficClass::kBulk), 8);
+  w.write(8 * (live::wire::kDataItemBytes +
+               (items.size() - 1) * live::wire::kDataItemNextBytes),
+          32);  // payloadBits
+  w.write(0, 32);  // checksum, patched below
+  w.write(items.front().item, 32);
+  w.write(items.front().version, 32);
+  w.write(std::bit_cast<std::uint64_t>(items.front().readTime), 64);
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    w.write(items[i].item, 32);
+    w.write(items[i].version, 32);
+  }
+  const std::uint32_t sum = crc(w.out.data(), w.out.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    w.out[10 + i] = static_cast<std::uint8_t>(sum >> (24 - 8 * i));
+  }
+}
+
+/// The reference batched decode into `out`: header and records through the
+/// bit loop, checksum verified over the zeroed-checksum frame.
+bool refDecodeDataItemBatch(const ByteCrc& crc, const std::uint8_t* data,
+                            std::size_t len,
+                            std::vector<live::wire::DataItem>& out) {
+  constexpr std::size_t kHdr = live::wire::kHeaderBytes;
+  BitLoopReader hdr{data, kHdr * 8};
+  if (hdr.read(16) != live::wire::kMagic || hdr.read(8) != live::wire::kVersion)
+    return false;
+  hdr.read(16);  // type, scheme
+  hdr.read(8);   // traffic class
+  const std::size_t payload = (hdr.read(32) + 7) / 8;
+  const auto sum = static_cast<std::uint32_t>(hdr.read(32));
+  if (!hdr.ok || len < kHdr + payload || payload < live::wire::kDataItemBytes ||
+      (payload - live::wire::kDataItemBytes) %
+              live::wire::kDataItemNextBytes != 0) {
+    return false;
+  }
+  static constexpr std::uint8_t kZeros[4] = {0, 0, 0, 0};
+  std::uint32_t c = crc(data, 10);
+  c = crc(kZeros, 4, c);
+  c = crc(data + kHdr, payload, c);
+  if (c != sum) return false;
+  BitLoopReader r{data + kHdr, payload * 8};
+  out.clear();
+  live::wire::DataItem first;
+  first.item = static_cast<db::ItemId>(r.read(32));
+  first.version = static_cast<db::Version>(r.read(32));
+  first.readTime = std::bit_cast<double>(r.read(64));
+  out.push_back(first);
+  while (r.pos < r.bits) {
+    live::wire::DataItem d = first;
+    d.item = static_cast<db::ItemId>(r.read(32));
+    d.version = static_cast<db::Version>(r.read(32));
+    out.push_back(d);
+  }
+  return r.ok;
+}
+
+BenchRow benchEnvelopeDataItemBatch(double minSeconds) {
+  constexpr std::size_t kItems = 4096;
+  std::vector<live::wire::DataItem> items(kItems);
+  sim::Rng rng(23);
+  const double readTime = std::round(rng.uniform01() * 1e8) / 1e3;
+  for (live::wire::DataItem& d : items) {
+    d.item = static_cast<db::ItemId>(rng.uniformInt(0, 65535));
+    d.version = static_cast<db::Version>(rng.uniformInt(0, 1 << 20));
+    d.readTime = readTime;  // one query's items share its read instant
+  }
+
+  // The server's encode and the mux's decode of one reply.
+  live::wire::FrameArena arena;
+  const auto encode = [&] {
+    report::BitWriter w = arena.begin(live::wire::FrameType::kDataItem,
+                                      live::wire::kNoScheme,
+                                      net::TrafficClass::kBulk);
+    live::wire::encodeDataItemInto(items.front(), w);
+    for (std::size_t i = 1; i < kItems; ++i) {
+      live::wire::encodeDataItemNextInto(
+          {.item = items[i].item, .version = items[i].version}, w);
+    }
+    arena.finish(w);
+  };
+  std::uint64_t sink = 0;
+  const auto decode = [&](std::span<const std::uint8_t> frame,
+                          std::vector<live::wire::DataItem>* out) {
+    const auto f = live::wire::decodeFrameView(frame.data(), frame.size());
+    if (!f) return false;
+    std::optional<live::wire::DataItemReader> reply =
+        live::wire::DataItemReader::parse(f->payload);
+    if (!reply || reply->size() != kItems) return false;
+    for (std::size_t n = reply->size(); n > 0; --n) {
+      const live::wire::DataItem d = reply->next();
+      sink += d.version;
+      if (out != nullptr) out->push_back(d);
+    }
+    return true;
+  };
+
+  // Pin: the fast encode is the reference frame byte for byte, and each
+  // decoder reads every item back from the other's frame.
+  const ByteCrc crc;
+  BitLoopWriter ref;
+  encode();
+  refEncodeDataItemBatch(crc, items, ref);
+  const std::span<const std::uint8_t> fastFrame = arena.frame();
+  requireIdentical("envelope/dataitem_batch",
+                   std::vector<std::uint8_t>(fastFrame.begin(),
+                                             fastFrame.end()),
+                   ref.out);
+  std::vector<live::wire::DataItem> a;
+  std::vector<live::wire::DataItem> b;
+  if (!decode(ref.out, &a) ||
+      !refDecodeDataItemBatch(crc, fastFrame.data(), fastFrame.size(), b) ||
+      a.size() != kItems || b.size() != kItems ||
+      !std::equal(a.begin(), a.end(), items.begin(), sameItem) ||
+      !std::equal(b.begin(), b.end(), items.begin(), sameItem)) {
+    std::fprintf(stderr, "bench_live: envelope/dataitem_batch: decode "
+                         "differs from the encoded items\n");
+    std::exit(1);
+  }
+
+  // One pass = encode then decode the whole reply.
+  auto fast = [&] {
+    encode();
+    if (!decode(arena.frame(), nullptr)) sink = 0;
+  };
+  auto slow = [&] {
+    refEncodeDataItemBatch(crc, items, ref);
+    if (refDecodeDataItemBatch(crc, ref.out.data(), ref.out.size(), b)) {
+      sink += b.back().version;
+    }
+  };
+  const double allocs = steadyAllocs(fast);
+  const auto [fastSec, slowSec] = timePair(fast, slow, minSeconds);
+  if (sink == 0) std::fprintf(stderr, "bench_live: empty decode sink\n");
+
+  BenchRow row;
+  row.name = "envelope/dataitem_batch/" + std::to_string(kItems);
+  row.metrics.emplace_back("ns_per_item", fastSec * 1e9 / kItems);
+  row.metrics.emplace_back("ns_per_item_bytewise", slowSec * 1e9 / kItems);
   row.metrics.emplace_back("speedup_vs_bytewise", slowSec / fastSec);
   row.metrics.emplace_back(
       "allocs_per_item_steady",
@@ -801,6 +999,7 @@ int main(int argc, char** argv) {
   rows.push_back(benchEncodeBs(minSeconds));
   rows.push_back(benchEncodeSig(minSeconds));
   rows.push_back(benchEnvelopeDataItem(minSeconds));
+  rows.push_back(benchEnvelopeDataItemBatch(minSeconds));
   std::fprintf(stderr, "bench_live: udp fan-out ...\n");
   rows.push_back(benchUdpFanout(minSeconds));
   std::fprintf(stderr, "bench_live: live pool (simtime=%g) ...\n", simTime);

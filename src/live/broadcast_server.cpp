@@ -349,6 +349,16 @@ void BroadcastServer::handleQuery(int fd, Conn& conn,
   const std::uint64_t rtick = clock_.nowTick();
   const sim::SimTime readTime =
       LiveClock::tickToTime(std::max<std::uint64_t>(rtick, 1) - 1);
+  // Every item served in one run rides one reply frame: the first record
+  // carries the shared readTime, each further one only (item, version).
+  report::BitWriter w;
+  bool open = false;
+  const auto sendReply = [&] {
+    open = false;
+    replyArena_.finish(w);
+    ++stats_.dataItemFrames;
+    return sendFrame(fd, conn, replyArena_.frame());
+  };
   for (db::ItemId item : q.items) {
     if (!ownsItem(item)) {
       if (graceOwns(item)) {
@@ -359,24 +369,28 @@ void BroadcastServer::handleQuery(int fd, Conn& conn,
       } else {
         // This partition has no truth about the item; serving it would
         // hand out a frozen version. Refuse, and tell the straggler which
-        // epoch it missed (the count flags a genuine routing bug).
+        // epoch it missed (the count flags a genuine routing bug). The
+        // refusal ends the run: its reply leaves first, so the re-announce
+        // follows the replies of the items queried before it.
         ++stats_.misroutedItems;
-        if (!reannounceMap(fd, conn)) return;  // send error closed the conn
+        if (open && !sendReply()) return;  // send error closed the conn
+        if (!reannounceMap(fd, conn)) return;
         continue;
       }
     }
-    wire::DataItem d;
-    d.item = item;
-    d.version = db_.currentVersion(item);
-    d.readTime = readTime;
-    report::BitWriter w = replyArena_.begin(
-        wire::FrameType::kDataItem, wire::kNoScheme, net::TrafficClass::kBulk);
-    wire::encodeDataItemInto(d, w);
-    replyArena_.finish(w);
-    if (!sendFrame(fd, conn, replyArena_.frame())) {
-      return;  // send error closed the connection
+    const db::Version version = db_.currentVersion(item);
+    ++stats_.dataItemsSent;
+    if (open) {
+      wire::encodeDataItemNextInto({.item = item, .version = version}, w);
+      continue;
     }
+    w = replyArena_.begin(wire::FrameType::kDataItem, wire::kNoScheme,
+                          net::TrafficClass::kBulk);
+    wire::encodeDataItemInto(
+        {.item = item, .version = version, .readTime = readTime}, w);
+    open = true;
   }
+  if (open) (void)sendReply();  // a send error closes the conn
 }
 
 void BroadcastServer::handleCheck(int fd, Conn& conn, const wire::Check& c) {
@@ -481,12 +495,14 @@ bool BroadcastServer::sendFrame(int fd, Conn& conn,
   if (stream.queuedBytes() + bytes > opts_.maxSendQueueBytes) {
     // Only bytes the kernel refused count against the cap: a corked batch
     // is offered to the kernel first, so a client that keeps reading never
-    // loses a frame to batching.
+    // loses a frame to batching. An empty queue takes any frame, since one
+    // query's reply may alone exceed a small cap.
     if (!stream.writeBlocked() && !stream.flush()) {
       closeConn(fd);
       return false;
     }
-    if (stream.queuedBytes() + bytes > opts_.maxSendQueueBytes) {
+    if (stream.queuedBytes() > 0 &&
+        stream.queuedBytes() + bytes > opts_.maxSendQueueBytes) {
       // Whole-frame drop: a wedged client loses replies (and will resync
       // via future reports) but can never wedge the daemon. The
       // connection itself is still healthy.

@@ -37,7 +37,10 @@ struct ServerOptions {
   std::uint16_t tcpPort = 0;  ///< 0 = ephemeral, read back via tcpPort()
   std::string bindAddress = "127.0.0.1";
   /// Per-connection TCP send-queue cap. A wedged client that stops reading
-  /// gets whole frames dropped (counted) instead of wedging the daemon.
+  /// gets whole frames dropped (counted) instead of wedging the daemon. An
+  /// empty queue still takes one frame of any size (a large query's reply
+  /// may alone pass a small cap), so a connection holds at most the cap
+  /// plus one frame.
   std::size_t maxSendQueueBytes = 1 << 20;
   /// SO_SNDBUF for accepted connections; 0 keeps the kernel default. Bounds
   /// kernel memory per client (and lets the wedged-client test fill the
@@ -79,6 +82,10 @@ struct ServerStats {
   std::uint64_t connectionsAccepted = 0;
   std::uint64_t connectionsClosed = 0;
   std::uint64_t queryRequests = 0;
+  /// kDataItem reply frames, and the items they carried: one frame per
+  /// query, or per run of it when a misrouted item splits the query.
+  std::uint64_t dataItemFrames = 0;
+  std::uint64_t dataItemsSent = 0;
   std::uint64_t checksReceived = 0;
   std::uint64_t auditsReceived = 0;
   std::uint64_t updatesApplied = 0;
@@ -104,6 +111,14 @@ struct ServerStats {
   std::uint64_t mapUpdatesSent = 0;   ///< kMapUpdate announce frames
   std::uint64_t mapReannounces = 0;   ///< one-shot corrections on misroute
 };
+
+/// Mean items per kDataItem reply frame (0 before the first reply): the
+/// batching figure the daemons print at exit.
+[[nodiscard]] inline double itemsPerReplyFrame(const ServerStats& s) {
+  return s.dataItemFrames == 0 ? 0.0
+                               : static_cast<double>(s.dataItemsSent) /
+                                     static_cast<double>(s.dataItemFrames);
+}
 
 /// The live counterpart of core::Server + db::UpdateGenerator: a daemon that
 /// owns the authoritative database, runs the configured invalidation scheme,
@@ -349,7 +364,7 @@ class BroadcastServer {
   /// The tick's IR frame, encoded once and shared by every destination;
   /// buffer capacity is reused across ticks.
   wire::FrameArena reportArena_;
-  wire::FrameArena replyArena_;  ///< kDataItem replies, reused per item
+  wire::FrameArena replyArena_;  ///< kDataItem replies, reused per query
   report::BsWire bsScratch_;  ///< BS wire levels, reused across ticks
   UdpBatchSender batchSender_;
   std::vector<const sockaddr_in*> batchAddrs_;  ///< reused per tick

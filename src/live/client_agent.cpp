@@ -317,25 +317,34 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
 }
 
 void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
-  // The control decoders read an owned payload.
-  const std::vector<std::uint8_t> payload(frame.payload.begin(),
-                                          frame.payload.end());
+  // The control decoders read an owned payload; replies are read in place.
+  const auto payload = [&frame] {
+    return std::vector<std::uint8_t>(frame.payload.begin(),
+                                     frame.payload.end());
+  };
   switch (frame.header.type) {
     case wire::FrameType::kWelcome:
-      if (auto m = wire::decodeWelcome(payload)) onWelcome(link, *m);
+      if (auto m = wire::decodeWelcome(payload())) onWelcome(link, *m);
       return;
     case wire::FrameType::kDataItem:
-      if (auto m = wire::decodeDataItem(payload)) onDataItem(link, *m);
+      if (std::optional<wire::DataItemReader> reply =
+              wire::DataItemReader::parse(frame.payload)) {
+        for (std::size_t n = reply->size(); n > 0 && link.tcp.isOpen(); --n) {
+          onDataItem(link, reply->next());
+        }
+      } else {
+        ++pool_.stats_.badFrames;
+      }
       return;
     case wire::FrameType::kCheckAck:
-      if (auto m = wire::decodeCheckAck(payload)) {
+      if (auto m = wire::decodeCheckAck(payload())) {
         if (link.scheme != nullptr) {
           link.scheme->onCheckDelivered(*link.ctx, m->asOf);
         }
       }
       return;
     case wire::FrameType::kValidityReply:
-      if (auto m = wire::decodeValidityReply(payload)) {
+      if (auto m = wire::decodeValidityReply(payload())) {
         onValidityReply(link, *m);
       }
       return;
@@ -343,7 +352,7 @@ void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
       // Epoch announce on the uplink: processed even while dozing (the
       // radio gates UDP only), so a host that sleeps through a reshard
       // wakes already pointed at the new cluster.
-      if (auto m = wire::decodeMapUpdate(payload)) {
+      if (auto m = wire::decodeMapUpdate(payload())) {
         pool_.onMapUpdate(m->shardMap);
       } else {
         ++pool_.stats_.badFrames;

@@ -63,6 +63,8 @@ ServerStats Cluster::totalStats() const {
     t.connectionsAccepted += s.connectionsAccepted;
     t.connectionsClosed += s.connectionsClosed;
     t.queryRequests += s.queryRequests;
+    t.dataItemFrames += s.dataItemFrames;
+    t.dataItemsSent += s.dataItemsSent;
     t.checksReceived += s.checksReceived;
     t.auditsReceived += s.auditsReceived;
     t.updatesApplied += s.updatesApplied;

@@ -243,7 +243,8 @@ int main(int argc, char** argv) {
 
   const live::ServerStats t = cluster.totalStats();
   std::printf("shards=%u reports=%" PRIu64 " updates=%" PRIu64
-              " thinned=%" PRIu64 " queries=%" PRIu64 " checks=%" PRIu64
+              " thinned=%" PRIu64 " queries=%" PRIu64 " reply_frames=%" PRIu64
+              " items_per_reply_frame=%.1f checks=%" PRIu64
               " audits=%" PRIu64 " accepted=%" PRIu64 " dropped=%" PRIu64
               " tcp_sends=%" PRIu64 " bad=%" PRIu64 " misrouted=%" PRIu64
               " stale=%" PRIu64 " frozen=%" PRIu64 " handoff_sent=%" PRIu64
@@ -251,7 +252,8 @@ int main(int argc, char** argv) {
               " grace_served=%" PRIu64 " map_updates=%" PRIu64
               " reannounces=%" PRIu64 " epoch=%u\n",
               cluster.shardCount(), t.reportsBroadcast, t.updatesApplied,
-              t.updatesThinned, t.queryRequests, t.checksReceived,
+              t.updatesThinned, t.queryRequests, t.dataItemFrames,
+              live::itemsPerReplyFrame(t), t.checksReceived,
               t.auditsReceived, t.connectionsAccepted, t.framesDropped,
               t.tcpSendSyscalls, t.badFrames, t.misroutedItems,
               cluster.staleReads(), t.updatesFrozen, t.handoffItemsSent, t.handoffItemsReceived,

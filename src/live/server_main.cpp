@@ -147,11 +147,13 @@ int main(int argc, char** argv) {
 
   const live::ServerStats& s = server.stats();
   std::printf("reports=%" PRIu64 " updates=%" PRIu64 " thinned=%" PRIu64
-              " queries=%" PRIu64 " checks=%" PRIu64 " audits=%" PRIu64
+              " queries=%" PRIu64 " reply_frames=%" PRIu64
+              " items_per_reply_frame=%.1f checks=%" PRIu64 " audits=%" PRIu64
               " accepted=%" PRIu64 " dropped=%" PRIu64 " tcp_sends=%" PRIu64
               " bad=%" PRIu64 " misrouted=%" PRIu64 " stale=%" PRIu64 "\n",
               s.reportsBroadcast, s.updatesApplied, s.updatesThinned,
-              s.queryRequests, s.checksReceived, s.auditsReceived,
+              s.queryRequests, s.dataItemFrames, live::itemsPerReplyFrame(s),
+              s.checksReceived, s.auditsReceived,
               s.connectionsAccepted, s.framesDropped, s.tcpSendSyscalls,
               s.badFrames, s.misroutedItems, server.staleReads());
   return server.staleReads() == 0 ? 0 : 1;

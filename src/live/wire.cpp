@@ -327,15 +327,56 @@ std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
   return w.finish();
 }
 
-std::optional<DataItem> decodeDataItem(
-    const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+void encodeDataItemNextInto(const DataItemNext& m, report::BitWriter& w) {
+  w.write(m.item, 32);
+  w.write(m.version, 32);
+}
+
+namespace {
+
+// Record decoders of a kDataItem reply, the mirrors of encodeDataItemInto
+// and encodeDataItemNextInto. DataItemReader runs them at its cursor.
+std::optional<DataItem> decodeDataItem(report::BitReader& r) {
   DataItem m;
   m.item = static_cast<db::ItemId>(r.read(32));
   m.version = static_cast<db::Version>(r.read(32));
   m.readTime = bitsDouble(r.read(64));
   if (!r.ok()) return std::nullopt;
   return m;
+}
+
+std::optional<DataItemNext> decodeDataItemNext(report::BitReader& r) {
+  DataItemNext m;
+  m.item = static_cast<db::ItemId>(r.read(32));
+  m.version = static_cast<db::Version>(r.read(32));
+  if (!r.ok()) return std::nullopt;
+  return m;
+}
+
+}  // namespace
+
+std::optional<DataItemReader> DataItemReader::parse(
+    std::span<const std::uint8_t> payload) {
+  if (payload.size() < kDataItemBytes ||
+      (payload.size() - kDataItemBytes) % kDataItemNextBytes != 0) {
+    return std::nullopt;
+  }
+  DataItemReader reader(payload);
+  const std::optional<DataItem> first = decodeDataItem(reader.r_);
+  if (!first) return std::nullopt;
+  reader.first_ = *first;
+  reader.count_ =
+      1 + (payload.size() - kDataItemBytes) / kDataItemNextBytes;
+  return reader;
+}
+
+DataItem DataItemReader::nextRecord() {
+  // parse() admitted exactly count_ records, so this read cannot underrun.
+  const std::optional<DataItemNext> m = decodeDataItemNext(r_);
+  MCI_CHECK(m.has_value()) << "DataItemReader: record " << taken_ - 1
+                           << " of " << count_ << " underran the payload";
+  return DataItem{.item = m->item, .version = m->version,
+                  .readTime = first_.readTime};
 }
 
 void encodeCheckInto(const Check& m, report::BitWriter& w) {

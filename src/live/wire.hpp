@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/annotations.hpp"
+#include "core/check.hpp"
 #include "db/item.hpp"
 #include "live/shard_map.hpp"
 #include "net/message.hpp"
@@ -43,7 +44,7 @@ enum class FrameType : std::uint8_t {
   kWelcome = 2,     ///< server -> client: your id + the run configuration
   kReport = 3,      ///< server -> clients (UDP): one codec-encoded IR
   kQueryRequest = 4,///< client -> server: fetch these items
-  kDataItem = 5,    ///< server -> client: item value metadata
+  kDataItem = 5,    ///< server -> client: one query's served items
   kCheck = 6,       ///< client -> server: Tlb feedback / checking request
   kCheckAck = 7,    ///< server -> client: your check was absorbed
   kValidityReply = 8,///< server -> client: which checked entries are stale
@@ -193,11 +194,28 @@ struct QueryRequest {
   std::vector<db::ItemId> items;
 };
 
+/// One served item. A kDataItem reply frame carries every item the server
+/// served for one query (or one run of it: a refused item ends the run) as
+/// a list of records. The first record is a whole DataItem; each further
+/// record is a DataItemNext, whose copy shares the first record's readTime
+/// (the server reads all of a query's items at one instant). The payload
+/// length sets the record count: kDataItemBytes + k * kDataItemNextBytes
+/// for k >= 0, any other length is a bad frame. So a one-item reply is
+/// exactly the lone DataItem payload.
 struct DataItem {
   db::ItemId item = 0;
   db::Version version = 0;
   sim::SimTime readTime = 0;  ///< becomes the cache entry's refTime
 };
+
+/// Every record of a kDataItem reply after the first.
+struct DataItemNext {
+  db::ItemId item = 0;
+  db::Version version = 0;
+};
+
+inline constexpr std::size_t kDataItemBytes = 16;     ///< the first record
+inline constexpr std::size_t kDataItemNextBytes = 8;  ///< each further one
 
 /// CheckMessage on the wire (client id is implied by the connection).
 struct Check {
@@ -275,13 +293,50 @@ MCI_HOT void encodeQueryRequestInto(std::span<const db::ItemId> items,
 [[nodiscard]] std::optional<QueryRequest> decodeQueryRequest(
     const std::vector<std::uint8_t>& payload);
 
+/// A one-item kDataItem reply payload.
 [[nodiscard]] std::vector<std::uint8_t> encodeDataItem(const DataItem& m);
-/// Appends the DataItem payload to `w`; encodeDataItem routes through
-/// this. The server's query replies encode every item through one reused
-/// FrameArena this way, allocating nothing per item.
+/// Appends the first record of a kDataItem reply to `w`; encodeDataItem
+/// routes through this. The server encodes each reply into one reused
+/// FrameArena, allocating nothing per query.
 MCI_HOT void encodeDataItemInto(const DataItem& m, report::BitWriter& w);
-[[nodiscard]] std::optional<DataItem> decodeDataItem(
-    const std::vector<std::uint8_t>& payload);
+/// Appends one further record, after encodeDataItemInto's first.
+MCI_HOT void encodeDataItemNextInto(const DataItemNext& m,
+                                    report::BitWriter& w);
+
+/// A kDataItem reply payload, read in place: the one decoder of replies,
+/// used by ClientAgent and the swarm mux alike. parse() checks the length
+/// and reads the first record; next() then hands out the records in wire
+/// order, each with the shared readTime. Allocates nothing; the reader
+/// aliases the payload, so it is valid only as long as that buffer.
+class DataItemReader {
+ public:
+  /// nullopt unless the payload is kDataItemBytes + k * kDataItemNextBytes.
+  [[nodiscard]] MCI_HOT static std::optional<DataItemReader> parse(
+      std::span<const std::uint8_t> payload);
+
+  /// Records in the reply (at least one).
+  [[nodiscard]] std::size_t size() const { return count_; }
+  /// The read time every record of the reply shares.
+  [[nodiscard]] sim::SimTime readTime() const { return first_.readTime; }
+  /// The next record; at most size() calls.
+  [[nodiscard]] DataItem next() {
+    MCI_DCHECK(taken_ < count_)
+        << "DataItemReader::next past the last of " << count_ << " records";
+    return taken_++ == 0 ? first_ : nextRecord();
+  }
+
+ private:
+  explicit DataItemReader(std::span<const std::uint8_t> payload)
+      : r_(payload.data(), payload.size()) {}
+
+  /// Decodes record taken_ - 1 >= 1 at the cursor.
+  [[nodiscard]] MCI_HOT DataItem nextRecord();
+
+  report::BitReader r_;
+  DataItem first_;
+  std::size_t count_ = 0;
+  std::size_t taken_ = 0;
+};
 
 [[nodiscard]] std::vector<std::uint8_t> encodeCheck(const Check& m);
 /// Appends the Check payload to `w`; encodeCheck routes through this. The

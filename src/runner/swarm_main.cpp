@@ -465,6 +465,13 @@ int main(int argc, char** argv) {
   put("mean_occupancy", sw.meanOccupancy);
   put("dozes", static_cast<double>(sw.stats.dozes));
   put("updates_per_model_s", sw.updatesPerModelS);
+  // Items per kDataItem reply frame: one frame answers a whole query batch.
+  const double itemsPerReplyFrame =
+      sw.mux.dataItemFrames == 0
+          ? 0.0
+          : static_cast<double>(sw.mux.dataItems) /
+                static_cast<double>(sw.mux.dataItemFrames);
+  put("items_per_reply_frame", itemsPerReplyFrame);
   put("model_s_per_wall_s",
       sw.wallSeconds > 0 ? cfg.simTime / sw.wallSeconds : 0.0);
   if (plan.enabled) {
@@ -488,12 +495,13 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "mci_swarm: done — %llu queries (pool %llu), hit %.4f "
                "(pool %.4f, parity %.3f), %.2g allocs/client-tick, "
-               "%.3g clients/s\n",
+               "%.3g clients/s, %.1f items/reply frame\n",
                static_cast<unsigned long long>(sw.stats.queriesCompleted),
                static_cast<unsigned long long>(pool.queries),
                hitSwarm, hitPool, parity, sw.allocsPerClientTick,
                sw.wallSeconds > 0
                    ? static_cast<double>(sw.stats.clientTicks) / sw.wallSeconds
-                   : 0.0);
+                   : 0.0,
+               itemsPerReplyFrame);
   return 0;
 }

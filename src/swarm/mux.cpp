@@ -266,32 +266,37 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
       return;
     }
     case FrameType::kDataItem: {
-      // [item:32][version:32][readTime:64 raw double] — parsed in place.
-      report::BitReader r(f.payload.data(), f.payload.size());
-      const auto item = static_cast<db::ItemId>(r.read(32));
-      const auto version = static_cast<db::Version>(r.read(32));
-      const double readTime = std::bit_cast<double>(r.read(64));
-      if (!r.ok()) {
+      // One frame answers a run of outstanding fetches, parsed in place.
+      // Replies correlate FIFO, so a frame whose records cannot be read, or
+      // that answers more fetches than are outstanding, would pair later
+      // replies with the wrong requests: drop the conn, applying nothing.
+      std::optional<live::wire::DataItemReader> reply =
+          live::wire::DataItemReader::parse(f.payload);
+      if (!reply || reply->size() > conn.fetchQueue.size()) {
         ++stats_.badFrames;
+        dropConn(conn);
         return;
       }
-      if (conn.fetchQueue.empty()) {
-        ++stats_.badFrames;  // reply with no outstanding request
-        return;
+      ++stats_.dataItemFrames;
+      const auto readTick =
+          static_cast<Tick>(reply->readTime() * 1000.0 + 0.5);
+      for (std::size_t n = reply->size(); n > 0; --n) {
+        const live::wire::DataItem d = reply->next();
+        const PendingFetch pf = conn.fetchQueue.front();
+        if (conn.fetchQueue.size() > kPrefetchDistance) {
+          const PendingFetch& ahead = conn.fetchQueue.at(kPrefetchDistance);
+          sink_.prefetchDataItem(ahead.client, ahead.item);
+        }
+        conn.fetchQueue.pop();
+        MCI_CHECK(pf.item == d.item)
+            << "swarm mux: fetch reply out of order (sent " << pf.item
+            << ", got " << d.item << ") on shard " << conn.shard
+            << " endpoint " << conn.endpoint;
+        ++stats_.dataItems;
+        sink_.onDataItem(conn.shard, pf.client, d.item, d.version, pf.tick,
+                         readTick);
+        if (!conn.tcp.isOpen()) return;  // the sink's uplink send failed
       }
-      const PendingFetch pf = conn.fetchQueue.front();
-      if (conn.fetchQueue.size() > kPrefetchDistance) {
-        const PendingFetch& ahead = conn.fetchQueue.at(kPrefetchDistance);
-        sink_.prefetchDataItem(ahead.client, ahead.item);
-      }
-      conn.fetchQueue.pop();
-      MCI_CHECK(pf.item == item)
-          << "swarm mux: fetch reply out of order (sent " << pf.item
-          << ", got " << item << ") on shard " << conn.shard << " endpoint "
-          << conn.endpoint;
-      ++stats_.dataItems;
-      sink_.onDataItem(conn.shard, pf.client, item, version, pf.tick,
-                       static_cast<Tick>(readTime * 1000.0 + 0.5));
       maybeCloseDrained(conn);
       return;
     }

@@ -67,13 +67,15 @@ class SwarmSink {
 struct MuxStats {
   std::uint64_t reportsHeard = 0;
   /// Undecodable frames, including uplink frames skipped for a failed
-  /// checksum (each of those also drops its conn).
+  /// checksum and kDataItem replies that are malformed or answer more
+  /// fetches than are outstanding (each of those also drops its conn).
   std::uint64_t badFrames = 0;
   std::uint64_t ignoredFrames = 0;  ///< types the swarm has no use for
   std::uint64_t udpRecvSyscalls = 0;
   std::uint64_t queryFramesSent = 0;  ///< batched kQueryRequest frames
   std::uint64_t fetchesSent = 0;      ///< items inside those frames
-  std::uint64_t dataItems = 0;
+  std::uint64_t dataItemFrames = 0;  ///< kDataItem reply frames applied
+  std::uint64_t dataItems = 0;       ///< items inside those frames
   std::uint64_t checksSent = 0;
   std::uint64_t connectionsLost = 0;
   std::uint64_t mapUpdatesHeard = 0;  ///< kMapUpdate frames (any conn/downlink)
@@ -150,8 +152,8 @@ class Ring {
 /// Correlation needs no wire changes: the server answers each TCP
 /// connection strictly in request order, so a FIFO ring per connection
 /// (fetches: {client, item, tick}; checks: {client}) maps every kDataItem
-/// and kCheckAck back to its emulated client. Client c's uplink for a
-/// shard always uses endpoint c % E, so the per-(client, shard) reply
+/// record and kCheckAck back to its emulated client. Client c's uplink for
+/// a shard always uses endpoint c % E, so the per-(client, shard) reply
 /// order — the only order the model observes — is independent of E, which
 /// is what makes 1-endpoint and N-endpoint runs produce identical model
 /// state for the same seed.

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -205,8 +206,8 @@ TEST(LiveLoopback, WedgedClientNeverBlocksTheBroadcast) {
     reactor.runOnce(10);
   }
 
-  // Each query pulls 200 DataItem frames (~4 KB) toward a client that will
-  // never drain them; a handful of queries overwhelms both tiny queues.
+  // Each query pulls a 200-item reply frame (~1.6 KB) toward a client that
+  // will never drain it; a handful of queries overwhelms both tiny queues.
   wire::QueryRequest query;
   for (db::ItemId i = 0; i < 200; ++i) query.items.push_back(i);
   const auto queryFrame = wire::encodeFrame(
@@ -232,18 +233,95 @@ TEST(LiveLoopback, WedgedClientNeverBlocksTheBroadcast) {
   ::close(udp);
 }
 
+/// A raw TCP uplink to a daemon on `reactor`. Its Hello names no IR
+/// downlink (port 0), so every frame the server sends it after the Welcome
+/// is a reply.
+class RawUplink {
+ public:
+  RawUplink(Reactor& reactor, std::uint16_t port) : reactor_(reactor) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    send(wire::encodeFrame(
+        wire::FrameType::kHello, wire::kNoScheme, net::TrafficClass::kControl,
+        wire::encodeHello(wire::Hello{.udpPort = 0, .audit = false})));
+    std::size_t welcomeBytes = 0;
+    readUntil([&] {
+      welcomeBytes = wire::frameSize(in.data(), in.size());
+      return welcomeBytes > 0 && in.size() >= welcomeBytes;
+    });
+    EXPECT_GT(welcomeBytes, 0u) << "no Welcome";
+    in.erase(in.begin(),
+             in.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(welcomeBytes, in.size())));
+  }
+  ~RawUplink() { ::close(fd_); }
+  RawUplink(const RawUplink&) = delete;
+  RawUplink& operator=(const RawUplink&) = delete;
+
+  void send(const std::vector<std::uint8_t>& frame) {
+    EXPECT_EQ(::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  void sendQuery(const std::vector<db::ItemId>& items) {
+    send(wire::encodeFrame(
+        wire::FrameType::kQueryRequest, wire::kNoScheme,
+        net::TrafficClass::kControl,
+        wire::encodeQueryRequest(wire::QueryRequest{.items = items})));
+  }
+
+  /// Drives the reactor and appends what arrives to `in` until done().
+  template <typename Done>
+  void readUntil(Done done) {
+    std::uint8_t buf[4096];
+    for (int round = 0; round < 10'000 && !done(); ++round) {
+      reactor_.runOnce(1);
+      for (ssize_t n; (n = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
+        in.insert(in.end(), buf, buf + n);
+      }
+    }
+  }
+
+  /// Reads until `count` whole frames are in, and returns them decoded.
+  std::vector<wire::Frame> readFrames(std::size_t count) {
+    std::vector<wire::Frame> frames;
+    readUntil([&] {
+      frames.clear();
+      wire::FrameBuffer fb;
+      fb.append(in.data(), in.size());
+      while (std::optional<wire::Frame> f = fb.next()) {
+        frames.push_back(std::move(*f));
+      }
+      return frames.size() >= count;
+    });
+    return frames;
+  }
+
+  std::vector<std::uint8_t> in;  ///< bytes received after the Welcome
+
+ private:
+  Reactor& reactor_;
+  int fd_ = -1;
+};
+
 /// What the server sent a raw uplink for one 200-item query.
 struct QueryReplies {
   std::vector<std::uint8_t> got;       ///< reply bytes, Welcome excluded
-  std::vector<std::uint8_t> expected;  ///< one encodeFrame per item, in order
+  std::vector<std::uint8_t> expected;  ///< the one batched reply frame
   std::uint64_t tcpSendSyscalls = 0;   ///< server send calls for the query
+  std::uint64_t replyFrames = 0;       ///< ServerStats::dataItemFrames
   std::uint64_t framesDropped = 0;
 };
 
-/// Says Hello on a raw TCP uplink, waits for the Welcome, sends one
-/// 200-item kQueryRequest and reads the replies as they arrive, driving
-/// the server's reactor in between. No updates run, so every reply's
-/// version is the item's current one.
+/// Sends one 200-item kQueryRequest on a raw uplink and reads the replies
+/// as they arrive, driving the server's reactor in between. No updates
+/// run, so every reply's version is the item's current one.
 QueryReplies serveOneQuery(ServerOptions opts) {
   QueryReplies r;
   Reactor reactor;
@@ -251,95 +329,113 @@ QueryReplies serveOneQuery(ServerOptions opts) {
   opts.cfg.meanUpdateInterarrival = 1e12;
   opts.timeScale = 100.0;
   BroadcastServer server(reactor, opts);
-
-  const int tcp = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(tcp, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.tcpPort());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::connect(tcp, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  std::vector<std::uint8_t> in;
-  const auto readUntil = [&](auto done) {
-    std::uint8_t buf[4096];
-    for (int round = 0; round < 10'000 && !done(); ++round) {
-      reactor.runOnce(1);
-      for (ssize_t n; (n = ::recv(tcp, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
-        in.insert(in.end(), buf, buf + n);
-      }
-    }
-  };
-
-  // Port 0: no IR downlink, so every send the server makes is a reply.
-  const auto helloFrame = wire::encodeFrame(
-      wire::FrameType::kHello, wire::kNoScheme, net::TrafficClass::kControl,
-      wire::encodeHello(wire::Hello{.udpPort = 0, .audit = false}));
-  EXPECT_EQ(::send(tcp, helloFrame.data(), helloFrame.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(helloFrame.size()));
-  std::size_t welcomeBytes = 0;
-  readUntil([&] {
-    welcomeBytes = wire::frameSize(in.data(), in.size());
-    return welcomeBytes > 0 && in.size() >= welcomeBytes;
-  });
-  EXPECT_GT(welcomeBytes, 0u) << "no Welcome";
+  RawUplink uplink(reactor, server.tcpPort());
   const std::uint64_t sendsBefore = server.stats().tcpSendSyscalls;
 
   constexpr std::size_t kItems = 200;
-  wire::QueryRequest query;
-  for (db::ItemId i = 0; i < kItems; ++i) query.items.push_back(i);
-  const auto queryFrame = wire::encodeFrame(
-      wire::FrameType::kQueryRequest, wire::kNoScheme,
-      net::TrafficClass::kControl, wire::encodeQueryRequest(query));
-  EXPECT_EQ(::send(tcp, queryFrame.data(), queryFrame.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(queryFrame.size()));
-  const std::size_t replyBytes =
-      kItems * (wire::kHeaderBytes + wire::encodeDataItem({}).size());
-  readUntil([&] { return in.size() >= welcomeBytes + replyBytes; });
-  r.got.assign(in.begin() + static_cast<std::ptrdiff_t>(welcomeBytes),
-               in.end());
+  std::vector<db::ItemId> items;
+  for (db::ItemId i = 0; i < kItems; ++i) items.push_back(i);
+  uplink.sendQuery(items);
+  const std::size_t replyBytes = wire::kHeaderBytes + wire::kDataItemBytes +
+                                 (kItems - 1) * wire::kDataItemNextBytes;
+  uplink.readUntil([&] { return uplink.in.size() >= replyBytes; });
+  r.got = uplink.in;
   r.tcpSendSyscalls = server.stats().tcpSendSyscalls - sendsBefore;
+  r.replyFrames = server.stats().dataItemFrames;
   r.framesDropped = server.stats().framesDropped;
 
-  // Every reply of one query carries the same read time; take it from the
-  // first frame and rebuild what one encodeFrame per item would send.
-  std::optional<wire::Frame> first =
-      wire::decodeFrame(r.got.data(), r.got.size());
+  // Every record of the reply carries the first one's read time; take it
+  // from the frame and rebuild the batched reply byte for byte.
+  std::optional<wire::FrameView> first =
+      wire::decodeFrameView(r.got.data(), r.got.size());
   EXPECT_TRUE(first.has_value());
-  std::optional<wire::DataItem> firstItem;
-  if (first) firstItem = wire::decodeDataItem(first->payload);
-  EXPECT_TRUE(firstItem.has_value());
-  for (db::ItemId i = 0; firstItem && i < kItems; ++i) {
-    const wire::DataItem d{.item = i,
-                           .version = server.database().currentVersion(i),
-                           .readTime = firstItem->readTime};
-    const std::vector<std::uint8_t> f =
-        wire::encodeFrame(wire::FrameType::kDataItem, wire::kNoScheme,
-                          net::TrafficClass::kBulk, wire::encodeDataItem(d));
-    r.expected.insert(r.expected.end(), f.begin(), f.end());
+  std::optional<wire::DataItemReader> reply;
+  if (first) reply = wire::DataItemReader::parse(first->payload);
+  EXPECT_TRUE(reply.has_value());
+  if (!reply) return r;
+  wire::FrameArena arena;
+  report::BitWriter w = arena.begin(wire::FrameType::kDataItem,
+                                    wire::kNoScheme, net::TrafficClass::kBulk);
+  wire::encodeDataItemInto({.item = 0,
+                            .version = server.database().currentVersion(0),
+                            .readTime = reply->readTime()},
+                           w);
+  for (db::ItemId i = 1; i < kItems; ++i) {
+    wire::encodeDataItemNextInto(
+        {.item = i, .version = server.database().currentVersion(i)}, w);
   }
-  ::close(tcp);
+  arena.finish(w);
+  r.expected.assign(arena.frame().begin(), arena.frame().end());
   return r;
 }
 
-/// The replies to one query leave as one corked batch: 200 DataItems cost
-/// the server at most two TCP send calls instead of one each.
+/// The replies to one query leave as one reply frame in one corked batch:
+/// 200 items cost the server one frame and at most two TCP send calls.
 TEST(LiveLoopback, OneQueryCostsAtMostTwoTcpSendCalls) {
   const QueryReplies r = serveOneQuery(ServerOptions{});
   EXPECT_EQ(r.got.size(), r.expected.size());
+  EXPECT_EQ(r.replyFrames, 1u);
   EXPECT_GE(r.tcpSendSyscalls, 1u);
   EXPECT_LE(r.tcpSendSyscalls, 2u);
 }
 
 /// Batching must not cost a reading client frames: the send-queue cap
-/// counts only bytes the kernel refused, so ~6 KB of replies pass a 1 KB
-/// cap whole, byte-identical to one encodeFrame per item, in order.
+/// counts only bytes the kernel refused, and an empty queue takes any one
+/// frame, so the ~1.6 KB reply passes a 1 KB cap whole, byte-identical to
+/// the batched encode.
 TEST(LiveLoopback, ReadingClientLosesNoFramesToATinySendCap) {
   ServerOptions opts;
   opts.maxSendQueueBytes = 1024;
   const QueryReplies r = serveOneQuery(opts);
   EXPECT_EQ(r.framesDropped, 0u);
-  EXPECT_EQ(r.got, r.expected) << "reply bytes differ from per-item frames";
+  EXPECT_EQ(r.got, r.expected) << "reply bytes differ from the batched frame";
+}
+
+/// A misrouted item splits the query's reply: the items before it leave as
+/// one frame, then the kMapUpdate re-announce, then the items after it, so
+/// the announce keeps its place among the replies.
+TEST(LiveLoopback, MisroutedItemSplitsTheReplyAroundTheReannounce) {
+  Reactor reactor;
+  ClusterOptions opts;
+  opts.cfg = baseConfig(schemes::SchemeKind::kAaw);
+  opts.cfg.meanUpdateInterarrival = 1e12;
+  opts.timeScale = 100.0;
+  opts.shardCount = 2;
+  Cluster cluster(reactor, opts);
+  const BroadcastServer& server = cluster.server(0);
+  const ShardMap& map = server.shardMap();
+
+  std::vector<db::ItemId> owned;
+  std::optional<db::ItemId> foreign;
+  for (db::ItemId i = 0; owned.size() < 4 || !foreign; ++i) {
+    if (map.shardOf(i) == 0) {
+      owned.push_back(i);
+    } else if (!foreign) {
+      foreign = i;
+    }
+  }
+  RawUplink uplink(reactor, server.tcpPort());
+  uplink.sendQuery({owned[0], owned[1], *foreign, owned[2], owned[3]});
+  const std::vector<wire::Frame> frames = uplink.readFrames(3);
+  ASSERT_EQ(frames.size(), 3u);
+
+  const auto records = [](const wire::Frame& f) {
+    std::vector<db::ItemId> items;
+    auto reply = wire::DataItemReader::parse(f.payload);
+    EXPECT_TRUE(reply.has_value());
+    for (std::size_t n = reply ? reply->size() : 0; n > 0; --n) {
+      items.push_back(reply->next().item);
+    }
+    return items;
+  };
+  EXPECT_EQ(frames[0].header.type, wire::FrameType::kDataItem);
+  EXPECT_EQ(records(frames[0]), (std::vector<db::ItemId>{owned[0], owned[1]}));
+  EXPECT_EQ(frames[1].header.type, wire::FrameType::kMapUpdate);
+  EXPECT_EQ(frames[2].header.type, wire::FrameType::kDataItem);
+  EXPECT_EQ(records(frames[2]), (std::vector<db::ItemId>{owned[2], owned[3]}));
+  EXPECT_EQ(server.stats().misroutedItems, 1u);
+  EXPECT_EQ(server.stats().dataItemFrames, 2u);
+  EXPECT_EQ(server.stats().dataItemsSent, 4u);
 }
 
 /// The K=1 shard pin: a daemon carrying an explicit (0 of 1) shard spec —

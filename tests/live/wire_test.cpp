@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 namespace mci::live::wire {
@@ -190,11 +193,118 @@ TEST(ControlCodecs, QueryAndDataItemRoundTrip) {
   EXPECT_EQ(qb->items, q.items);
 
   const DataItem d{.item = 42, .version = 1234567, .readTime = 199.999};
-  const auto db = decodeDataItem(encodeDataItem(d));
-  ASSERT_TRUE(db.has_value());
-  EXPECT_EQ(db->item, d.item);
-  EXPECT_EQ(db->version, d.version);
-  EXPECT_DOUBLE_EQ(db->readTime, d.readTime);  // raw bits, no quantizer
+  const std::vector<std::uint8_t> payload = encodeDataItem(d);
+  EXPECT_EQ(payload.size(), kDataItemBytes);
+  auto reply = DataItemReader::parse(payload);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->size(), 1u);
+  const DataItem db = reply->next();
+  EXPECT_EQ(db.item, d.item);
+  EXPECT_EQ(db.version, d.version);
+  EXPECT_DOUBLE_EQ(db.readTime, d.readTime);  // raw bits, no quantizer
+}
+
+// --- kDataItem replies: one frame per query ----------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t b : bytes) {
+    s.push_back(kDigits[b >> 4]);
+    s.push_back(kDigits[b & 0xF]);
+  }
+  return s;
+}
+
+/// The server's reply encode: the first record whole, the rest as
+/// (item, version) pairs sharing its readTime.
+void encodeReply(FrameArena& arena, const std::vector<DataItem>& items) {
+  report::BitWriter w = arena.begin(FrameType::kDataItem, kNoScheme,
+                                    net::TrafficClass::kBulk);
+  encodeDataItemInto(items.front(), w);
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    encodeDataItemNextInto({.item = items[i].item, .version = items[i].version},
+                           w);
+  }
+  arena.finish(w);
+}
+
+const std::vector<DataItem> kThreeItems = {
+    {.item = 42, .version = 1234567, .readTime = 199.999},
+    {.item = 7, .version = 3, .readTime = 199.999},
+    {.item = 65535, .version = 0x01020304, .readTime = 199.999},
+};
+
+TEST(DataItemReply, OneItemFrameIsTheLoneDataItemFrame) {
+  FrameArena arena;
+  encodeReply(arena, {kThreeItems.front()});
+  const std::vector<std::uint8_t> lone =
+      encodeFrame(FrameType::kDataItem, kNoScheme, net::TrafficClass::kBulk,
+                  encodeDataItem(kThreeItems.front()));
+  EXPECT_EQ(std::vector<std::uint8_t>(arena.frame().begin(),
+                                      arena.frame().end()),
+            lone);
+  EXPECT_EQ(hex(arena.frame()),
+            "4d430105ff0200000080772cd99f"
+            "0000002a0012d6874068fff7ced91687");
+}
+
+TEST(DataItemReply, GoldenThreeRecordFrameHexPin) {
+  FrameArena arena;
+  encodeReply(arena, kThreeItems);
+  EXPECT_EQ(arena.frame().size(),
+            kHeaderBytes + kDataItemBytes + 2 * kDataItemNextBytes);
+  EXPECT_EQ(hex(arena.frame()),
+            "4d430105ff0200000100995f094e"
+            "0000002a0012d6874068fff7ced91687"
+            "0000000700000003"
+            "0000ffff01020304");
+}
+
+TEST(DataItemReply, RecordsComeBackInOrderWithTheSharedReadTime) {
+  FrameArena arena;
+  encodeReply(arena, kThreeItems);
+  const auto f = decodeFrameView(arena.data(), arena.size());
+  ASSERT_TRUE(f.has_value());
+  auto reply = DataItemReader::parse(f->payload);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->size(), kThreeItems.size());
+  EXPECT_DOUBLE_EQ(reply->readTime(), 199.999);
+  for (const DataItem& want : kThreeItems) {
+    const DataItem got = reply->next();
+    EXPECT_EQ(got.item, want.item);
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.readTime),
+              std::bit_cast<std::uint64_t>(want.readTime));
+  }
+}
+
+TEST(DataItemReply, EveryLengthButSixteenPlusEightKIsRefused) {
+  FrameArena arena;
+  encodeReply(arena, kThreeItems);
+  const std::span<const std::uint8_t> payload = arena.payload();
+  ASSERT_EQ(payload.size(), 32u);
+  // Every truncation of the 3-record payload: only the whole-record
+  // prefixes (16, 24 bytes) parse, as the 1- and 2-record replies.
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    const auto reply = DataItemReader::parse(payload.first(len));
+    if (len == 16 || len == 24) {
+      ASSERT_TRUE(reply.has_value()) << len;
+      EXPECT_EQ(reply->size(), 1 + (len - 16) / 8) << len;
+    } else {
+      EXPECT_FALSE(reply.has_value()) << len;
+    }
+  }
+  // A trailing partial record is refused too.
+  std::vector<std::uint8_t> longer(payload.begin(), payload.end());
+  for (int extra = 1; extra < 8; ++extra) {
+    longer.push_back(0);
+    EXPECT_FALSE(DataItemReader::parse(longer).has_value()) << extra;
+  }
+  // And every truncation of the framed bytes fails the envelope.
+  for (std::size_t len = 0; len < arena.size(); ++len) {
+    EXPECT_FALSE(decodeFrameView(arena.data(), len).has_value()) << len;
+  }
 }
 
 TEST(ControlCodecs, CheckRoundTrip) {

@@ -6,6 +6,11 @@
 // (zero stale reads), and the TS in-place parser is pinned byte-for-byte
 // against ReportCodec::decodeTs.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -418,6 +423,162 @@ TEST(SwarmMux, PrefetchHintsNameTheReplyTheDistanceAhead) {
     EXPECT_EQ(h.client, sink.replies[target].first) << "hint " << k;
     EXPECT_EQ(h.item, sink.replies[target].second) << "hint " << k;
   }
+}
+
+/// A one-shard daemon stand-in on a raw listening socket: it welcomes the
+/// mux's one connection, takes its kQueryRequest, and answers with whatever
+/// kDataItem payload a test forges.
+class ForgingShard {
+ public:
+  explicit ForgingShard(live::Reactor& reactor) : reactor_(reactor) {
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(listenFd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(listenFd_, 1), 0);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(
+        ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~ForgingShard() {
+    if (fd_ >= 0) ::close(fd_);
+    ::close(listenFd_);
+  }
+  ForgingShard(const ForgingShard&) = delete;
+  ForgingShard& operator=(const ForgingShard&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// Accepts the mux's dial, reads its Hello and welcomes it into a
+  /// one-shard cluster of this socket.
+  void welcome() {
+    fd_ = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
+    ASSERT_GE(fd_, 0);
+    ASSERT_TRUE(readFrame().has_value()) << "no Hello";
+    live::wire::Welcome w;
+    w.scheme = static_cast<std::uint8_t>(schemes::SchemeKind::kAaw);
+    w.dbSize = 500;
+    w.shardMap = live::ShardMap::single(
+        live::ShardEndpoint{.ipv4 = 0x7F000001u, .tcpPort = port_});
+    send(live::wire::FrameType::kWelcome, live::wire::encodeWelcome(w));
+  }
+
+  /// Drives the mux until one whole frame arrives from it.
+  std::optional<live::wire::Frame> readFrame() {
+    std::uint8_t buf[4096];
+    for (int round = 0; round < 10'000; ++round) {
+      if (std::optional<live::wire::Frame> f = in_.next()) return f;
+      if (round > 0) reactor_.runOnce(1);
+      for (ssize_t n; (n = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
+        in_.append(buf, static_cast<std::size_t>(n));
+      }
+    }
+    return std::nullopt;
+  }
+
+  void send(live::wire::FrameType type,
+            const std::vector<std::uint8_t>& payload) {
+    const std::vector<std::uint8_t> frame = live::wire::encodeFrame(
+        type, live::wire::kNoScheme, net::TrafficClass::kBulk, payload);
+    EXPECT_EQ(::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+ private:
+  live::Reactor& reactor_;
+  int listenFd_ = -1;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  live::wire::FrameBuffer in_;
+};
+
+/// What a mux with `fetches` outstanding made of one forged reply payload.
+struct ForgedReplyRun {
+  std::vector<std::pair<std::uint32_t, db::ItemId>> replies;
+  MuxStats stats;
+};
+
+ForgedReplyRun runForgedReply(std::uint32_t fetches,
+                              const std::vector<std::uint8_t>& payload) {
+  live::Reactor reactor;
+  ForgingShard shard(reactor);
+  RecordingSink sink(reactor, fetches);
+  UplinkMux::Options mo;
+  mo.port = shard.port();
+  mo.endpointsPerShard = 1;
+  UplinkMux mux(reactor, sink, mo);
+  sink.attach(mux);
+  mux.connect();
+  shard.welcome();
+  const std::optional<live::wire::Frame> query = shard.readFrame();
+  EXPECT_TRUE(query.has_value()) << "the mux sent no query";
+  if (query) {
+    EXPECT_EQ(query->header.type, live::wire::FrameType::kQueryRequest);
+    shard.send(live::wire::FrameType::kDataItem, payload);
+  }
+  const live::Reactor::TimerHandle guard =
+      reactor.addTimer(2.0, 0, [&] { reactor.stop(); });
+  reactor.run();  // until every fetch came back, the conn died, or 2 s
+  (void)reactor.cancelTimer(guard);
+  ForgedReplyRun r{sink.replies, mux.stats()};
+  mux.shutdown();
+  return r;
+}
+
+/// A reply payload of `records` records answering clients 0, 1, ... of a
+/// RecordingSink in order.
+std::vector<std::uint8_t> replyPayload(std::uint32_t records) {
+  std::vector<std::uint8_t> payload;
+  report::BitWriter w(payload);
+  live::wire::encodeDataItemInto(
+      {.item = RecordingSink::itemFor(0), .version = 1, .readTime = 1.0}, w);
+  for (std::uint32_t c = 1; c < records; ++c) {
+    live::wire::encodeDataItemNextInto(
+        {.item = RecordingSink::itemFor(c), .version = 1}, w);
+  }
+  return payload;
+}
+
+// The control: a reply frame answering exactly the outstanding fetches is
+// applied record by record, in order.
+TEST(SwarmMux, ReplyFrameAnsweringTheOutstandingFetchesIsApplied) {
+  const ForgedReplyRun r = runForgedReply(3, replyPayload(3));
+  ASSERT_EQ(r.replies.size(), 3u);
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(r.replies[c].first, c);
+    EXPECT_EQ(r.replies[c].second, RecordingSink::itemFor(c));
+  }
+  EXPECT_EQ(r.stats.dataItemFrames, 1u);
+  EXPECT_EQ(r.stats.dataItems, 3u);
+  EXPECT_EQ(r.stats.badFrames, 0u);
+  EXPECT_EQ(r.stats.connectionsLost, 0u);
+}
+
+// A forged frame answering more fetches than are outstanding is refused
+// whole: a bad frame, the conn dropped, and not one record applied (ASan
+// and UBSan builds check that nothing reads past the FIFO either).
+TEST(SwarmMux, ReplyFrameWithMoreRecordsThanFetchesIsRefusedWhole) {
+  const ForgedReplyRun r = runForgedReply(2, replyPayload(3));
+  EXPECT_TRUE(r.replies.empty()) << "a record was applied";
+  EXPECT_EQ(r.stats.dataItems, 0u);
+  EXPECT_EQ(r.stats.dataItemFrames, 0u);
+  EXPECT_EQ(r.stats.badFrames, 1u);
+  EXPECT_EQ(r.stats.connectionsLost, 1u);
+}
+
+// A payload that is not 16 + 8k bytes cannot say how many fetches it
+// answers: refused the same way.
+TEST(SwarmMux, ReplyFrameWithAPartialRecordIsRefusedWhole) {
+  std::vector<std::uint8_t> payload = replyPayload(2);
+  payload.resize(payload.size() + 4);
+  const ForgedReplyRun r = runForgedReply(3, payload);
+  EXPECT_TRUE(r.replies.empty()) << "a record was applied";
+  EXPECT_EQ(r.stats.badFrames, 1u);
+  EXPECT_EQ(r.stats.connectionsLost, 1u);
 }
 
 // The engine's hint must be safe for a client or an owner shard its state

@@ -45,6 +45,8 @@ WATCHED: List[Tuple[str, Optional[str]]] = [
     ("decodeWelcome", None),
     ("decodeQueryRequest", None),
     ("decodeDataItem", None),
+    ("decodeDataItemNext", None),
+    ("parse", "DataItemReader"),
     ("decodeCheck", None),
     ("decodeCheckAck", None),
     ("decodeValidityReply", None),
