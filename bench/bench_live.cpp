@@ -8,7 +8,7 @@
 //         the gated ratio and is machine-independent by construction.
 //   * envelope/dataitem
 //       — one framed DataItem reply per iteration: FrameArena encode
-//         (header + encodeDataItemInto + CRC) and decodeFrameView plus the
+//         (header + encodeDataItemInto + CRC) and decodeFrame plus the
 //         swarm mux's DataItemReader, against an in-file reference
 //         with a byte-at-a-time CRC and single-bit writer/reader (the
 //         envelope before slice-by-8 and the whole-byte paths); frames are
@@ -16,7 +16,7 @@
 //         the gated ratio.
 //   * envelope/dataitem_batch/4096
 //       — one query's reply as one kDataItem frame of 4096 records (the
-//         server's FrameArena encode, decodeFrameView plus DataItemReader)
+//         server's FrameArena encode, decodeFrame plus DataItemReader)
 //         against the same byte-wise reference; pinned byte-identical
 //         before timing, reported per item.
 //   * udp_fanout/64
@@ -490,10 +490,10 @@ bool refDecodeDataItemFrame(const ByteCrc& crc, const std::uint8_t* data,
   return r.ok;
 }
 
-/// The fast decode: the mux's path (decodeFrameView + DataItemReader).
+/// The fast decode: the mux's path (decodeFrame + DataItemReader).
 bool decodeDataItemFrame(std::span<const std::uint8_t> frame,
                          live::wire::DataItem& d) {
-  const auto f = live::wire::decodeFrameView(frame.data(), frame.size());
+  const auto f = live::wire::decodeFrame(frame.data(), frame.size());
   if (!f) return false;
   std::optional<live::wire::DataItemReader> reply =
       live::wire::DataItemReader::parse(f->payload);
@@ -683,7 +683,7 @@ BenchRow benchEnvelopeDataItemBatch(double minSeconds) {
   std::uint64_t sink = 0;
   const auto decode = [&](std::span<const std::uint8_t> frame,
                           std::vector<live::wire::DataItem>* out) {
-    const auto f = live::wire::decodeFrameView(frame.data(), frame.size());
+    const auto f = live::wire::decodeFrame(frame.data(), frame.size());
     if (!f) return false;
     std::optional<live::wire::DataItemReader> reply =
         live::wire::DataItemReader::parse(f->payload);

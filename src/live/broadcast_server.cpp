@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -226,7 +225,7 @@ void BroadcastServer::onConnEvent(int fd, std::uint32_t events) {
   }
   if ((events & EPOLLIN) != 0) {
     // Every reply this event produces rides one batch: a query's DataItems
-    // leave in chunked writes instead of one sendmsg each.
+    // leave in chunked writes instead of one send each.
     it->second.stream.cork();
     while (std::optional<wire::FrameView> frame = it->second.stream.next()) {
       handleFrame(fd, it->second, *frame);
@@ -249,30 +248,27 @@ void BroadcastServer::onConnEvent(int fd, std::uint32_t events) {
 
 void BroadcastServer::handleFrame(int fd, Conn& conn,
                                   const wire::FrameView& frame) {
-  // The control decoders read an owned payload.
-  const std::vector<std::uint8_t> payload(frame.payload.begin(),
-                                          frame.payload.end());
   switch (frame.header.type) {
     case wire::FrameType::kHello:
-      if (auto m = wire::decodeHello(payload)) handleHello(fd, conn, *m);
+      if (auto m = wire::decodeHello(frame.payload)) handleHello(fd, conn, *m);
       return;
     case wire::FrameType::kQueryRequest:
       if (!conn.welcomed) return;
-      if (auto m = wire::decodeQueryRequest(payload)) {
+      if (auto m = wire::decodeQueryRequest(frame.payload)) {
         handleQuery(fd, conn, *m);
       }
       return;
     case wire::FrameType::kCheck:
       if (!conn.welcomed) return;
-      if (auto m = wire::decodeCheck(payload)) handleCheck(fd, conn, *m);
+      if (auto m = wire::decodeCheck(frame.payload)) handleCheck(fd, conn, *m);
       return;
     case wire::FrameType::kAudit:
-      if (auto m = wire::decodeAudit(payload)) handleAudit(conn, *m);
+      if (auto m = wire::decodeAudit(frame.payload)) handleAudit(conn, *m);
       return;
     case wire::FrameType::kHandoff:
       // Peer-to-peer, not client traffic: the backfill stream arrives on a
       // plain accepted connection that never Hellos.
-      if (auto m = wire::decodeHandoff(payload)) {
+      if (auto m = wire::decodeHandoff(frame.payload)) {
         handleHandoff(fd, conn, *m);
       } else {
         ++stats_.badFrames;
@@ -333,8 +329,10 @@ void BroadcastServer::handleHello(int fd, Conn& conn,
   w.gcoreGroupSize = static_cast<std::uint32_t>(cfg.gcoreGroupSize);
   w.shardIndex = static_cast<std::uint16_t>(opts_.shardIndex);
   w.shardMap = shardMap_;
-  if (!sendFrame(fd, conn, wire::FrameType::kWelcome,
-                 net::TrafficClass::kControl, wire::encodeWelcome(w))) {
+  if (!sendFrame(fd, conn,
+                 controlArena_.build(wire::FrameType::kWelcome,
+                                     net::TrafficClass::kControl, w,
+                                     wire::encodeWelcomeInto))) {
     return;  // flush failed; the connection (and conn) are already gone
   }
 }
@@ -432,8 +430,10 @@ void BroadcastServer::handleCheck(int fd, Conn& conn, const wire::Check& c) {
   MCI_CHECK(ack.asOf >= LiveClock::tickToTime(lastBroadcastTick_))
       << "check ack stamped " << ack.asOf << " before last broadcast tick "
       << lastBroadcastTick_;
-  if (!sendFrame(fd, conn, wire::FrameType::kCheckAck,
-                 net::TrafficClass::kControl, wire::encodeCheckAck(ack))) {
+  if (!sendFrame(fd, conn,
+                 controlArena_.build(wire::FrameType::kCheckAck,
+                                     net::TrafficClass::kControl, ack,
+                                     wire::encodeCheckAckInto))) {
     return;  // send error closed the connection
   }
 
@@ -444,9 +444,10 @@ void BroadcastServer::handleCheck(int fd, Conn& conn, const wire::Check& c) {
     vr.epoch = msg.epoch;
     vr.sizeBits = reply->sizeBits;
     vr.invalid = std::move(reply->invalid);
-    if (!sendFrame(fd, conn, wire::FrameType::kValidityReply,
-                   net::TrafficClass::kControl,
-                   wire::encodeValidityReply(vr))) {
+    if (!sendFrame(fd, conn,
+                   controlArena_.build(wire::FrameType::kValidityReply,
+                                       net::TrafficClass::kControl, vr,
+                                       wire::encodeValidityReplyInto))) {
       return;  // flush failed; the connection is already gone
     }
   }
@@ -479,19 +480,10 @@ void BroadcastServer::closeConn(int fd) {
   ++stats_.connectionsClosed;
 }
 
-bool BroadcastServer::sendFrame(int fd, Conn& conn, wire::FrameType type,
-                                net::TrafficClass trafficClass,
-                                const std::vector<std::uint8_t>& payload) {
-  const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
-      wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
-  return sendFrame(fd, conn, hdr, payload);
-}
-
 bool BroadcastServer::sendFrame(int fd, Conn& conn,
-                                std::span<const std::uint8_t> head,
-                                std::span<const std::uint8_t> payload) {
+                                std::span<const std::uint8_t> frame) {
   FrameStream& stream = conn.stream;
-  const std::size_t bytes = head.size() + payload.size();
+  const std::size_t bytes = frame.size();
   if (stream.queuedBytes() + bytes > opts_.maxSendQueueBytes) {
     // Only bytes the kernel refused count against the cap: a corked batch
     // is offered to the kernel first, so a client that keeps reading never
@@ -510,7 +502,7 @@ bool BroadcastServer::sendFrame(int fd, Conn& conn,
       return true;
     }
   }
-  if (stream.send(head, payload)) return true;
+  if (stream.send(frame)) return true;
   closeConn(fd);
   return false;
 }
@@ -709,12 +701,9 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
       h.last = i + 1 == byDst[dst].size() ? 1 : 0;
       h.item = item;
       h.updateTimes = db_.updateTimes(item);
-      report::BitWriter w =
-          controlArena_.begin(wire::FrameType::kHandoff, wire::kNoScheme,
-                              net::TrafficClass::kBulk);
-      wire::encodeHandoffInto(h, w);
-      controlArena_.finish(w);
-      if (!ch.stream.send(controlArena_.frame())) {
+      if (!ch.stream.send(controlArena_.build(wire::FrameType::kHandoff,
+                                              net::TrafficClass::kBulk, h,
+                                              wire::encodeHandoffInto))) {
         closeHandoffChannel(ch, true);
         break;
       }
@@ -736,9 +725,8 @@ void BroadcastServer::onHandoffChannel(HandoffChannel& ch,
   } else if ((events & EPOLLIN) != 0) {
     while (std::optional<wire::FrameView> frame = ch.stream.next()) {
       if (frame->header.type != wire::FrameType::kHandoffAck) continue;
-      const std::vector<std::uint8_t> payload(frame->payload.begin(),
-                                              frame->payload.end());
-      std::optional<wire::HandoffAck> ack = wire::decodeHandoffAck(payload);
+      const std::optional<wire::HandoffAck> ack =
+          wire::decodeHandoffAck(frame->payload);
       const bool ok = ack && ack->mapVersion == reshardNew_.version() &&
                       ack->itemsReceived >= ch.itemsQueued;
       closeHandoffChannel(ch, !ok);
@@ -804,9 +792,10 @@ void BroadcastServer::handleHandoff(int fd, Conn& conn,
     wire::HandoffAck ack;
     ack.mapVersion = h.mapVersion;
     ack.itemsReceived = conn.handoffReceived;
-    if (!sendFrame(fd, conn, wire::FrameType::kHandoffAck,
-                   net::TrafficClass::kControl,
-                   wire::encodeHandoffAck(ack))) {
+    if (!sendFrame(fd, conn,
+                   controlArena_.build(wire::FrameType::kHandoffAck,
+                                       net::TrafficClass::kControl, ack,
+                                       wire::encodeHandoffAckInto))) {
       return;  // send error closed the connection
     }
   }
@@ -834,9 +823,10 @@ void BroadcastServer::finishReshard() {
 }
 
 void BroadcastServer::announceMapUpdate(const ShardMap& map) {
-  wire::MapUpdate mu;
-  mu.shardMap = map;
-  const std::vector<std::uint8_t> payload = wire::encodeMapUpdate(mu);
+  // Encoded once: every uplink and the IR downlink carry the same bytes.
+  const std::span<const std::uint8_t> frame = controlArena_.build(
+      wire::FrameType::kMapUpdate, net::TrafficClass::kControl,
+      wire::MapUpdate{.shardMap = map}, wire::encodeMapUpdateInto);
 
   // TCP: one frame per welcomed uplink. Collect the fds first — a send
   // error closes its connection, which would invalidate a live iterator.
@@ -850,8 +840,7 @@ void BroadcastServer::announceMapUpdate(const ShardMap& map) {
     auto it = conns_.find(fd);
     if (it == conns_.end()) continue;
     ++stats_.mapUpdatesSent;
-    if (!sendFrame(fd, it->second, wire::FrameType::kMapUpdate,
-                   net::TrafficClass::kControl, payload)) {
+    if (!sendFrame(fd, it->second, frame)) {
       continue;  // that connection is gone; keep announcing to the rest
     }
     stats_.tcpSendSyscalls += it->second.stream.takeSendSyscalls();
@@ -860,11 +849,6 @@ void BroadcastServer::announceMapUpdate(const ShardMap& map) {
   // IR downlink: one datagram per listener so dozing clients (radio on,
   // uplink closed) hear the flip the moment they wake into the broadcast
   // stream.
-  report::BitWriter w = controlArena_.begin(
-      wire::FrameType::kMapUpdate, wire::kNoScheme,
-      net::TrafficClass::kControl);
-  wire::encodeMapUpdateInto(mu, w);
-  controlArena_.finish(w);
   stats_.mapUpdatesSent += fanOutReport(controlArena_);
 }
 
@@ -872,10 +856,11 @@ bool BroadcastServer::reannounceMap(int fd, Conn& conn) {
   if (conn.mapReannounced || !shardMap_.valid()) return true;
   conn.mapReannounced = true;
   ++stats_.mapReannounces;
-  wire::MapUpdate mu;
-  mu.shardMap = shardMap_;
-  return sendFrame(fd, conn, wire::FrameType::kMapUpdate,
-                   net::TrafficClass::kControl, wire::encodeMapUpdate(mu));
+  return sendFrame(fd, conn,
+                   controlArena_.build(wire::FrameType::kMapUpdate,
+                                       net::TrafficClass::kControl,
+                                       wire::MapUpdate{.shardMap = shardMap_},
+                                       wire::encodeMapUpdateInto));
 }
 
 }  // namespace mci::live

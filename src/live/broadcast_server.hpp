@@ -75,7 +75,7 @@ struct ServerStats {
   /// O(clients) — bench_live gates the ratio.
   std::uint64_t udpSendSyscalls = 0;
   std::uint64_t udpDatagramsSent = 0;  ///< IR datagrams the kernel accepted
-  /// Kernel entries the TCP replies cost (sendmsg/send calls of every
+  /// Kernel entries the TCP replies cost (send calls of every
   /// connection and handoff stream). The replies of one readiness event
   /// leave as one batch, so a 200-item query costs one, not 200.
   std::uint64_t tcpSendSyscalls = 0;
@@ -287,19 +287,14 @@ class BroadcastServer {
   void onHandoffChannel(HandoffChannel& ch, std::uint32_t events);
   void closeHandoffChannel(HandoffChannel& ch, bool failed);
   void finishHandoffIfDone();
-  /// Sends one frame (header bytes then payload bytes, or a finished
-  /// FrameArena as one span) on the connection's stream, or drops it
-  /// whole (and counts it) when the bytes the kernel refused would pass
-  /// maxSendQueueBytes. Returns false when the send hit a hard error and
-  /// closed the connection — `conn` is then dangling and the caller must
-  /// stop touching it (tools/analyze checked-return).
-  [[nodiscard]] MCI_HOT bool sendFrame(
-      int fd, Conn& conn, std::span<const std::uint8_t> head,
-      std::span<const std::uint8_t> payload = {});
-  /// sendFrame for an encoded control payload: frames it, then sends.
-  [[nodiscard]] bool sendFrame(int fd, Conn& conn, wire::FrameType type,
-                               net::TrafficClass trafficClass,
-                               const std::vector<std::uint8_t>& payload);
+  /// Sends one whole frame (a finished FrameArena's bytes) on the
+  /// connection's stream, or drops it whole (and counts it) when the bytes
+  /// the kernel refused would pass maxSendQueueBytes. Returns false when
+  /// the send hit a hard error and closed the connection — `conn` is then
+  /// dangling and the caller must stop touching it (tools/analyze
+  /// checked-return).
+  [[nodiscard]] MCI_HOT bool sendFrame(int fd, Conn& conn,
+                                       std::span<const std::uint8_t> frame);
 
   void broadcastTick();
   /// Sends the finished arena frame on the IR downlink: one datagram to
@@ -354,7 +349,9 @@ class BroadcastServer {
   std::uint32_t oldSelfIndex_ = kNoShard;  ///< our index in reshardOld_
   std::vector<std::unique_ptr<HandoffChannel>> handoffChannels_;
   std::function<void()> handoffDone_;
-  wire::FrameArena controlArena_;  ///< kMapUpdate/kHandoff encode-once
+  /// Control replies, handoff frames and map announces: each is built
+  /// here and sent before the next one is.
+  wire::FrameArena controlArena_;
 
   Reactor::TimerHandle broadcastTimer_;
   Reactor::TimerHandle updateTimer_;

@@ -93,17 +93,20 @@ class ClientAgent::Life : public core::lifecycle::HostView {
     audit.item = item;
     audit.version = e->version;
     audit.validAsOf = link->ctx->lastHeard();
-    return a_.sendFrame(*link, wire::FrameType::kAudit,
-                        net::TrafficClass::kControl, wire::encodeAudit(audit));
+    return a_.sendFrame(
+        *link, a_.pool_.arena_.build(wire::FrameType::kAudit,
+                                     net::TrafficClass::kControl, audit,
+                                     wire::encodeAuditInto));
   }
   void requestFetches(Link* link) {
     if (link->fetch.empty()) return;
     a_.pool_.collector_->onClientTx(a_.pool_.sizes_.queryRequestBits());
-    wire::QueryRequest q;
-    q.items = link->fetch;
     // A failed send already ran dropAgent(); the leg stays outstanding.
-    (void)a_.sendFrame(*link, wire::FrameType::kQueryRequest,
-                       net::TrafficClass::kBulk, wire::encodeQueryRequest(q));
+    (void)a_.sendFrame(
+        *link, a_.pool_.arena_.build(
+                   wire::FrameType::kQueryRequest, net::TrafficClass::kBulk,
+                   std::span<const db::ItemId>(link->fetch),
+                   wire::encodeQueryRequestInto));
   }
   void recordCompletion(double now) {
     HostView::recordCompletion(now);
@@ -188,8 +191,9 @@ void ClientAgent::sendHello(Link& link) {
   wire::Hello hello;
   hello.udpPort = ntohs(udpAddr.sin_port);
   hello.audit = pool_.opts_.sendAudit;
-  if (!sendFrame(link, wire::FrameType::kHello, net::TrafficClass::kControl,
-                 wire::encodeHello(hello))) {
+  if (!sendFrame(link, pool_.arena_.build(wire::FrameType::kHello,
+                                          net::TrafficClass::kControl, hello,
+                                          wire::encodeHelloInto))) {
     return;  // connection died mid-hello; dropAgent() already ran
   }
 }
@@ -206,11 +210,14 @@ void ClientAgent::connect() {
 
 void ClientAgent::shutdown() {
   shuttingDown_ = true;
+  wire::FrameArena& arena = pool_.arena_;
+  report::BitWriter w = arena.begin(wire::FrameType::kBye, wire::kNoScheme,
+                                    net::TrafficClass::kControl);
+  arena.finish(w);
   for (auto& link : links_) {
     if (link && link->tcp.isOpen()) {
       // Best-effort goodbye: teardown continues whether or not it lands.
-      (void)sendFrame(*link, wire::FrameType::kBye,
-                      net::TrafficClass::kControl, {});
+      (void)sendFrame(*link, arena.frame());
     }
   }
   dropAgent();
@@ -292,7 +299,7 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
   // A dozing host's radio is off: the datagram is consumed from the
   // kernel but never heard by the model.
   if (!radioOn() || link.scheme == nullptr) return true;
-  std::optional<wire::Frame> frame = wire::decodeFrame(data, len);
+  const std::optional<wire::FrameView> frame = wire::decodeFrame(data, len);
   if (!frame) {
     ++pool_.stats_.badFrames;
     return true;
@@ -301,11 +308,7 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
     // The IR downlink's epoch announce: awake clients flip immediately;
     // dozing ones (returned above) flip via TCP or on the misroute
     // re-announce after waking.
-    if (auto m = wire::decodeMapUpdate(frame->payload)) {
-      pool_.onMapUpdate(m->shardMap);
-    } else {
-      ++pool_.stats_.badFrames;
-    }
+    onMapUpdatePayload(frame->payload);
     return link.tcp.isOpen();  // the flip may have drained this link
   }
   if (frame->header.type != wire::FrameType::kReport) {
@@ -317,14 +320,9 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
 }
 
 void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
-  // The control decoders read an owned payload; replies are read in place.
-  const auto payload = [&frame] {
-    return std::vector<std::uint8_t>(frame.payload.begin(),
-                                     frame.payload.end());
-  };
   switch (frame.header.type) {
     case wire::FrameType::kWelcome:
-      if (auto m = wire::decodeWelcome(payload())) onWelcome(link, *m);
+      if (auto m = wire::decodeWelcome(frame.payload)) onWelcome(link, *m);
       return;
     case wire::FrameType::kDataItem:
       if (std::optional<wire::DataItemReader> reply =
@@ -337,14 +335,14 @@ void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
       }
       return;
     case wire::FrameType::kCheckAck:
-      if (auto m = wire::decodeCheckAck(payload())) {
+      if (auto m = wire::decodeCheckAck(frame.payload)) {
         if (link.scheme != nullptr) {
           link.scheme->onCheckDelivered(*link.ctx, m->asOf);
         }
       }
       return;
     case wire::FrameType::kValidityReply:
-      if (auto m = wire::decodeValidityReply(payload())) {
+      if (auto m = wire::decodeValidityReply(frame.payload)) {
         onValidityReply(link, *m);
       }
       return;
@@ -352,15 +350,19 @@ void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
       // Epoch announce on the uplink: processed even while dozing (the
       // radio gates UDP only), so a host that sleeps through a reshard
       // wakes already pointed at the new cluster.
-      if (auto m = wire::decodeMapUpdate(payload())) {
-        pool_.onMapUpdate(m->shardMap);
-      } else {
-        ++pool_.stats_.badFrames;
-      }
+      onMapUpdatePayload(frame.payload);
       return;
     default:
       ++pool_.stats_.badFrames;
       return;
+  }
+}
+
+void ClientAgent::onMapUpdatePayload(std::span<const std::uint8_t> payload) {
+  if (auto m = wire::decodeMapUpdate(payload)) {
+    pool_.onMapUpdate(m->shardMap);
+  } else {
+    ++pool_.stats_.badFrames;
   }
 }
 
@@ -423,15 +425,10 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   }
 
   link.clientId = w.clientId;
-  // The host's cache splits evenly across its per-shard partitions (the
-  // hash map spreads items uniformly, so equal shares match the load).
-  const std::uint32_t shards = map.shardCount();
-  std::uint32_t share = w.cacheCapacity / shards +
-                        (link.shard < w.cacheCapacity % shards ? 1 : 0);
-  share = std::max<std::uint32_t>(share, 1);
   link.ownCtx = std::make_unique<schemes::ClientContext>(
-      link.clientId, share, pool_.sizes_, pool_.collector_.get(),
-      pool_.agentCfg_.replacement);
+      link.clientId,
+      ShardMap::cacheShare(w.cacheCapacity, map.shardCount(), link.shard),
+      pool_.sizes_, pool_.collector_.get(), pool_.agentCfg_.replacement);
   link.ctx = link.ownCtx.get();
   link.scheme = core::makeClientScheme(pool_.agentCfg_, pool_.sigTable_.get(),
                                        pool_.sigInitial_);
@@ -469,7 +466,7 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
 }
 
 void ClientAgent::onReportPayload(Link& link,
-                                  const std::vector<std::uint8_t>& payload) {
+                                  std::span<const std::uint8_t> payload) {
   const report::ReportPtr r = pool_.codec_->decodeAny(payload);
   if (r == nullptr) {
     ++pool_.stats_.badFrames;
@@ -531,19 +528,16 @@ void ClientAgent::sendCheck(Link& link, const schemes::CheckMessage& msg) {
   c.epoch = msg.epoch;
   c.sizeBits = msg.sizeBits;
   c.entries = msg.entries;
-  if (!sendFrame(link, wire::FrameType::kCheck, net::TrafficClass::kControl,
-                 wire::encodeCheck(c))) {
+  if (!sendFrame(link, pool_.arena_.build(wire::FrameType::kCheck,
+                                          net::TrafficClass::kControl, c,
+                                          wire::encodeCheckInto))) {
     return;  // connection died mid-check; dropAgent() already ran
   }
 }
 
-bool ClientAgent::sendFrame(Link& link, wire::FrameType type,
-                            net::TrafficClass trafficClass,
-                            const std::vector<std::uint8_t>& payload) {
+bool ClientAgent::sendFrame(Link& link, std::span<const std::uint8_t> frame) {
   if (!link.tcp.isOpen()) return false;
-  const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
-      wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
-  if (link.tcp.send(hdr, payload)) return true;
+  if (link.tcp.send(frame)) return true;
   dropAgent();
   return false;
 }

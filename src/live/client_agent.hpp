@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -165,18 +166,20 @@ class ClientAgent {
   bool handleUdpDatagram(Link& link, const std::uint8_t* data,
                          std::size_t len);
   void handleFrame(Link& link, const wire::FrameView& frame);
+  /// A kMapUpdate payload from either the uplink or the IR downlink.
+  void onMapUpdatePayload(std::span<const std::uint8_t> payload);
   void onWelcome(Link& link, const wire::Welcome& w);
-  void onReportPayload(Link& link, const std::vector<std::uint8_t>& payload);
+  void onReportPayload(Link& link, std::span<const std::uint8_t> payload);
   void onDataItem(Link& link, const wire::DataItem& d);
   void onValidityReply(Link& link, const wire::ValidityReplyMsg& vr);
 
   void sendCheck(Link& link, const schemes::CheckMessage& msg);
-  /// Sends one frame on the link's uplink. Returns false when the link is
-  /// closed or the send hit a hard error and dropAgent() already ran (the
-  /// Link object survives, closed, but the caller must stop this exchange).
-  [[nodiscard]] bool sendFrame(Link& link, wire::FrameType type,
-                               net::TrafficClass trafficClass,
-                               const std::vector<std::uint8_t>& payload);
+  /// Sends one whole frame (built in the pool's arena) on the link's
+  /// uplink. Returns false when the link is closed or the send hit a hard
+  /// error and dropAgent() already ran (the Link object survives, closed,
+  /// but the caller must stop this exchange).
+  [[nodiscard]] bool sendFrame(Link& link,
+                               std::span<const std::uint8_t> frame);
   /// Arms the agent's one timer to run `fire` after `modelSeconds`.
   void armTimer(double modelSeconds, void (*fire)(ClientAgent&));
   void cancelTimer();
@@ -297,6 +300,9 @@ class ClientPool {
   PoolStats stats_;
   /// Shared downlink drain buffer: one per pool, not per agent.
   UdpBatchReceiver udpReceiver_;
+  /// Every agent's uplink frames are built here, one at a time, and sent
+  /// before the next is built (the reactor is single-threaded).
+  wire::FrameArena arena_;
   std::vector<std::unique_ptr<ClientAgent>> agents_;
 };
 

@@ -6,11 +6,8 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <array>
 #include <cerrno>
 #include <stdexcept>
 #include <utility>
@@ -93,38 +90,24 @@ void FrameStream::close() {
   corked_ = false;
 }
 
-bool FrameStream::send(std::span<const std::uint8_t> head,
-                       std::span<const std::uint8_t> payload) {
+bool FrameStream::send(std::span<const std::uint8_t> frame) {
   MCI_DCHECK(isOpen()) << "send on a closed FrameStream";
   std::size_t sent = 0;
   if (!corked_ && queuedBytes() == 0) {
-    // Empty-queue fast path: scatter/gather straight from the caller's
-    // buffers — no assembled frame, no queue copy unless the socket
-    // buffer fills mid-frame.
-    std::array<iovec, 2> iov{};
-    iov[0].iov_base = const_cast<std::uint8_t*>(head.data());
-    iov[0].iov_len = head.size();
-    iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
-    iov[1].iov_len = payload.size();
-    msghdr msg{};
-    msg.msg_iov = iov.data();
-    msg.msg_iovlen = payload.empty() ? 1 : 2;
+    // Empty-queue fast path: straight from the caller's buffer, no queue
+    // copy unless the socket buffer fills mid-frame.
     ++sendSyscalls_;
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    const ssize_t n = ::send(fd_, frame.data(), frame.size(),
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
     sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == head.size() + payload.size()) return true;
+    if (sent == frame.size()) return true;
   }
   // Uncorked, a queued tail means EPOLLOUT is already on; appending keeps
   // frame order and leaves the write to flush().
-  const std::size_t fromHead = std::min(sent, head.size());
   // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water capacity only
-  out_.insert(out_.end(), head.begin() + static_cast<std::ptrdiff_t>(fromHead),
-              head.end());
-  // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water capacity only
-  out_.insert(out_.end(),
-              payload.begin() + static_cast<std::ptrdiff_t>(sent - fromHead),
-              payload.end());
+  out_.insert(out_.end(), frame.begin() + static_cast<std::ptrdiff_t>(sent),
+              frame.end());
   if (corked_) {
     // A long batch is written a chunk at a time, so a burst never parks
     // whole in user space; behind an armed EPOLLOUT the kernel is full and
@@ -183,7 +166,7 @@ void FrameStream::watchWritable(bool on) {
 std::optional<wire::FrameView> FrameStream::next() {
   MCI_DCHECK(isOpen()) << "next on a closed FrameStream";
   while (!failed_) {
-    if (std::optional<wire::FrameView> f = in_.nextView()) return f;
+    if (std::optional<wire::FrameView> f = in_.next()) return f;
     if (in_.corrupt()) {
       failed_ = true;
       break;

@@ -68,16 +68,14 @@ class FrameStream {
   /// survive. The owner must have removed its registration first.
   void close();
 
-  /// Sends one frame given as header bytes then payload bytes (a finished
-  /// FrameArena is a single span with an empty payload). With nothing
-  /// queued, one sendmsg puts both on the wire from the caller's buffers
-  /// and only the unsent tail is copied; behind a queued tail the frame is
-  /// appended whole, keeping order, for flush() to drain. Corked, the
-  /// frame is appended and the tail is written once it reaches
+  /// Sends one whole frame (typically a finished FrameArena's bytes).
+  /// With nothing queued, one send puts it on the wire from the caller's
+  /// buffer and only the unsent tail is copied; behind a queued tail the
+  /// frame is appended whole, keeping order, for flush() to drain. Corked,
+  /// the frame is appended and the tail is written once it reaches
   /// kChunkBytes, unless EPOLLOUT is already armed. False on a hard socket
   /// error (no SIGPIPE).
-  [[nodiscard]] bool send(std::span<const std::uint8_t> head,
-                          std::span<const std::uint8_t> payload = {});
+  [[nodiscard]] bool send(std::span<const std::uint8_t> frame);
 
   /// Writes the queued tail on EPOLLOUT; drops EPOLLOUT interest once it
   /// is empty, arms it when the kernel refuses bytes. False on a hard
@@ -101,7 +99,7 @@ class FrameStream {
   /// so a slow reader cannot grow it without bound).
   [[nodiscard]] std::size_t queueCapacity() const { return out_.capacity(); }
 
-  /// sendmsg/send calls made since the previous call; the owner sums them
+  /// send calls made since the previous call; the owner sums them
   /// (ServerStats::tcpSendSyscalls).
   [[nodiscard]] std::uint64_t takeSendSyscalls();
 

@@ -1,5 +1,6 @@
 #include "live/shard_map.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "report/codec.hpp"
@@ -32,6 +33,16 @@ std::uint32_t ShardMap::shardOfItem(db::ItemId item, std::uint64_t hashSeed,
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   z ^= z >> 31;
   return static_cast<std::uint32_t>(z % shardCount);
+}
+
+std::uint32_t ShardMap::cacheShare(std::uint32_t capacity,
+                                   std::uint32_t shardCount,
+                                   std::uint32_t shard) {
+  MCI_CHECK(shard < shardCount) << "cacheShare of shard " << shard << " of "
+                                << shardCount;
+  const std::uint32_t share =
+      capacity / shardCount + (shard < capacity % shardCount ? 1 : 0);
+  return std::max<std::uint32_t>(share, 1);
 }
 
 void ShardMap::encodeTo(report::BitWriter& w) const {

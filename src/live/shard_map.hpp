@@ -95,6 +95,15 @@ class ShardMap {
                                                 std::uint64_t hashSeed,
                                                 std::uint32_t shardCount);
 
+  /// Shard `shard`'s partition of a host's `capacity` cache slots: an even
+  /// split, one extra slot for each of the first capacity % shardCount
+  /// shards, at least 1. The hash law spreads items uniformly, so equal
+  /// shares match the load. ClientAgent and the swarm both size their
+  /// per-shard partitions with this.
+  [[nodiscard]] static std::uint32_t cacheShare(std::uint32_t capacity,
+                                                std::uint32_t shardCount,
+                                                std::uint32_t shard);
+
   /// Appends the map to a control payload (Welcome v2 embeds it).
   void encodeTo(report::BitWriter& w) const;
 

@@ -1,6 +1,5 @@
 #include "live/wire.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -72,45 +71,6 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
   return c ^ 0xFFFFFFFFu;
 }
 
-std::array<std::uint8_t, kHeaderBytes> encodeFrameHeader(
-    FrameType type, std::uint8_t scheme, net::TrafficClass trafficClass,
-    std::span<const std::uint8_t> payload) {
-  const auto payloadBits = static_cast<std::uint32_t>(payload.size() * 8);
-  std::array<std::uint8_t, kHeaderBytes> hdr{};
-  hdr[0] = static_cast<std::uint8_t>(kMagic >> 8);
-  hdr[1] = static_cast<std::uint8_t>(kMagic & 0xFF);
-  hdr[2] = kVersion;
-  hdr[3] = static_cast<std::uint8_t>(type);
-  hdr[4] = scheme;
-  hdr[5] = static_cast<std::uint8_t>(trafficClass);
-  for (int i = 0; i < 4; ++i) {
-    hdr[6 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(payloadBits >> (24 - 8 * i));
-  }
-  // Checksum field is zero while the digest is computed, then patched in.
-  std::uint32_t crc = crc32(hdr.data(), kHeaderBytes);
-  crc = crc32(payload.data(), payload.size(), crc);
-  for (int i = 0; i < 4; ++i) {
-    hdr[10 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (24 - 8 * i));
-  }
-  return hdr;
-}
-
-std::vector<std::uint8_t> encodeFrame(FrameType type, std::uint8_t scheme,
-                                      net::TrafficClass trafficClass,
-                                      const std::vector<std::uint8_t>& payload) {
-  const std::array<std::uint8_t, kHeaderBytes> hdr =
-      encodeFrameHeader(type, scheme, trafficClass, payload);
-  // Sized construction + copy (not reserve + insert): GCC 12 -O3 misreads
-  // the empty-payload insert as a memmove past the end and -Werror trips.
-  std::vector<std::uint8_t> out(kHeaderBytes + payload.size());
-  std::copy(hdr.begin(), hdr.end(), out.begin());
-  std::copy(payload.begin(), payload.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
-  return out;
-}
-
 report::BitWriter FrameArena::begin(FrameType type, std::uint8_t scheme,
                                     net::TrafficClass trafficClass) {
   buf_.clear();
@@ -124,8 +84,8 @@ report::BitWriter FrameArena::begin(FrameType type, std::uint8_t scheme,
   buf_.push_back(static_cast<std::uint8_t>(type));
   buf_.push_back(scheme);
   buf_.push_back(static_cast<std::uint8_t>(trafficClass));
-  // payloadBits and crc are zero until finish() patches them; the zeros
-  // are exactly what the CRC is computed over, matching encodeFrame.
+  // payloadBits and crc are zero until finish() patches them; the crc
+  // zeros are exactly what the CRC is computed over (see decodeFrame).
   buf_.insert(buf_.end(), 8, 0);
   return report::BitWriter(buf_);
 }
@@ -135,8 +95,7 @@ void FrameArena::finish(const report::BitWriter& w) {
   MCI_CHECK((w.bitCount() + 7) / 8 == buf_.size() - kHeaderBytes)
       << "finish() with a writer not produced by begin()";
   // The length field counts the zero-padded whole bytes the writer emitted
-  // (not the raw bit count), keeping the header byte-identical to
-  // encodeFrame() over the padded codec payload.
+  // (not the raw bit count): a frame's payload is always whole bytes.
   const auto payloadBits =
       static_cast<std::uint32_t>((buf_.size() - kHeaderBytes) * 8);
   for (int i = 0; i < 4; ++i) {
@@ -161,7 +120,7 @@ std::size_t frameSize(const std::uint8_t* data, std::size_t len) {
   // payload codec: the BitReader span is the first kHeaderBytes, so no raw
   // pointer arithmetic survives in this layer (PR 5's be16/be32 helpers and
   // their codec-bounds ALLOWs are gone).
-  report::BitReader hdr(data, kHeaderBytes);
+  report::BitReader hdr({data, kHeaderBytes});
   if (hdr.read(16) != kMagic) return 0;
   hdr.skip(32);  // version, type, scheme, trafficClass
   const auto payloadBits = static_cast<std::uint32_t>(hdr.read(32));
@@ -170,12 +129,12 @@ std::size_t frameSize(const std::uint8_t* data, std::size_t len) {
   return kHeaderBytes + bytes;
 }
 
-std::optional<FrameView> decodeFrameView(const std::uint8_t* data,
-                                         std::size_t len) {
+std::optional<FrameView> decodeFrame(const std::uint8_t* data,
+                                     std::size_t len) {
   const std::size_t total = frameSize(data, len);
   if (total == 0 || len < total) return std::nullopt;
   FrameView f;
-  report::BitReader hdr(data, kHeaderBytes);
+  report::BitReader hdr({data, kHeaderBytes});
   hdr.skip(16);  // magic, already validated by frameSize()
   f.header.version = static_cast<std::uint8_t>(hdr.read(8));
   if (f.header.version != kVersion) return std::nullopt;
@@ -201,27 +160,16 @@ std::optional<FrameView> decodeFrameView(const std::uint8_t* data,
   return f;
 }
 
-std::optional<Frame> decodeFrame(const std::uint8_t* data, std::size_t len) {
-  std::optional<FrameView> v = decodeFrameView(data, len);
-  if (!v) return std::nullopt;
-  Frame f;
-  f.header = v->header;
-  f.payload.assign(v->payload.begin(), v->payload.end());
-  return f;
-}
-
 // --- control payloads --------------------------------------------------
 // All use report::BitWriter/BitReader so the whole protocol shares one
 // serialization substrate with the IR codecs.
 
-std::vector<std::uint8_t> encodeHello(const Hello& m) {
-  report::BitWriter w;
+void encodeHelloInto(const Hello& m, report::BitWriter& w) {
   w.write(m.udpPort, 16);
   w.write(m.audit ? 1 : 0, 8);
-  return w.finish();
 }
 
-std::optional<Hello> decodeHello(const std::vector<std::uint8_t>& payload) {
+std::optional<Hello> decodeHello(std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   Hello m;
   m.udpPort = static_cast<std::uint16_t>(r.read(16));
@@ -230,8 +178,7 @@ std::optional<Hello> decodeHello(const std::vector<std::uint8_t>& payload) {
   return m;
 }
 
-std::vector<std::uint8_t> encodeWelcome(const Welcome& m) {
-  report::BitWriter w;
+void encodeWelcomeInto(const Welcome& m, report::BitWriter& w) {
   w.write(kWelcomeVersion, 8);
   w.write(m.clientId, 32);
   w.write(m.scheme, 8);
@@ -252,10 +199,9 @@ std::vector<std::uint8_t> encodeWelcome(const Welcome& m) {
   w.write(m.gcoreGroupSize, 32);
   w.write(m.shardIndex, 16);
   m.shardMap.encodeTo(w);
-  return w.finish();
 }
 
-std::optional<Welcome> decodeWelcome(const std::vector<std::uint8_t>& payload) {
+std::optional<Welcome> decodeWelcome(std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   Welcome m;
   if (r.read(8) != kWelcomeVersion) return std::nullopt;
@@ -295,14 +241,8 @@ void encodeQueryRequestInto(std::span<const db::ItemId> items,
   for (db::ItemId item : items) w.write(item, 32);
 }
 
-std::vector<std::uint8_t> encodeQueryRequest(const QueryRequest& m) {
-  report::BitWriter w;
-  encodeQueryRequestInto(m.items, w);
-  return w.finish();
-}
-
 std::optional<QueryRequest> decodeQueryRequest(
-    const std::vector<std::uint8_t>& payload) {
+    std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   QueryRequest m;
   const std::uint64_t count = r.read(16);
@@ -319,12 +259,6 @@ void encodeDataItemInto(const DataItem& m, report::BitWriter& w) {
   w.write(m.item, 32);
   w.write(m.version, 32);
   w.write(doubleBits(m.readTime), 64);
-}
-
-std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
-  report::BitWriter w;
-  encodeDataItemInto(m, w);
-  return w.finish();
 }
 
 void encodeDataItemNextInto(const DataItemNext& m, report::BitWriter& w) {
@@ -390,13 +324,7 @@ void encodeCheckInto(const Check& m, report::BitWriter& w) {
   }
 }
 
-std::vector<std::uint8_t> encodeCheck(const Check& m) {
-  report::BitWriter w;
-  encodeCheckInto(m, w);
-  return w.finish();
-}
-
-std::optional<Check> decodeCheck(const std::vector<std::uint8_t>& payload) {
+std::optional<Check> decodeCheck(std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   Check m;
   m.tlb = bitsDouble(r.read(64));
@@ -415,15 +343,12 @@ std::optional<Check> decodeCheck(const std::vector<std::uint8_t>& payload) {
   return m;
 }
 
-std::vector<std::uint8_t> encodeCheckAck(const CheckAck& m) {
-  report::BitWriter w;
+void encodeCheckAckInto(const CheckAck& m, report::BitWriter& w) {
   w.write(m.epoch, 64);
   w.write(doubleBits(m.asOf), 64);
-  return w.finish();
 }
 
-std::optional<CheckAck> decodeCheckAck(
-    const std::vector<std::uint8_t>& payload) {
+std::optional<CheckAck> decodeCheckAck(std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   CheckAck m;
   m.epoch = r.read(64);
@@ -432,18 +357,17 @@ std::optional<CheckAck> decodeCheckAck(
   return m;
 }
 
-std::vector<std::uint8_t> encodeValidityReply(const ValidityReplyMsg& m) {
-  report::BitWriter w;
+void encodeValidityReplyInto(const ValidityReplyMsg& m,
+                             report::BitWriter& w) {
   w.write(doubleBits(m.asOf), 64);
   w.write(m.epoch, 64);
   w.write(doubleBits(m.sizeBits), 64);
   w.write(m.invalid.size(), 24);
   for (db::ItemId item : m.invalid) w.write(item, 32);
-  return w.finish();
 }
 
 std::optional<ValidityReplyMsg> decodeValidityReply(
-    const std::vector<std::uint8_t>& payload) {
+    std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   ValidityReplyMsg m;
   m.asOf = bitsDouble(r.read(64));
@@ -459,15 +383,13 @@ std::optional<ValidityReplyMsg> decodeValidityReply(
   return m;
 }
 
-std::vector<std::uint8_t> encodeAudit(const Audit& m) {
-  report::BitWriter w;
+void encodeAuditInto(const Audit& m, report::BitWriter& w) {
   w.write(m.item, 32);
   w.write(m.version, 32);
   w.write(doubleBits(m.validAsOf), 64);
-  return w.finish();
 }
 
-std::optional<Audit> decodeAudit(const std::vector<std::uint8_t>& payload) {
+std::optional<Audit> decodeAudit(std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   Audit m;
   m.item = static_cast<db::ItemId>(r.read(32));
@@ -481,14 +403,8 @@ void encodeMapUpdateInto(const MapUpdate& m, report::BitWriter& w) {
   m.shardMap.encodeTo(w);
 }
 
-std::vector<std::uint8_t> encodeMapUpdate(const MapUpdate& m) {
-  report::BitWriter w;
-  encodeMapUpdateInto(m, w);
-  return w.finish();
-}
-
 std::optional<MapUpdate> decodeMapUpdate(
-    const std::vector<std::uint8_t>& payload, std::uint32_t minVersion) {
+    std::span<const std::uint8_t> payload, std::uint32_t minVersion) {
   report::BitReader r(payload);
   MapUpdate m;
   auto map = ShardMap::decodeFrom(r, std::nullopt, minVersion);
@@ -506,14 +422,7 @@ void encodeHandoffInto(const Handoff& m, report::BitWriter& w) {
   for (const sim::SimTime t : m.updateTimes) w.write(doubleBits(t), 64);
 }
 
-std::vector<std::uint8_t> encodeHandoff(const Handoff& m) {
-  report::BitWriter w;
-  encodeHandoffInto(m, w);
-  return w.finish();
-}
-
-std::optional<Handoff> decodeHandoff(
-    const std::vector<std::uint8_t>& payload) {
+std::optional<Handoff> decodeHandoff(std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   Handoff m;
   m.mapVersion = static_cast<std::uint32_t>(r.read(32));
@@ -530,15 +439,13 @@ std::optional<Handoff> decodeHandoff(
   return m;
 }
 
-std::vector<std::uint8_t> encodeHandoffAck(const HandoffAck& m) {
-  report::BitWriter w;
+void encodeHandoffAckInto(const HandoffAck& m, report::BitWriter& w) {
   w.write(m.mapVersion, 32);
   w.write(m.itemsReceived, 32);
-  return w.finish();
 }
 
 std::optional<HandoffAck> decodeHandoffAck(
-    const std::vector<std::uint8_t>& payload) {
+    std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   HandoffAck m;
   m.mapVersion = static_cast<std::uint32_t>(r.read(32));
@@ -558,7 +465,7 @@ void FrameBuffer::append(const std::uint8_t* data, std::size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
 
-std::optional<FrameView> FrameBuffer::nextView() {
+std::optional<FrameView> FrameBuffer::next() {
   MCI_DCHECK(off_ <= buf_.size())
       << "FrameBuffer cursor past end: off=" << off_ << " size="
       << buf_.size();
@@ -578,7 +485,7 @@ std::optional<FrameView> FrameBuffer::nextView() {
         << "frame length " << total << " escapes buffer: off=" << off_
         << " size=" << buf_.size();
     // MCI-ANALYZE-ALLOW(codec-bounds): off_ + total <= buf_.size() here
-    std::optional<FrameView> f = decodeFrameView(buf_.data() + off_, total);
+    std::optional<FrameView> f = decodeFrame(buf_.data() + off_, total);
     off_ += total;
     if (!f) {
       ++badFrames_;
@@ -587,15 +494,6 @@ std::optional<FrameView> FrameBuffer::nextView() {
     return f;
   }
   return std::nullopt;
-}
-
-std::optional<Frame> FrameBuffer::next() {
-  std::optional<FrameView> v = nextView();
-  if (!v) return std::nullopt;
-  Frame f;
-  f.header = v->header;
-  f.payload.assign(v->payload.begin(), v->payload.end());
-  return f;
 }
 
 }  // namespace mci::live::wire

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -64,17 +63,11 @@ struct FrameHeader {
   std::uint32_t checksum = 0;           ///< CRC-32 as described above
 };
 
-struct Frame {
-  FrameHeader header;
-  std::vector<std::uint8_t> payload;
-};
-
-/// A decoded frame whose payload still lives in the caller's (or a
-/// FrameBuffer's) storage: the allocation-free twin of Frame. The span is
-/// valid only as long as the underlying buffer — consume before the next
-/// append()/receive. The swarm mux processes every steady-state frame
-/// (kReport, kDataItem, kCheckAck) through views, which is what makes its
-/// per-client-tick allocation count zero.
+/// A decoded frame. The payload is not copied: it aliases the caller's
+/// (or a FrameBuffer's) storage and is valid only as long as that buffer,
+/// so consume it before the next append()/receive. Every endpoint reads
+/// frames this way, which is what makes the swarm mux's per-client-tick
+/// allocation count zero.
 struct FrameView {
   FrameHeader header;
   std::span<const std::uint8_t> payload;
@@ -87,27 +80,14 @@ struct FrameView {
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                                   std::uint32_t seed = 0);
 
-/// Wraps `payload` in a checksummed frame.
-[[nodiscard]] std::vector<std::uint8_t> encodeFrame(
-    FrameType type, std::uint8_t scheme, net::TrafficClass trafficClass,
-    const std::vector<std::uint8_t>& payload);
-
-/// Just the 14 header bytes for a frame carrying `payload` (the CRC still
-/// covers header-with-zeroed-crc followed by the payload, so the bytes are
-/// exactly the first kHeaderBytes of encodeFrame's output). Scatter/gather
-/// send paths use this to put header and payload on the wire from their own
-/// buffers without assembling a contiguous frame first.
-[[nodiscard]] std::array<std::uint8_t, kHeaderBytes> encodeFrameHeader(
-    FrameType type, std::uint8_t scheme, net::TrafficClass trafficClass,
-    std::span<const std::uint8_t> payload);
-
-/// Encode-once frame buffer for the per-tick IR fan-out. begin() starts a
-/// frame and hands back a report::BitWriter that appends payload bits
-/// directly after the 14 header bytes; finish() patches the length and CRC
-/// fields in place. The byte buffer's capacity survives across ticks, so a
-/// steady-state tick allocates nothing, and every destination of the tick
-/// (per-client unicast, sendmmsg batches, the multicast group) shares the
-/// same finished bytes instead of each getting its own frame vector.
+/// The one frame builder: the header layout lives only in begin() and
+/// finish(). begin() starts a frame and hands back a report::BitWriter
+/// that appends payload bits directly after the 14 header bytes; finish()
+/// patches the length and CRC fields in place. The byte buffer's capacity
+/// survives across frames, so a steady-state endpoint allocates nothing,
+/// and every destination of one frame (per-client unicast, sendmmsg
+/// batches, the multicast group, every uplink of a map announce) shares
+/// the same finished bytes.
 class FrameArena {
  public:
   /// Starts a frame, discarding any previous one (capacity retained).
@@ -124,6 +104,18 @@ class FrameArena {
   /// The unframed payload slice of the finished frame (codec bytes).
   [[nodiscard]] std::span<const std::uint8_t> payload() const;
 
+  /// begin(), `encodeInto(m, w)`, finish(): one whole control frame for
+  /// message `m` (scheme kNoScheme). Returns frame().
+  template <class Msg, class Encode>
+  std::span<const std::uint8_t> build(FrameType type,
+                                      net::TrafficClass trafficClass,
+                                      const Msg& m, Encode encodeInto) {
+    report::BitWriter w = begin(type, kNoScheme, trafficClass);
+    encodeInto(m, w);
+    finish(w);
+    return frame();
+  }
+
  private:
   std::vector<std::uint8_t> buf_;
 };
@@ -133,21 +125,21 @@ class FrameArena {
 /// (callers treat 0-with-enough-bytes as a corrupt stream).
 [[nodiscard]] std::size_t frameSize(const std::uint8_t* data, std::size_t len);
 
-/// Parses and checksum-verifies one complete frame. nullopt on bad magic,
-/// unknown version, length mismatch, or checksum failure.
-[[nodiscard]] std::optional<Frame> decodeFrame(const std::uint8_t* data,
-                                               std::size_t len);
-
-/// decodeFrame without the payload copy: same validation, the returned
-/// view's payload aliases [data + kHeaderBytes, ...). decodeFrame is
-/// implemented on top of this.
-[[nodiscard]] MCI_HOT std::optional<FrameView> decodeFrameView(
+/// Parses and checksum-verifies one complete frame; the view's payload
+/// aliases [data + kHeaderBytes, ...). nullopt on bad magic, unknown
+/// version, length mismatch, or checksum failure.
+[[nodiscard]] MCI_HOT std::optional<FrameView> decodeFrame(
     const std::uint8_t* data, std::size_t len);
 
 // --- control payload codecs -------------------------------------------
 // Field widths are fixed (not SizeModel-derived) so both ends can parse
 // before configuration is exchanged. Times travel as raw IEEE-754 bits:
 // control timestamps must not lose precision to the report quantizer.
+//
+// One codec per message: encodeXInto appends the payload to a BitWriter
+// (a FrameArena writer on every send path), and decodeX reads a payload
+// span in place, typically a FrameView's. A decoder reads only its span,
+// so the bytes around it (the rest of a receive buffer) never matter.
 
 struct Hello {
   /// Where this client listens for kReport. 0 opts out of the unicast IR
@@ -273,31 +265,26 @@ struct HandoffAck {
   std::uint32_t itemsReceived = 0;
 };
 
-[[nodiscard]] std::vector<std::uint8_t> encodeHello(const Hello& m);
+void encodeHelloInto(const Hello& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Hello> decodeHello(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeWelcome(const Welcome& m);
+void encodeWelcomeInto(const Welcome& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Welcome> decodeWelcome(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeQueryRequest(
-    const QueryRequest& m);
-/// Appends the QueryRequest payload for `items` to `w` (typically a
-/// FrameArena writer): the allocation-free encoder the swarm mux batches
-/// many clients' fetches through. encodeQueryRequest routes through this,
-/// so the two can never drift. Requires items.size() <= 65535 (the wire's
+/// Appends the QueryRequest payload for `items` to `w`. Takes the item
+/// span rather than a QueryRequest, so the swarm mux encodes slices of its
+/// staging buffer with no copy. Requires items.size() <= 65535 (the wire's
 /// 16-bit count); callers split larger batches.
 MCI_HOT void encodeQueryRequestInto(std::span<const db::ItemId> items,
                                     report::BitWriter& w);
 [[nodiscard]] std::optional<QueryRequest> decodeQueryRequest(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-/// A one-item kDataItem reply payload.
-[[nodiscard]] std::vector<std::uint8_t> encodeDataItem(const DataItem& m);
-/// Appends the first record of a kDataItem reply to `w`; encodeDataItem
-/// routes through this. The server encodes each reply into one reused
-/// FrameArena, allocating nothing per query.
+/// Appends the first record of a kDataItem reply to `w`. The server
+/// encodes each reply into one reused FrameArena, allocating nothing per
+/// query.
 MCI_HOT void encodeDataItemInto(const DataItem& m, report::BitWriter& w);
 /// Appends one further record, after encodeDataItemInto's first.
 MCI_HOT void encodeDataItemNextInto(const DataItemNext& m,
@@ -327,7 +314,7 @@ class DataItemReader {
 
  private:
   explicit DataItemReader(std::span<const std::uint8_t> payload)
-      : r_(payload.data(), payload.size()) {}
+      : r_(payload) {}
 
   /// Decodes record taken_ - 1 >= 1 at the cursor.
   [[nodiscard]] MCI_HOT DataItem nextRecord();
@@ -338,44 +325,38 @@ class DataItemReader {
   std::size_t taken_ = 0;
 };
 
-[[nodiscard]] std::vector<std::uint8_t> encodeCheck(const Check& m);
-/// Appends the Check payload to `w`; encodeCheck routes through this. The
-/// adaptive Tlb feedback (empty `entries`) is the swarm's steady uplink
-/// shape, sent through a FrameArena without allocating.
+/// The adaptive Tlb feedback (empty `entries`) is the swarm's steady
+/// uplink shape, sent through a FrameArena without allocating.
 MCI_HOT void encodeCheckInto(const Check& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Check> decodeCheck(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeCheckAck(const CheckAck& m);
+void encodeCheckAckInto(const CheckAck& m, report::BitWriter& w);
 [[nodiscard]] std::optional<CheckAck> decodeCheckAck(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeValidityReply(
-    const ValidityReplyMsg& m);
+void encodeValidityReplyInto(const ValidityReplyMsg& m, report::BitWriter& w);
 [[nodiscard]] std::optional<ValidityReplyMsg> decodeValidityReply(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeAudit(const Audit& m);
+void encodeAuditInto(const Audit& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Audit> decodeAudit(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeMapUpdate(const MapUpdate& m);
-/// Arena variant for the cutover fan-out: encode once, send to every conn.
 void encodeMapUpdateInto(const MapUpdate& m, report::BitWriter& w);
 /// `minVersion` forwards the stale-epoch replay guard to
 /// ShardMap::decodeFrom: an announce older than the installed epoch fails
 /// to decode at all.
 [[nodiscard]] std::optional<MapUpdate> decodeMapUpdate(
-    const std::vector<std::uint8_t>& payload, std::uint32_t minVersion = 0);
+    std::span<const std::uint8_t> payload, std::uint32_t minVersion = 0);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeHandoff(const Handoff& m);
 void encodeHandoffInto(const Handoff& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Handoff> decodeHandoff(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encodeHandoffAck(const HandoffAck& m);
+void encodeHandoffAckInto(const HandoffAck& m, report::BitWriter& w);
 [[nodiscard]] std::optional<HandoffAck> decodeHandoffAck(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 /// Incremental reassembler for the TCP byte stream: append whatever the
 /// socket produced, pop complete frames. A frame that fails its checksum is
@@ -387,14 +368,9 @@ class FrameBuffer {
   void append(const std::uint8_t* data, std::size_t len);
 
   /// Next complete, verified frame; nullopt when more bytes are needed or
-  /// the stream is corrupt.
-  [[nodiscard]] std::optional<Frame> next();
-
-  /// next() without the payload copy: the view aliases the internal buffer
-  /// and stays valid until the next append() (nextView/next only advance
-  /// the cursor). Same skip-bad-frame and corruption semantics; next() is
-  /// implemented on top of this.
-  [[nodiscard]] MCI_HOT std::optional<FrameView> nextView();
+  /// the stream is corrupt. The view aliases the internal buffer and stays
+  /// valid until the next append() (next() only advances the cursor).
+  [[nodiscard]] MCI_HOT std::optional<FrameView> next();
 
   [[nodiscard]] bool corrupt() const { return corrupt_; }
   [[nodiscard]] std::uint64_t badFrames() const { return badFrames_; }

@@ -18,9 +18,8 @@ void Collector::attachTrace(const sim::Simulator* simulator,
   trace_ = traceSink;
 }
 
-void Collector::trace(sim::TraceCategory category, std::int64_t actor,
-                      std::string message) {
-  if (trace_ == nullptr || traceSim_ == nullptr) return;
+void Collector::record(sim::TraceCategory category, std::int64_t actor,
+                       std::string message) {
   trace_->record(traceSim_->now(), category, actor, std::move(message));
 }
 
@@ -31,22 +30,23 @@ void Collector::onInvalidate(schemes::ClientId client, db::ItemId item,
   const bool wasCurrent =
       truth != nullptr && version == truth->currentVersion(item);
   if (wasCurrent) ++result_.falseInvalidations;
-  trace(sim::TraceCategory::kCache, client,
-        "invalidate item " + std::to_string(item) +
-            (wasCurrent ? " (false: copy was current)" : ""));
+  trace(sim::TraceCategory::kCache, client, [&] {
+    return "invalidate item " + std::to_string(item) +
+           (wasCurrent ? " (false: copy was current)" : "");
+  });
 }
 
 void Collector::onCacheDrop(schemes::ClientId client, std::size_t entries) {
   ++result_.cacheDropEvents;
   result_.entriesDropped += entries;
   trace(sim::TraceCategory::kCache, client,
-        "drop " + std::to_string(entries) + " entries");
+        [&] { return "drop " + std::to_string(entries) + " entries"; });
 }
 
 void Collector::onSalvage(schemes::ClientId client, std::size_t entries) {
   result_.entriesSalvaged += entries;
   trace(sim::TraceCategory::kCache, client,
-        "salvage " + std::to_string(entries) + " entries");
+        [&] { return "salvage " + std::to_string(entries) + " entries"; });
 }
 
 void Collector::setClientCount(std::size_t numClients) {
@@ -98,18 +98,20 @@ void Collector::resetForMeasurement() {
 
 void Collector::onDisconnect() {
   ++result_.disconnects;
-  trace(sim::TraceCategory::kDoze, -1, "a client dozes off");
+  trace(sim::TraceCategory::kDoze, -1, [] { return "a client dozes off"; });
 }
 
 void Collector::onReconnect(double dozeSeconds) {
   result_.dozeSeconds += dozeSeconds;
-  trace(sim::TraceCategory::kDoze, -1,
-        "a client wakes after " + std::to_string(dozeSeconds) + " s");
+  trace(sim::TraceCategory::kDoze, -1, [&] {
+    return "a client wakes after " + std::to_string(dozeSeconds) + " s";
+  });
 }
 
 void Collector::onCheckSent() {
   ++result_.checksSent;
-  trace(sim::TraceCategory::kCheck, -1, "uplink check/Tlb sent");
+  trace(sim::TraceCategory::kCheck, -1,
+        [] { return "uplink check/Tlb sent"; });
 }
 
 void Collector::onClientTx(double bits) { result_.clientTxBits += bits; }
@@ -117,8 +119,9 @@ void Collector::onClientTx(double bits) { result_.clientTxBits += bits; }
 void Collector::onClientRx(double bits) { result_.clientRxBits += bits; }
 
 void Collector::onReportBuilt(report::ReportKind kind) {
-  trace(sim::TraceCategory::kReport, -1,
-        std::string("broadcast ") + report::reportKindName(kind));
+  trace(sim::TraceCategory::kReport, -1, [&] {
+    return std::string("broadcast ") + report::reportKindName(kind);
+  });
   switch (kind) {
     case report::ReportKind::kTsWindow: ++result_.reportsTs; break;
     case report::ReportKind::kTsExtended: ++result_.reportsExtended; break;
@@ -129,7 +132,7 @@ void Collector::onReportBuilt(report::ReportKind kind) {
 
 void Collector::onValidityReplySent() {
   ++result_.validityReplies;
-  trace(sim::TraceCategory::kCheck, -1, "validity reply sent");
+  trace(sim::TraceCategory::kCheck, -1, [] { return "validity reply sent"; });
 }
 
 SimResult Collector::finalize(double simTime) const {

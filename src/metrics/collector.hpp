@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "db/database.hpp"
@@ -193,8 +194,17 @@ class Collector final : public schemes::CacheEventSink {
   [[nodiscard]] std::uint64_t staleReads() const { return result_.staleReads; }
 
  private:
+  /// Records the line `format()` returns when a trace is attached. The
+  /// text is built only then: an untraced run formats nothing.
+  template <class Format>
   void trace(sim::TraceCategory category, std::int64_t actor,
-             std::string message);
+             const Format& format) {
+    if (trace_ != nullptr && traceSim_ != nullptr) {
+      record(category, actor, format());
+    }
+  }
+  void record(sim::TraceCategory category, std::int64_t actor,
+              std::string message);
 
   [[nodiscard]] const db::Database* dbFor(db::ItemId item) const {
     return resolver_ ? resolver_(item) : db_;

@@ -260,7 +260,7 @@ void ReportCodec::encodeInto(const TsReport& r, BitWriter& w) const {
 }
 
 std::shared_ptr<const TsReport> ReportCodec::decodeTs(
-    const std::vector<std::uint8_t>& frame) const {
+    std::span<const std::uint8_t> frame) const {
   BitReader reader(frame);
   if (reader.read(kKindBits) != kindCode(ReportKind::kTsWindow)) return nullptr;
   const bool extended = reader.read(1) != 0;
@@ -309,7 +309,7 @@ void ReportCodec::encodeWire(const BsWire& wire, sim::SimTime broadcastTime,
 }
 
 std::optional<ReportCodec::DecodedBs> ReportCodec::decodeBs(
-    const std::vector<std::uint8_t>& frame) const {
+    std::span<const std::uint8_t> frame) const {
   BitReader reader(frame);
   if (reader.read(kKindBits) != kindCode(ReportKind::kBitSeq))
     return std::nullopt;
@@ -354,7 +354,7 @@ void ReportCodec::encodeInto(const SigReport& r, BitWriter& w) const {
 }
 
 std::shared_ptr<const SigReport> ReportCodec::decodeSig(
-    const std::vector<std::uint8_t>& frame) const {
+    std::span<const std::uint8_t> frame) const {
   BitReader reader(frame);
   if (reader.read(kKindBits) != kindCode(ReportKind::kSignature))
     return nullptr;
@@ -371,7 +371,7 @@ std::shared_ptr<const SigReport> ReportCodec::decodeSig(
 }
 
 ReportPtr ReportCodec::decodeAny(
-    const std::vector<std::uint8_t>& frame) const {
+    std::span<const std::uint8_t> frame) const {
   const std::optional<ReportKind> kind = peekKind(frame);
   if (!kind) return nullptr;
   switch (*kind) {
@@ -390,7 +390,7 @@ ReportPtr ReportCodec::decodeAny(
 }
 
 std::optional<ReportKind> ReportCodec::peekKind(
-    const std::vector<std::uint8_t>& frame) const {
+    std::span<const std::uint8_t> frame) const {
   BitReader reader(frame);
   const std::uint64_t code = reader.read(kKindBits);
   if (!reader.ok()) return std::nullopt;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -67,10 +68,8 @@ class BitWriter {
 /// cursor underruns, ok() stays false and all further reads return 0.
 class BitReader {
  public:
-  explicit BitReader(const std::vector<std::uint8_t>& bytes)
-      : BitReader(bytes.data(), bytes.size()) {}
-  BitReader(const std::uint8_t* data, std::size_t len)
-      : data_(data), bits_(len * 8) {}
+  explicit BitReader(std::span<const std::uint8_t> bytes)
+      : data_(bytes.data()), bits_(bytes.size() * 8) {}
 
   /// Reads `bits` bits (1..64); returns 0 and clears ok() on underrun. A
   /// whole-byte field at a byte-aligned cursor is read as bytes (after the
@@ -132,7 +131,7 @@ class ReportCodec {
   [[nodiscard]] std::vector<std::uint8_t> encode(const TsReport& r) const;
   MCI_HOT void encodeInto(const TsReport& r, BitWriter& w) const;
   [[nodiscard]] std::shared_ptr<const TsReport> decodeTs(
-      const std::vector<std::uint8_t>& frame) const;
+      std::span<const std::uint8_t> frame) const;
 
   // --- bit-sequences reports (decodes to the wire view) ---
   [[nodiscard]] std::vector<std::uint8_t> encode(const BsReport& r) const;
@@ -152,17 +151,17 @@ class ReportCodec {
     BsWire wire;
   };
   [[nodiscard]] std::optional<DecodedBs> decodeBs(
-      const std::vector<std::uint8_t>& frame) const;
+      std::span<const std::uint8_t> frame) const;
 
   // --- signature reports ---
   [[nodiscard]] std::vector<std::uint8_t> encode(const SigReport& r) const;
   MCI_HOT void encodeInto(const SigReport& r, BitWriter& w) const;
   [[nodiscard]] std::shared_ptr<const SigReport> decodeSig(
-      const std::vector<std::uint8_t>& frame) const;
+      std::span<const std::uint8_t> frame) const;
 
   /// Peeks the report kind of a frame (nullopt on garbage).
   [[nodiscard]] std::optional<ReportKind> peekKind(
-      const std::vector<std::uint8_t>& frame) const;
+      std::span<const std::uint8_t> frame) const;
 
   /// Decodes a frame of any kind into the polymorphic Report the client
   /// schemes consume (BS frames are lifted back into the snapshot form via
@@ -171,7 +170,7 @@ class ReportCodec {
   /// ClientScheme::onReport, exactly as the simulator hands over the
   /// in-memory original.
   [[nodiscard]] ReportPtr decodeAny(
-      const std::vector<std::uint8_t>& frame) const;
+      std::span<const std::uint8_t> frame) const;
 
   [[nodiscard]] std::uint64_t quantize(sim::SimTime t) const;
   [[nodiscard]] sim::SimTime dequantize(std::uint64_t ticks) const;

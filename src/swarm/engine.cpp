@@ -21,7 +21,7 @@ std::optional<TsHeader> parseTsReport(const std::uint8_t* data,
                                       std::size_t len, int itemBits,
                                       int tsBits, std::uint32_t dbSize,
                                       std::vector<TsEntry>& entries) {
-  report::BitReader r(data, len);
+  report::BitReader r({data, len});
   if (r.read(2) != 0) return std::nullopt;
   TsHeader h;
   h.extended = r.read(1) != 0;
@@ -298,7 +298,7 @@ void SwarmEmulator::onReportPayload(std::uint32_t shard,
                                     const std::uint8_t* data,
                                     std::size_t len) {
   if (!started_) return;
-  report::BitReader r(data, len);
+  report::BitReader r({data, len});
   const std::uint64_t kind = r.read(2);
   if (kind == 0) {
     // TS window / extended report: parsed in place and bound-checked, then
@@ -319,8 +319,7 @@ void SwarmEmulator::onReportPayload(std::uint32_t shard,
   if (kind == 1) {
     // Helping BS report: rare (one per salvage round), so the allocating
     // codec path is fine here — it is not part of the steady state.
-    bsFrame_.assign(data, data + len);
-    const auto decoded = codec_->decodeBs(bsFrame_);
+    const auto decoded = codec_->decodeBs({data, len});
     if (!decoded) {
       ++stats_.unsupportedReports;
       return;

@@ -202,7 +202,6 @@ class SwarmEmulator final : public SwarmSink {
   /// the sweep, cleared after it.
   ListedTicks listedTick_;
   std::vector<db::ItemId> queryScratch_;  ///< drawQueryItems buffer
-  std::vector<std::uint8_t> bsFrame_;     ///< BS decode copy (rare path)
 
   SwarmStats stats_;
   SwarmCohorts cohorts_;

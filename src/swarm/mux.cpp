@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -79,10 +78,11 @@ void UplinkMux::sendHello(Conn& conn, std::uint16_t udpPort) {
   live::wire::Hello h;
   h.udpPort = udpPort;
   h.audit = false;  // the swarm audits locally against the real databases
-  const std::vector<std::uint8_t> frame = live::wire::encodeFrame(
-      live::wire::FrameType::kHello, live::wire::kNoScheme,
-      net::TrafficClass::kControl, live::wire::encodeHello(h));
-  if (!conn.tcp.send(frame)) dropConn(conn);
+  if (!conn.tcp.send(arena_.build(live::wire::FrameType::kHello,
+                                  net::TrafficClass::kControl, h,
+                                  live::wire::encodeHelloInto))) {
+    dropConn(conn);
+  }
 }
 
 void UplinkMux::connect() {
@@ -198,21 +198,13 @@ void UplinkMux::onUdpIo(Link& link, std::uint32_t events) {
 void UplinkMux::handleDatagram(Link& link, const std::uint8_t* data,
                                std::size_t len) {
   const std::optional<live::wire::FrameView> f =
-      live::wire::decodeFrameView(data, len);
+      live::wire::decodeFrame(data, len);
   if (!f) {
     ++stats_.badFrames;
     return;
   }
   if (f->header.type == live::wire::FrameType::kMapUpdate) {
-    // Epoch announce piggybacked on the IR downlink. Control path: the
-    // allocating decoder is fine here.
-    const std::vector<std::uint8_t> payload(f->payload.begin(),
-                                            f->payload.end());
-    if (auto m = live::wire::decodeMapUpdate(payload)) {
-      applyMapUpdate(m->shardMap);
-    } else {
-      ++stats_.badFrames;
-    }
+    applyMapUpdate(f->payload);  // epoch announce on the IR downlink
     return;
   }
   if (f->header.type != live::wire::FrameType::kReport) {
@@ -254,17 +246,13 @@ void UplinkMux::onTcpIo(Conn& conn, std::uint32_t events) {
 void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
   using live::wire::FrameType;
   switch (f.header.type) {
-    case FrameType::kWelcome: {
-      // Handshake path: the allocating decoder is fine here.
-      const std::vector<std::uint8_t> payload(f.payload.begin(),
-                                              f.payload.end());
-      if (auto w = live::wire::decodeWelcome(payload)) {
+    case FrameType::kWelcome:
+      if (auto w = live::wire::decodeWelcome(f.payload)) {
         handleWelcome(conn, *w);
       } else {
         ++stats_.badFrames;
       }
       return;
-    }
     case FrameType::kDataItem: {
       // One frame answers a run of outstanding fetches, parsed in place.
       // Replies correlate FIFO, so a frame whose records cannot be read, or
@@ -301,11 +289,10 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
       return;
     }
     case FrameType::kCheckAck: {
-      // [epoch:64][asOf:64 raw double]
-      report::BitReader r(f.payload.data(), f.payload.size());
-      r.skip(64);  // epoch: adaptive feedback does not use it
-      const double asOf = std::bit_cast<double>(r.read(64));
-      if (!r.ok()) {
+      // The epoch is unused: adaptive feedback correlates acks FIFO.
+      const std::optional<live::wire::CheckAck> ack =
+          live::wire::decodeCheckAck(f.payload);
+      if (!ack) {
         ++stats_.badFrames;
         return;
       }
@@ -316,21 +303,14 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
       const std::uint32_t client = conn.ackQueue.front();
       conn.ackQueue.pop();
       sink_.onCheckAck(conn.shard, client,
-                       static_cast<Tick>(asOf * 1000.0 + 0.5));
+                       static_cast<Tick>(ack->asOf * 1000.0 + 0.5));
       maybeCloseDrained(conn);
       return;
     }
-    case FrameType::kMapUpdate: {
+    case FrameType::kMapUpdate:
       // Per-conn announce (cutover push or misroute re-announce).
-      const std::vector<std::uint8_t> payload(f.payload.begin(),
-                                              f.payload.end());
-      if (auto m = live::wire::decodeMapUpdate(payload)) {
-        applyMapUpdate(m->shardMap);
-      } else {
-        ++stats_.badFrames;
-      }
+      applyMapUpdate(f.payload);
       return;
-    }
     default:
       // kValidityReply (checking schemes only) and anything else the
       // adaptive swarm has no use for.
@@ -399,7 +379,14 @@ bool UplinkMux::sendCheck(std::uint32_t shard, std::uint32_t client,
   return true;
 }
 
-void UplinkMux::applyMapUpdate(const live::ShardMap& map) {
+void UplinkMux::applyMapUpdate(std::span<const std::uint8_t> payload) {
+  const std::optional<live::wire::MapUpdate> announce =
+      live::wire::decodeMapUpdate(payload);
+  if (!announce) {
+    ++stats_.badFrames;
+    return;
+  }
+  const live::ShardMap& map = announce->shardMap;
   ++stats_.mapUpdatesHeard;
   if (!sawWelcome_ || !map_.valid()) return;  // seed Welcome carries the map
   if (!map.valid() || map.version() <= map_.version()) {
@@ -484,13 +471,14 @@ void UplinkMux::dropConn(Conn& conn) {
 
 void UplinkMux::shutdown() {
   shuttingDown_ = true;
-  const auto bye = live::wire::encodeFrame(live::wire::FrameType::kBye,
-                                           live::wire::kNoScheme,
-                                           net::TrafficClass::kControl, {});
+  report::BitWriter w = arena_.begin(live::wire::FrameType::kBye,
+                                     live::wire::kNoScheme,
+                                     net::TrafficClass::kControl);
+  arena_.finish(w);
   for (auto& link : links_) {
     for (auto& connPtr : link->conns) {
       // Best-effort Bye; the close right after is the real goodbye.
-      if (connPtr->tcp.isOpen()) (void)connPtr->tcp.send(bye);
+      if (connPtr->tcp.isOpen()) (void)connPtr->tcp.send(arena_.frame());
     }
   }
   closeAll();

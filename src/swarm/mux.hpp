@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -284,10 +285,11 @@ class UplinkMux {
                               std::size_t len);
   MCI_HOT void handleFrameView(Conn& conn, const live::wire::FrameView& f);
   void handleWelcome(Conn& conn, const live::wire::Welcome& w);
-  /// A kMapUpdate landed (TCP frame or IR datagram): if it advances the
-  /// epoch, re-key links_ by endpoint identity, drain removed shards, dial
-  /// joiners, then hand the engine the old/new pair via Sink::onMapUpdate.
-  void applyMapUpdate(const live::ShardMap& map);
+  /// A kMapUpdate payload landed (TCP frame or IR datagram): decode it,
+  /// and if it advances the epoch, re-key links_ by endpoint identity,
+  /// drain removed shards, dial joiners, then hand the engine the old/new
+  /// pair via Sink::onMapUpdate.
+  void applyMapUpdate(std::span<const std::uint8_t> payload);
   /// Sends conn's staged fetch batch if the conn is welcomed; otherwise
   /// leaves it staged (handleWelcome flushes it when the handshake lands).
   MCI_HOT void flushConnStaged(Conn& conn);

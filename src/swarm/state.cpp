@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "live/shard_map.hpp"
+
 namespace mci::swarm {
 
 void ListedTicks::list(const std::vector<TsEntry>& entries) {
@@ -58,13 +60,11 @@ void SwarmState::layoutShards(std::uint32_t numShards,
       << "swarm needAnswer mask holds at most 32 shards";
   shards = numShards;
 
-  // The exact capacity split ClientAgent::onWelcome performs: base share
-  // plus one extra slot for the first capacity % shards shards, floor 1.
+  // The per-shard capacity split every client host uses.
   shardSlotOff.assign(shards + 1, 0);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    std::uint32_t share = cacheCapacity / shards +
-                          (s < cacheCapacity % shards ? 1u : 0u);
-    share = std::max<std::uint32_t>(share, 1);
+    const std::uint32_t share =
+        live::ShardMap::cacheShare(cacheCapacity, shards, s);
     MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
     shardSlotOff[s + 1] = shardSlotOff[s] + share;
   }

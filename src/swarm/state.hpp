@@ -93,7 +93,7 @@ class ListedTicks {
 /// decode is applied across all awake clients by walking these arrays.
 ///
 /// The cache is a per-(client, shard) partition of `slotsPerClient` slots
-/// (the same per-shard capacity split ClientAgent::onWelcome computes)
+/// (live::ShardMap::cacheShare, the split ClientAgent uses too)
 /// with CLOCK (second-chance) replacement: a per-slot used bit plus a
 /// per-partition hand approximates the sim's exact LRU within the parity
 /// tolerance while keeping eviction branch-light and allocation-free. An
@@ -158,10 +158,11 @@ struct SwarmState {
 
   /// Sizes every array for `clients` clients against a `shards`-shard
   /// cluster, splitting `cacheCapacity` slots per client across shards
-  /// exactly as ClientAgent::onWelcome does. Seeds client c's RNG streams
-  /// as Rng(seed).fork("query", c) / fork("disc", c) — the simulator's and
-  /// ClientPool's per-client streams, which is what makes a swarm run
-  /// replayable and statistically comparable to a pool run of equal seed.
+  /// by live::ShardMap::cacheShare, as ClientAgent does. Seeds client c's
+  /// RNG streams as Rng(seed).fork("query", c) / fork("disc", c) — the
+  /// simulator's and ClientPool's per-client streams, which is what makes
+  /// a swarm run replayable and statistically comparable to a pool run of
+  /// equal seed.
   void configure(std::uint32_t numClients, std::uint32_t numShards,
                  std::uint32_t databaseSize, std::uint32_t cacheCapacity,
                  std::uint64_t seed);

@@ -17,6 +17,7 @@
 
 #include "live/reactor.hpp"
 #include "live/wire.hpp"
+#include "live/wire_bytes.hpp"
 
 namespace mci::live {
 namespace {
@@ -71,7 +72,7 @@ class FrameStreamTest : public ::testing::Test {
 };
 
 /// Payloads of 1 KB to ~24 KB: the larger ones overrun the clamped send
-/// buffer mid-frame, so sendmsg really returns short.
+/// buffer mid-frame, so send really returns short.
 std::vector<std::uint8_t> payloadOf(std::size_t i) {
   std::vector<std::uint8_t> p(1000 + (i * 7919) % 23000);
   for (std::size_t j = 0; j < p.size(); ++j) {
@@ -82,8 +83,8 @@ std::vector<std::uint8_t> payloadOf(std::size_t i) {
 
 std::vector<std::uint8_t> frameOf(wire::FrameType type,
                                   const std::vector<std::uint8_t>& payload) {
-  return wire::encodeFrame(type, wire::kNoScheme, net::TrafficClass::kBulk,
-                           payload);
+  return wire::wiretest::framed(type, wire::kNoScheme,
+                               net::TrafficClass::kBulk, payload);
 }
 
 TEST_F(FrameStreamTest, ShortWritesQueueThenFlushInOrderAndDropEpollout) {
@@ -91,18 +92,14 @@ TEST_F(FrameStreamTest, ShortWritesQueueThenFlushInOrderAndDropEpollout) {
   std::vector<std::uint8_t> expected;
   bool sawShortWrite = false;  // the kernel took part of a frame
   for (std::size_t i = 0; i < kFrames; ++i) {
-    const std::vector<std::uint8_t> payload = payloadOf(i);
-    const auto hdr = wire::encodeFrameHeader(
-        wire::FrameType::kDataItem, wire::kNoScheme, net::TrafficClass::kBulk,
-        payload);
+    const std::vector<std::uint8_t> frame =
+        frameOf(wire::FrameType::kDataItem, payloadOf(i));
     const bool wasEmpty = stream_.queuedBytes() == 0;
-    ASSERT_TRUE(stream_.send(hdr, payload)) << "frame " << i;
+    ASSERT_TRUE(stream_.send(frame)) << "frame " << i;
     const std::size_t queued = stream_.queuedBytes();
-    sawShortWrite = sawShortWrite ||
-                    (wasEmpty && queued > 0 &&
-                     queued < hdr.size() + payload.size());
-    expected.insert(expected.end(), hdr.begin(), hdr.end());
-    expected.insert(expected.end(), payload.begin(), payload.end());
+    sawShortWrite =
+        sawShortWrite || (wasEmpty && queued > 0 && queued < frame.size());
+    expected.insert(expected.end(), frame.begin(), frame.end());
   }
   EXPECT_TRUE(sawShortWrite) << "no send was cut short mid-frame";
   EXPECT_GT(stream_.queuedBytes(), 0u) << "burst fit the socket buffer";

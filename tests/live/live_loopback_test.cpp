@@ -15,6 +15,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -196,9 +197,10 @@ TEST(LiveLoopback, WedgedClientNeverBlocksTheBroadcast) {
             0);
 
   const wire::Hello hello{.udpPort = ntohs(udpAddr.sin_port), .audit = false};
-  const auto helloFrame =
-      wire::encodeFrame(wire::FrameType::kHello, wire::kNoScheme,
-                        net::TrafficClass::kControl, wire::encodeHello(hello));
+  wire::FrameArena arena;
+  const std::span<const std::uint8_t> helloFrame =
+      arena.build(wire::FrameType::kHello, net::TrafficClass::kControl, hello,
+                  wire::encodeHelloInto);
   ASSERT_EQ(::send(tcp, helloFrame.data(), helloFrame.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(helloFrame.size()));
   while (server.stats().connectionsAccepted == 0 ||
@@ -210,9 +212,9 @@ TEST(LiveLoopback, WedgedClientNeverBlocksTheBroadcast) {
   // will never drain it; a handful of queries overwhelms both tiny queues.
   wire::QueryRequest query;
   for (db::ItemId i = 0; i < 200; ++i) query.items.push_back(i);
-  const auto queryFrame = wire::encodeFrame(
-      wire::FrameType::kQueryRequest, wire::kNoScheme,
-      net::TrafficClass::kControl, wire::encodeQueryRequest(query));
+  const std::span<const std::uint8_t> queryFrame = arena.build(
+      wire::FrameType::kQueryRequest, net::TrafficClass::kControl,
+      std::span<const db::ItemId>(query.items), wire::encodeQueryRequestInto);
   for (int q = 0; q < 10; ++q) {
     (void)::send(tcp, queryFrame.data(), queryFrame.size(), MSG_NOSIGNAL);
     reactor.runOnce(5);
@@ -247,9 +249,9 @@ class RawUplink {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     EXPECT_EQ(
         ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-    send(wire::encodeFrame(
-        wire::FrameType::kHello, wire::kNoScheme, net::TrafficClass::kControl,
-        wire::encodeHello(wire::Hello{.udpPort = 0, .audit = false})));
+    send(arena_.build(wire::FrameType::kHello, net::TrafficClass::kControl,
+                      wire::Hello{.udpPort = 0, .audit = false},
+                      wire::encodeHelloInto));
     std::size_t welcomeBytes = 0;
     readUntil([&] {
       welcomeBytes = wire::frameSize(in.data(), in.size());
@@ -264,16 +266,16 @@ class RawUplink {
   RawUplink(const RawUplink&) = delete;
   RawUplink& operator=(const RawUplink&) = delete;
 
-  void send(const std::vector<std::uint8_t>& frame) {
+  void send(std::span<const std::uint8_t> frame) {
     EXPECT_EQ(::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
   }
 
   void sendQuery(const std::vector<db::ItemId>& items) {
-    send(wire::encodeFrame(
-        wire::FrameType::kQueryRequest, wire::kNoScheme,
-        net::TrafficClass::kControl,
-        wire::encodeQueryRequest(wire::QueryRequest{.items = items})));
+    send(arena_.build(wire::FrameType::kQueryRequest,
+                      net::TrafficClass::kControl,
+                      std::span<const db::ItemId>(items),
+                      wire::encodeQueryRequestInto));
   }
 
   /// Drives the reactor and appends what arrives to `in` until done().
@@ -289,14 +291,20 @@ class RawUplink {
   }
 
   /// Reads until `count` whole frames are in, and returns them decoded.
-  std::vector<wire::Frame> readFrames(std::size_t count) {
-    std::vector<wire::Frame> frames;
+  /// The views alias `in`, so they are valid until the next read.
+  std::vector<wire::FrameView> readFrames(std::size_t count) {
+    std::vector<wire::FrameView> frames;
     readUntil([&] {
       frames.clear();
-      wire::FrameBuffer fb;
-      fb.append(in.data(), in.size());
-      while (std::optional<wire::Frame> f = fb.next()) {
-        frames.push_back(std::move(*f));
+      for (std::size_t off = 0; off < in.size();) {
+        const std::size_t total =
+            wire::frameSize(in.data() + off, in.size() - off);
+        if (total == 0 || in.size() - off < total) break;
+        const std::optional<wire::FrameView> f =
+            wire::decodeFrame(in.data() + off, total);
+        if (!f) break;
+        frames.push_back(*f);
+        off += total;
       }
       return frames.size() >= count;
     });
@@ -307,6 +315,7 @@ class RawUplink {
 
  private:
   Reactor& reactor_;
+  wire::FrameArena arena_;
   int fd_ = -1;
 };
 
@@ -347,7 +356,7 @@ QueryReplies serveOneQuery(ServerOptions opts) {
   // Every record of the reply carries the first one's read time; take it
   // from the frame and rebuild the batched reply byte for byte.
   std::optional<wire::FrameView> first =
-      wire::decodeFrameView(r.got.data(), r.got.size());
+      wire::decodeFrame(r.got.data(), r.got.size());
   EXPECT_TRUE(first.has_value());
   std::optional<wire::DataItemReader> reply;
   if (first) reply = wire::DataItemReader::parse(first->payload);
@@ -416,10 +425,10 @@ TEST(LiveLoopback, MisroutedItemSplitsTheReplyAroundTheReannounce) {
   }
   RawUplink uplink(reactor, server.tcpPort());
   uplink.sendQuery({owned[0], owned[1], *foreign, owned[2], owned[3]});
-  const std::vector<wire::Frame> frames = uplink.readFrames(3);
+  const std::vector<wire::FrameView> frames = uplink.readFrames(3);
   ASSERT_EQ(frames.size(), 3u);
 
-  const auto records = [](const wire::Frame& f) {
+  const auto records = [](const wire::FrameView& f) {
     std::vector<db::ItemId> items;
     auto reply = wire::DataItemReader::parse(f.payload);
     EXPECT_TRUE(reply.has_value());

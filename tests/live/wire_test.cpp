@@ -11,8 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "live/wire_bytes.hpp"
+
 namespace mci::live::wire {
 namespace {
+
+using wiretest::encoded;
+using wiretest::framed;
 
 std::vector<std::uint8_t> somePayload() { return {0xDE, 0xAD, 0xBE, 0xEF}; }
 
@@ -69,9 +74,9 @@ TEST(Crc32, SliceBy8MatchesBytewiseReferenceAtEveryLengthAndOffset) {
 }
 
 TEST(Frame, RoundTripsHeaderAndPayload) {
-  const auto bytes = encodeFrame(FrameType::kReport, 3,
-                                 net::TrafficClass::kInvalidationReport,
-                                 somePayload());
+  const auto bytes = framed(FrameType::kReport, 3,
+                            net::TrafficClass::kInvalidationReport,
+                            somePayload());
   ASSERT_EQ(bytes.size(), kHeaderBytes + 4);
   EXPECT_EQ(frameSize(bytes.data(), bytes.size()), bytes.size());
 
@@ -79,12 +84,14 @@ TEST(Frame, RoundTripsHeaderAndPayload) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->header.type, FrameType::kReport);
   EXPECT_EQ(frame->header.scheme, 3);
-  EXPECT_EQ(frame->payload, somePayload());
+  EXPECT_EQ(std::vector<std::uint8_t>(frame->payload.begin(),
+                                      frame->payload.end()),
+            somePayload());
 }
 
 TEST(Frame, EveryFlippedBitFailsTheChecksum) {
-  const auto bytes = encodeFrame(FrameType::kCheck, kNoScheme,
-                                 net::TrafficClass::kControl, somePayload());
+  const auto bytes = framed(FrameType::kCheck, kNoScheme,
+                            net::TrafficClass::kControl, somePayload());
   for (std::size_t i = 0; i < bytes.size() * 8; ++i) {
     auto bad = bytes;
     bad[i / 8] ^= static_cast<std::uint8_t>(1u << (i % 8));
@@ -96,16 +103,16 @@ TEST(Frame, EveryFlippedBitFailsTheChecksum) {
 }
 
 TEST(Frame, TruncationNeverDecodes) {
-  const auto bytes = encodeFrame(FrameType::kHello, kNoScheme,
-                                 net::TrafficClass::kControl, somePayload());
+  const auto bytes = framed(FrameType::kHello, kNoScheme,
+                            net::TrafficClass::kControl, somePayload());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(decodeFrame(bytes.data(), len).has_value()) << "len " << len;
   }
 }
 
 TEST(Frame, OversizedLengthFieldIsRejected) {
-  auto bytes = encodeFrame(FrameType::kBye, kNoScheme,
-                           net::TrafficClass::kControl, {});
+  auto bytes = framed(FrameType::kBye, kNoScheme,
+                      net::TrafficClass::kControl, {});
   // Patch payloadBits (bytes 6..9, big-endian) to announce > kMaxPayloadBytes.
   bytes[6] = 0xFF;
   bytes[7] = 0xFF;
@@ -116,7 +123,7 @@ TEST(Frame, OversizedLengthFieldIsRejected) {
 
 TEST(ControlCodecs, HelloRoundTrip) {
   const Hello m{.udpPort = 40123, .audit = true};
-  const auto back = decodeHello(encodeHello(m));
+  const auto back = decodeHello(encoded(encodeHelloInto, m));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->udpPort, m.udpPort);
   EXPECT_EQ(back->audit, m.audit);
@@ -147,7 +154,7 @@ TEST(ControlCodecs, WelcomeRoundTripPreservesEveryField) {
       {ShardEndpoint{0x7F000001u, 4242, 0, 0},
        ShardEndpoint{0x7F000001u, 4243, 0xEFFF2A63u, 5000},
        ShardEndpoint{0x0A000001u, 4244, 0, 0}});
-  const auto back = decodeWelcome(encodeWelcome(m));
+  const auto back = decodeWelcome(encoded(encodeWelcomeInto, m));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->clientId, m.clientId);
   EXPECT_EQ(back->scheme, m.scheme);
@@ -173,7 +180,7 @@ TEST(ControlCodecs, WelcomeRoundTripPreservesEveryField) {
 TEST(ControlCodecs, WelcomeRejectsWrongVersionByte) {
   Welcome m;
   m.shardMap = ShardMap::single(ShardEndpoint{0x7F000001u, 4242, 0, 0});
-  std::vector<std::uint8_t> bytes = encodeWelcome(m);
+  std::vector<std::uint8_t> bytes = encoded(encodeWelcomeInto, m);
   ASSERT_FALSE(bytes.empty());
   bytes[0] ^= 0xFF;  // the version byte leads the payload
   EXPECT_FALSE(decodeWelcome(bytes).has_value());
@@ -183,17 +190,18 @@ TEST(ControlCodecs, WelcomeRejectsShardIndexOutsideTheMap) {
   Welcome m;
   m.shardIndex = 3;  // but the map only names one shard
   m.shardMap = ShardMap::single(ShardEndpoint{0x7F000001u, 4242, 0, 0});
-  EXPECT_FALSE(decodeWelcome(encodeWelcome(m)).has_value());
+  EXPECT_FALSE(decodeWelcome(encoded(encodeWelcomeInto, m)).has_value());
 }
 
 TEST(ControlCodecs, QueryAndDataItemRoundTrip) {
   const QueryRequest q{.items = {0, 7, 999, 12345}};
-  const auto qb = decodeQueryRequest(encodeQueryRequest(q));
+  const auto qb = decodeQueryRequest(
+      encoded(encodeQueryRequestInto, std::span<const db::ItemId>(q.items)));
   ASSERT_TRUE(qb.has_value());
   EXPECT_EQ(qb->items, q.items);
 
   const DataItem d{.item = 42, .version = 1234567, .readTime = 199.999};
-  const std::vector<std::uint8_t> payload = encodeDataItem(d);
+  const std::vector<std::uint8_t> payload = encoded(encodeDataItemInto, d);
   EXPECT_EQ(payload.size(), kDataItemBytes);
   auto reply = DataItemReader::parse(payload);
   ASSERT_TRUE(reply.has_value());
@@ -239,8 +247,8 @@ TEST(DataItemReply, OneItemFrameIsTheLoneDataItemFrame) {
   FrameArena arena;
   encodeReply(arena, {kThreeItems.front()});
   const std::vector<std::uint8_t> lone =
-      encodeFrame(FrameType::kDataItem, kNoScheme, net::TrafficClass::kBulk,
-                  encodeDataItem(kThreeItems.front()));
+      framed(FrameType::kDataItem, kNoScheme, net::TrafficClass::kBulk,
+             encoded(encodeDataItemInto, kThreeItems.front()));
   EXPECT_EQ(std::vector<std::uint8_t>(arena.frame().begin(),
                                       arena.frame().end()),
             lone);
@@ -264,7 +272,7 @@ TEST(DataItemReply, GoldenThreeRecordFrameHexPin) {
 TEST(DataItemReply, RecordsComeBackInOrderWithTheSharedReadTime) {
   FrameArena arena;
   encodeReply(arena, kThreeItems);
-  const auto f = decodeFrameView(arena.data(), arena.size());
+  const auto f = decodeFrame(arena.data(), arena.size());
   ASSERT_TRUE(f.has_value());
   auto reply = DataItemReader::parse(f->payload);
   ASSERT_TRUE(reply.has_value());
@@ -303,7 +311,7 @@ TEST(DataItemReply, EveryLengthButSixteenPlusEightKIsRefused) {
   }
   // And every truncation of the framed bytes fails the envelope.
   for (std::size_t len = 0; len < arena.size(); ++len) {
-    EXPECT_FALSE(decodeFrameView(arena.data(), len).has_value()) << len;
+    EXPECT_FALSE(decodeFrame(arena.data(), len).has_value()) << len;
   }
 }
 
@@ -313,7 +321,7 @@ TEST(ControlCodecs, CheckRoundTrip) {
   c.epoch = 9;
   c.sizeBits = 512.0;
   c.entries = {{.item = 3, .time = 1.25}, {.item = 8, .time = 99.0}};
-  const auto back = decodeCheck(encodeCheck(c));
+  const auto back = decodeCheck(encoded(encodeCheckInto, c));
   ASSERT_TRUE(back.has_value());
   EXPECT_DOUBLE_EQ(back->tlb, c.tlb);
   EXPECT_EQ(back->epoch, c.epoch);
@@ -325,21 +333,21 @@ TEST(ControlCodecs, CheckRoundTrip) {
 
 TEST(ControlCodecs, CheckAckValidityReplyAuditRoundTrip) {
   const CheckAck a{.epoch = 4, .asOf = 260.0};
-  const auto ab = decodeCheckAck(encodeCheckAck(a));
+  const auto ab = decodeCheckAck(encoded(encodeCheckAckInto, a));
   ASSERT_TRUE(ab.has_value());
   EXPECT_EQ(ab->epoch, a.epoch);
   EXPECT_DOUBLE_EQ(ab->asOf, a.asOf);
 
   const ValidityReplyMsg v{
       .asOf = 300.0, .epoch = 5, .sizeBits = 96.0, .invalid = {1, 5, 9}};
-  const auto vb = decodeValidityReply(encodeValidityReply(v));
+  const auto vb = decodeValidityReply(encoded(encodeValidityReplyInto, v));
   ASSERT_TRUE(vb.has_value());
   EXPECT_DOUBLE_EQ(vb->asOf, v.asOf);
   EXPECT_EQ(vb->epoch, v.epoch);
   EXPECT_EQ(vb->invalid, v.invalid);
 
   const Audit au{.item = 77, .version = 3, .validAsOf = 280.0};
-  const auto aub = decodeAudit(encodeAudit(au));
+  const auto aub = decodeAudit(encoded(encodeAuditInto, au));
   ASSERT_TRUE(aub.has_value());
   EXPECT_EQ(aub->item, au.item);
   EXPECT_EQ(aub->version, au.version);
@@ -353,7 +361,7 @@ TEST(ReshardCodecs, MapUpdateRoundTripAndStaleEpochRefusal) {
       {ShardEndpoint{0x7F000001u, 4000, 0, 0},
        ShardEndpoint{0x7F000001u, 4001, 0xEFFF2A63u, 5001},
        ShardEndpoint{0x0A00002Au, 4002, 0, 0}});
-  const std::vector<std::uint8_t> bytes = encodeMapUpdate(m);
+  const std::vector<std::uint8_t> bytes = encoded(encodeMapUpdateInto, m);
 
   const auto back = decodeMapUpdate(bytes);
   ASSERT_TRUE(back.has_value());
@@ -380,7 +388,7 @@ TEST(ReshardCodecs, HandoffRoundTripPreservesTheHistoryTail) {
   m.last = 1;
   m.item = 424242;
   m.updateTimes = {1.5, 99.25, 1203.0625};  // ascending, version == count
-  const auto back = decodeHandoff(encodeHandoff(m));
+  const auto back = decodeHandoff(encoded(encodeHandoffInto, m));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->mapVersion, m.mapVersion);
   EXPECT_EQ(back->sourceShard, m.sourceShard);
@@ -394,7 +402,7 @@ TEST(ReshardCodecs, HandoffRoundTripPreservesTheHistoryTail) {
   Handoff empty;
   empty.mapVersion = 7;
   empty.item = 9;
-  const auto eb = decodeHandoff(encodeHandoff(empty));
+  const auto eb = decodeHandoff(encoded(encodeHandoffInto, empty));
   ASSERT_TRUE(eb.has_value());
   EXPECT_TRUE(eb->updateTimes.empty());
   EXPECT_EQ(eb->last, 0);
@@ -405,7 +413,7 @@ TEST(ReshardCodecs, HandoffRejectsTruncationAndLyingCount) {
   m.mapVersion = 2;
   m.item = 5;
   m.updateTimes = {10.0, 20.0};
-  const std::vector<std::uint8_t> bytes = encodeHandoff(m);
+  const std::vector<std::uint8_t> bytes = encoded(encodeHandoffInto, m);
   for (std::size_t cut = 0; cut + 1 < bytes.size(); ++cut) {
     const std::vector<std::uint8_t> shorter(bytes.begin(),
                                             bytes.begin() + cut);
@@ -425,19 +433,20 @@ TEST(ReshardCodecs, HandoffRejectsTruncationAndLyingCount) {
 
 TEST(ReshardCodecs, HandoffAckRoundTrip) {
   const HandoffAck a{.mapVersion = 9, .itemsReceived = 123456};
-  const auto back = decodeHandoffAck(encodeHandoffAck(a));
+  const auto back = decodeHandoffAck(encoded(encodeHandoffAckInto, a));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->mapVersion, a.mapVersion);
   EXPECT_EQ(back->itemsReceived, a.itemsReceived);
 
-  EXPECT_FALSE(decodeHandoffAck({0x01, 0x02}).has_value());
+  const std::vector<std::uint8_t> cut = {0x01, 0x02};
+  EXPECT_FALSE(decodeHandoffAck(cut).has_value());
 }
 
 TEST(FrameBuffer, ReassemblesByteAtATimeDelivery) {
-  const auto f1 = encodeFrame(FrameType::kHello, kNoScheme,
-                              net::TrafficClass::kControl, somePayload());
-  const auto f2 = encodeFrame(FrameType::kBye, kNoScheme,
-                              net::TrafficClass::kControl, {});
+  const auto f1 = framed(FrameType::kHello, kNoScheme,
+                         net::TrafficClass::kControl, somePayload());
+  const auto f2 = framed(FrameType::kBye, kNoScheme,
+                         net::TrafficClass::kControl, {});
   std::vector<std::uint8_t> stream = f1;
   stream.insert(stream.end(), f2.begin(), f2.end());
 
@@ -455,10 +464,10 @@ TEST(FrameBuffer, ReassemblesByteAtATimeDelivery) {
 }
 
 TEST(FrameBuffer, ChecksumFailureSkipsTheFrameButKeepsFraming) {
-  auto f1 = encodeFrame(FrameType::kHello, kNoScheme,
-                        net::TrafficClass::kControl, somePayload());
-  const auto f2 = encodeFrame(FrameType::kBye, kNoScheme,
-                              net::TrafficClass::kControl, {});
+  auto f1 = framed(FrameType::kHello, kNoScheme,
+                   net::TrafficClass::kControl, somePayload());
+  const auto f2 = framed(FrameType::kBye, kNoScheme,
+                         net::TrafficClass::kControl, {});
   f1.back() ^= 0x01;  // corrupt f1's payload; its length field is intact
   std::vector<std::uint8_t> stream = f1;
   stream.insert(stream.end(), f2.begin(), f2.end());
@@ -481,8 +490,8 @@ TEST(FrameBuffer, GarbageWhereAFrameMustStartIsStickyCorruption) {
 
   // Even a pristine frame appended afterwards stays unreadable: framing is
   // gone and the connection should be dropped.
-  const auto good = encodeFrame(FrameType::kBye, kNoScheme,
-                                net::TrafficClass::kControl, {});
+  const auto good = framed(FrameType::kBye, kNoScheme,
+                           net::TrafficClass::kControl, {});
   buf.append(good.data(), good.size());
   EXPECT_FALSE(buf.next().has_value());
   EXPECT_TRUE(buf.corrupt());

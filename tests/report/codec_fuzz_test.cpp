@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/config.hpp"
 #include "db/update_history.hpp"
 #include "live/wire.hpp"
+#include "live/wire_bytes.hpp"
 #include "report/codec.hpp"
 #include "sim/random.hpp"
 
@@ -281,12 +288,16 @@ TEST(CodecFuzz, WelcomeV2ShardMapsRoundTripAndRejectDamage) {
     m.shardIndex = static_cast<std::uint16_t>(
         rng.uniformInt(0, static_cast<std::int64_t>(shards) - 1));
 
-    const std::vector<std::uint8_t> bytes = live::wire::encodeWelcome(m);
+    const std::vector<std::uint8_t> bytes =
+        live::wire::wiretest::encoded(live::wire::encodeWelcomeInto, m);
     const auto back = live::wire::decodeWelcome(bytes);
     ASSERT_TRUE(back.has_value()) << "round " << round;
     EXPECT_EQ(back->shardIndex, m.shardIndex);
     EXPECT_EQ(back->shardMap, m.shardMap);
-    EXPECT_EQ(live::wire::encodeWelcome(*back), bytes) << "round " << round;
+    EXPECT_EQ(
+        live::wire::wiretest::encoded(live::wire::encodeWelcomeInto, *back),
+        bytes)
+        << "round " << round;
 
     // Any truncation loses shard-map tail bytes and must be refused — a
     // client configuring its whole link set from a half map would route
@@ -317,8 +328,9 @@ TEST(CodecFuzz, FrameBufferResyncsPastACorruptFrameSplitAcrossReads) {
                                      {{.item = 7, .time = 20.0}});
   const auto payload = codec.encode(*r);
   const auto good =
-      live::wire::encodeFrame(live::wire::FrameType::kReport, 0,
-                              net::TrafficClass::kInvalidationReport, payload);
+      live::wire::wiretest::framed(live::wire::FrameType::kReport, 0,
+                                   net::TrafficClass::kInvalidationReport,
+                                   payload);
   auto corrupt = good;
   ASSERT_FALSE(corrupt.empty());
   corrupt.back() ^= 0x5A;  // payload damage: checksum fails
@@ -337,7 +349,7 @@ TEST(CodecFuzz, FrameBufferResyncsPastACorruptFrameSplitAcrossReads) {
     const auto frame = buf.next();
     ASSERT_TRUE(frame.has_value()) << "split=" << split;
     EXPECT_EQ(frame->header.type, live::wire::FrameType::kReport);
-    EXPECT_EQ(frame->payload, payload);
+    EXPECT_TRUE(std::ranges::equal(frame->payload, payload));
     EXPECT_EQ(buf.badFrames(), 1u);
     EXPECT_FALSE(buf.corrupt()) << "checksum skip must not poison the stream";
     EXPECT_FALSE(buf.next().has_value());
@@ -351,9 +363,9 @@ TEST(CodecFuzz, CorruptedWireFramesFailTheHeaderChecksum) {
   const auto r = TsReport::fromParts(ReportKind::kTsWindow, sizes, 60.0, 10.0,
                                      {{.item = 1, .time = 20.0}});
   const auto frame =
-      live::wire::encodeFrame(live::wire::FrameType::kReport, 0,
-                              net::TrafficClass::kInvalidationReport,
-                              codec.encode(*r));
+      live::wire::wiretest::framed(live::wire::FrameType::kReport, 0,
+                                   net::TrafficClass::kInvalidationReport,
+                                   codec.encode(*r));
   ASSERT_TRUE(live::wire::decodeFrame(frame.data(), frame.size()).has_value());
 
   for (int round = 0; round < kRounds; ++round) {
@@ -363,6 +375,235 @@ TEST(CodecFuzz, CorruptedWireFramesFailTheHeaderChecksum) {
     bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     EXPECT_FALSE(live::wire::decodeFrame(bad.data(), bad.size()).has_value())
         << "flipped bit " << bit;
+  }
+}
+
+// --- decoder slices -----------------------------------------------------
+// Decoders read a span inside a larger buffer (a FrameView payload in a
+// receive buffer), where ASan sees no over-read past the span's end. So
+// every decoder is held to its span directly: given its payload inside a
+// buffer padded with non-zero bytes it returns what it returns on the
+// exact payload, and every strict prefix, taken over the same buffer so
+// the rest of the payload lies right behind it, is refused.
+
+/// One decoder under test: `decode` runs it over a span and returns the
+/// canonical bytes of what it decoded (re-encoded through the one
+/// encoder), or nullopt when it refused.
+struct SliceCase {
+  std::string name;
+  std::vector<std::uint8_t> payload;
+  std::function<std::optional<std::vector<std::uint8_t>>(
+      std::span<const std::uint8_t>)>
+      decode;
+};
+
+/// decodeX then encodeXInto: the canonical bytes of the decoded message.
+template <class Decode, class Encode>
+auto reencoded(Decode decode, Encode encodeInto) {
+  return [decode, encodeInto](std::span<const std::uint8_t> bytes)
+             -> std::optional<std::vector<std::uint8_t>> {
+    const auto m = decode(bytes);
+    if (!m) return std::nullopt;
+    return live::wire::wiretest::encoded(encodeInto, *m);
+  };
+}
+
+std::vector<std::uint8_t> reportBytes(const ReportCodec& codec,
+                                      const Report& r) {
+  switch (r.kind) {
+    case ReportKind::kTsWindow:
+    case ReportKind::kTsExtended:
+      return codec.encode(static_cast<const TsReport&>(r));
+    case ReportKind::kBitSeq:
+      return codec.encode(static_cast<const BsReport&>(r));
+    case ReportKind::kSignature:
+      return codec.encode(static_cast<const SigReport&>(r));
+  }
+  return {};
+}
+
+std::vector<SliceCase> sliceCases(const ReportCodec& codec,
+                                  const SizeModel& sizes) {
+  namespace wire = live::wire;
+  using wire::wiretest::encoded;
+  std::vector<SliceCase> cases;
+  const auto add = [&](std::string name, std::vector<std::uint8_t> payload,
+                       auto decode) {
+    cases.push_back({std::move(name), std::move(payload), decode});
+  };
+
+  const live::ShardMap map(
+      3, 0x1234'5678'9ABC'DEF0ull,
+      {live::ShardEndpoint{0x7F000001u, 4242, 0, 0},
+       live::ShardEndpoint{0x7F000001u, 4243, 0xEFFF2A63u, 5000}});
+  const wire::Hello hello{.udpPort = 40123, .audit = true};
+  add("Hello", encoded(wire::encodeHelloInto, hello),
+      reencoded(wire::decodeHello, wire::encodeHelloInto));
+  wire::Welcome welcome;
+  welcome.clientId = 17;
+  welcome.dbSize = 512;
+  welcome.broadcastPeriod = 20.0;
+  welcome.shardIndex = 1;
+  welcome.shardMap = map;
+  add("Welcome", encoded(wire::encodeWelcomeInto, welcome),
+      reencoded(wire::decodeWelcome, wire::encodeWelcomeInto));
+  const std::vector<db::ItemId> items = {0, 7, 511, 12345};
+  add("QueryRequest",
+      encoded(wire::encodeQueryRequestInto, std::span(items)),
+      [](std::span<const std::uint8_t> b)
+          -> std::optional<std::vector<std::uint8_t>> {
+        const auto m = wire::decodeQueryRequest(b);
+        if (!m) return std::nullopt;
+        return encoded(wire::encodeQueryRequestInto, std::span(m->items));
+      });
+  // One record: a longer reply's whole-record prefixes are valid shorter
+  // replies (DataItemReply.EveryLengthButSixteenPlusEightKIsRefused).
+  const wire::DataItem item{.item = 42, .version = 9, .readTime = 199.5};
+  add("DataItemReader", encoded(wire::encodeDataItemInto, item),
+      [](std::span<const std::uint8_t> b)
+          -> std::optional<std::vector<std::uint8_t>> {
+        auto reply = wire::DataItemReader::parse(b);
+        if (!reply || reply->size() != 1) return std::nullopt;
+        return encoded(wire::encodeDataItemInto, reply->next());
+      });
+  const wire::Check check{.tlb = 12.5,
+                          .epoch = 3,
+                          .sizeBits = 96.0,
+                          .entries = {{.item = 3, .time = 1.25},
+                                      {.item = 8, .time = 9.0}}};
+  add("Check", encoded(wire::encodeCheckInto, check),
+      reencoded(wire::decodeCheck, wire::encodeCheckInto));
+  const wire::CheckAck ack{.epoch = 4, .asOf = 260.0};
+  add("CheckAck", encoded(wire::encodeCheckAckInto, ack),
+      reencoded(wire::decodeCheckAck, wire::encodeCheckAckInto));
+  const wire::ValidityReplyMsg validity{
+      .asOf = 300.0, .epoch = 5, .sizeBits = 96.0, .invalid = {1, 5, 9}};
+  add("ValidityReply", encoded(wire::encodeValidityReplyInto, validity),
+      reencoded(wire::decodeValidityReply, wire::encodeValidityReplyInto));
+  const wire::Audit audit{.item = 77, .version = 3, .validAsOf = 280.0};
+  add("Audit", encoded(wire::encodeAuditInto, audit),
+      reencoded(wire::decodeAudit, wire::encodeAuditInto));
+  add("MapUpdate",
+      encoded(wire::encodeMapUpdateInto, wire::MapUpdate{.shardMap = map}),
+      reencoded([](std::span<const std::uint8_t> b) {
+                  return wire::decodeMapUpdate(b);
+                },
+                wire::encodeMapUpdateInto));
+  const wire::Handoff handoff{.mapVersion = 7,
+                              .sourceShard = 1,
+                              .last = 1,
+                              .item = 424242,
+                              .updateTimes = {1.5, 99.25}};
+  add("Handoff", encoded(wire::encodeHandoffInto, handoff),
+      reencoded(wire::decodeHandoff, wire::encodeHandoffInto));
+  const wire::HandoffAck handoffAck{.mapVersion = 9, .itemsReceived = 12};
+  add("HandoffAck", encoded(wire::encodeHandoffAckInto, handoffAck),
+      reencoded(wire::decodeHandoffAck, wire::encodeHandoffAckInto));
+  add("Frame",
+      wire::wiretest::framed(wire::FrameType::kAudit, wire::kNoScheme,
+                             net::TrafficClass::kControl,
+                             encoded(wire::encodeAuditInto, audit)),
+      [](std::span<const std::uint8_t> b)
+          -> std::optional<std::vector<std::uint8_t>> {
+        const auto f = wire::decodeFrame(b.data(), b.size());
+        if (!f) return std::nullopt;
+        return wire::wiretest::framed(
+            f->header.type, f->header.scheme,
+            static_cast<net::TrafficClass>(f->header.trafficClass),
+            f->payload);
+      });
+
+  db::UpdateHistory history(512);
+  for (db::ItemId i = 0; i < 40; ++i) history.record(i * 11, 1.0 + i);
+  const auto ts = TsReport::build(history, sizes, 60.0, 10.0);
+  const auto extended = TsReport::buildExtended(history, sizes, 60.0, 5.0);
+  const auto bs = BsReport::build(history, sizes, 60.0);
+  const auto sig = SigReport::fromParts(
+      sizes, 60.0, {0x123456789ABCDEF0ull, 0xFFFFull, 0ull, 42ull});
+  const auto decodeTs = [&codec](std::span<const std::uint8_t> b)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const auto r = codec.decodeTs(b);
+    if (r == nullptr) return std::nullopt;
+    return codec.encode(*r);
+  };
+  add("decodeTs/window", codec.encode(*ts), decodeTs);
+  add("decodeTs/extended", codec.encode(*extended), decodeTs);
+  add("decodeBs", codec.encode(*bs),
+      [&codec](std::span<const std::uint8_t> b)
+          -> std::optional<std::vector<std::uint8_t>> {
+        const auto d = codec.decodeBs(b);
+        if (!d) return std::nullopt;
+        BitWriter w;
+        codec.encodeWire(d->wire, d->broadcastTime, w);
+        return w.finish();
+      });
+  add("decodeSig", codec.encode(*sig),
+      [&codec](std::span<const std::uint8_t> b)
+          -> std::optional<std::vector<std::uint8_t>> {
+        const auto r = codec.decodeSig(b);
+        if (r == nullptr) return std::nullopt;
+        return codec.encode(*r);
+      });
+  const auto decodeAny = [&codec](std::span<const std::uint8_t> b)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const ReportPtr r = codec.decodeAny(b);
+    if (r == nullptr) return std::nullopt;
+    return reportBytes(codec, *r);
+  };
+  add("decodeAny/ts", codec.encode(*extended), decodeAny);
+  add("decodeAny/bs", codec.encode(*bs), decodeAny);
+  add("decodeAny/sig", codec.encode(*sig), decodeAny);
+  return cases;
+}
+
+TEST(DecoderSlices, EveryDecoderReadsOnlyItsSpan) {
+  const SizeModel sizes = smallSizes();
+  const ReportCodec codec(sizes);
+  constexpr std::size_t kPad = 32;
+  for (const SliceCase& c : sliceCases(codec, sizes)) {
+    SCOPED_TRACE(c.name);
+    ASSERT_FALSE(c.payload.empty());
+    const std::optional<std::vector<std::uint8_t>> exact = c.decode(c.payload);
+    ASSERT_TRUE(exact.has_value());
+    EXPECT_EQ(*exact, c.payload) << "decode and encode disagree";
+
+    // The payload at kPad inside a buffer of non-zero bytes; either side
+    // of it is garbage a decoder must never read.
+    std::vector<std::uint8_t> buffer(kPad, 0xA5);
+    buffer.insert(buffer.end(), c.payload.begin(), c.payload.end());
+    buffer.insert(buffer.end(), kPad, 0x5A);
+    const std::span<const std::uint8_t> inside(buffer.data() + kPad,
+                                               c.payload.size());
+    EXPECT_EQ(c.decode(inside), exact);
+    for (std::size_t len = 0; len < c.payload.size(); ++len) {
+      EXPECT_FALSE(c.decode(inside.first(len)).has_value())
+          << "prefix of " << len << " of " << c.payload.size() << " bytes";
+    }
+  }
+}
+
+// peekKind reads only the leading kind bits, so a one-byte prefix of any
+// report already names its kind; it must still read only its span.
+TEST(DecoderSlices, PeekKindReadsOnlyItsSpan) {
+  const SizeModel sizes = smallSizes();
+  const ReportCodec codec(sizes);
+  db::UpdateHistory history(512);
+  history.record(3, 1.0);
+  const auto extended = TsReport::buildExtended(history, sizes, 60.0, 5.0);
+  const auto sig = SigReport::fromParts(sizes, 60.0, {7ull});
+  for (const std::vector<std::uint8_t>& payload :
+       {codec.encode(*extended), codec.encode(*sig)}) {
+    std::vector<std::uint8_t> buffer(8, 0xFF);
+    buffer.insert(buffer.end(), payload.begin(), payload.end());
+    const std::span<const std::uint8_t> inside(buffer.data() + 8,
+                                               payload.size());
+    const std::optional<ReportKind> kind = codec.peekKind(payload);
+    ASSERT_TRUE(kind.has_value());
+    EXPECT_EQ(codec.peekKind(inside), kind);
+    EXPECT_EQ(codec.peekKind(inside.first(1)), kind);
+    // 0xFF behind an empty span would read as kind 3 (refused) or, for a
+    // TS report, as extended: only the span's own bits may count.
+    EXPECT_FALSE(codec.peekKind(inside.first(0)).has_value());
   }
 }
 

@@ -50,7 +50,7 @@ TEST(BitIo, SpanConstructorReadsRawBuffers) {
   // The live wire layer runs the cursor straight over framed bytes
   // (header slices) without copying into a vector first.
   const std::uint8_t raw[] = {0x4D, 0x43, 0xA5};
-  BitReader r(raw, sizeof raw);
+  BitReader r(raw);
   EXPECT_EQ(r.read(16), 0x4D43u);
   EXPECT_EQ(r.read(8), 0xA5u);
   EXPECT_TRUE(r.ok());

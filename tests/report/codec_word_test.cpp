@@ -3,11 +3,12 @@
 // tests hold them byte-identical to an in-file single-bit reference writer
 // across every alignment, width class (0, 1, word-1, word, word+1, 10k)
 // and density, pin the exact wire bytes of each report family as hex, and
-// exercise the FrameArena against encodeFrame.
+// hold the FrameArena to the documented frame envelope.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -219,7 +220,7 @@ TEST(WordCodec, AlignedReadUnderrunReturnsZeroAndParks) {
   // 5 bytes: an aligned 32-bit read fits, the aligned 16-bit read after it
   // does not. It must fail the bound before touching a byte.
   const std::vector<std::uint8_t> bytes = {0xDE, 0xAD, 0xBE, 0xEF, 0x42};
-  BitReader r(bytes.data(), bytes.size());
+  BitReader r(bytes);
   EXPECT_EQ(r.read(32), 0xDEADBEEFu);
   EXPECT_EQ(r.read(16), 0u);
   EXPECT_FALSE(r.ok());
@@ -228,7 +229,7 @@ TEST(WordCodec, AlignedReadUnderrunReturnsZeroAndParks) {
   EXPECT_FALSE(r.ok());
 
   // A whole-word read one byte short of the span fails the same way.
-  BitReader r2(bytes.data(), 4);
+  BitReader r2{std::span<const std::uint8_t>(bytes).first(4)};
   EXPECT_EQ(r2.read(64), 0u);
   EXPECT_FALSE(r2.ok());
   EXPECT_EQ(r2.bitsRead(), 32u);
@@ -424,18 +425,32 @@ TEST(WordCodec, GoldenSigFrameHexPin) {
 }
 
 // ---------------------------------------------------------------------------
-// FrameArena: encode-once fan-out buffer vs the classic encodeFrame.
+// FrameArena: the one frame builder vs the documented envelope.
 // ---------------------------------------------------------------------------
 
-TEST(FrameArena, MatchesEncodeFrameByteForByte) {
+TEST(FrameArena, MatchesTheDocumentedEnvelopeByteForByte) {
   const SizeModel sizes = model(512);
   const ReportCodec codec(sizes);
   const auto r = TsReport::fromParts(ReportKind::kTsWindow, sizes, 9.0, 2.0,
                                      {{.item = 11, .time = 5.0}});
   const std::vector<std::uint8_t> payload = codec.encode(*r);
-  const std::vector<std::uint8_t> expected = live::wire::encodeFrame(
-      live::wire::FrameType::kReport, 2,
-      net::TrafficClass::kInvalidationReport, payload);
+  // magic:16 version:8 type:8 scheme:8 class:8 payloadBits:32 crc:32, the
+  // crc over the frame with its own field zeroed (docs/protocols.md).
+  std::vector<std::uint8_t> expected = {
+      0x4D, 0x43, live::wire::kVersion,
+      static_cast<std::uint8_t>(live::wire::FrameType::kReport), 2,
+      static_cast<std::uint8_t>(net::TrafficClass::kInvalidationReport)};
+  const auto payloadBits = static_cast<std::uint32_t>(payload.size() * 8);
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    expected.push_back(static_cast<std::uint8_t>(payloadBits >> shift));
+  }
+  expected.insert(expected.end(), 4, 0);
+  expected.insert(expected.end(), payload.begin(), payload.end());
+  const std::uint32_t crc =
+      live::wire::crc32(expected.data(), expected.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    expected[10 + i] = static_cast<std::uint8_t>(crc >> (24 - 8 * i));
+  }
 
   live::wire::FrameArena arena;
   report::BitWriter w = arena.begin(live::wire::FrameType::kReport, 2,
@@ -451,7 +466,7 @@ TEST(FrameArena, MatchesEncodeFrameByteForByte) {
   const auto decoded = live::wire::decodeFrame(arena.data(), arena.size());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header.type, live::wire::FrameType::kReport);
-  EXPECT_EQ(decoded->payload, payload);
+  EXPECT_TRUE(std::ranges::equal(decoded->payload, payload));
 }
 
 TEST(FrameArena, ReuseAcrossTicksPatchesLengthAndCrcCorrectly) {
@@ -486,7 +501,7 @@ TEST(FrameArena, ReuseAcrossTicksPatchesLengthAndCrcCorrectly) {
   }
   const auto decoded = live::wire::decodeFrame(arena.data(), arena.size());
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->payload, codec.encode(*small));
+  EXPECT_TRUE(std::ranges::equal(decoded->payload, codec.encode(*small)));
 
   // Tick 3: re-encoding tick 1's report reproduces tick 1's bytes exactly.
   {

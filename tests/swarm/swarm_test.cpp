@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -22,9 +23,12 @@
 #include "live/client_agent.hpp"
 #include "live/cluster.hpp"
 #include "live/reactor.hpp"
+#include "live/shard_map.hpp"
+#include "live/wire_bytes.hpp"
 #include "report/codec.hpp"
 #include "report/ts_report.hpp"
 #include "swarm/engine.hpp"
+#include "swarm/state.hpp"
 
 namespace mci::swarm {
 namespace {
@@ -157,6 +161,34 @@ TEST(Swarm, AfwHitRatioMatchesClientPool) {
 
 TEST(Swarm, AawHitRatioMatchesClientPool) {
   parityCase(schemes::SchemeKind::kAaw);
+}
+
+// The parity above assumes the swarm and the pool give each shard the same
+// cache partition. Both size partitions with live::ShardMap::cacheShare
+// (ClientAgent per Welcome, SwarmState per layout); pin the swarm's layout
+// to that rule for 1-5 shards, and the rule to an even split of the whole
+// capacity.
+TEST(Swarm, CacheSharesFollowTheClientPoolRule) {
+  for (std::uint32_t shards = 1; shards <= 5; ++shards) {
+    for (const std::uint32_t capacity : {1u, 4u, 50u, 101u}) {
+      SwarmState st;
+      st.configure(/*numClients=*/3, shards, /*databaseSize=*/500, capacity,
+                   /*seed=*/1);
+      std::uint32_t total = 0;
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        const std::uint32_t share =
+            live::ShardMap::cacheShare(capacity, shards, s);
+        EXPECT_EQ(st.shareOf(s), share)
+            << "shard " << s << " of " << shards << ", capacity " << capacity;
+        EXPECT_GE(share, 1u);
+        EXPECT_LE(share, capacity / shards + 1);
+        total += share;
+      }
+      EXPECT_EQ(st.slotsPerClient, total);
+      EXPECT_EQ(total, std::max(capacity, shards))
+          << shards << " shards, capacity " << capacity;
+    }
+  }
 }
 
 // The model is driven purely by (seed, report ticks): multiplexing the
@@ -464,14 +496,16 @@ class ForgingShard {
     w.dbSize = 500;
     w.shardMap = live::ShardMap::single(
         live::ShardEndpoint{.ipv4 = 0x7F000001u, .tcpPort = port_});
-    send(live::wire::FrameType::kWelcome, live::wire::encodeWelcome(w));
+    send(live::wire::FrameType::kWelcome,
+         live::wire::wiretest::encoded(live::wire::encodeWelcomeInto, w));
   }
 
-  /// Drives the mux until one whole frame arrives from it.
-  std::optional<live::wire::Frame> readFrame() {
+  /// Drives the mux until one whole frame arrives from it. The view is
+  /// valid until the next readFrame().
+  std::optional<live::wire::FrameView> readFrame() {
     std::uint8_t buf[4096];
     for (int round = 0; round < 10'000; ++round) {
-      if (std::optional<live::wire::Frame> f = in_.next()) return f;
+      if (std::optional<live::wire::FrameView> f = in_.next()) return f;
       if (round > 0) reactor_.runOnce(1);
       for (ssize_t n; (n = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT)) > 0;) {
         in_.append(buf, static_cast<std::size_t>(n));
@@ -482,7 +516,7 @@ class ForgingShard {
 
   void send(live::wire::FrameType type,
             const std::vector<std::uint8_t>& payload) {
-    const std::vector<std::uint8_t> frame = live::wire::encodeFrame(
+    const std::vector<std::uint8_t> frame = live::wire::wiretest::framed(
         type, live::wire::kNoScheme, net::TrafficClass::kBulk, payload);
     EXPECT_EQ(::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
@@ -514,7 +548,7 @@ ForgedReplyRun runForgedReply(std::uint32_t fetches,
   sink.attach(mux);
   mux.connect();
   shard.welcome();
-  const std::optional<live::wire::Frame> query = shard.readFrame();
+  const std::optional<live::wire::FrameView> query = shard.readFrame();
   EXPECT_TRUE(query.has_value()) << "the mux sent no query";
   if (query) {
     EXPECT_EQ(query->header.type, live::wire::FrameType::kQueryRequest);

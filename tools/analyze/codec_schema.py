@@ -43,11 +43,10 @@ WIRE_SOURCES = ("src/live/wire.cpp", "src/live/shard_map.cpp")
 # the extracted table feeds the handler-coverage rule.
 WIRE_HEADER = "src/live/wire.hpp"
 
-# Messages excluded from pairing: the frame envelope has a hand-rolled
-# byte-level encoder (encodeFrame does not use BitWriter), so its decoder
-# is not expected to have a BitWriter mirror. FrameView is the in-place
-# decode of that same envelope (decodeFrameView), not a message of its own.
-ENVELOPE_MESSAGES = ("Frame", "FrameView")
+# Messages excluded from pairing: the frame envelope. Its header is laid
+# out byte by byte in FrameArena::begin/finish, not by an encodeXInto, so
+# decodeFrame (which returns a FrameView) has no BitWriter mirror to pair.
+ENVELOPE_MESSAGES = ("Frame",)
 
 SCHEMA_PATH = "docs/wire_schema.json"
 DOCS_PATH = "docs/protocols.md"
@@ -57,10 +56,11 @@ DOCS_END = "<!-- END GENERATED: wire-schema -->"
 
 _ENCODE_FN_RE = re.compile(
     r"std::vector<std::uint8_t>\s+encode(\w+?)(?:Into)?\s*\(")
-# Arena-style encoders write into a caller-supplied BitWriter so the hot
-# path can reuse one frame buffer (the swarm mux); the allocating
-# encodeX() wrapper delegates to encodeXInto() and writes no fields of
-# its own.
+# Every wire message has one encoder, encodeXInto, writing into a
+# caller-supplied BitWriter (a FrameArena's, on every send path). The
+# vector-returning form above is still recognized (the hermetic fixtures
+# use it); a wrapper that only delegates writes no fields of its own and
+# is skipped.
 _ENCODE_INTO_RE = re.compile(
     r"void\s+encode(\w+)Into\s*\(")
 _ENCODE_TO_RE = re.compile(

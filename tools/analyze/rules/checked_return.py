@@ -39,7 +39,6 @@ WATCHED: List[Tuple[str, Optional[str]]] = [
     ("addFd", "Reactor"),
     ("addTimer", "Reactor"),
     ("encodeInto", None),
-    ("encodeFrame", None),
     ("decodeFrame", None),
     ("decodeHello", None),
     ("decodeWelcome", None),
@@ -51,6 +50,9 @@ WATCHED: List[Tuple[str, Optional[str]]] = [
     ("decodeCheckAck", None),
     ("decodeValidityReply", None),
     ("decodeAudit", None),
+    ("decodeMapUpdate", None),
+    ("decodeHandoff", None),
+    ("decodeHandoffAck", None),
     ("decodeAny", "ReportCodec"),
     ("decodeTs", "ReportCodec"),
     ("decodeBs", "ReportCodec"),

@@ -17,8 +17,8 @@ truncated) and no access path read by the flagged statement is ever
 attacker-derived — under hardened semantics where a call *without* a
 summary is assumed to return tainted data, so the proof never leans on
 an unanalyzed helper. This is what let the "checked on entry" ALLOWs in
-decodeFrameView be deleted: frameSize's summary proves its return value
-is guarded by its own kMaxPayloadBytes check.
+decodeFrame (the one frame decoder) be deleted: frameSize's summary
+proves its return value is guarded by its own kMaxPayloadBytes check.
 """
 
 from __future__ import annotations
