@@ -1,10 +1,7 @@
 #include "live/broadcast_server.hpp"
 
 #include <arpa/inet.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -84,88 +81,42 @@ BroadcastServer::~BroadcastServer() {
       << "broadcast timer vanished before shutdown";
   MCI_CHECK(reactor_.cancelTimer(updateTimer_))
       << "update timer vanished before shutdown";
-  for (auto& [fd, conn] : conns_) reactor_.removeFd(conn.reg);
-  conns_.clear();  // each stream closes its fd
-  for (auto& ch : handoffChannels_) {
-    if (ch->stream.isOpen()) reactor_.removeFd(ch->reg);
-  }
+  // Every socket drops its registration as it closes.
+  conns_.clear();
   handoffChannels_.clear();
-  if (listenFd_ >= 0) {
-    reactor_.removeFd(listenReg_);
-    ::close(listenFd_);
-  }
-  if (udpFd_ >= 0) ::close(udpFd_);
+  listener_.close();
   // Last: every registration tagged with owner_ is gone; a debug build
   // aborts here if the teardown above ever regresses.
   reactor_.retireOwner(owner_);
 }
 
 void BroadcastServer::setupSockets() {
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  udpFd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0 || udpFd_ < 0) {
-    throw std::runtime_error("live: socket() failed");
-  }
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.tcpPort);
-  if (::inet_pton(AF_INET, opts_.bindAddress.c_str(), &addr.sin_addr) != 1) {
+  // Everything is validated before the first socket opens, and each socket
+  // closes itself if a later step throws: a daemon that fails to start
+  // leaves no fd behind.
+  const std::optional<std::uint32_t> bindIpv4 = parseIpv4(opts_.bindAddress);
+  if (!bindIpv4) {
     throw std::runtime_error("live: bad bind address " + opts_.bindAddress);
   }
-  if (::bind(listenFd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
-      ::listen(listenFd_, 128) != 0) {
-    throw std::runtime_error("live: bind/listen failed on " +
-                             opts_.bindAddress);
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  tcpPort_ = ntohs(addr.sin_port);
-
-  self_.ipv4 = ntohl(addr.sin_addr.s_addr);
-  self_.tcpPort = tcpPort_;
-
+  self_.ipv4 = *bindIpv4;
   if (!opts_.multicastGroup.empty()) {
-    in_addr group{};
-    if (::inet_pton(AF_INET, opts_.multicastGroup.c_str(), &group) != 1 ||
-        (ntohl(group.s_addr) >> 28) != 0xE || opts_.multicastPort == 0) {
+    const std::optional<std::uint32_t> group = parseIpv4(opts_.multicastGroup);
+    if (!group || (*group >> 28) != 0xE || opts_.multicastPort == 0) {
       throw std::runtime_error("live: bad multicast group " +
                                opts_.multicastGroup);
     }
-    mcastAddr_.sin_family = AF_INET;
-    mcastAddr_.sin_addr = group;
-    mcastAddr_.sin_port = htons(opts_.multicastPort);
-    // Source datagrams from the bind interface and loop them back so a
-    // same-host cluster (tests, demos) hears its own group traffic.
-    in_addr iface{};
-    iface.s_addr = addr.sin_addr.s_addr;
-    ::setsockopt(udpFd_, IPPROTO_IP, IP_MULTICAST_IF, &iface, sizeof iface);
-    const std::uint8_t loop = 1;
-    const std::uint8_t ttl = 1;
-    ::setsockopt(udpFd_, IPPROTO_IP, IP_MULTICAST_LOOP, &loop, sizeof loop);
-    ::setsockopt(udpFd_, IPPROTO_IP, IP_MULTICAST_TTL, &ttl, sizeof ttl);
-    // Join the group too: local membership guarantees loopback delivery on
-    // stacks that drop groups nobody on the host has joined yet. udpFd_ is
-    // never read, so keep the kernel's copy queue minimal.
-    ip_mreq mreq{};
-    mreq.imr_multiaddr = group;
-    mreq.imr_interface = iface;
-    if (::setsockopt(udpFd_, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq,
-                     sizeof mreq) != 0) {
-      throw std::runtime_error("live: IP_ADD_MEMBERSHIP failed for " +
-                               opts_.multicastGroup);
-    }
-    const int tinyBuf = 1;
-    ::setsockopt(udpFd_, SOL_SOCKET, SO_RCVBUF, &tinyBuf, sizeof tinyBuf);
-    multicast_ = true;
-    self_.multicastIpv4 = ntohl(group.s_addr);
+    self_.multicastIpv4 = *group;
     self_.multicastPort = opts_.multicastPort;
+    mcastAddr_ = ipv4Address(*group, opts_.multicastPort);
   }
 
-  listenReg_ = reactor_.addFd(
-      listenFd_, EPOLLIN, [this](std::uint32_t) { onAcceptable(); }, owner_);
+  listener_ = listenTcp(self_.ipv4, opts_.tcpPort);
+  self_.tcpPort = listener_.boundPort();
+  irSocket_ = openIrUdp(self_.ipv4, self_.multicastIpv4);
+  listener_.watch(reactor_, reactor_.addFd(
+                                listener_.fd(), EPOLLIN,
+                                [this](std::uint32_t) { onAcceptable(); },
+                                owner_));
 }
 
 void BroadcastServer::setShardMap(ShardMap map) {
@@ -180,7 +131,7 @@ void BroadcastServer::setShardMap(ShardMap map) {
   // or slot for it. Adopting the slot re-parameterizes ownsItem() so the
   // spec-based hash law and the installed map can never disagree.
   const std::optional<std::uint32_t> selfIndex =
-      map.indexOf(self_.ipv4, tcpPort_);
+      map.indexOf(self_.ipv4, self_.tcpPort);
   if (!selfIndex) {
     throw std::invalid_argument("live: no shard map slot is this daemon");
   }
@@ -193,25 +144,16 @@ void BroadcastServer::setShardMap(ShardMap map) {
 void BroadcastServer::onAcceptable() {
   for (;;) {
     sockaddr_in peer{};
-    socklen_t len = sizeof peer;
-    const int fd = ::accept4(listenFd_, reinterpret_cast<sockaddr*>(&peer),
-                             &len, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error: wait for next event
-    if (opts_.sendBufferBytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.sendBufferBytes,
-                   sizeof opts_.sendBufferBytes);
-    }
-    // DataItem fills and check acks must beat the next broadcast; Nagle
-    // would park these small frames behind the client's delayed ACK.
-    const int nodelay = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
+    Socket accepted = acceptTcp(listener_, opts_.sendBufferBytes, peer);
+    if (!accepted.isOpen()) return;  // EAGAIN or transient error: wait
     ++stats_.connectionsAccepted;
+    const int fd = accepted.fd();
     Conn& conn = conns_.try_emplace(fd).first->second;
-    conn.peer = peer;
-    conn.stream.adopt(reactor_, fd);
-    conn.reg = reactor_.addFd(
+    conn.udpAddr = peer;
+    conn.stream.adopt(reactor_, std::move(accepted));
+    conn.stream.watch(reactor_.addFd(
         fd, EPOLLIN, [this, fd](std::uint32_t ev) { onConnEvent(fd, ev); },
-        owner_);
+        owner_));
   }
 }
 
@@ -305,7 +247,6 @@ void BroadcastServer::handleHello(int fd, Conn& conn,
   conn.clientId = id;
   conn.welcomed = true;
   conn.audit = hello.audit;
-  conn.udpAddr = conn.peer;
   conn.udpAddr.sin_port = htons(hello.udpPort);
 
   const core::SimConfig& cfg = opts_.cfg;
@@ -475,8 +416,7 @@ void BroadcastServer::closeConn(int fd) {
     // MCI-ANALYZE-ALLOW(hot-path-alloc): <= numClients ids, once per close
     freeIds_.push_back(it->second.clientId);
   }
-  reactor_.removeFd(it->second.reg);
-  conns_.erase(it);  // the stream closes the fd
+  conns_.erase(it);  // the stream drops its registration and closes
   ++stats_.connectionsClosed;
 }
 
@@ -549,7 +489,7 @@ void BroadcastServer::broadcastTick() {
 
 std::size_t BroadcastServer::fanOutReport(const wire::FrameArena& frame) {
   batchAddrs_.clear();
-  if (multicast_) {
+  if (self_.multicastIpv4 != 0) {
     // One datagram serves every listener of this shard's group.
     batchAddrs_.push_back(&mcastAddr_);
   } else {
@@ -563,28 +503,11 @@ std::size_t BroadcastServer::fanOutReport(const wire::FrameArena& frame) {
       batchAddrs_.push_back(&conn.udpAddr);
     }
   }
-  if (Reactor::supportsBatchedUdp()) {
-    const UdpBatchSender::Result res = batchSender_.sendToMany(
-        udpFd_, frame.data(), frame.size(), batchAddrs_);
-    stats_.udpSendSyscalls += res.syscalls;
-    stats_.udpDatagramsSent += res.sent;
-    stats_.udpSendFailures += res.failed;
-    if (!res.fellBack) return batchAddrs_.size();
-    // The kernel refused the batched call outright (ENOSYS under seccomp
-    // or an emulation layer): fall through to the per-socket loop so this
-    // frame still goes out.
-  }
-  for (const sockaddr_in* to : batchAddrs_) {
-    ++stats_.udpSendSyscalls;
-    const ssize_t n =
-        ::sendto(udpFd_, frame.data(), frame.size(), MSG_DONTWAIT,
-                 reinterpret_cast<const sockaddr*>(to), sizeof *to);
-    if (n < 0) {
-      ++stats_.udpSendFailures;
-    } else {
-      ++stats_.udpDatagramsSent;
-    }
-  }
+  const UdpBatchSender::Result res = batchSender_.sendToMany(
+      irSocket_.fd(), frame.data(), frame.size(), batchAddrs_);
+  stats_.udpSendSyscalls += res.syscalls;
+  stats_.udpDatagramsSent += res.sent;
+  stats_.udpSendFailures += res.failed;
   return batchAddrs_.size();
 }
 
@@ -660,7 +583,7 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
   // Which new-map slot is us (kNoShard when the new map removes us)? We
   // never stream to ourselves — items we keep need no handoff.
   const std::uint32_t newSelfIndex =
-      reshardNew_.indexOf(self_.ipv4, tcpPort_).value_or(kNoShard);
+      reshardNew_.indexOf(self_.ipv4, self_.tcpPort).value_or(kNoShard);
 
   // Bucket every item we own under the OLD map whose owner changes by its
   // new owner. Never-updated items still get a (count=0) frame: the stream
@@ -680,16 +603,15 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
     HandoffChannel& ch =
         *handoffChannels_.emplace_back(std::make_unique<HandoffChannel>());
     const ShardEndpoint& e = reshardNew_.endpoint(dst);
-    const int fd = dialTcp(e.ipv4, e.tcpPort);
-    if (fd < 0) {
+    ch.stream.adopt(reactor_, dialTcp(e.ipv4, e.tcpPort));
+    if (!ch.stream.isOpen()) {
       closeHandoffChannel(ch, true);
       continue;
     }
-    ch.stream.adopt(reactor_, fd);
     HandoffChannel* cp = &ch;
-    ch.reg = reactor_.addFd(
-        fd, EPOLLIN,
-        [this, cp](std::uint32_t ev) { onHandoffChannel(*cp, ev); }, owner_);
+    ch.stream.watch(reactor_.addFd(
+        ch.stream.fd(), EPOLLIN,
+        [this, cp](std::uint32_t ev) { onHandoffChannel(*cp, ev); }, owner_));
 
     // Send the whole stream now; the socket takes what it can and the
     // reactor drains the unbounded tail (see HandoffChannel).
@@ -740,10 +662,7 @@ void BroadcastServer::onHandoffChannel(HandoffChannel& ch,
 }
 
 void BroadcastServer::closeHandoffChannel(HandoffChannel& ch, bool failed) {
-  if (ch.stream.isOpen()) {
-    reactor_.removeFd(ch.reg);
-    ch.stream.close();
-  }
+  ch.stream.close();
   ch.done = true;
   if (failed) ++stats_.handoffFailures;
 }

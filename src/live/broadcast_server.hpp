@@ -158,7 +158,7 @@ class BroadcastServer {
   BroadcastServer& operator=(const BroadcastServer&) = delete;
 
   /// The TCP port actually bound (resolves an ephemeral request).
-  [[nodiscard]] std::uint16_t tcpPort() const { return tcpPort_; }
+  [[nodiscard]] std::uint16_t tcpPort() const { return self_.tcpPort; }
 
   /// The endpoint this daemon would publish for itself in a cluster map
   /// (bind address + bound TCP port + multicast group when configured).
@@ -240,11 +240,9 @@ class BroadcastServer {
     bool welcomed = false;
     bool audit = false;
     std::uint32_t clientId = 0;
-    Reactor::FdHandle reg;  ///< this conn's reactor registration
     std::uint32_t handoffReceived = 0;  ///< kHandoff frames on this conn
     bool mapReannounced = false;  ///< one-shot misroute correction spent
-    sockaddr_in peer{};     ///< TCP peer (IP reused for the UDP downlink)
-    sockaddr_in udpAddr{};  ///< where kReport datagrams go
+    sockaddr_in udpAddr{};  ///< IR target: the TCP peer, at its Hello's port
   };
 
   /// Outbound backfill stream of one reshard: all kHandoff frames for one
@@ -253,7 +251,6 @@ class BroadcastServer {
   /// and drained by the reactor until the destination's kHandoffAck.
   struct HandoffChannel {
     FrameStream stream;
-    Reactor::FdHandle reg;  ///< backfill socket's reactor registration
     std::uint32_t itemsQueued = 0;
     bool done = false;
   };
@@ -298,9 +295,8 @@ class BroadcastServer {
 
   void broadcastTick();
   /// Sends the finished arena frame on the IR downlink: one datagram to
-  /// the multicast group, or one per welcomed per-client downlink.
-  /// sendmmsg batches when the kernel has them, the per-socket sendto loop
-  /// otherwise. Returns the datagrams attempted.
+  /// the multicast group, or one per welcomed per-client downlink, through
+  /// the batched sender. Returns the datagrams attempted.
   std::size_t fanOutReport(const wire::FrameArena& frame);
   void runUpdateTransaction();
   void scheduleNextUpdate();
@@ -327,14 +323,11 @@ class BroadcastServer {
   workload::AccessPattern updatePattern_;
   sim::Rng updateRng_;
 
-  int listenFd_ = -1;
-  Reactor::FdHandle listenReg_;
-  int udpFd_ = -1;
-  std::uint16_t tcpPort_ = 0;
-  ShardEndpoint self_;
+  Socket listener_;  ///< registered for EPOLLIN: accepts the uplinks
+  Socket irSocket_;  ///< sends every IR datagram; never read
+  ShardEndpoint self_;  ///< bind address, bound TCP port, multicast group
   ShardMap shardMap_;        ///< invalid until set (multi-shard) or synthesized
   sockaddr_in mcastAddr_{};  ///< where one-datagram IR fan-out goes
-  bool multicast_ = false;
   std::map<int, Conn> conns_;
   std::vector<std::uint32_t> freeIds_;  ///< released client ids, reused LIFO
   std::uint32_t nextId_ = 0;

@@ -1,9 +1,6 @@
 #include "live/client_agent.hpp"
 
-#include <arpa/inet.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -153,43 +150,37 @@ std::unique_ptr<ClientAgent::Link> ClientAgent::makeLink(
   link->shard = shard;
   link->ipv4 = ipv4;
   link->tcpPort = tcpPort;
-  const int fd = dialTcp(ipv4, tcpPort);
-  if (fd < 0) throw std::runtime_error("live agent: connect failed");
-  // Adopted first: if the downlink throws, the link closes the uplink.
-  link->tcp.adopt(pool_.reactor_, fd);
-  link->udpFd = openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
+  link->tcp.adopt(pool_.reactor_, dialTcp(ipv4, tcpPort));
+  if (!link->tcp.isOpen()) {
+    throw std::runtime_error("live agent: connect failed");
+  }
+  // If the downlink throws, the link closes the uplink.
+  link->downlink = openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
   Link* lp = link.get();
-  link->tcpReg = pool_.reactor_.addFd(
-      fd, EPOLLIN, [this, lp](std::uint32_t ev) { onTcp(*lp, ev); }, owner_);
+  link->tcp.watch(pool_.reactor_.addFd(
+      link->tcp.fd(), EPOLLIN,
+      [this, lp](std::uint32_t ev) { onTcp(*lp, ev); }, owner_));
   watchDownlink(*link);
   return link;
 }
 
 void ClientAgent::watchDownlink(Link& link) {
   Link* lp = &link;
-  link.udpReg = pool_.reactor_.addFd(
-      link.udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
-      owner_);
+  link.downlink.watch(
+      pool_.reactor_,
+      pool_.reactor_.addFd(
+          link.downlink.fd(), EPOLLIN,
+          [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_));
 }
 
 void ClientAgent::closeLink(Link& link) {
-  if (link.tcp.isOpen()) {
-    pool_.reactor_.removeFd(link.tcpReg);
-    link.tcp.close();
-  }
-  if (link.udpFd >= 0) {
-    pool_.reactor_.removeFd(link.udpReg);
-    ::close(link.udpFd);
-    link.udpFd = -1;
-  }
+  link.tcp.close();
+  link.downlink.close();
 }
 
 void ClientAgent::sendHello(Link& link) {
-  sockaddr_in udpAddr{};
-  socklen_t len = sizeof udpAddr;
-  ::getsockname(link.udpFd, reinterpret_cast<sockaddr*>(&udpAddr), &len);
   wire::Hello hello;
-  hello.udpPort = ntohs(udpAddr.sin_port);
+  hello.udpPort = link.downlink.boundPort();
   hello.audit = pool_.opts_.sendAudit;
   if (!sendFrame(link, pool_.arena_.build(wire::FrameType::kHello,
                                           net::TrafficClass::kControl, hello,
@@ -199,12 +190,11 @@ void ClientAgent::sendHello(Link& link) {
 }
 
 void ClientAgent::connect() {
-  in_addr seed{};
-  if (::inet_pton(AF_INET, pool_.opts_.host.c_str(), &seed) != 1) {
+  const std::optional<std::uint32_t> seed = parseIpv4(pool_.opts_.host);
+  if (!seed) {
     throw std::runtime_error("live agent: bad host " + pool_.opts_.host);
   }
-  links_.push_back(
-      makeLink(kUnknownShard, ntohl(seed.s_addr), pool_.opts_.port, 0, 0));
+  links_.push_back(makeLink(kUnknownShard, *seed, pool_.opts_.port, 0, 0));
   sendHello(*links_.back());
 }
 
@@ -289,7 +279,7 @@ void ClientAgent::onUdp(Link& link, std::uint32_t events) {
   // The pool's shared buffers take a tick-burst of reports in O(batches)
   // kernel entries.
   pool_.stats_.udpRecvSyscalls += pool_.udpReceiver_.drain(
-      link.udpFd, [&](const std::uint8_t* data, std::size_t len) {
+      link.downlink.fd(), [&](const std::uint8_t* data, std::size_t len) {
         return handleUdpDatagram(link, data, len);
       });
 }
@@ -392,10 +382,8 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
       // unicast — but this shard broadcasts only to its group. Swap in a
       // group-joined socket; no re-Hello needed, a multicast shard never
       // uses the Hello's per-client UDP port.
-      pool_.reactor_.removeFd(link.udpReg);
-      ::close(link.udpFd);
-      link.udpFd =
-          openDownlinkUdp(seedEp.ipv4, seedEp.multicastIpv4, seedEp.multicastPort);
+      link.downlink = openDownlinkUdp(seedEp.ipv4, seedEp.multicastIpv4,
+                                      seedEp.multicastPort);
       watchDownlink(link);
     }
 
@@ -468,8 +456,9 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
 void ClientAgent::onReportPayload(Link& link,
                                   std::span<const std::uint8_t> payload) {
   const report::ReportPtr r = pool_.codec_->decodeAny(payload);
-  if (r == nullptr) {
-    ++pool_.stats_.badFrames;
+  if (r == nullptr ||
+      !schemes::clientTakesReport(pool_.agentCfg_.scheme, r->kind)) {
+    ++pool_.stats_.badFrames;  // undecodable, or a kind the scheme refuses
     return;
   }
   ++pool_.stats_.reportsHeard;
@@ -700,19 +689,7 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
   if (configured_) return;
   configured_ = true;
 
-  agentCfg_ = opts_.cfg;
-  agentCfg_.scheme = static_cast<schemes::SchemeKind>(w.scheme);
-  agentCfg_.dbSize = w.dbSize;
-  agentCfg_.numClients = w.numClients;
-  agentCfg_.broadcastPeriod = w.broadcastPeriod;
-  agentCfg_.windowIntervals = w.windowIntervals;
-  agentCfg_.timestampBits = w.timestampBits;
-  agentCfg_.dataItemBytes = w.dataItemBytes;
-  agentCfg_.controlMessageBytes = w.controlMessageBytes;
-  agentCfg_.sigSubsets = w.sigSubsets;
-  agentCfg_.sigPerItem = w.sigPerItem;
-  agentCfg_.sigVotes = w.sigVotes;
-  agentCfg_.gcoreGroupSize = w.gcoreGroupSize;
+  agentCfg_ = wire::configFromWelcome(opts_.cfg, w);
 
   shardMap_ = w.shardMap;
   stats_.reportsHeardPerShard.assign(shardMap_.shardCount(), 0);

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <netinet/in.h>
-
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -138,9 +136,7 @@ class ClientAgent {
     std::uint16_t tcpPort = 0;    ///< (a shard's index may change; this not)
     bool draining = false;        ///< endpoint left the map; finish + close
     FrameStream tcp;  ///< the uplink
-    int udpFd = -1;
-    Reactor::FdHandle tcpReg;  ///< uplink registration (removeFd on close)
-    Reactor::FdHandle udpReg;  ///< downlink registration
+    Socket downlink;  ///< the IR downlink
     std::uint32_t clientId = 0;  ///< this shard's id for us
     std::unique_ptr<schemes::ClientContext> ownCtx;  ///< QueryLeg::ctx
     std::unique_ptr<schemes::ClientScheme> scheme;
@@ -153,9 +149,9 @@ class ClientAgent {
                                                std::uint16_t tcpPort,
                                                std::uint32_t mcastIpv4,
                                                std::uint16_t mcastPort);
-  /// Registers link.udpFd with the reactor.
+  /// Registers the link's downlink with the reactor.
   void watchDownlink(Link& link);
-  /// Deregisters and closes both of the link's sockets.
+  /// Closes both of the link's sockets.
   void closeLink(Link& link);
   void sendHello(Link& link);
 

@@ -1,9 +1,13 @@
 #pragma once
 
+#include <netinet/in.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "live/reactor.hpp"
@@ -11,29 +15,86 @@
 
 namespace mci::live {
 
-/// Dials ipv4:port (host byte order) for a framed uplink: TCP_NODELAY, a
-/// blocking connect (one round trip on loopback), then O_NONBLOCK for
-/// every later send and recv. Returns the connected fd, or -1 (nothing
-/// left open) when any step fails.
-[[nodiscard]] int dialTcp(std::uint32_t ipv4, std::uint16_t port);
+/// Parses a dotted-quad IPv4 address into host byte order; nullopt when
+/// `text` is not one.
+[[nodiscard]] std::optional<std::uint32_t> parseIpv4(const std::string& text);
+/// The AF_INET address of ipv4:port, both in host byte order.
+[[nodiscard]] sockaddr_in ipv4Address(std::uint32_t ipv4, std::uint16_t port);
 
-/// Opens a nonblocking IR downlink socket. mcastIpv4 != 0 binds the group
-/// port (shared through SO_REUSEADDR by every listener on the host) and
-/// joins the group on interface `ipv4`; otherwise the socket is bound to
-/// an ephemeral loopback port, which the Hello then names. Throws
-/// std::runtime_error on failure.
-[[nodiscard]] int openDownlinkUdp(std::uint32_t ipv4, std::uint32_t mcastIpv4,
-                                  std::uint16_t mcastPort);
+/// One owned socket: its fd and, once the owner hands it over, the reactor
+/// registration of that fd. close() (and the destructor) drops the
+/// registration before closing the fd, exactly once. Moving hands both
+/// over; assigning over an open socket closes it first. Every socket
+/// syscall of the live stack sits behind this class, the openers below,
+/// FrameStream and udp_batch.hpp.
+class Socket {
+ public:
+  Socket() = default;
+  explicit Socket(int fd) : fd_(fd) {}  ///< takes ownership of `fd`
+  ~Socket() { close(); }
+
+  Socket(Socket&& other) noexcept { *this = std::move(other); }
+  Socket& operator=(Socket&& other) noexcept;
+  Socket(const Socket&) = delete;
+  Socket& operator=(const Socket&) = delete;
+
+  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] bool isOpen() const { return fd_ >= 0; }
+
+  /// Takes over the owner's registration of fd(). The owner makes the
+  /// addFd call itself, tagged with its OwnerId, so the lifetime of the
+  /// callback it captures is checked where it is written.
+  void watch(Reactor& reactor, Reactor::FdHandle reg);
+  /// The locally bound port in host byte order (0 when closed).
+  [[nodiscard]] std::uint16_t boundPort() const;
+  void close();
+
+ private:
+  int fd_ = -1;
+  Reactor* reactor_ = nullptr;  ///< set while registered
+  Reactor::FdHandle reg_;
+};
+
+// The openers take addresses in host byte order. Those that throw
+// std::runtime_error leave nothing open.
+
+/// Dials ipv4:port for a framed uplink: TCP_NODELAY, a blocking connect
+/// (one round trip on loopback), then O_NONBLOCK. A closed socket when any
+/// step fails.
+[[nodiscard]] Socket dialTcp(std::uint32_t ipv4, std::uint16_t port);
+/// A nonblocking SO_REUSEADDR listener on ipv4:port (0 = ephemeral, read
+/// back through boundPort()). Throws on failure.
+[[nodiscard]] Socket listenTcp(std::uint32_t ipv4, std::uint16_t port);
+/// One pending connection, nonblocking with TCP_NODELAY, and SO_SNDBUF =
+/// sendBufferBytes when positive; `peer` gets its address. A closed socket
+/// when none is pending (EAGAIN) or accept failed.
+[[nodiscard]] Socket acceptTcp(const Socket& listener, int sendBufferBytes,
+                               sockaddr_in& peer);
+/// A nonblocking IR downlink. mcastIpv4 != 0 binds the group port (shared
+/// through SO_REUSEADDR by every listener on the host) and joins the group
+/// on interface `ipv4`; otherwise it binds an ephemeral loopback port,
+/// which the Hello then names. receiveBufferBytes > 0 asks for that
+/// SO_RCVBUF (the kernel may clamp it). Throws on failure.
+[[nodiscard]] Socket openDownlinkUdp(std::uint32_t ipv4,
+                                     std::uint32_t mcastIpv4,
+                                     std::uint16_t mcastPort,
+                                     int receiveBufferBytes = 0);
+/// The server's nonblocking IR socket, never read. mcastIpv4 != 0 sends
+/// from interface `ipv4` with loopback on and TTL 1, so a same-host
+/// cluster hears its own group, and joins the group: some stacks drop
+/// groups nobody on the host has joined. Throws on failure.
+[[nodiscard]] Socket openIrUdp(std::uint32_t ipv4, std::uint32_t mcastIpv4);
 
 /// One framed TCP connection: a connected nonblocking fd, the reassembly
 /// buffer of its read side and the unsent tail of its write side. Every
 /// live endpoint (server connections, reshard handoff channels, client
 /// agents, the swarm mux) speaks the uplink through this class.
 ///
-/// The owner registers the fd with its Reactor for EPOLLIN (keeping the
-/// handle and owner tag) before the first send(), and removes it before
-/// close(). The stream only toggles EPOLLOUT interest through modifyFd:
-/// on once the kernel refuses queued bytes, off once flush() drains them.
+/// The owner registers fd() with its Reactor for EPOLLIN (tagged with its
+/// OwnerId) before the first send() and hands the handle to watch();
+/// close() removes it before closing the fd. The stream only toggles
+/// EPOLLOUT interest through modifyFd: on once the kernel refuses queued
+/// bytes, off once flush() drains them.
 ///
 /// Errors are return values, never callbacks: send(), flush() and uncork()
 /// return false on a hard socket error, and next() ends with failed() set
@@ -58,14 +119,17 @@ class FrameStream {
   FrameStream(FrameStream&&) = delete;
   FrameStream& operator=(FrameStream&&) = delete;
 
-  /// Takes ownership of a connected nonblocking `fd` registered (or about
-  /// to be) with `reactor`. A stream adopts at most one fd in its life.
-  void adopt(Reactor& reactor, int fd);
+  /// Takes ownership of a connected nonblocking socket (a closed one
+  /// leaves the stream closed). A stream adopts at most one in its life.
+  void adopt(Reactor& reactor, Socket socket);
+  /// Takes over the owner's EPOLLIN registration of fd().
+  void watch(Reactor::FdHandle reg) { socket_.watch(*reactor_, reg); }
 
-  [[nodiscard]] bool isOpen() const { return fd_ >= 0; }
+  [[nodiscard]] int fd() const { return socket_.fd(); }
+  [[nodiscard]] bool isOpen() const { return socket_.isOpen(); }
 
-  /// Closes the fd and drops any unsent tail; the read side's counters
-  /// survive. The owner must have removed its registration first.
+  /// Removes the registration, closes the fd and drops any unsent tail;
+  /// the read side's counters survive. Idempotent.
   void close();
 
   /// Sends one whole frame (typically a finished FrameArena's bytes).
@@ -127,7 +191,7 @@ class FrameStream {
   bool recvChunk();
 
   Reactor* reactor_ = nullptr;
-  int fd_ = -1;
+  Socket socket_;
   wire::FrameBuffer in_;
   std::uint64_t skippedTaken_ = 0;
   bool failed_ = false;

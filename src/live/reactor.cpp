@@ -4,15 +4,13 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "core/check.hpp"
-#include "live/udp_batch.hpp"
 
 namespace mci::live {
-
-bool Reactor::supportsBatchedUdp() { return UdpBatchSender::available(); }
 
 Reactor::Reactor() {
   epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);

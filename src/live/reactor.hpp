@@ -70,7 +70,8 @@ class Reactor {
   void retireOwner(OwnerId owner);
 
   /// Registers `fd` for `events` (EPOLLIN / EPOLLOUT / ...). The reactor
-  /// does not own the fd; callers close it after removeFd().
+  /// does not own the fd: the live::Socket that does (frame_stream.hpp)
+  /// takes the returned handle and removes it when it closes the fd.
   [[nodiscard]] FdHandle addFd(int fd, std::uint32_t events,
                                FdHandler handler, OwnerId owner = 0);
 
@@ -104,12 +105,6 @@ class Reactor {
 
   /// Wall seconds since the reactor was created (the deadline clock).
   [[nodiscard]] double nowSeconds() const { return clock_.seconds(); }
-
-  /// Capability probe: true when the running kernel accepts the batched
-  /// UDP syscalls (sendmmsg/recvmmsg). Probed once per process; callers
-  /// keep a per-socket loop as the fallback path either way, so a false
-  /// answer only changes the syscall count, never behaviour.
-  [[nodiscard]] static bool supportsBatchedUdp();
 
   [[nodiscard]] std::size_t fdCount() const { return fds_.size(); }
   [[nodiscard]] std::size_t timerCount() const { return timers_.size(); }

@@ -29,7 +29,7 @@ UdpBatchSender::Result UdpBatchSender::sendToMany(
     const std::vector<const sockaddr_in*>& dests) {
   Result res;
   std::size_t i = 0;
-  while (i < dests.size()) {
+  while (i < dests.size() && !sendFellBack_) {
     const auto n =
         static_cast<unsigned>(std::min<std::size_t>(kBatch, dests.size() - i));
     for (unsigned j = 0; j < n; ++j) {
@@ -50,8 +50,8 @@ UdpBatchSender::Result UdpBatchSender::sendToMany(
     const int sent = ::sendmmsg(fd, hdrs_.data(), n, MSG_DONTWAIT);
     if (sent < 0) {
       if (errno == ENOSYS) {
-        res.fellBack = true;
-        return res;
+        sendFellBack_ = true;  // the sendto loop below sends the rest
+        break;
       }
       // First datagram of the batch was refused (EAGAIN: socket buffer
       // full, or a transient error). Drop it — same outcome as a failed
@@ -68,6 +68,17 @@ UdpBatchSender::Result UdpBatchSender::sendToMany(
       // starve the rest of the fan-out.
       ++res.failed;
       ++i;
+    }
+  }
+  for (; i < dests.size(); ++i) {
+    ++res.syscalls;
+    const ssize_t n = ::sendto(fd, data, len, MSG_DONTWAIT,
+                               reinterpret_cast<const sockaddr*>(dests[i]),
+                               sizeof(sockaddr_in));
+    if (n < 0) {
+      ++res.failed;
+    } else {
+      ++res.sent;
     }
   }
   return res;

@@ -18,10 +18,9 @@ namespace mci::live {
 ///
 /// Availability is probed once at first use (`available()`): a kernel,
 /// seccomp filter or emulation layer without the syscalls answers ENOSYS.
-/// The sender reports that per call (`Result::fellBack`) and its caller
-/// runs a sendto loop; UdpBatchReceiver::drain falls back to single recv
-/// calls by itself. Behaviour is identical either way — only the syscall
-/// count changes.
+/// Both sides then fall back by themselves, and for good: the sender to a
+/// sendto loop, the receiver to single recv calls. Behaviour is identical
+/// either way — only the syscall count changes.
 class UdpBatchSender {
  public:
   /// Datagrams per sendmmsg call (bounds the reused header/iovec arrays).
@@ -31,19 +30,16 @@ class UdpBatchSender {
     std::uint64_t syscalls = 0;  ///< kernel entries this fan-out cost
     std::uint64_t sent = 0;      ///< datagrams the kernel accepted
     std::uint64_t failed = 0;    ///< datagrams refused (counted, dropped)
-    /// sendmmsg itself was refused (ENOSYS): nothing was sent and the
-    /// caller must run its per-socket loop for this fan-out.
-    bool fellBack = false;
   };
 
   /// True when the running kernel accepts sendmmsg/recvmmsg. Probed once;
-  /// a false answer permanently routes callers to the fallback loops.
+  /// a false answer routes both sides to their fallback loops for good.
   [[nodiscard]] static bool available();
 
   /// Sends the same [data, data+len) datagram to every destination,
-  /// kBatch at a time. Non-blocking; refused datagrams are dropped and
-  /// counted (IR is lossy by the paper's model — clients resync from the
-  /// next report).
+  /// kBatch at a time, or one sendto each once the kernel has refused
+  /// sendmmsg. Non-blocking; refused datagrams are dropped and counted (IR
+  /// is lossy by the paper's model — clients resync from the next report).
   MCI_HOT Result sendToMany(int fd, const std::uint8_t* data,
                             std::size_t len,
                             const std::vector<const sockaddr_in*>& dests);
@@ -52,6 +48,7 @@ class UdpBatchSender {
   // Reused across calls and ticks: zero steady-state allocation.
   std::array<mmsghdr, kBatch> hdrs_{};
   std::array<iovec, kBatch> iovs_{};
+  bool sendFellBack_ = !available();  ///< sendmmsg refused: sendto from now on
 };
 
 /// recvmmsg drain buffer, shared per pool (kBatch * 64 KiB once, not per

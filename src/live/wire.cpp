@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "core/check.hpp"
+#include "core/config.hpp"
 #include "report/codec.hpp"
 
 namespace mci::live::wire {
@@ -231,6 +232,22 @@ std::optional<Welcome> decodeWelcome(std::span<const std::uint8_t> payload) {
   if (!map || !r.ok()) return std::nullopt;
   m.shardMap = std::move(*map);
   return m;
+}
+
+core::SimConfig configFromWelcome(core::SimConfig base, const Welcome& w) {
+  base.scheme = static_cast<schemes::SchemeKind>(w.scheme);
+  base.dbSize = w.dbSize;
+  base.numClients = w.numClients;
+  base.broadcastPeriod = w.broadcastPeriod;
+  base.windowIntervals = w.windowIntervals;
+  base.timestampBits = w.timestampBits;
+  base.dataItemBytes = w.dataItemBytes;
+  base.controlMessageBytes = w.controlMessageBytes;
+  base.sigSubsets = w.sigSubsets;
+  base.sigPerItem = w.sigPerItem;
+  base.sigVotes = w.sigVotes;
+  base.gcoreGroupSize = w.gcoreGroupSize;
+  return base;
 }
 
 void encodeQueryRequestInto(std::span<const db::ItemId> items,

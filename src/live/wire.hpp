@@ -13,6 +13,10 @@
 #include "report/codec.hpp"
 #include "sim/time.hpp"
 
+namespace mci::core {
+struct SimConfig;
+}  // namespace mci::core
+
 namespace mci::live::wire {
 
 /// Versioned frame envelope for the live broadcast protocol. Every message
@@ -272,6 +276,13 @@ void encodeHelloInto(const Hello& m, report::BitWriter& w);
 void encodeWelcomeInto(const Welcome& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Welcome> decodeWelcome(
     std::span<const std::uint8_t> payload);
+
+/// `base` overlaid with what a Welcome fixes for every client of the
+/// cluster: scheme, database and population size, broadcast period,
+/// window, timestamp and message sizes, and the SIG/GCORE parameters.
+/// The rest (client workload, seed, replacement) stays the caller's own.
+[[nodiscard]] core::SimConfig configFromWelcome(core::SimConfig base,
+                                                const Welcome& w);
 
 /// Appends the QueryRequest payload for `items` to `w`. Takes the item
 /// span rather than a QueryRequest, so the swarm mux encodes slices of its

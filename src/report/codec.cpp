@@ -266,6 +266,9 @@ std::shared_ptr<const TsReport> ReportCodec::decodeTs(
   const bool extended = reader.read(1) != 0;
   const sim::SimTime now = dequantize(reader.read(sizes_.timestampBits));
   const sim::SimTime coverage = dequantize(reader.read(sizes_.timestampBits));
+  // No encoder writes coverage after the broadcast time; a frame that does
+  // is forged or corrupt, and TsReport refuses to be built from it.
+  if (coverage > now) return nullptr;
   const auto count = reader.read(kCountBits);
   if (!reader.fits(count, sizes_.itemIdBits() + sizes_.timestampBits))
     return nullptr;

@@ -4,6 +4,8 @@
 #include <string>
 #include <string_view>
 
+#include "report/report.hpp"
+
 namespace mci::schemes {
 
 /// Every invalidation scheme the library implements. The paper simulates
@@ -48,6 +50,31 @@ inline constexpr SchemeKind kPaperSchemes[] = {
     case SchemeKind::kAaw: return "AAW";
   }
   return "?";
+}
+
+/// True when the client of scheme `k` takes a report of kind `r`; its
+/// ClientScheme::onReport checks the kind and refuses any other, so a live
+/// client drops such a report as a bad frame before it gets there. The
+/// adaptive clients take the TS window, its AAW extension and the BS reply
+/// to a check; every other scheme takes the one kind its server builds.
+[[nodiscard]] constexpr bool clientTakesReport(SchemeKind k,
+                                               report::ReportKind r) {
+  switch (k) {
+    case SchemeKind::kTs:
+    case SchemeKind::kAt:
+    case SchemeKind::kDts:
+    case SchemeKind::kTsChecking:
+    case SchemeKind::kGcore:
+      return r == report::ReportKind::kTsWindow;
+    case SchemeKind::kSig:
+      return r == report::ReportKind::kSignature;
+    case SchemeKind::kBs:
+      return r == report::ReportKind::kBitSeq;
+    case SchemeKind::kAfw:
+    case SchemeKind::kAaw:
+      return r != report::ReportKind::kSignature;
+  }
+  return false;
 }
 
 /// The figures' legend labels.

@@ -200,15 +200,7 @@ void SwarmEmulator::onWelcome(const live::wire::Welcome& w) {
         "server runs something else");
   }
 
-  cfg_ = opts_.cfg;
-  cfg_.scheme = scheme;
-  cfg_.dbSize = w.dbSize;
-  cfg_.numClients = w.numClients;
-  cfg_.broadcastPeriod = w.broadcastPeriod;
-  cfg_.windowIntervals = w.windowIntervals;
-  cfg_.timestampBits = w.timestampBits;
-  cfg_.dataItemBytes = w.dataItemBytes;
-  cfg_.controlMessageBytes = w.controlMessageBytes;
+  cfg_ = live::wire::configFromWelcome(opts_.cfg, w);
 
   sizes_ = cfg_.sizeModel();
   codec_ = std::make_unique<report::ReportCodec>(sizes_);

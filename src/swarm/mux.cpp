@@ -1,9 +1,6 @@
 #include "swarm/mux.hpp"
 
-#include <arpa/inet.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -28,49 +25,36 @@ UplinkMux::~UplinkMux() {
   reactor_.retireOwner(owner_);
 }
 
-std::uint16_t UplinkMux::boundPort(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    return 0;
-  }
-  return ntohs(addr.sin_port);
-}
-
 void UplinkMux::openDownlink(Link& link, std::uint32_t ipv4,
                              std::uint32_t mcastIpv4, std::uint16_t mcastPort) {
-  link.udpFd = live::openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
   // The whole swarm's IR stream funnels through one socket per shard;
   // give the kernel room for a tick burst that the engine is still
   // chewing on (best effort — the cap may clamp it).
-  const int rcvbuf = 1 << 21;
-  ::setsockopt(link.udpFd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  constexpr int kReceiveBufferBytes = 1 << 21;
+  link.downlink = live::openDownlinkUdp(ipv4, mcastIpv4, mcastPort,
+                                        kReceiveBufferBytes);
   Link* lp = &link;
-  link.udpReg = reactor_.addFd(
-      link.udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
-      owner_);
-}
-
-void UplinkMux::closeDownlink(Link& link) {
-  if (link.udpFd < 0) return;
-  reactor_.removeFd(link.udpReg);
-  ::close(link.udpFd);
-  link.udpFd = -1;
+  link.downlink.watch(
+      reactor_, reactor_.addFd(
+                    link.downlink.fd(), EPOLLIN,
+                    [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_));
 }
 
 std::unique_ptr<UplinkMux::Conn> UplinkMux::dialConn(std::uint32_t shard,
                                                      std::uint32_t endpoint,
                                                      std::uint32_t ipv4,
                                                      std::uint16_t tcpPort) {
-  const int fd = live::dialTcp(ipv4, tcpPort);
-  if (fd < 0) throw std::runtime_error("swarm mux: connect failed");
   auto conn = std::make_unique<Conn>();
   conn->shard = shard;
   conn->endpoint = endpoint;
-  conn->tcp.adopt(reactor_, fd);
+  conn->tcp.adopt(reactor_, live::dialTcp(ipv4, tcpPort));
+  if (!conn->tcp.isOpen()) {
+    throw std::runtime_error("swarm mux: connect failed");
+  }
   Conn* cp = conn.get();
-  conn->reg = reactor_.addFd(
-      fd, EPOLLIN, [this, cp](std::uint32_t ev) { onTcp(*cp, ev); }, owner_);
+  conn->tcp.watch(reactor_.addFd(
+      conn->tcp.fd(), EPOLLIN,
+      [this, cp](std::uint32_t ev) { onTcp(*cp, ev); }, owner_));
   return conn;
 }
 
@@ -86,19 +70,16 @@ void UplinkMux::sendHello(Conn& conn, std::uint16_t udpPort) {
 }
 
 void UplinkMux::connect() {
-  in_addr seed{};
-  if (::inet_pton(AF_INET, opts_.host.c_str(), &seed) != 1) {
-    throw std::runtime_error("swarm mux: bad host " + opts_.host);
-  }
+  const std::optional<std::uint32_t> seed = live::parseIpv4(opts_.host);
+  if (!seed) throw std::runtime_error("swarm mux: bad host " + opts_.host);
   // Seed link at slot 0 until the Welcome names its shard; its downlink is
   // unicast-bound now and swapped if the shard turns out to be multicast.
   // Stored before anything is registered, so closeAll() reaches every fd
   // even if a dial throws.
   Link& link = *links_.emplace_back(std::make_unique<Link>());
-  openDownlink(link, ntohl(seed.s_addr), 0, 0);
-  link.conns.push_back(
-      dialConn(kUnknownShard, 0, ntohl(seed.s_addr), opts_.port));
-  sendHello(*link.conns.front(), boundPort(link.udpFd));
+  openDownlink(link, *seed, 0, 0);
+  link.conns.push_back(dialConn(kUnknownShard, 0, *seed, opts_.port));
+  sendHello(*link.conns.front(), link.downlink.boundPort());
 }
 
 void UplinkMux::dialShard(std::uint32_t s) {
@@ -113,7 +94,7 @@ void UplinkMux::dialShard(std::uint32_t s) {
   // out of the unicast fan-out with port 0 (see wire::Hello), and so does
   // every endpoint of a multicast shard.
   const std::uint16_t downlinkPort =
-      ep.multicastIpv4 != 0 ? 0 : boundPort(link.udpFd);
+      ep.multicastIpv4 != 0 ? 0 : link.downlink.boundPort();
   for (auto e = static_cast<std::uint32_t>(link.conns.size());
        e < opts_.endpointsPerShard; ++e) {
     link.conns.push_back(dialConn(s, e, ep.ipv4, ep.tcpPort));
@@ -136,7 +117,6 @@ void UplinkMux::buildCluster(const live::wire::Welcome& w) {
   if (seedEp.multicastIpv4 != 0) {
     // The seed downlink was dialed unicast before the map was known, but
     // this shard only broadcasts to its group: swap in a joined socket.
-    closeDownlink(*seedLink);
     openDownlink(*seedLink, seedEp.ipv4, seedEp.multicastIpv4,
                  seedEp.multicastPort);
   }
@@ -187,11 +167,11 @@ void UplinkMux::onTcp(Conn& conn, std::uint32_t events) {
 void UplinkMux::onUdpIo(Link& link, std::uint32_t events) {
   if ((events & EPOLLIN) == 0) return;
   stats_.udpRecvSyscalls += udpReceiver_.drain(
-      link.udpFd, [&](const std::uint8_t* data, std::size_t len) {
+      link.downlink.fd(), [&](const std::uint8_t* data, std::size_t len) {
         handleDatagram(link, data, len);
         // A kMapUpdate may have retired the link (reshard shrink): its
         // downlink is already closed, drop the rest.
-        return link.udpFd >= 0;
+        return link.downlink.isOpen();
       });
 }
 
@@ -418,7 +398,7 @@ void UplinkMux::applyMapUpdate(std::span<const std::uint8_t> payload) {
     // Endpoint retired: the IR downlink dies now, uplink conns drain
     // their in-flight replies (grace-served by the retiring daemon).
     l->shard = kUnknownShard;
-    closeDownlink(*l);
+    l->downlink.close();
     for (auto& c : l->conns) {
       c->draining = true;
       maybeCloseDrained(*c);
@@ -445,9 +425,7 @@ void UplinkMux::applyMapUpdate(std::span<const std::uint8_t> payload) {
 void UplinkMux::maybeCloseDrained(Conn& conn) {
   if (!conn.draining || !conn.tcp.isOpen()) return;
   if (!conn.fetchQueue.empty() || !conn.ackQueue.empty()) return;
-  // Quiet close, no Bye: the retiring daemon may already be gone.
-  reactor_.removeFd(conn.reg);
-  conn.tcp.close();
+  conn.tcp.close();  // quiet, no Bye: the retiring daemon may be gone
 }
 
 bool UplinkMux::sendArena(Conn& conn) {
@@ -459,7 +437,6 @@ bool UplinkMux::sendArena(Conn& conn) {
 
 void UplinkMux::dropConn(Conn& conn) {
   if (!conn.tcp.isOpen()) return;
-  reactor_.removeFd(conn.reg);
   conn.tcp.close();
   // A draining conn's EOF is the retiring daemon going away on schedule,
   // not a failure.
@@ -488,13 +465,8 @@ void UplinkMux::closeAll() {
   for (auto* linkSet : {&links_, &drainingLinks_}) {
     for (auto& link : *linkSet) {
       if (link == nullptr) continue;
-      for (auto& connPtr : link->conns) {
-        if (connPtr->tcp.isOpen()) {
-          reactor_.removeFd(connPtr->reg);
-          connPtr->tcp.close();
-        }
-      }
-      closeDownlink(*link);
+      for (auto& connPtr : link->conns) connPtr->tcp.close();
+      link->downlink.close();
     }
   }
 }

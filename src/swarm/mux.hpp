@@ -1,7 +1,5 @@
 #pragma once
 
-#include <netinet/in.h>
-
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -248,7 +246,6 @@ class UplinkMux {
     /// queues drain (in-flight replies are grace-served by the retiring
     /// daemon). Never counted as a lost connection.
     bool draining = false;
-    live::Reactor::FdHandle reg;  ///< reactor registration of tcp's fd
     Ring<PendingFetch> fetchQueue;   ///< kDataItem correlation, FIFO
     Ring<std::uint32_t> ackQueue;    ///< kCheckAck correlation, FIFO
     std::vector<db::ItemId> staged;  ///< this tick's fetch items, in order
@@ -257,8 +254,7 @@ class UplinkMux {
   /// One shard's downlink plus its endpoint fan.
   struct Link {
     std::uint32_t shard = kUnknownShard;
-    int udpFd = -1;
-    live::Reactor::FdHandle udpReg;  ///< downlink registration
+    live::Socket downlink;
     std::vector<std::unique_ptr<Conn>> conns;
   };
 
@@ -266,11 +262,10 @@ class UplinkMux {
                                                std::uint32_t endpoint,
                                                std::uint32_t ipv4,
                                                std::uint16_t tcpPort);
-  /// Opens and registers link.udpFd (group-joined when mcastIpv4 != 0).
+  /// Opens and registers the link's downlink (group-joined when mcastIpv4
+  /// != 0), closing the one it replaces.
   void openDownlink(Link& link, std::uint32_t ipv4, std::uint32_t mcastIpv4,
                     std::uint16_t mcastPort);
-  void closeDownlink(Link& link);
-  [[nodiscard]] static std::uint16_t boundPort(int fd);
   void sendHello(Conn& conn, std::uint16_t udpPort);
   void buildCluster(const live::wire::Welcome& w);
   /// Gives shard `s` of map_ a downlink if it has none and dials its

@@ -4,6 +4,7 @@
 
 #include "live/frame_stream.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -34,15 +35,14 @@ class FrameStreamTest : public ::testing::Test {
     const int tiny = 1;  // the kernel clamps this to its minimum
     ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof tiny);
     peer_ = sv[1];
-    stream_.adopt(reactor_, sv[0]);
-    reg_ = reactor_.addFd(sv[0], EPOLLIN, [this](std::uint32_t ev) {
+    stream_.adopt(reactor_, Socket(sv[0]));
+    stream_.watch(reactor_.addFd(sv[0], EPOLLIN, [this](std::uint32_t ev) {
       events_ |= ev;
       if ((ev & EPOLLOUT) != 0) flushOk_ = flushOk_ && stream_.flush();
-    });
+    }));
   }
 
   void TearDown() override {
-    reactor_.removeFd(reg_);
     stream_.close();
     if (peer_ >= 0) ::close(peer_);
   }
@@ -65,7 +65,6 @@ class FrameStreamTest : public ::testing::Test {
 
   Reactor reactor_;
   FrameStream stream_;
-  Reactor::FdHandle reg_;
   int peer_ = -1;
   std::uint32_t events_ = 0;
   bool flushOk_ = true;
@@ -144,11 +143,40 @@ TEST(FrameStream, SendToAClosedPeerFailsWithoutSigpipe) {
             0);
   ::close(sv[1]);
   FrameStream stream;
-  stream.adopt(reactor, sv[0]);
-  const Reactor::FdHandle reg =
-      reactor.addFd(sv[0], EPOLLIN, [](std::uint32_t) {});
+  stream.adopt(reactor, Socket(sv[0]));
+  stream.watch(reactor.addFd(sv[0], EPOLLIN, [](std::uint32_t) {}));
   EXPECT_FALSE(stream.send(frameOf(wire::FrameType::kBye, {})));
-  reactor.removeFd(reg);
+  stream.close();
+  EXPECT_EQ(reactor.fdCount(), 0u) << "close() kept the registration";
+}
+
+// A Socket owns its fd and its registration: moving hands both over,
+// assigning over an open socket closes the old one (registration first),
+// and close() is idempotent.
+TEST(Socket, ClosesItsFdAndRegistrationExactlyOnce) {
+  Reactor reactor;
+  constexpr std::uint32_t kLoopback = 0x7F000001u;
+  Socket a = openDownlinkUdp(kLoopback, 0, 0);
+  ASSERT_TRUE(a.isOpen());
+  EXPECT_NE(a.boundPort(), 0u);
+  const int firstFd = a.fd();
+  a.watch(reactor, reactor.addFd(firstFd, EPOLLIN, [](std::uint32_t) {}));
+  ASSERT_EQ(reactor.fdCount(), 1u);
+
+  Socket b = std::move(a);
+  EXPECT_EQ(b.fd(), firstFd);
+  EXPECT_EQ(reactor.fdCount(), 1u);
+
+  b = openDownlinkUdp(kLoopback, 0, 0);
+  EXPECT_TRUE(b.isOpen());
+  EXPECT_NE(b.fd(), firstFd);
+  EXPECT_EQ(reactor.fdCount(), 0u) << "the old socket kept its registration";
+  EXPECT_EQ(::fcntl(firstFd, F_GETFD), -1) << "the old socket's fd is open";
+
+  b.close();
+  b.close();
+  EXPECT_FALSE(b.isOpen());
+  EXPECT_EQ(b.boundPort(), 0u);
 }
 
 TEST_F(FrameStreamTest, CorkedSendsBelowAChunkMakeNoSyscall) {

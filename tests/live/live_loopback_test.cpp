@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <span>
@@ -29,6 +30,7 @@
 #include "live/client_agent.hpp"
 #include "live/cluster.hpp"
 #include "live/wire.hpp"
+#include "report/bs_report.hpp"
 #include "report/codec.hpp"
 #include "report/ts_report.hpp"
 
@@ -578,6 +580,193 @@ TEST(LiveLoopback, FourShardClusterAfwMatchesSimulation) {
 
 TEST(LiveLoopback, FourShardClusterAawMatchesSimulation) {
   expectClusterMatchesSim(schemes::SchemeKind::kAaw);
+}
+
+/// Open fds of this process, as /proc/self/fd lists them.
+std::size_t openFdCount() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A daemon that fails to start throws and leaves neither an fd nor a
+// reactor registration behind, whichever step refused it.
+TEST(LiveLoopback, ServerThatFailsToStartLeavesNoFdOpen) {
+  Reactor reactor;
+  ServerOptions ok;
+  ok.cfg = baseConfig(schemes::SchemeKind::kAaw);
+  const BroadcastServer holder(reactor, ok);  // holds a TCP port
+
+  ServerOptions badBind = ok;
+  badBind.bindAddress = "not-an-address";
+  ServerOptions badGroup = ok;
+  badGroup.multicastGroup = "10.0.0.1";  // not in 224.0.0.0/4
+  badGroup.multicastPort = 47862;
+  ServerOptions portInUse = ok;
+  portInUse.tcpPort = holder.tcpPort();
+
+  for (const ServerOptions* opts : {&badBind, &badGroup, &portInUse}) {
+    const std::size_t fdsBefore = openFdCount();
+    const std::size_t regsBefore = reactor.fdCount();
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      EXPECT_THROW((void)std::make_unique<BroadcastServer>(reactor, *opts),
+                   std::runtime_error);
+    }
+    EXPECT_EQ(openFdCount(), fdsBefore) << "bind address "
+                                        << opts->bindAddress << ", group '"
+                                        << opts->multicastGroup << "', port "
+                                        << opts->tcpPort;
+    EXPECT_EQ(reactor.fdCount(), regsBefore);
+  }
+}
+
+/// A hand-rolled one-shard daemon: it welcomes one agent into a TS cluster
+/// of itself, then speaks to the agent's downlink with whatever datagrams
+/// a test forges. Raw sockets on purpose, so nothing it sends passes
+/// through the server's encoders.
+class ForgingDaemon {
+ public:
+  static constexpr std::uint32_t kLoopback = 0x7F000001u;
+
+  ForgingDaemon() {
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(listenFd_, 0);
+    sockaddr_in addr = loopback(0);
+    EXPECT_EQ(
+        ::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(listenFd_, 1), 0);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(
+        ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+    udpFd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(udpFd_, 0);
+  }
+  ~ForgingDaemon() {
+    if (connFd_ >= 0) ::close(connFd_);
+    ::close(udpFd_);
+    ::close(listenFd_);
+  }
+  ForgingDaemon(const ForgingDaemon&) = delete;
+  ForgingDaemon& operator=(const ForgingDaemon&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// Accepts the agent's dial, reads its Hello (sent at connect) and
+  /// welcomes it with `w`, completed with this daemon's one-shard map.
+  void welcome(wire::Welcome w) {
+    connFd_ = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
+    ASSERT_GE(connFd_, 0);
+    wire::FrameBuffer in;
+    std::optional<wire::FrameView> hello;
+    std::uint8_t buf[512];
+    while (!(hello = in.next())) {
+      const ssize_t n = ::recv(connFd_, buf, sizeof buf, 0);
+      ASSERT_GT(n, 0) << "no Hello";
+      in.append(buf, static_cast<std::size_t>(n));
+    }
+    ASSERT_EQ(hello->header.type, wire::FrameType::kHello);
+    const std::optional<wire::Hello> h = wire::decodeHello(hello->payload);
+    ASSERT_TRUE(h.has_value());
+    downlinkPort_ = h->udpPort;
+    w.shardMap = ShardMap::single(
+        ShardEndpoint{.ipv4 = kLoopback, .tcpPort = port_});
+    const std::span<const std::uint8_t> frame = arena_.build(
+        wire::FrameType::kWelcome, net::TrafficClass::kControl, w,
+        wire::encodeWelcomeInto);
+    ASSERT_EQ(::send(connFd_, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  /// One kReport datagram carrying `payload` to the agent's downlink.
+  void sendReport(const std::vector<std::uint8_t>& payload) {
+    report::BitWriter w = arena_.begin(wire::FrameType::kReport,
+                                       wire::kNoScheme,
+                                       net::TrafficClass::kInvalidationReport);
+    for (std::uint8_t b : payload) w.write(b, 8);
+    arena_.finish(w);
+    const sockaddr_in to = loopback(downlinkPort_);
+    EXPECT_EQ(::sendto(udpFd_, arena_.frame().data(), arena_.frame().size(),
+                       0, reinterpret_cast<const sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(arena_.frame().size()));
+  }
+
+ private:
+  static sockaddr_in loopback(std::uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(kLoopback);
+    addr.sin_port = htons(port);
+    return addr;
+  }
+
+  int listenFd_ = -1;
+  int connFd_ = -1;
+  int udpFd_ = -1;
+  std::uint16_t port_ = 0;
+  std::uint16_t downlinkPort_ = 0;
+  wire::FrameArena arena_;
+};
+
+// CRC-valid IR datagrams a live client must survive: a TS report whose
+// coverage starts after its broadcast time, and a well-formed report of a
+// kind the agent's scheme cannot take (BS, sent to a TS agent). Each is
+// counted as a bad frame and dropped; the agent stays connected.
+TEST(LiveLoopback, ForgedReportDatagramsAreDroppedNotFatal) {
+  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kTs);
+  cfg.meanThinkTime = 1e6;  // no query while the test runs
+
+  Reactor reactor;
+  ForgingDaemon daemon;
+  AgentOptions agentOpts;
+  agentOpts.cfg = cfg;
+  agentOpts.port = daemon.port();
+  agentOpts.sendAudit = false;
+  ClientPool pool(reactor, agentOpts);
+  pool.start();
+
+  wire::Welcome w;
+  w.scheme = static_cast<std::uint8_t>(schemes::SchemeKind::kTs);
+  w.dbSize = static_cast<std::uint32_t>(cfg.dbSize);
+  w.numClients = 1;
+  w.cacheCapacity = 100;
+  w.dataItemBytes = static_cast<std::uint32_t>(cfg.dataItemBytes);
+  w.controlMessageBytes = static_cast<std::uint32_t>(cfg.controlMessageBytes);
+  w.broadcastPeriod = cfg.broadcastPeriod;
+  w.windowIntervals = static_cast<std::uint16_t>(cfg.windowIntervals);
+  daemon.welcome(w);
+  for (int round = 0; round < 1000 && pool.welcomedCount() == 0; ++round) {
+    reactor.runOnce(1);
+  }
+  ASSERT_EQ(pool.welcomedCount(), 1u);
+
+  const report::SizeModel sizes =
+      wire::configFromWelcome(cfg, w).sizeModel();
+  const report::ReportCodec codec(sizes);
+  report::BitWriter forged;
+  forged.write(0, 2);  // kind: TS, not extended
+  forged.write(0, 1);
+  forged.write(codec.quantize(1.0), sizes.timestampBits);  // broadcast
+  forged.write(codec.quantize(5.0), sizes.timestampBits);  // coverage
+  forged.write(0, 24);                                     // no records
+  db::UpdateHistory history(cfg.dbSize);
+  history.record(3, 0.5);
+  const std::uint64_t badBefore = pool.stats().badFrames;
+  daemon.sendReport(forged.finish());
+  daemon.sendReport(codec.encode(*report::BsReport::build(history, sizes, 1.0)));
+
+  for (int round = 0;
+       round < 1000 && pool.stats().badFrames < badBefore + 2; ++round) {
+    reactor.runOnce(1);
+  }
+  EXPECT_EQ(pool.stats().badFrames, badBefore + 2);
+  EXPECT_EQ(pool.stats().reportsHeard, 0u);
+  EXPECT_EQ(pool.aliveCount(), 1u);
+  EXPECT_EQ(pool.stats().connectionsLost, 0u);
+  pool.shutdown();
 }
 
 /// Multicast downlink: one datagram per IR serves every agent that joined

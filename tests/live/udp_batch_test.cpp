@@ -63,6 +63,18 @@ std::vector<std::string> drainAll(UdpBatchReceiver& rx, int fd,
   }
 }
 
+/// Datagrams waiting on `fd`, counted through drain(), which works on both
+/// sides of the recvmmsg probe.
+std::size_t drainCount(int fd) {
+  UdpBatchReceiver rx;
+  std::size_t n = 0;
+  rx.drain(fd, [&](const std::uint8_t*, std::size_t) {
+    ++n;
+    return true;
+  });
+  return n;
+}
+
 TEST(UdpBatchReceiver, ShortReadsKeepExactDatagramLengths) {
   if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
   BoundSocket rxSock;
@@ -149,8 +161,10 @@ TEST(UdpBatchReceiver, TransientErrorIsNotReportedAsFallback) {
   EXPECT_FALSE(fellBack);
 }
 
+// sendToMany falls back to one sendto per destination by itself, so the
+// sender cases run on both sides of the probe; only the syscall count
+// differs.
 TEST(UdpBatchSender, FanOutAboveBatchSplitsIntoMinimalSyscalls) {
-  if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
   BoundSocket rxSock;
   BoundSocket txSock;
   const std::size_t fanOut = 150;  // ceil(150 / 64) == 3 kernel entries
@@ -160,17 +174,14 @@ TEST(UdpBatchSender, FanOutAboveBatchSplitsIntoMinimalSyscalls) {
   UdpBatchSender tx;
   const UdpBatchSender::Result res =
       tx.sendToMany(txSock.fd, payload, sizeof payload, dests);
-  EXPECT_FALSE(res.fellBack);
-  EXPECT_EQ(res.syscalls, 3u);
+  EXPECT_EQ(res.syscalls, UdpBatchSender::available() ? 3u : fanOut);
   EXPECT_EQ(res.sent, fanOut);
   EXPECT_EQ(res.failed, 0u);
 
-  UdpBatchReceiver rx;
-  EXPECT_EQ(drainAll(rx, rxSock.fd).size(), fanOut);
+  EXPECT_EQ(drainCount(rxSock.fd), fanOut);
 }
 
 TEST(UdpBatchSender, MidBatchRefusedDestinationIsCountedAndSkipped) {
-  if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
   BoundSocket rxSock;
   BoundSocket txSock;
   // The limited-broadcast address without SO_BROADCAST is refused (EACCES)
@@ -186,16 +197,13 @@ TEST(UdpBatchSender, MidBatchRefusedDestinationIsCountedAndSkipped) {
   UdpBatchSender tx;
   const UdpBatchSender::Result res =
       tx.sendToMany(txSock.fd, payload, sizeof payload, dests);
-  EXPECT_FALSE(res.fellBack);
   EXPECT_EQ(res.failed, 1u);
   EXPECT_EQ(res.sent, 3u);
 
-  UdpBatchReceiver rx;
-  EXPECT_EQ(drainAll(rx, rxSock.fd).size(), 3u);
+  EXPECT_EQ(drainCount(rxSock.fd), 3u);
 }
 
 TEST(UdpBatchSender, EmptyFanOutCostsNothing) {
-  if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
   BoundSocket txSock;
   UdpBatchSender tx;
   const std::uint8_t payload[] = {0};

@@ -46,12 +46,14 @@ TEST(Json, SimResultRoundTripsKeyFields) {
 }
 
 TEST(Json, FigureDataSchema) {
-  FigureData d;
-  d.title = "Figure \"5\"";
-  d.xLabel = "N";
-  d.yLabel = "queries";
-  d.xs = {1, 2};
-  d.series = {{"AAW", {3.5, 4.0}, {}}, {"BS", {1.0, 2.0}, {0.1, 0.2}}};
+  const FigureData d{
+      .title = "Figure \"5\"",
+      .subtitle = "",
+      .xLabel = "N",
+      .yLabel = "queries",
+      .xs = {1, 2},
+      .series = {{"AAW", {3.5, 4.0}, {}}, {"BS", {1.0, 2.0}, {0.1, 0.2}}},
+  };
   const std::string j = toJson(d);
   EXPECT_NE(j.find("\"title\":\"Figure \\\"5\\\"\""), std::string::npos);
   EXPECT_NE(j.find("\"xs\":[1,2]"), std::string::npos);

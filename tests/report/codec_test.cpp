@@ -272,6 +272,37 @@ TEST(ReportCodec, RejectsWrongKindAndTruncation) {
   EXPECT_FALSE(codec.peekKind(empty).has_value());
 }
 
+/// A TS window payload laid out field by field (kind 0, not extended,
+/// broadcast time, coverage start, no records), so the two times can say
+/// what no encoder would.
+std::vector<std::uint8_t> tsPayload(const ReportCodec& codec,
+                                    const SizeModel& sizes, double now,
+                                    double coverageStart) {
+  BitWriter w;
+  w.write(0, 2);  // kind: TS
+  w.write(0, 1);  // not extended
+  w.write(codec.quantize(now), sizes.timestampBits);
+  w.write(codec.quantize(coverageStart), sizes.timestampBits);
+  w.write(0, 24);  // record count
+  return w.finish();
+}
+
+// Coverage that starts after the broadcast time is forged or corrupt: no
+// encoder writes it and TsReport refuses to be built from it, so both
+// decoders refuse the frame rather than abort on it.
+TEST(ReportCodec, RefusesCoverageStartingAfterTheBroadcastTime) {
+  const auto sizes = model();
+  ReportCodec codec(sizes);
+  const std::vector<std::uint8_t> honest = tsPayload(codec, sizes, 5.0, 1.0);
+  ASSERT_NE(codec.decodeTs(honest), nullptr) << "layout control";
+  EXPECT_NE(codec.decodeAny(honest), nullptr);
+
+  const std::vector<std::uint8_t> forged = tsPayload(codec, sizes, 1.0, 5.0);
+  EXPECT_EQ(codec.peekKind(forged), ReportKind::kTsWindow);
+  EXPECT_EQ(codec.decodeTs(forged), nullptr);
+  EXPECT_EQ(codec.decodeAny(forged), nullptr);
+}
+
 TEST(ReportCodec, GarbageFramesNeverCrash) {
   const auto sizes = model(500);
   ReportCodec codec(sizes);

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+
+#include "core/config.hpp"
+#include "core/scheme_factory.hpp"
+#include "db/database.hpp"
+#include "db/update_history.hpp"
+#include "report/sig_report.hpp"
 
 namespace mci::schemes {
 namespace {
@@ -48,6 +55,31 @@ TEST(Factory, PaperSchemesMatchTheFiguresLegend) {
   EXPECT_STREQ(schemeLegend(SchemeKind::kAaw), "adaptive with adjusting window");
   EXPECT_STREQ(schemeLegend(SchemeKind::kBs), "bit sequences");
   EXPECT_STREQ(schemeLegend(SchemeKind::kTs), "TS");
+}
+
+// The live client drops a report whose kind clientTakesReport refuses, so
+// the table must accept what every scheme's own server broadcasts.
+TEST(Factory, EveryClientTakesItsServersReport) {
+  for (SchemeKind k : kAllSchemes) {
+    core::SimConfig cfg;
+    cfg.scheme = k;
+    cfg.dbSize = 200;
+    const report::SizeModel sizes = cfg.sizeModel();
+    db::UpdateHistory history(cfg.dbSize);
+    db::Database db(cfg.dbSize);
+    db.applyUpdate(7, 3.0);
+    history.record(7, 3.0);
+    std::unique_ptr<report::SignatureTable> sigTable;
+    if (k == SchemeKind::kSig) {
+      sigTable = std::make_unique<report::SignatureTable>(
+          cfg.dbSize, cfg.sigSubsets, cfg.sigPerItem, 1);
+    }
+    const auto server =
+        core::makeServerScheme(cfg, history, db, sizes, sigTable.get());
+    const report::ReportPtr r = server->buildReport(cfg.broadcastPeriod);
+    EXPECT_TRUE(clientTakesReport(k, r->kind))
+        << schemeName(k) << " refuses " << report::reportKindName(r->kind);
+  }
 }
 
 }  // namespace

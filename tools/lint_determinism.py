@@ -24,6 +24,15 @@ Banned patterns
    guard input from outside the program (config, CLI, wire) and
    MCI_DCHECK (Debug and sanitizer builds) for the rest; both live in
    src/core/check.hpp. `static_assert` is a different thing and passes.
+6. Socket-family syscalls in src/ outside the live socket toolkit
+   (src/live/frame_stream.cpp, src/live/udp_batch.cpp): `::socket`,
+   `::bind`, `::listen`, `::accept`/`::accept4`, `::connect`,
+   `::setsockopt`, `::getsockname`, `::sendto`, `::sendmmsg`, `::recv`
+   and `::recvmmsg`. Every live socket is opened, owned and closed behind
+   that one seam (live::Socket, live::FrameStream, the batched UDP
+   calls), which is where a simulated transport or injected network
+   faults plug in. bench/ is exempt: bench_live times raw syscalls on
+   purpose.
 
 An earlier rule 5 (range-for over unordered containers) moved to the
 AST-based `ordered-iteration` rule in tools/analyze/mci_analyze.py, which
@@ -55,6 +64,9 @@ EXTENSIONS = {".cpp", ".hpp", ".h", ".cc"}
 
 # Files allowed to construct raw engines / touch entropy primitives.
 RNG_ALLOWLIST = ("src/sim/random.hpp", "src/sim/random.cpp")
+# The live socket toolkit: the only files that make socket syscalls.
+SOCKET_ALLOWLIST = ("src/live/frame_stream.cpp", "src/live/udp_batch.cpp")
+
 # Files allowed to read host clocks (wall-time measurement of the harness
 # itself, never of simulated quantities).
 WALLTIME_ALLOWLIST = ("src/metrics/walltime.hpp", "src/metrics/walltime.cpp")
@@ -97,6 +109,17 @@ SIMPLE_RULES = [
         "raw assert() is compiled out of Release builds; use MCI_CHECK "
         "(outside input) or MCI_DCHECK (internal invariant) from "
         "core/check.hpp",
+    ),
+    (
+        re.compile(
+            r"(?<![\w:])::\s*(socket|bind|listen|accept4?|connect|setsockopt"
+            r"|getsockname|sendto|sendmmsg|recv|recvmmsg)\s*\("
+        ),
+        ("src",),
+        SOCKET_ALLOWLIST,
+        "raw socket syscall outside the live socket toolkit; open, use and "
+        "close sockets through live::Socket / FrameStream / udp_batch "
+        "(src/live/frame_stream.*, src/live/udp_batch.*)",
     ),
 ]
 
