@@ -259,31 +259,48 @@ void ReportCodec::encodeInto(const TsReport& r, BitWriter& w) const {
   }
 }
 
-std::shared_ptr<const TsReport> ReportCodec::decodeTs(
-    std::span<const std::uint8_t> frame) const {
+std::optional<TsHeader> ReportCodec::readTs(
+    std::span<const std::uint8_t> frame,
+    std::vector<TsRecord>& records) const {
   BitReader reader(frame);
-  if (reader.read(kKindBits) != kindCode(ReportKind::kTsWindow)) return nullptr;
-  const bool extended = reader.read(1) != 0;
-  const sim::SimTime now = dequantize(reader.read(sizes_.timestampBits));
-  const sim::SimTime coverage = dequantize(reader.read(sizes_.timestampBits));
-  // No encoder writes coverage after the broadcast time; a frame that does
-  // is forged or corrupt, and TsReport refuses to be built from it.
-  if (coverage > now) return nullptr;
+  if (reader.read(kKindBits) != kindCode(ReportKind::kTsWindow))
+    return std::nullopt;
+  TsHeader h;
+  h.kind = reader.read(1) != 0 ? ReportKind::kTsExtended
+                               : ReportKind::kTsWindow;
+  h.now = reader.read(sizes_.timestampBits);
+  h.coverage = reader.read(sizes_.timestampBits);
+  if (h.coverage > h.now) return std::nullopt;
   const auto count = reader.read(kCountBits);
   if (!reader.fits(count, sizes_.itemIdBits() + sizes_.timestampBits))
-    return nullptr;
-  std::vector<db::UpdateRecord> entries;
-  entries.reserve(count);
-  for (std::uint64_t i = 0; i < count && reader.ok(); ++i) {
-    db::UpdateRecord rec;
-    rec.item = static_cast<db::ItemId>(reader.read(sizes_.itemIdBits()));
-    rec.time = dequantize(reader.read(sizes_.timestampBits));
-    entries.push_back(rec);
+    return std::nullopt;
+  records.clear();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t item = reader.read(sizes_.itemIdBits());
+    const std::uint64_t tick = reader.read(sizes_.timestampBits);
+    if (item >= sizes_.numItems) return std::nullopt;
+    // No reserve(count): report sizes creep up between reports, and an
+    // exact reserve would reallocate at every new high-water mark, where
+    // push_back's geometric growth reaches it in a few steps.
+    // MCI-ANALYZE-ALLOW(hot-path-alloc): record scratch, high-water only
+    records.push_back({static_cast<db::ItemId>(item), tick});
   }
-  if (!reader.ok()) return nullptr;
-  return TsReport::fromParts(
-      extended ? ReportKind::kTsExtended : ReportKind::kTsWindow, sizes_, now,
-      coverage, std::move(entries));
+  if (!reader.ok()) return std::nullopt;
+  return h;
+}
+
+std::shared_ptr<const TsReport> ReportCodec::decodeTs(
+    std::span<const std::uint8_t> frame) const {
+  std::vector<TsRecord> records;
+  const std::optional<TsHeader> h = readTs(frame, records);
+  if (!h) return nullptr;
+  std::vector<db::UpdateRecord> entries;
+  entries.reserve(records.size());
+  for (const TsRecord& rec : records) {
+    entries.push_back({rec.item, dequantize(rec.tick)});
+  }
+  return TsReport::fromParts(h->kind, sizes_, dequantize(h->now),
+                             dequantize(h->coverage), std::move(entries));
 }
 
 std::vector<std::uint8_t> ReportCodec::encode(const BsReport& r) const {

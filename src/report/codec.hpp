@@ -101,6 +101,19 @@ class BitReader {
   bool ok_ = true;
 };
 
+/// The fixed fields of a TS window / extended report, in codec ticks.
+struct TsHeader {
+  ReportKind kind = ReportKind::kTsWindow;  ///< window or extended
+  std::uint64_t now = 0;       ///< broadcast tick T
+  std::uint64_t coverage = 0;  ///< first tick the records cover
+};
+
+/// One (item, update tick) record of a TS report, in codec ticks.
+struct TsRecord {
+  db::ItemId item = 0;
+  std::uint64_t tick = 0;
+};
+
 /// Wire codec for the invalidation reports.
 ///
 /// Timestamps are quantized to `timeQuantumSeconds` ticks in an unsigned
@@ -130,6 +143,20 @@ class ReportCodec {
   // --- TS window / extended reports ---
   [[nodiscard]] std::vector<std::uint8_t> encode(const TsReport& r) const;
   MCI_HOT void encodeInto(const TsReport& r, BitWriter& w) const;
+
+  /// The one walk over a TS frame's fields: fills `records` in wire order
+  /// (capacity reused, so it allocates only while `records` grows) and
+  /// returns the header. Returns nullopt, with `records` unspecified, when
+  /// the frame is not a TS report, is truncated, carries a count its span
+  /// cannot hold, has coverage after its broadcast time, or lists an item
+  /// id >= numItems. The last two no encoder writes: such a frame is
+  /// forged or corrupt, and an id field is wider than the database (9
+  /// bits for 500 items), so a forged id must never reach a per-item
+  /// table.
+  [[nodiscard]] std::optional<TsHeader> readTs(
+      std::span<const std::uint8_t> frame,
+      std::vector<TsRecord>& records) const;
+  /// readTs, dequantized into a TsReport.
   [[nodiscard]] std::shared_ptr<const TsReport> decodeTs(
       std::span<const std::uint8_t> frame) const;
 

@@ -17,30 +17,6 @@ constexpr std::size_t kPrefetchSlotBytes = 128;
 
 }  // namespace
 
-std::optional<TsHeader> parseTsReport(const std::uint8_t* data,
-                                      std::size_t len, int itemBits,
-                                      int tsBits, std::uint32_t dbSize,
-                                      std::vector<TsEntry>& entries) {
-  report::BitReader r({data, len});
-  if (r.read(2) != 0) return std::nullopt;
-  TsHeader h;
-  h.extended = r.read(1) != 0;
-  h.now = static_cast<Tick>(r.read(tsBits));
-  h.coverage = static_cast<Tick>(r.read(tsBits));
-  const std::uint64_t count = r.read(24);
-  if (!r.fits(count, itemBits + tsBits)) return std::nullopt;
-  entries.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t item = r.read(itemBits);
-    const auto tick = static_cast<Tick>(r.read(tsBits));
-    if (item >= dbSize) return std::nullopt;
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): entry scratch high-water only
-    entries.push_back({static_cast<db::ItemId>(item), tick});
-  }
-  if (!r.ok()) return std::nullopt;
-  return h;
-}
-
 /// One emulated client as the lifecycle's view: the SwarmState row plus
 /// the emulator's mechanics. Deadlines are polled at report ticks (tick
 /// phases (a) and (b)), so arming and cancelling them is free; `tick` is
@@ -204,8 +180,6 @@ void SwarmEmulator::onWelcome(const live::wire::Welcome& w) {
 
   sizes_ = cfg_.sizeModel();
   codec_ = std::make_unique<report::ReportCodec>(sizes_);
-  tsBits_ = sizes_.timestampBits;
-  itemBits_ = sizes_.itemIdBits();
   tlbBits_ = sizes_.tlbMessageBits();
 
   if (opts_.zipfTheta >= 0.0) {
@@ -287,44 +261,41 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
 }
 
 void SwarmEmulator::onReportPayload(std::uint32_t shard,
-                                    const std::uint8_t* data,
-                                    std::size_t len) {
+                                    std::span<const std::uint8_t> payload) {
   if (!started_) return;
-  report::BitReader r({data, len});
-  const std::uint64_t kind = r.read(2);
-  if (kind == 0) {
-    // TS window / extended report: parsed in place and bound-checked, then
-    // folded into the listed-tick table the partition passes read.
-    const std::optional<TsHeader> h = parseTsReport(
-        data, len, itemBits_, tsBits_, state_.dbSize, entries_);
+  const std::optional<report::ReportKind> kind = codec_->peekKind(payload);
+  if (kind == report::ReportKind::kTsWindow ||
+      kind == report::ReportKind::kTsExtended) {
+    // TS window / extended report: read in place by the codec's one TS
+    // reader, then folded into the listed-tick table the partition passes
+    // read.
+    const std::optional<report::TsHeader> h =
+        codec_->readTs(payload, entries_);
     if (!h) {
       ++stats_.unsupportedReports;
       return;
     }
     listedTick_.list(entries_);
     ++stats_.reportsProcessed;
-    if (h->extended) ++stats_.extendedReports;
-    tick(shard, h->now, /*isTs=*/true, h->coverage, nullptr);
+    if (h->kind == report::ReportKind::kTsExtended) ++stats_.extendedReports;
+    tick(shard, static_cast<Tick>(h->now), /*isTs=*/true,
+         static_cast<Tick>(h->coverage), nullptr);
     listedTick_.clear(entries_);
     return;
   }
-  if (kind == 1) {
-    // Helping BS report: rare (one per salvage round), so the allocating
-    // codec path is fine here — it is not part of the steady state.
-    const auto decoded = codec_->decodeBs({data, len});
-    if (!decoded) {
-      ++stats_.unsupportedReports;
-      return;
-    }
-    const auto bs = report::BsReport::fromWire(decoded->wire, sizes_,
-                                               decoded->broadcastTime);
-    ++stats_.reportsProcessed;
-    ++stats_.bsReports;
-    tick(shard, static_cast<Tick>(codec_->quantize(decoded->broadcastTime)),
-         /*isTs=*/false, 0, bs.get());
+  // Anything else goes through ClientAgent's path and rule. The adaptive
+  // client takes one other kind, the BS reply to a check: rare (one per
+  // salvage round), so the allocating decode is fine here.
+  const report::ReportPtr r = codec_->decodeAny(payload);
+  if (r == nullptr || !schemes::clientTakesReport(cfg_.scheme, r->kind)) {
+    ++stats_.unsupportedReports;
     return;
   }
-  ++stats_.unsupportedReports;
+  MCI_DCHECK(r->kind == report::ReportKind::kBitSeq);
+  ++stats_.reportsProcessed;
+  ++stats_.bsReports;
+  tick(shard, static_cast<Tick>(codec_->quantize(r->broadcastTime)),
+       /*isTs=*/false, 0, static_cast<const report::BsReport*>(r.get()));
 }
 
 void SwarmEmulator::onDataItem(std::uint32_t shard, std::uint32_t client,

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,26 +78,6 @@ struct SwarmStats {
   }
 };
 
-/// The fixed fields of a TS window / extended report.
-struct TsHeader {
-  bool extended = false;
-  Tick now = 0;       ///< broadcast tick T
-  Tick coverage = 0;  ///< first tick the entries cover
-};
-
-/// Parses a TS report payload in place, without the allocating codec:
-/// [kind:2 = 0][extended:1][T][coverage][count:24] count x [id][t], ids
-/// `itemBits` wide and times `tsBits` wide. Fills `entries` in wire order
-/// (capacity reused). Returns nullopt, with `entries` unspecified, when the
-/// payload is not a TS report, is truncated, or lists an id >= `dbSize`:
-/// an id field is wider than the database (10 bits for 1 000 items), and a
-/// forged id must never reach a per-item table. tests/swarm/swarm_test.cpp
-/// pins it against ReportCodec::decodeTs.
-std::optional<TsHeader> parseTsReport(const std::uint8_t* data,
-                                      std::size_t len, int itemBits,
-                                      int tsBits, std::uint32_t dbSize,
-                                      std::vector<TsEntry>& entries);
-
 /// Per-cohort histograms plus their exact merge (Hist::merge).
 struct SwarmCohorts {
   std::vector<metrics::Hist> aoiMs;      ///< hit age-of-information, ms
@@ -155,8 +136,8 @@ class SwarmEmulator final : public SwarmSink {
   // --- SwarmSink ---
   void onWelcome(const live::wire::Welcome& w) override;
   void onMuxReady() override;
-  void onReportPayload(std::uint32_t shard, const std::uint8_t* data,
-                       std::size_t len) override;
+  void onReportPayload(std::uint32_t shard,
+                       std::span<const std::uint8_t> payload) override;
   void onDataItem(std::uint32_t shard, std::uint32_t client, db::ItemId item,
                   db::Version version, Tick fetchTick, Tick readTick) override;
   MCI_HOT void prefetchDataItem(std::uint32_t client,
@@ -186,8 +167,6 @@ class SwarmEmulator final : public SwarmSink {
   std::unique_ptr<report::ReportCodec> codec_;
   std::optional<workload::AccessPattern> pattern_;
   std::optional<workload::ZipfGenerator> zipf_;
-  int tsBits_ = 32;
-  int itemBits_ = 14;
   double tlbBits_ = 0;  ///< SizeModel::tlbMessageBits(), sent with checks
   workload::Disconnector::Params dozeParams_;
 
@@ -196,8 +175,8 @@ class SwarmEmulator final : public SwarmSink {
   Tick lastTick_ = 0;
   std::uint32_t cacheCapacity_ = 0;  ///< from Welcome; reused at reshard
 
-  // Shared decode scratch for the current TS report (capacity reused).
-  std::vector<TsEntry> entries_;
+  // ReportCodec::readTs scratch for the current TS report (capacity reused).
+  std::vector<report::TsRecord> entries_;
   /// The current TS report's entries_ as a per-item table: listed before
   /// the sweep, cleared after it.
   ListedTicks listedTick_;

@@ -198,7 +198,7 @@ void UplinkMux::handleDatagram(Link& link, const std::uint8_t* data,
     return;
   }
   ++stats_.reportsHeard;
-  sink_.onReportPayload(link.shard, f->payload.data(), f->payload.size());
+  sink_.onReportPayload(link.shard, f->payload);
 }
 
 void UplinkMux::onTcpIo(Conn& conn, std::uint32_t events) {

@@ -29,8 +29,8 @@ class SwarmSink {
   /// Every connection of every shard has been welcomed: start the clients.
   virtual void onMuxReady() = 0;
   /// One IR frame arrived on `shard`'s downlink (the shared decode point).
-  virtual void onReportPayload(std::uint32_t shard, const std::uint8_t* data,
-                               std::size_t len) = 0;
+  virtual void onReportPayload(std::uint32_t shard,
+                               std::span<const std::uint8_t> payload) = 0;
   /// A fetched item came back, already correlated to its requesting client
   /// and the tick the fetch was issued at. `readTick` is the server's read
   /// stamp (wire readTime on the ms grid): the copy reflects every update

@@ -6,19 +6,19 @@
 
 namespace mci::swarm {
 
-void ListedTicks::list(const std::vector<TsEntry>& entries) {
+void ListedTicks::list(const std::vector<report::TsRecord>& records) {
   MCI_DCHECK(!listed_) << "list() without clear() after the last report";
   listed_ = true;
-  for (const TsEntry& e : entries) {
-    MCI_DCHECK(e.item + std::size_t{1} < tick_.size())
-        << "entry id past the table (parseTsReport bounds ids)";
-    tick_[e.item] = std::max(tick_[e.item], e.tick);
+  for (const report::TsRecord& r : records) {
+    MCI_DCHECK(r.item + std::size_t{1} < tick_.size())
+        << "record id past the table (ReportCodec::readTs bounds ids)";
+    tick_[r.item] = std::max(tick_[r.item], static_cast<Tick>(r.tick));
   }
 }
 
-void ListedTicks::clear(const std::vector<TsEntry>& entries) {
+void ListedTicks::clear(const std::vector<report::TsRecord>& records) {
   listed_ = false;
-  for (const TsEntry& e : entries) tick_[e.item] = 0;
+  for (const report::TsRecord& r : records) tick_[r.item] = 0;
 }
 
 void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,

@@ -9,6 +9,7 @@
 #include "core/check.hpp"
 #include "core/client_lifecycle.hpp"
 #include "db/item.hpp"
+#include "report/codec.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -53,17 +54,12 @@ class BitArray {
   std::size_t bits_ = 0;
 };
 
-/// One (item, update tick) record of a TS report.
-struct TsEntry {
-  db::ItemId item;
-  Tick tick;
-};
-
 /// The listed-tick table SwarmState::applyTsEntries reads: per item, the
 /// latest tick the current TS report lists it with (0 = unlisted), plus a
 /// permanent zero at index dbSize that empty slots read. list() fills it
-/// from a report's entries; clear() with the same entries zeroes just
-/// those items again, so no report pays for a memset of the whole table.
+/// from a report's records (ReportCodec::readTs); clear() with the same
+/// records zeroes just those items again, so no report pays for a memset
+/// of the whole table.
 class ListedTicks {
  public:
   ListedTicks() = default;
@@ -71,10 +67,10 @@ class ListedTicks {
   explicit ListedTicks(std::uint32_t dbSize)
       : tick_(static_cast<std::size_t>(dbSize) + 1, 0) {}
 
-  /// Raises every entry's item to the latest tick listed for it.
-  void list(const std::vector<TsEntry>& entries);
-  /// Zeroes the items `entries` listed; must follow every list().
-  void clear(const std::vector<TsEntry>& entries);
+  /// Raises every record's item to the latest tick listed for it.
+  void list(const std::vector<report::TsRecord>& records);
+  /// Zeroes the items `records` listed; must follow every list().
+  void clear(const std::vector<report::TsRecord>& records);
 
   [[nodiscard]] const Tick* data() const { return tick_.data(); }
   [[nodiscard]] Tick operator[](db::ItemId item) const { return tick_[item]; }

@@ -712,9 +712,10 @@ class ForgingDaemon {
 };
 
 // CRC-valid IR datagrams a live client must survive: a TS report whose
-// coverage starts after its broadcast time, and a well-formed report of a
-// kind the agent's scheme cannot take (BS, sent to a TS agent). Each is
-// counted as a bad frame and dropped; the agent stays connected.
+// coverage starts after its broadcast time, a well-formed report of a kind
+// the agent's scheme cannot take (BS, sent to a TS agent), and a TS report
+// listing an item id past the database. Each is counted as a bad frame and
+// dropped; the agent stays connected.
 TEST(LiveLoopback, ForgedReportDatagramsAreDroppedNotFatal) {
   core::SimConfig cfg = baseConfig(schemes::SchemeKind::kTs);
   cfg.meanThinkTime = 1e6;  // no query while the test runs
@@ -754,15 +755,22 @@ TEST(LiveLoopback, ForgedReportDatagramsAreDroppedNotFatal) {
   forged.write(0, 24);                                     // no records
   db::UpdateHistory history(cfg.dbSize);
   history.record(3, 0.5);
+  // 1 000 items take 10 bits, so a frame can name ids up to 1 023.
+  ASSERT_EQ(sizes.itemIdBits(), 10);
+  const std::vector<std::uint8_t> forgedId =
+      codec.encode(*report::TsReport::fromParts(
+          report::ReportKind::kTsWindow, sizes, 1.0, 0.0,
+          {{3, 0.5}, {1023, 0.75}}));
   const std::uint64_t badBefore = pool.stats().badFrames;
   daemon.sendReport(forged.finish());
   daemon.sendReport(codec.encode(*report::BsReport::build(history, sizes, 1.0)));
+  daemon.sendReport(forgedId);
 
   for (int round = 0;
-       round < 1000 && pool.stats().badFrames < badBefore + 2; ++round) {
+       round < 1000 && pool.stats().badFrames < badBefore + 3; ++round) {
     reactor.runOnce(1);
   }
-  EXPECT_EQ(pool.stats().badFrames, badBefore + 2);
+  EXPECT_EQ(pool.stats().badFrames, badBefore + 3);
   EXPECT_EQ(pool.stats().reportsHeard, 0u);
   EXPECT_EQ(pool.aliveCount(), 1u);
   EXPECT_EQ(pool.stats().connectionsLost, 0u);

@@ -528,6 +528,27 @@ std::vector<SliceCase> sliceCases(const ReportCodec& codec,
   };
   add("decodeTs/window", codec.encode(*ts), decodeTs);
   add("decodeTs/extended", codec.encode(*extended), decodeTs);
+  // The one TS reader hands back raw ticks: laid out again field by field
+  // they must give the payload's bytes.
+  const auto readTs = [&codec, &sizes](std::span<const std::uint8_t> b)
+      -> std::optional<std::vector<std::uint8_t>> {
+    std::vector<TsRecord> records;
+    const std::optional<TsHeader> h = codec.readTs(b, records);
+    if (!h) return std::nullopt;
+    BitWriter w;
+    w.write(0, 2);  // kind: TS
+    w.write(h->kind == ReportKind::kTsExtended ? 1 : 0, 1);
+    w.write(h->now, sizes.timestampBits);
+    w.write(h->coverage, sizes.timestampBits);
+    w.write(records.size(), 24);
+    for (const TsRecord& r : records) {
+      w.write(r.item, sizes.itemIdBits());
+      w.write(r.tick, sizes.timestampBits);
+    }
+    return w.finish();
+  };
+  add("readTs/window", codec.encode(*ts), readTs);
+  add("readTs/extended", codec.encode(*extended), readTs);
   add("decodeBs", codec.encode(*bs),
       [&codec](std::span<const std::uint8_t> b)
           -> std::optional<std::vector<std::uint8_t>> {

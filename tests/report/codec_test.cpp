@@ -178,6 +178,39 @@ TEST(ReportCodec, ExtendedReportKeepsDummySemantics) {
   EXPECT_FALSE(decoded->covers(29.0));
 }
 
+// readTs hands back the header in codec ticks and the records in wire
+// order, and reuses the caller's scratch: once it has grown, reading a
+// smaller report keeps the same storage.
+TEST(ReportCodec, ReadTsReturnsTicksInPlace) {
+  const auto sizes = model();
+  ReportCodec codec(sizes);
+  db::UpdateHistory h(1000);
+  h.record(17, 55.5);
+  h.record(444, 70.25);
+  std::vector<TsRecord> records;
+  const std::optional<TsHeader> extended = codec.readTs(
+      codec.encode(*TsReport::buildExtended(h, sizes, 100.0, 40.0)), records);
+  ASSERT_TRUE(extended.has_value());
+  EXPECT_EQ(extended->kind, ReportKind::kTsExtended);
+  EXPECT_EQ(extended->now, 100000u);
+  EXPECT_EQ(extended->coverage, 40000u);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].item, 444u);
+  EXPECT_EQ(records[0].tick, 70250u);
+  EXPECT_EQ(records[1].item, 17u);
+  EXPECT_EQ(records[1].tick, 55500u);
+
+  const TsRecord* storage = records.data();
+  const std::optional<TsHeader> window =
+      codec.readTs(codec.encode(*TsReport::build(h, sizes, 100.0, 60.0)),
+                   records);
+  ASSERT_TRUE(window.has_value());
+  EXPECT_EQ(window->kind, ReportKind::kTsWindow);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].item, 444u);
+  EXPECT_EQ(records.data(), storage);
+}
+
 TEST(ReportCodec, TsFrameSizeTracksTheBitModel) {
   const auto sizes = model(10000);
   ReportCodec codec(sizes);
@@ -299,8 +332,37 @@ TEST(ReportCodec, RefusesCoverageStartingAfterTheBroadcastTime) {
 
   const std::vector<std::uint8_t> forged = tsPayload(codec, sizes, 1.0, 5.0);
   EXPECT_EQ(codec.peekKind(forged), ReportKind::kTsWindow);
+  std::vector<TsRecord> records;
+  EXPECT_FALSE(codec.readTs(forged, records).has_value());
   EXPECT_EQ(codec.decodeTs(forged), nullptr);
   EXPECT_EQ(codec.decodeAny(forged), nullptr);
+}
+
+// The id field is wider than the database: 500 items take 9 bits, so a
+// frame can name ids up to 511. No encoder lists such an id; a report that
+// does is refused whole by the TS reader and both decoders built on it.
+TEST(ReportCodec, RefusesItemIdsPastTheDatabase) {
+  const auto sizes = model(500);
+  ASSERT_EQ(sizes.itemIdBits(), 9);
+  ReportCodec codec(sizes);
+  const auto frameListing = [&](db::ItemId id) {
+    return codec.encode(*TsReport::fromParts(
+        ReportKind::kTsWindow, sizes, 110.0, 10.0,
+        {{3, 101.0}, {id, 102.0}, {7, 103.0}}));
+  };
+  std::vector<TsRecord> records;
+  for (const db::ItemId forged : {500u, 511u}) {
+    const std::vector<std::uint8_t> frame = frameListing(forged);
+    EXPECT_EQ(codec.peekKind(frame), ReportKind::kTsWindow);
+    EXPECT_FALSE(codec.readTs(frame, records).has_value()) << "id " << forged;
+    EXPECT_EQ(codec.decodeTs(frame), nullptr) << "id " << forged;
+    EXPECT_EQ(codec.decodeAny(frame), nullptr) << "id " << forged;
+  }
+  const std::vector<std::uint8_t> last = frameListing(499);
+  ASSERT_TRUE(codec.readTs(last, records).has_value());
+  EXPECT_EQ(records.size(), 3u);
+  EXPECT_NE(codec.decodeTs(last), nullptr);
+  EXPECT_NE(codec.decodeAny(last), nullptr);
 }
 
 TEST(ReportCodec, GarbageFramesNeverCrash) {

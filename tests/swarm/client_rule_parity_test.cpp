@@ -76,7 +76,7 @@ struct Episode {
     }
 
     // The listed-tick table SwarmEmulator::onReportPayload builds.
-    std::vector<TsEntry> entries;
+    std::vector<report::TsRecord> entries;
     for (const db::UpdateRecord& rec : r.entries()) {
       entries.push_back({rec.item, toTick(rec.time)});
     }

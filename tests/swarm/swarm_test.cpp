@@ -3,8 +3,8 @@
 // population's hit ratio is gated against a real 8-agent ClientPool over
 // the identical configuration and seed (the vectorized model's fidelity
 // claim), cache answers are audited against the authoritative databases
-// (zero stale reads), and the TS in-place parser is pinned byte-for-byte
-// against ReportCodec::decodeTs.
+// (zero stale reads), and forged reports are refused before they touch
+// any client state.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -231,52 +232,6 @@ TEST(Swarm, NonAdaptiveServerIsRejected) {
   EXPECT_THROW(runSwarm(cfg, 400.0, 10, 1, 1), std::runtime_error);
 }
 
-// Pins the engine's in-place TS parse (parseTsReport, the function
-// onReportPayload calls) against the allocating codec over the same bytes,
-// for a window and an extended report.
-TEST(Swarm, TsWireParseMatchesReportCodec) {
-  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
-  const report::SizeModel sizes = cfg.sizeModel();
-  report::ReportCodec codec(sizes, 1e-3);
-  const auto dbSize = static_cast<std::uint32_t>(cfg.dbSize);
-
-  db::UpdateHistory hist(cfg.dbSize);
-  hist.record(3, 101.25);
-  hist.record(250, 107.5);
-  hist.record(499, 119.875);
-  for (const auto& ts : {report::TsReport::build(hist, sizes, 120.0, 100.0),
-                         report::TsReport::buildExtended(hist, sizes, 120.0,
-                                                         90.0)}) {
-    const std::vector<std::uint8_t> wire = codec.encode(*ts);
-    std::vector<TsEntry> entries;
-    const std::optional<TsHeader> h =
-        parseTsReport(wire.data(), wire.size(), sizes.itemIdBits(),
-                      sizes.timestampBits, dbSize, entries);
-    ASSERT_TRUE(h.has_value());
-
-    const std::shared_ptr<const report::TsReport> decoded =
-        codec.decodeTs(wire);
-    ASSERT_TRUE(decoded != nullptr);
-    EXPECT_EQ(h->extended, decoded->extended());
-    EXPECT_DOUBLE_EQ(codec.dequantize(h->now), decoded->broadcastTime);
-    EXPECT_DOUBLE_EQ(codec.dequantize(h->coverage), decoded->coverageStart());
-    ASSERT_EQ(entries.size(), decoded->entries().size());
-    ASSERT_EQ(entries.size(), 3u);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(entries[i].item, decoded->entries()[i].item);
-      EXPECT_DOUBLE_EQ(codec.dequantize(entries[i].tick),
-                       decoded->entries()[i].time);
-    }
-
-    // Every proper prefix is truncated somewhere and must be refused.
-    for (std::size_t len = 0; len < wire.size(); ++len) {
-      EXPECT_FALSE(parseTsReport(wire.data(), len, sizes.itemIdBits(),
-                                 sizes.timestampBits, dbSize, entries))
-          << "a " << len << "-byte prefix parsed";
-    }
-  }
-}
-
 /// A TS report over `sizes` whose entries the caller picks freely: ids
 /// up to the id field's width, past the database included.
 std::vector<std::uint8_t> tsWire(const report::SizeModel& sizes,
@@ -288,31 +243,28 @@ std::vector<std::uint8_t> tsWire(const report::SizeModel& sizes,
       std::move(entries)));
 }
 
-// The id field is wider than the database: 500 items take 9 bits, so a
-// frame can name ids up to 511. Such a report must be refused whole.
-TEST(Swarm, TsWireParseRejectsIdsPastTheDatabase) {
-  const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
-  const report::SizeModel sizes = cfg.sizeModel();
-  ASSERT_EQ(sizes.itemIdBits(), 9);
-  std::vector<TsEntry> entries;
-  for (const db::ItemId forged : {500u, 511u}) {
-    const std::vector<std::uint8_t> wire =
-        tsWire(sizes, {{3, 101.0}, {forged, 102.0}, {7, 103.0}}, 110.0);
-    EXPECT_FALSE(parseTsReport(wire.data(), wire.size(), sizes.itemIdBits(),
-                               sizes.timestampBits, 500, entries))
-        << "id " << forged;
-  }
-  const std::vector<std::uint8_t> ok =
-      tsWire(sizes, {{3, 101.0}, {499, 102.0}}, 110.0);
-  EXPECT_TRUE(parseTsReport(ok.data(), ok.size(), sizes.itemIdBits(),
-                            sizes.timestampBits, 500, entries));
-  EXPECT_EQ(entries.size(), 2u);
+/// A TS window laid out field by field with no records, so its coverage
+/// can start after its broadcast time, which no encoder writes.
+std::vector<std::uint8_t> tsHeaderWire(const report::SizeModel& sizes,
+                                       sim::SimTime now,
+                                       sim::SimTime coverage) {
+  const report::ReportCodec codec(sizes, 1e-3);
+  report::BitWriter w;
+  w.write(0, 2);  // kind: TS
+  w.write(0, 1);  // not extended
+  w.write(codec.quantize(now), sizes.timestampBits);
+  w.write(codec.quantize(coverage), sizes.timestampBits);
+  w.write(0, 24);  // record count
+  return w.finish();
 }
 
 // A forged report reaching a running emulator is counted as unsupported and
-// leaves every client column as it was. 128 clients x 500 items fill the
-// presence bitmap's words exactly, so a per-entry presence probe of id 511
-// for the last client would read past its end (the asan-ubsan lane).
+// leaves every client column as it was. Two forgeries: an entry id past the
+// database (500 items take 9 bits, so a frame can name ids up to 511), and
+// coverage that starts after the broadcast time. 128 clients x 500 items
+// fill the presence bitmap's words exactly, so a per-entry presence probe
+// of id 511 for the last client would read past its end (the asan-ubsan
+// lane).
 TEST(Swarm, ForgedEntryIdIsRejectedBeforeAnyState) {
   const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
   const report::SizeModel sizes = cfg.sizeModel();
@@ -337,19 +289,22 @@ TEST(Swarm, ForgedEntryIdIsRejectedBeforeAnyState) {
     if (!em.ready() || em.modelNow() < 100.0) return;
     if (!injected) {
       injected = true;
-      const SwarmStats before = em.stats();
-      const SwarmState snapshot = em.state();
-      const std::vector<std::uint8_t> wire = tsWire(
-          sizes, {{3, em.modelNow()}, {511, em.modelNow()}}, em.modelNow());
-      em.onReportPayload(0, wire.data(), wire.size());
-      EXPECT_EQ(em.stats().unsupportedReports,
-                before.unsupportedReports + 1);
-      EXPECT_EQ(em.stats().reportsProcessed, before.reportsProcessed);
-      EXPECT_EQ(em.stats().clientTicks, before.clientTicks);
-      EXPECT_EQ(em.state().slotItem, snapshot.slotItem);
-      EXPECT_EQ(em.state().slotRef, snapshot.slotRef);
-      EXPECT_EQ(em.state().lastHeard, snapshot.lastHeard);
-      EXPECT_EQ(em.state().occupancy, snapshot.occupancy);
+      const double now = em.modelNow();
+      for (const std::vector<std::uint8_t>& wire :
+           {tsWire(sizes, {{3, now}, {511, now}}, now),
+            tsHeaderWire(sizes, now, now + 4.0)}) {
+        const SwarmStats before = em.stats();
+        const SwarmState snapshot = em.state();
+        em.onReportPayload(0, wire);
+        EXPECT_EQ(em.stats().unsupportedReports,
+                  before.unsupportedReports + 1);
+        EXPECT_EQ(em.stats().reportsProcessed, before.reportsProcessed);
+        EXPECT_EQ(em.stats().clientTicks, before.clientTicks);
+        EXPECT_EQ(em.state().slotItem, snapshot.slotItem);
+        EXPECT_EQ(em.state().slotRef, snapshot.slotRef);
+        EXPECT_EQ(em.state().lastHeard, snapshot.lastHeard);
+        EXPECT_EQ(em.state().occupancy, snapshot.occupancy);
+      }
     }
     if (em.modelNow() >= 300.0) {
       em.shutdown();
@@ -392,8 +347,8 @@ class RecordingSink final : public SwarmSink {
     }
     mux_->flushFetches();
   }
-  void onReportPayload(std::uint32_t, const std::uint8_t*,
-                       std::size_t) override {}
+  void onReportPayload(std::uint32_t,
+                       std::span<const std::uint8_t>) override {}
   void onDataItem(std::uint32_t, std::uint32_t client, db::ItemId item,
                   db::Version, Tick, Tick) override {
     replies.emplace_back(client, item);

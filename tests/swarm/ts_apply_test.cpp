@@ -21,8 +21,8 @@ namespace {
 
 /// The entry-major reference: one findSlot per entry.
 void applyEntryMajor(SwarmState& st, std::uint32_t c, std::uint32_t s,
-                     const std::vector<TsEntry>& entries) {
-  for (const TsEntry& e : entries) {
+                     const std::vector<report::TsRecord>& entries) {
+  for (const report::TsRecord& e : entries) {
     const int slot = st.findSlot(c, s, e.item);
     if (slot < 0) continue;
     const auto u = static_cast<std::uint32_t>(slot);
@@ -87,11 +87,12 @@ SwarmState randomPopulation(sim::Rng& rng) {
 /// A report's entries: ids anywhere in the database (the last item often,
 /// since empty slots must not read its tick), ticks in the refs' range
 /// with zeros, and repeats of earlier entries with a new tick.
-std::vector<TsEntry> randomEntries(sim::Rng& rng, std::uint32_t dbSize) {
-  std::vector<TsEntry> entries;
+std::vector<report::TsRecord> randomEntries(sim::Rng& rng,
+                                            std::uint32_t dbSize) {
+  std::vector<report::TsRecord> entries;
   const std::uint32_t n = draw(rng, 0, 2 * dbSize);
   for (std::uint32_t k = 0; k < n; ++k) {
-    TsEntry e;
+    report::TsRecord e;
     if (!entries.empty() && rng.bernoulli(0.2)) {
       e.item = entries[draw(rng, 0, static_cast<std::uint32_t>(
                                          entries.size() - 1))]
@@ -115,7 +116,7 @@ TEST(TsApply, SlotMajorPassMatchesEntryMajorLoop) {
     SwarmState entryMajor = slotMajor;
     ListedTicks listed(slotMajor.dbSize);
     for (int report = 0; report < 3; ++report) {
-      const std::vector<TsEntry> entries =
+      const std::vector<report::TsRecord> entries =
           randomEntries(rng, slotMajor.dbSize);
       const std::uint32_t s = draw(rng, 0, slotMajor.shards - 1);
       listed.list(entries);

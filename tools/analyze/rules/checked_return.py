@@ -54,6 +54,7 @@ WATCHED: List[Tuple[str, Optional[str]]] = [
     ("decodeHandoff", None),
     ("decodeHandoffAck", None),
     ("decodeAny", "ReportCodec"),
+    ("readTs", "ReportCodec"),
     ("decodeTs", "ReportCodec"),
     ("decodeBs", "ReportCodec"),
     ("decodeSig", "ReportCodec"),

@@ -33,6 +33,14 @@ Banned patterns
    calls), which is where a simulated transport or injected network
    faults plug in. bench/ is exempt: bench_live times raw syscalls on
    purpose.
+7. Constructing a `report::BitReader` in src/ outside the two wire
+   decoders: src/report/codec.cpp (every invalidation report, with the
+   one TS reader, ReportCodec::readTs) and src/live/wire.* (the frame
+   envelope and control messages); src/report/codec.hpp declares the
+   class. A decoder that walks fields by hand elsewhere is a second
+   parser with its own refusal rules, which is how a forged report got
+   past one client and not another. Taking a reader by reference (as
+   live::ShardMap::decodeFrom does, inside a wire.cpp decode) is fine.
 
 An earlier rule 5 (range-for over unordered containers) moved to the
 AST-based `ordered-iteration` rule in tools/analyze/mci_analyze.py, which
@@ -66,6 +74,13 @@ EXTENSIONS = {".cpp", ".hpp", ".h", ".cc"}
 RNG_ALLOWLIST = ("src/sim/random.hpp", "src/sim/random.cpp")
 # The live socket toolkit: the only files that make socket syscalls.
 SOCKET_ALLOWLIST = ("src/live/frame_stream.cpp", "src/live/udp_batch.cpp")
+# The wire decoders: the only files that construct a report::BitReader.
+BIT_READER_ALLOWLIST = (
+    "src/report/codec.hpp",
+    "src/report/codec.cpp",
+    "src/live/wire.hpp",
+    "src/live/wire.cpp",
+)
 
 # Files allowed to read host clocks (wall-time measurement of the harness
 # itself, never of simulated quantities).
@@ -120,6 +135,16 @@ SIMPLE_RULES = [
         "raw socket syscall outside the live socket toolkit; open, use and "
         "close sockets through live::Socket / FrameStream / udp_batch "
         "(src/live/frame_stream.*, src/live/udp_batch.*)",
+    ),
+    (
+        # A named variable (`BitReader r(...)`, `BitReader r{...}`) or a
+        # temporary (`BitReader(...)`); `BitReader&` parameters do not match.
+        re.compile(r"(?<![\w])BitReader\s*(?:\w+\s*)?[({]"),
+        ("src",),
+        BIT_READER_ALLOWLIST,
+        "report::BitReader constructed outside the wire decoders; read "
+        "report fields through report::ReportCodec (readTs, decodeAny) and "
+        "frames through live::wire (src/report/codec.cpp, src/live/wire.*)",
     ),
 ]
 
