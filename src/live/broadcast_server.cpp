@@ -4,7 +4,7 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -28,7 +28,7 @@ workload::AccessPattern makeUpdatePattern(const core::SimConfig& cfg) {
 BroadcastServer::BroadcastServer(Reactor& reactor, ServerOptions options)
     : reactor_(reactor),
       opts_(std::move(options)),
-      clock_(opts_.clock ? *opts_.clock : LiveClock(opts_.timeScale)),
+      clock_(reactor, opts_.timeScale),
       sizes_(opts_.cfg.sizeModel()),
       db_(opts_.cfg.dbSize),
       history_(opts_.cfg.dbSize),
@@ -287,7 +287,7 @@ void BroadcastServer::handleQuery(int fd, Conn& conn,
   // invalidation, never a hidden stale entry).
   const std::uint64_t rtick = clock_.nowTick();
   const sim::SimTime readTime =
-      LiveClock::tickToTime(std::max<std::uint64_t>(rtick, 1) - 1);
+      sim::tickTime(std::max<std::uint64_t>(rtick, 1) - 1);
   // Every item served in one run rides one reply frame: the first record
   // carries the shared readTime, each further one only (item, version).
   report::BitWriter w;
@@ -356,7 +356,7 @@ void BroadcastServer::handleCheck(int fd, Conn& conn, const wire::Check& c) {
   // this same tick then carries a strictly newer timestamp than anything
   // this check salvages.
   const sim::SimTime schemeNow =
-      LiveClock::tickToTime(std::max<std::uint64_t>(ctick, 1) - 1);
+      sim::tickTime(std::max<std::uint64_t>(ctick, 1) - 1);
   std::optional<schemes::ValidityReply> reply =
       scheme_->onCheckMessage(msg, schemeNow);
 
@@ -367,8 +367,8 @@ void BroadcastServer::handleCheck(int fd, Conn& conn, const wire::Check& c) {
   // wrongly claim that report reflected this check.
   wire::CheckAck ack;
   ack.epoch = c.epoch;
-  ack.asOf = LiveClock::tickToTime(std::max(ctick, lastBroadcastTick_));
-  MCI_CHECK(ack.asOf >= LiveClock::tickToTime(lastBroadcastTick_))
+  ack.asOf = sim::tickTime(std::max(ctick, lastBroadcastTick_));
+  MCI_CHECK(ack.asOf >= sim::tickTime(lastBroadcastTick_))
       << "check ack stamped " << ack.asOf << " before last broadcast tick "
       << lastBroadcastTick_;
   if (!sendFrame(fd, conn,
@@ -470,7 +470,7 @@ void BroadcastServer::broadcastTick() {
   // ordering, re-established on a wall clock.
   const std::uint64_t btick =
       std::max({clock_.nowTick(), lastBroadcastTick_ + 1, lastUpdateTick_});
-  const sim::SimTime t = LiveClock::tickToTime(btick);
+  const sim::SimTime t = sim::tickTime(btick);
   const report::ReportPtr r = scheme_->buildReport(t);
   collector_.onReportBuilt(r->kind);
   // Encode once into the arena; every destination below shares its bytes.
@@ -529,7 +529,7 @@ void BroadcastServer::runUpdateTransaction() {
   // coverage cutoff can never equal an update it did not include.
   const std::uint64_t utick =
       std::max({clock_.nowTick(), lastUpdateTick_, lastBroadcastTick_ + 1});
-  const sim::SimTime now = LiveClock::tickToTime(utick);
+  const sim::SimTime now = sim::tickTime(utick);
   for (int i = 0; i < count; ++i) {
     // Every shard draws the full transaction (same seed, same RNG stream)
     // and keeps only its own items: the union of the K thinned streams is
@@ -696,9 +696,7 @@ void BroadcastServer::handleHandoff(int fd, Conn& conn,
     // tick so this shard's next broadcast orders after the spliced past.
     const sim::SimTime last = h.updateTimes.back();
     history_.spliceRecord(h.item, last);
-    lastUpdateTick_ = std::max<std::uint64_t>(
-        lastUpdateTick_,
-        static_cast<std::uint64_t>(std::llround(last * 1000.0)));
+    lastUpdateTick_ = std::max(lastUpdateTick_, sim::toTick(last));
     if (sigTable_) {
       for (db::Version v = before + 1; v <= after; ++v) {
         sigTable_->applyUpdate(h.item, v - 1, v);

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,11 +58,6 @@ struct ServerOptions {
   /// The group also travels in the shard map so clients self-configure.
   std::string multicastGroup;
   std::uint16_t multicastPort = 0;
-  /// Model-time anchor. A daemon grown into a running cluster must share
-  /// the cluster's model clock (LiveClock copies share their wall epoch),
-  /// or its broadcast/update ticks would restart from zero and violate the
-  /// cross-shard tick ordering every client assumes. Absent = fresh clock.
-  std::optional<LiveClock> clock;
 };
 
 struct ServerStats {
@@ -133,7 +127,8 @@ struct ServerStats {
 /// a connection produces is corked into one batch and leaves in as few
 /// writes as the kernel allows.
 ///
-/// All model timestamps are LiveClock millisecond ticks with three ordering
+/// All model timestamps are millisecond ticks of the reactor's LiveClock
+/// (so every daemon on one reactor reads one epoch), with three ordering
 /// rules that re-establish, on a wall clock, the same-instant guarantees the
 /// discrete-event simulator gets for free (docs/protocols.md, "Wire
 /// format"): updates land strictly after the last broadcast tick, broadcast

@@ -312,7 +312,11 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
 void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
   switch (frame.header.type) {
     case wire::FrameType::kWelcome:
-      if (auto m = wire::decodeWelcome(frame.payload)) onWelcome(link, *m);
+      if (auto m = wire::decodeWelcome(frame.payload)) {
+        onWelcome(link, *m);
+      } else {
+        ++pool_.stats_.badFrames;
+      }
       return;
     case wire::FrameType::kDataItem:
       if (std::optional<wire::DataItemReader> reply =
@@ -329,11 +333,15 @@ void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
         if (link.scheme != nullptr) {
           link.scheme->onCheckDelivered(*link.ctx, m->asOf);
         }
+      } else {
+        ++pool_.stats_.badFrames;
       }
       return;
     case wire::FrameType::kValidityReply:
       if (auto m = wire::decodeValidityReply(frame.payload)) {
         onValidityReply(link, *m);
+      } else {
+        ++pool_.stats_.badFrames;
       }
       return;
     case wire::FrameType::kMapUpdate:
@@ -697,7 +705,7 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
   sizes_ = agentCfg_.sizeModel();
   codec_ = std::make_unique<report::ReportCodec>(sizes_);
   queryPattern_.emplace(agentCfg_.queryPattern());
-  clock_.emplace(w.timeScale);
+  clock_.emplace(reactor_, w.timeScale);
 
   // No local ground truth: auditing happens either through the resolver
   // below (in-process cluster) or server-side via kAudit.

@@ -256,8 +256,9 @@ class ClientPool {
   /// The cluster layout learned from the seed Welcome; invalid before it.
   [[nodiscard]] const ShardMap& shardMap() const { return shardMap_; }
 
-  /// Model seconds elapsed on the pool clock; 0 until the first Welcome
-  /// (the clock's scale arrives with it).
+  /// Model seconds on the pool clock: the reactor's clock since its
+  /// creation, so a pool and the daemons on one reactor share an epoch.
+  /// 0 until the first Welcome (the clock's scale arrives with it).
   [[nodiscard]] double modelNow() const {
     return clock_ ? clock_->nowModel() : 0.0;
   }

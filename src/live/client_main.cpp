@@ -58,9 +58,10 @@ int main(int argc, char** argv) {
   live::ClientPool pool(reactor, opts);
   pool.start();
 
-  // The pool's model clock starts at the first Welcome, so the deadline is
-  // polled rather than scheduled: a cheap periodic tick that also bails out
-  // if the server went away.
+  // The pool's model clock is this reactor's clock scaled by the time scale
+  // the first Welcome brings, so the deadline (model seconds since the
+  // reactor was created) is polled rather than scheduled: a cheap periodic
+  // tick that also bails out if the server went away.
   const live::Reactor::TimerHandle poll = reactor.addTimer(0.05, 0.05, [&] {
     if (pool.modelNow() >= duration || pool.aliveCount() == 0) {
       pool.shutdown();

@@ -2,21 +2,19 @@
 
 #include <cstdint>
 
-#include "metrics/walltime.hpp"
+#include "live/reactor.hpp"
 #include "sim/time.hpp"
 
 namespace mci::live {
 
-/// Model-time source for the live daemons.
+/// Model-time view of a reactor's deadline clock.
 ///
-/// All live model time lives on an integral *millisecond tick grid*: every
-/// timestamp that enters a scheme (broadcast times, update times, data-item
-/// read times) is `tick * 1e-3` for some uint64 tick. The grid matches
-/// ReportCodec's default quantum exactly, so quantize()/dequantize() round
-/// trips are lossless and the live daemons make bit-for-bit the same
-/// staleness decisions the simulator makes — a floor/rounding discrepancy
-/// of even one tick could hide an invalidation (see docs/protocols.md,
-/// "Wire format").
+/// A LiveClock owns no clock: model time is the reactor's nowSeconds()
+/// times `timeScale`, on the tick grid of sim/time.hpp. Every server and
+/// client pool on one reactor therefore shares one epoch — the shards of a
+/// cluster, joiners included, read the same tick at the same instant, as
+/// the cross-shard timestamp ordering requires — and a reactor over a
+/// virtual clock moves model time and timer deadlines together.
 ///
 /// `timeScale` compresses wall time: at scale s, one wall second is s model
 /// seconds, which lets an integration test run "minutes" of broadcast
@@ -24,33 +22,27 @@ namespace mci::live {
 /// seconds (wall deltas times the scale).
 class LiveClock {
  public:
-  /// Model seconds advanced per wall-clock second (> 0).
-  explicit LiveClock(double timeScale = 1.0) : scale_(timeScale) {}
+  /// `timeScale`: model seconds advanced per wall-clock second (> 0).
+  LiveClock(const Reactor& reactor, double timeScale)
+      : reactor_(&reactor), scale_(timeScale) {}
 
-  /// Model milliseconds elapsed since construction.
+  /// Model milliseconds elapsed since the reactor was created.
   [[nodiscard]] std::uint64_t nowTick() const {
-    const double ms = timer_.seconds() * scale_ * 1000.0;
-    return ms <= 0 ? 0 : static_cast<std::uint64_t>(ms);
+    return sim::toTick(reactor_->nowSeconds() * scale_);
   }
 
   /// Current model time (= nowTick() on the grid).
-  [[nodiscard]] sim::SimTime nowModel() const { return tickToTime(nowTick()); }
+  [[nodiscard]] sim::SimTime nowModel() const {
+    return sim::tickTime(nowTick());
+  }
 
   /// Wall seconds a timer must wait to span `modelSeconds` of model time.
   [[nodiscard]] double wallDelay(double modelSeconds) const {
     return modelSeconds / scale_;
   }
 
-  [[nodiscard]] double timeScale() const { return scale_; }
-
-  /// The grid mapping shared by every live timestamp; matches the codec's
-  /// millisecond quantum by construction.
-  [[nodiscard]] static sim::SimTime tickToTime(std::uint64_t tick) {
-    return static_cast<sim::SimTime>(tick) * 1e-3;
-  }
-
  private:
-  metrics::WallTimer timer_;
+  const Reactor* reactor_;
   double scale_;
 };
 

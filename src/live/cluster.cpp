@@ -24,10 +24,8 @@ Cluster::Cluster(Reactor& reactor, ClusterOptions options)
     so.bindAddress = opts_.bindAddress;
     so.tcpPort = opts_.tcpPorts.empty() ? 0 : opts_.tcpPorts[s];
     so.maxSendQueueBytes = opts_.maxSendQueueBytes;
-    so.sendBufferBytes = opts_.sendBufferBytes;
     so.shardIndex = s;
     so.shardCount = opts_.shardCount;
-    so.shardHashSeed = opts_.hashSeed;
     if (!opts_.multicastGroup.empty()) {
       so.multicastGroup = opts_.multicastGroup;
       so.multicastPort = static_cast<std::uint16_t>(opts_.multicastBasePort + s);
@@ -42,7 +40,7 @@ Cluster::Cluster(Reactor& reactor, ClusterOptions options)
   for (const auto& server : servers_) {
     endpoints.push_back(server->selfEndpoint());
   }
-  map_ = ShardMap(1, opts_.hashSeed, std::move(endpoints));
+  map_ = ShardMap(1, ShardMap::kDefaultHashSeed, std::move(endpoints));
   for (auto& server : servers_) server->setShardMap(map_);
 }
 
@@ -98,13 +96,9 @@ void Cluster::grow(std::uint32_t add, std::function<void()> onDone) {
     so.bindAddress = opts_.bindAddress;
     so.tcpPort = 0;  // joiners always bind ephemeral ports
     so.maxSendQueueBytes = opts_.maxSendQueueBytes;
-    so.sendBufferBytes = opts_.sendBufferBytes;
     so.shardIndex = oldCount + i;
     so.shardCount = oldCount + add;
     so.shardHashSeed = map_.hashSeed();
-    // Joiners must share the incumbents' model clock, or their ticks would
-    // restart at zero and break cross-shard timestamp ordering.
-    so.clock = servers_.front()->clock();
     if (!opts_.multicastGroup.empty()) {
       so.multicastGroup = opts_.multicastGroup;
       so.multicastPort =
@@ -158,7 +152,7 @@ void Cluster::startReshard(ShardMap newMap, std::uint32_t retireCount,
   members.reserve(servers_.size());
   for (const auto& server : servers_) members.push_back(server.get());
   coordinator_ = std::make_unique<ReshardCoordinator>(
-      reactor_, std::move(members), map_, newMap, ReshardOptions{},
+      reactor_, std::move(members), map_, newMap,
       [this, newMap, retireCount, cb = std::move(onDone)] {
         map_ = newMap;
         // Retired daemons served their grace window; drop them now. Their

@@ -22,7 +22,6 @@ struct ClusterOptions {
   double timeScale = 1.0;
   std::uint32_t shardCount = 1;
   std::string bindAddress = "127.0.0.1";
-  std::uint64_t hashSeed = ShardMap::kDefaultHashSeed;
   /// Fixed TCP ports, one per shard; empty = all ephemeral.
   std::vector<std::uint16_t> tcpPorts;
   /// Nonempty = multicast downlinks: shard s sends its IR to
@@ -31,7 +30,6 @@ struct ClusterOptions {
   std::string multicastGroup;
   std::uint16_t multicastBasePort = 0;
   std::size_t maxSendQueueBytes = 1 << 20;
-  int sendBufferBytes = 0;
 };
 
 /// K BroadcastServers on one reactor wired into one cluster: constructs
@@ -73,11 +71,11 @@ class Cluster {
   [[nodiscard]] std::uint64_t staleReads() const;
 
   // --- elastic membership (one transition at a time) -----------------------
-  /// Adds `add` shards on ephemeral ports: new daemons are constructed
-  /// sharing the cluster's model clock, the next-epoch map (same hash seed,
-  /// appended endpoints) is computed, and a ReshardCoordinator drives
-  /// freeze -> handoff -> cutover -> grace -> finish. `onDone` fires once
-  /// the new epoch is installed cluster-wide.
+  /// Adds `add` shards on ephemeral ports: new daemons are constructed on
+  /// the cluster's reactor (so they read its model clock), the next-epoch
+  /// map (same hash seed, appended endpoints) is computed, and a
+  /// ReshardCoordinator drives freeze -> handoff -> cutover -> grace ->
+  /// finish. `onDone` fires once the new epoch is installed cluster-wide.
   void grow(std::uint32_t add, std::function<void()> onDone = nullptr);
   /// Removes the `remove` highest-indexed shards: they hand off everything
   /// they own, announce the new map, refuse new Hellos, and are destroyed

@@ -10,14 +10,12 @@ namespace mci::live {
 ReshardCoordinator::ReshardCoordinator(Reactor& reactor,
                                        std::vector<BroadcastServer*> members,
                                        ShardMap oldMap, ShardMap newMap,
-                                       ReshardOptions options,
                                        std::function<void()> onComplete)
     : reactor_(reactor),
       owner_(reactor.makeOwner()),
       members_(std::move(members)),
       oldMap_(std::move(oldMap)),
       newMap_(std::move(newMap)),
-      opts_(options),
       onComplete_(std::move(onComplete)) {
   MCI_CHECK(!members_.empty()) << "reshard with no members";
   MCI_CHECK(oldMap_.valid() && newMap_.valid()) << "reshard needs two maps";
@@ -74,7 +72,7 @@ void ReshardCoordinator::cutover() {
   phase_ = Phase::kGrace;
   graceArmed_ = true;
   graceTimer_ = reactor_.addTimer(
-      opts_.graceWallSeconds, 0,
+      kGraceWallSeconds, 0,
       [this] {
         graceArmed_ = false;
         finish();

@@ -11,13 +11,6 @@ namespace mci::live {
 
 class BroadcastServer;
 
-struct ReshardOptions {
-  /// Wall seconds of post-cutover grace: how long the previous epoch's
-  /// owners keep serving frozen migrated items while clients flip. Sized to
-  /// client flip latency (one kMapUpdate round trip), not model time.
-  double graceWallSeconds = 0.5;
-};
-
 /// Drives every member of a cluster through one epoch transition
 /// oldMap -> newMap (docs/protocols.md, "Resharding"):
 ///
@@ -29,7 +22,7 @@ struct ReshardOptions {
 ///   Cutover   every acked: survivors install the new map and announce it
 ///             (kMapUpdate on every uplink + the IR downlink); removed
 ///             shards announce and refuse new Hellos.
-///   Grace     a wall-clock window in which old owners still serve frozen
+///   Grace     kGraceWallSeconds in which old owners still serve frozen
 ///             migrated items, so a client mid-flip never loses a query.
 ///   Finish    freeze and grace end everywhere; onComplete fires (the
 ///             cluster installs the map and destroys retired daemons).
@@ -41,8 +34,13 @@ class ReshardCoordinator {
  public:
   enum class Phase { kIdle, kBackfill, kGrace, kDone };
 
+  /// Wall seconds of post-cutover grace: how long the previous epoch's
+  /// owners keep serving frozen migrated items while clients flip. Sized to
+  /// client flip latency (one kMapUpdate round trip), not model time.
+  static constexpr double kGraceWallSeconds = 0.5;
+
   ReshardCoordinator(Reactor& reactor, std::vector<BroadcastServer*> members,
-                     ShardMap oldMap, ShardMap newMap, ReshardOptions options,
+                     ShardMap oldMap, ShardMap newMap,
                      std::function<void()> onComplete);
   ~ReshardCoordinator();
 
@@ -70,7 +68,6 @@ class ReshardCoordinator {
   std::vector<BroadcastServer*> members_;
   ShardMap oldMap_;
   ShardMap newMap_;
-  ReshardOptions opts_;
   std::function<void()> onComplete_;
   Phase phase_ = Phase::kIdle;
   std::size_t pendingHandoffs_ = 0;

@@ -58,10 +58,8 @@ void ShardMap::encodeTo(report::BitWriter& w) const {
 }
 
 std::optional<ShardMap> ShardMap::decodeFrom(
-    report::BitReader& r, std::optional<std::uint32_t> mustContainIndex,
-    std::uint32_t minVersion) {
+    report::BitReader& r, std::optional<std::uint32_t> mustContainIndex) {
   const auto version = static_cast<std::uint32_t>(r.read(32));
-  if (!r.ok() || version < minVersion) return std::nullopt;
   const std::uint64_t hashSeed = r.read(64);
   const std::uint64_t count = r.read(16);
   if (!r.ok() || count == 0 || count > kMaxShards) return std::nullopt;

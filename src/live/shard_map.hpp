@@ -111,13 +111,9 @@ class ShardMap {
   /// When `mustContainIndex` is given, a map whose decoded count does not
   /// cover that index is rejected BEFORE any endpoint is parsed — the
   /// Welcome v2 shardIndex bound is enforced here, not after the fact.
-  /// `minVersion` is the stale-epoch replay guard: a map whose version is
-  /// LOWER than the caller's installed one is rejected just as early, so a
-  /// replayed MapUpdate can never roll an epoch back.
   [[nodiscard]] static std::optional<ShardMap> decodeFrom(
       report::BitReader& r,
-      std::optional<std::uint32_t> mustContainIndex = std::nullopt,
-      std::uint32_t minVersion = 0);
+      std::optional<std::uint32_t> mustContainIndex = std::nullopt);
 
   bool operator==(const ShardMap&) const = default;
 

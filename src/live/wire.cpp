@@ -421,10 +421,10 @@ void encodeMapUpdateInto(const MapUpdate& m, report::BitWriter& w) {
 }
 
 std::optional<MapUpdate> decodeMapUpdate(
-    std::span<const std::uint8_t> payload, std::uint32_t minVersion) {
+    std::span<const std::uint8_t> payload) {
   report::BitReader r(payload);
   MapUpdate m;
-  auto map = ShardMap::decodeFrom(r, std::nullopt, minVersion);
+  auto map = ShardMap::decodeFrom(r);
   if (!map || !r.ok()) return std::nullopt;
   m.shardMap = std::move(*map);
   return m;

@@ -244,7 +244,8 @@ struct Audit {
 /// Epoch announce: the authoritative shard map for the next epoch. Sent on
 /// every welcomed uplink at reshard cutover and once on the IR downlink; a
 /// client installs it iff `shardMap.version()` exceeds its installed epoch
-/// (ShardMap::decodeFrom's minVersion guard rejects replays).
+/// (ClientPool::onMapUpdate, UplinkMux::applyMapUpdate); an older or equal
+/// one is a replay or duplicate, counted in staleMapUpdates and ignored.
 struct MapUpdate {
   ShardMap shardMap;
 };
@@ -355,11 +356,8 @@ void encodeAuditInto(const Audit& m, report::BitWriter& w);
     std::span<const std::uint8_t> payload);
 
 void encodeMapUpdateInto(const MapUpdate& m, report::BitWriter& w);
-/// `minVersion` forwards the stale-epoch replay guard to
-/// ShardMap::decodeFrom: an announce older than the installed epoch fails
-/// to decode at all.
 [[nodiscard]] std::optional<MapUpdate> decodeMapUpdate(
-    std::span<const std::uint8_t> payload, std::uint32_t minVersion = 0);
+    std::span<const std::uint8_t> payload);
 
 void encodeHandoffInto(const Handoff& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Handoff> decodeHandoff(

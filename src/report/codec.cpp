@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "core/check.hpp"
 
@@ -224,21 +223,10 @@ bool BitReader::fits(std::uint64_t count, int bitsEach) const {
 }
 
 std::uint64_t ReportCodec::quantize(sim::SimTime t) const {
-  if (t <= 0) return 0;
-  // Round to nearest tick (not floor): times that already sit on the tick
-  // grid — which is all of them in live mode, where the reactor hands out
-  // integral-millisecond model times — survive a quantize/dequantize round
-  // trip exactly even when t/quantum_ lands just below an integer in
-  // floating point. Floor would turn that representation error into a
-  // one-tick-early timestamp, which can hide an invalidation.
-  const double ticks = std::round(t / quantum_);
-  const double cap =
-      std::pow(2.0, sizes_.timestampBits) - 1.0;  // saturate, don't wrap
-  return static_cast<std::uint64_t>(std::min(ticks, cap));
-}
-
-sim::SimTime ReportCodec::dequantize(std::uint64_t ticks) const {
-  return static_cast<sim::SimTime>(ticks) * quantum_;
+  const int bits = sizes_.timestampBits;
+  const std::uint64_t cap =
+      bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+  return std::min(sim::toTick(t), cap);  // saturate, don't wrap
 }
 
 std::vector<std::uint8_t> ReportCodec::encode(const TsReport& r) const {
@@ -297,10 +285,10 @@ std::shared_ptr<const TsReport> ReportCodec::decodeTs(
   std::vector<db::UpdateRecord> entries;
   entries.reserve(records.size());
   for (const TsRecord& rec : records) {
-    entries.push_back({rec.item, dequantize(rec.tick)});
+    entries.push_back({rec.item, sim::tickTime(rec.tick)});
   }
-  return TsReport::fromParts(h->kind, sizes_, dequantize(h->now),
-                             dequantize(h->coverage), std::move(entries));
+  return TsReport::fromParts(h->kind, sizes_, sim::tickTime(h->now),
+                             sim::tickTime(h->coverage), std::move(entries));
 }
 
 std::vector<std::uint8_t> ReportCodec::encode(const BsReport& r) const {
@@ -334,8 +322,8 @@ std::optional<ReportCodec::DecodedBs> ReportCodec::decodeBs(
   if (reader.read(kKindBits) != kindCode(ReportKind::kBitSeq))
     return std::nullopt;
   DecodedBs out;
-  out.broadcastTime = dequantize(reader.read(sizes_.timestampBits));
-  const sim::SimTime tsB0 = dequantize(reader.read(sizes_.timestampBits));
+  out.broadcastTime = sim::tickTime(reader.read(sizes_.timestampBits));
+  const sim::SimTime tsB0 = sim::tickTime(reader.read(sizes_.timestampBits));
   const auto levels = reader.read(kLevelCountBits);
   if (!reader.fits(levels, sizes_.timestampBits)) return std::nullopt;
 
@@ -343,7 +331,7 @@ std::optional<ReportCodec::DecodedBs> ReportCodec::decodeBs(
   std::size_t nextLen = sizes_.numItems;  // first sequence: one bit per item
   for (std::uint64_t li = 0; li < levels && reader.ok(); ++li) {
     BsWire::WireLevel level;
-    level.ts = dequantize(reader.read(sizes_.timestampBits));
+    level.ts = sim::tickTime(reader.read(sizes_.timestampBits));
     if (!reader.fits(nextLen, 1)) return std::nullopt;
     reader.readBitVec(level.bits, nextLen);
     nextLen = level.bits.count();  // next sequence's length
@@ -378,7 +366,7 @@ std::shared_ptr<const SigReport> ReportCodec::decodeSig(
   BitReader reader(frame);
   if (reader.read(kKindBits) != kindCode(ReportKind::kSignature))
     return nullptr;
-  const sim::SimTime now = dequantize(reader.read(sizes_.timestampBits));
+  const sim::SimTime now = sim::tickTime(reader.read(sizes_.timestampBits));
   const auto count = reader.read(kSigCountBits);
   if (!reader.fits(count, sizes_.signatureBits)) return nullptr;
   std::vector<std::uint64_t> sigs;

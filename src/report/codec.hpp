@@ -10,6 +10,7 @@
 #include "report/sig_report.hpp"
 #include "report/sizing.hpp"
 #include "report/ts_report.hpp"
+#include "sim/time.hpp"
 
 namespace mci::report {
 
@@ -116,11 +117,11 @@ struct TsRecord {
 
 /// Wire codec for the invalidation reports.
 ///
-/// Timestamps are quantized to `timeQuantumSeconds` ticks in an unsigned
-/// field of SizeModel::timestampBits bits (the default millisecond ticks in
-/// 32 bits span ~49 days of simulated time — far beyond the paper's 10^5 s
-/// horizon). Decoded reports therefore carry quantized times; callers
-/// comparing against originals should allow one quantum of slack.
+/// Timestamps travel as ticks of the model-time grid (sim::toTick, one
+/// millisecond) in an unsigned field of SizeModel::timestampBits bits (32
+/// bits span ~49 days of simulated time — far beyond the paper's 10^5 s
+/// horizon). Decoded reports therefore carry grid times; callers comparing
+/// against off-grid originals should allow one tick of slack.
 ///
 /// Frame layouts (field widths from the SizeModel):
 ///   TS window:   [kind:2][extended:1][T][coverageStart][count:24]
@@ -134,9 +135,7 @@ struct TsRecord {
 /// bounded by kCodecHeaderSlackBits; a test pins that bound.
 class ReportCodec {
  public:
-  explicit ReportCodec(const SizeModel& sizes,
-                       double timeQuantumSeconds = 1e-3)
-      : sizes_(sizes), quantum_(timeQuantumSeconds) {}
+  explicit ReportCodec(const SizeModel& sizes) : sizes_(sizes) {}
 
   static constexpr int kCodecHeaderSlackBits = 128;
 
@@ -156,7 +155,7 @@ class ReportCodec {
   [[nodiscard]] std::optional<TsHeader> readTs(
       std::span<const std::uint8_t> frame,
       std::vector<TsRecord>& records) const;
-  /// readTs, dequantized into a TsReport.
+  /// readTs, its ticks turned back into times, as a TsReport.
   [[nodiscard]] std::shared_ptr<const TsReport> decodeTs(
       std::span<const std::uint8_t> frame) const;
 
@@ -199,12 +198,12 @@ class ReportCodec {
   [[nodiscard]] ReportPtr decodeAny(
       std::span<const std::uint8_t> frame) const;
 
+  /// sim::toTick(t), saturated at the timestamp field's maximum instead
+  /// of wrapping. sim::tickTime is the inverse.
   [[nodiscard]] std::uint64_t quantize(sim::SimTime t) const;
-  [[nodiscard]] sim::SimTime dequantize(std::uint64_t ticks) const;
 
  private:
   const SizeModel& sizes_;
-  double quantum_;
 };
 
 }  // namespace mci::report

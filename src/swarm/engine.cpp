@@ -91,12 +91,12 @@ class SwarmEmulator::Life : public ClientRow {
     // consistency point (lastHeard), like onCacheAnswer.
     st_.slotUsed.set(h.index);
     ++e_.stats_.cacheHits;
-    e_.cohorts_.aoiMs[c_ % e_.opts_.cohorts].record(tick_ -
-                                                    st_.slotRef[h.index]);
+    e_.cohorts_.aoiMs[c_ % SwarmCohorts::kCohorts].record(
+        tick_ - st_.slotRef[h.index]);
     if (truth_ != nullptr) {
       const Tick heard = lastHeard(s);
       const db::Version expect =
-          truth_->versionAt(item, live::LiveClock::tickToTime(heard));
+          truth_->versionAt(item, sim::tickTime(heard));
       if (st_.slotVersion[h.index] < expect) {
         ++e_.stats_.staleReads;
         MCI_CHECK(!e_.cfg_.auditStaleReads)
@@ -123,9 +123,9 @@ class SwarmEmulator::Life : public ClientRow {
   }
   void recordCompletion(double now) {
     ++e_.stats_.queriesCompleted;
-    const double latencyMs = std::max(0.0, (now - st_.queryStart[c_]) * 1000.0);
-    e_.cohorts_.latencyMs[c_ % e_.opts_.cohorts].record(
-        static_cast<std::uint64_t>(latencyMs));
+    // Both ends are grid times: the latency in ms is their tick distance.
+    e_.cohorts_.latencyMs[c_ % SwarmCohorts::kCohorts].record(
+        sim::toTick(now - st_.queryStart[c_]));
   }
 
  private:
@@ -137,15 +137,12 @@ class SwarmEmulator::Life : public ClientRow {
 SwarmEmulator::SwarmEmulator(live::Reactor& reactor, SwarmOptions opts)
     : reactor_(reactor), opts_(std::move(opts)) {
   MCI_CHECK(opts_.clients >= 1);
-  MCI_CHECK(opts_.cohorts >= 1);
   UplinkMux::Options mo;
   mo.host = opts_.host;
   mo.port = opts_.port;
   mo.endpointsPerShard = opts_.endpointsPerShard;
   mo.allocProbe = opts_.allocProbe;
   mux_ = std::make_unique<UplinkMux>(reactor_, *this, mo);
-  cohorts_.aoiMs.resize(opts_.cohorts);
-  cohorts_.latencyMs.resize(opts_.cohorts);
 }
 
 void SwarmEmulator::start() { mux_->connect(); }
@@ -216,7 +213,7 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
                          Tick coverage, const report::BsReport* bs) {
   using core::lifecycle::Phase;
   lastTick_ = std::max(lastTick_, now);
-  const double nowModel = live::LiveClock::tickToTime(now);
+  const double nowModel = sim::tickTime(now);
   const std::uint32_t nc = state_.clients;
 
   for (std::uint32_t c = 0; c < nc; ++c) {
@@ -243,14 +240,12 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
             }
           },
           [&] {
-            return mux_->sendCheck(
-                shard, c, live::LiveClock::tickToTime(p.suspectAsOf()),
-                tlbBits_);
+            return mux_->sendCheck(shard, c, sim::tickTime(p.suspectAsOf()),
+                                   tlbBits_);
           });
     } else {
       core::rule::onBsReport(p, now, [&](Tick tlb) {
-        schemes::applyBsDecision(bs->decide(live::LiveClock::tickToTime(tlb)),
-                                 p);
+        schemes::applyBsDecision(bs->decide(sim::tickTime(tlb)), p);
       });
     }
     // (d) answer a waiting query on this shard, or (e) flip a thinker's
@@ -294,7 +289,7 @@ void SwarmEmulator::onReportPayload(std::uint32_t shard,
   MCI_DCHECK(r->kind == report::ReportKind::kBitSeq);
   ++stats_.reportsProcessed;
   ++stats_.bsReports;
-  tick(shard, static_cast<Tick>(codec_->quantize(r->broadcastTime)),
+  tick(shard, static_cast<Tick>(sim::toTick(r->broadcastTime)),
        /*isTs=*/false, 0, static_cast<const report::BsReport*>(r.get()));
 }
 
@@ -315,7 +310,7 @@ void SwarmEmulator::onDataItem(std::uint32_t shard, std::uint32_t client,
   (void)shard;
   Life v(*this, client, lastTick_);
   const bool kept = core::lifecycle::onFetchedCopy(
-      v, owner, live::LiveClock::tickToTime(std::max(lastTick_, fetchTick)),
+      v, owner, sim::tickTime(std::max(lastTick_, fetchTick)),
       item, readTick,
       [&] { state_.insert(client, owner, item, fetchTick, version); });
   if (!kept) ++stats_.lateFetchesDropped;
@@ -425,8 +420,7 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
       state_.needAnswer[c] = mask;
       Life v(*this, c, lastTick_);
       if (core::lifecycle::queryDone(v)) {
-        core::lifecycle::completeQuery(v,
-                                       live::LiveClock::tickToTime(lastTick_));
+        core::lifecycle::completeQuery(v, sim::tickTime(lastTick_));
       }
     }
   }

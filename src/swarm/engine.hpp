@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,7 +12,6 @@
 #include "core/annotations.hpp"
 #include "core/config.hpp"
 #include "db/database.hpp"
-#include "live/clock.hpp"
 #include "live/reactor.hpp"
 #include "metrics/hist.hpp"
 #include "report/codec.hpp"
@@ -34,10 +34,6 @@ struct SwarmOptions {
   /// >= 0 replaces the configured UNIFORM/HOTCOLD item picker with a
   /// Zipf(theta) popularity law over the database (ranks = item ids).
   double zipfTheta = -1.0;
-  /// AoI/latency histograms are kept per cohort (client % cohorts) and
-  /// merged exactly at finalize() — per-population tails without a shared
-  /// histogram cache line on the hot path.
-  std::uint32_t cohorts = 8;
   /// In-process runs: audit every cache hit against the authoritative
   /// per-shard databases (indexed by shard). Empty = no audit.
   std::vector<const db::Database*> auditDbs;
@@ -78,10 +74,13 @@ struct SwarmStats {
   }
 };
 
-/// Per-cohort histograms plus their exact merge (Hist::merge).
+/// AoI/latency histograms kept per cohort (client % kCohorts) and merged
+/// exactly at finalize() (Hist::merge) — per-population tails without a
+/// shared histogram cache line on the hot path.
 struct SwarmCohorts {
-  std::vector<metrics::Hist> aoiMs;      ///< hit age-of-information, ms
-  std::vector<metrics::Hist> latencyMs;  ///< query latency, model ms
+  static constexpr std::uint32_t kCohorts = 8;
+  std::array<metrics::Hist, kCohorts> aoiMs;  ///< hit age-of-information, ms
+  std::array<metrics::Hist, kCohorts> latencyMs;  ///< query latency, model ms
 };
 
 /// The vectorized client emulator: drives the whole SwarmState population
@@ -103,8 +102,8 @@ struct SwarmCohorts {
 ///
 /// Every client-visible event happens at a report, so this is
 /// observationally equivalent to timers. All model time lives on the
-/// LiveClock millisecond grid: a run is a pure function of (seed, report
-/// tick sequence), independent of how many endpoints the mux uses.
+/// millisecond grid of sim/time.hpp: a run is a pure function of (seed,
+/// report tick sequence), independent of how many endpoints the mux uses.
 ///
 /// Only the adaptive schemes (AFW/AAW) are supported; configure() rejects
 /// anything else.
@@ -121,7 +120,7 @@ class SwarmEmulator final : public SwarmSink {
   /// Latest model tick heard from any shard (ms).
   [[nodiscard]] Tick nowTick() const { return lastTick_; }
   [[nodiscard]] double modelNow() const {
-    return live::LiveClock::tickToTime(lastTick_);
+    return sim::tickTime(lastTick_);
   }
 
   [[nodiscard]] const SwarmStats& stats() const { return stats_; }

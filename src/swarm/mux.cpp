@@ -16,8 +16,6 @@ UplinkMux::UplinkMux(live::Reactor& reactor, SwarmSink& sink, Options opts)
       sink_(sink),
       opts_(std::move(opts)) {
   MCI_CHECK(opts_.endpointsPerShard >= 1);
-  MCI_CHECK(opts_.maxItemsPerQueryFrame >= 1 &&
-            opts_.maxItemsPerQueryFrame <= 0xFFFF);
 }
 
 UplinkMux::~UplinkMux() {
@@ -246,8 +244,7 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
         return;
       }
       ++stats_.dataItemFrames;
-      const auto readTick =
-          static_cast<Tick>(reply->readTime() * 1000.0 + 0.5);
+      const auto readTick = static_cast<Tick>(sim::toTick(reply->readTime()));
       for (std::size_t n = reply->size(); n > 0; --n) {
         const live::wire::DataItem d = reply->next();
         const PendingFetch pf = conn.fetchQueue.front();
@@ -283,7 +280,7 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
       const std::uint32_t client = conn.ackQueue.front();
       conn.ackQueue.pop();
       sink_.onCheckAck(conn.shard, client,
-                       static_cast<Tick>(ack->asOf * 1000.0 + 0.5));
+                       static_cast<Tick>(sim::toTick(ack->asOf)));
       maybeCloseDrained(conn);
       return;
     }
@@ -323,8 +320,8 @@ void UplinkMux::flushConnStaged(Conn& conn) {
                                // batch, handleWelcome re-invokes us
   std::size_t off = 0;
   while (off < conn.staged.size() && conn.tcp.isOpen()) {
-    const std::size_t n = std::min<std::size_t>(
-        conn.staged.size() - off, opts_.maxItemsPerQueryFrame);
+    const std::size_t n =
+        std::min(conn.staged.size() - off, kMaxItemsPerQueryFrame);
     report::BitWriter w =
         arena_.begin(live::wire::FrameType::kQueryRequest,
                      live::wire::kNoScheme, net::TrafficClass::kBulk);

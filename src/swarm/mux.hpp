@@ -168,9 +168,6 @@ class UplinkMux {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;           ///< seed shard TCP port
     std::uint32_t endpointsPerShard = 4;
-    /// Split fetch batches so one frame stays well under the 16-bit item
-    /// count and the server's reply burst stays bounded.
-    std::uint32_t maxItemsPerQueryFrame = 8192;
     /// Optional global-allocation-counter sampler (e.g. a counting
     /// operator new in the harness binary); when set, MuxStats::hotAllocs
     /// accumulates the counter's delta across every mux event callback.
@@ -181,6 +178,12 @@ class UplinkMux {
   /// SwarmSink::prefetchDataItem: far enough for the hinted lines to land
   /// before their reply is handled, near enough that they are still cached.
   static constexpr std::size_t kPrefetchDistance = 6;
+
+  /// Fetch batches split at this many items, so one frame stays well under
+  /// the 16-bit item count and the server's reply burst stays bounded.
+  static constexpr std::size_t kMaxItemsPerQueryFrame = 8192;
+  static_assert(kMaxItemsPerQueryFrame >= 1 &&
+                kMaxItemsPerQueryFrame <= 0xFFFF);
 
   UplinkMux(live::Reactor& reactor, SwarmSink& sink, Options opts);
   ~UplinkMux();
@@ -216,7 +219,7 @@ class UplinkMux {
                           db::ItemId item, Tick tick);
 
   /// Encodes and sends every staged fetch as per-endpoint kQueryRequest
-  /// batches (split at maxItemsPerQueryFrame).
+  /// batches (split at kMaxItemsPerQueryFrame).
   MCI_HOT void flushFetches();
 
   /// Sends one adaptive Tlb-feedback check (empty entry list) for

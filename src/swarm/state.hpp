@@ -15,7 +15,7 @@
 
 namespace mci::swarm {
 
-/// Model-time millisecond tick (the LiveClock / ReportCodec grid). 32 bits
+/// Model-time millisecond tick (the sim/time.hpp grid). 32 bits
 /// span ~49 days of model time, matching the codec's timestamp field.
 using Tick = std::uint32_t;
 

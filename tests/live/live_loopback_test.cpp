@@ -658,27 +658,37 @@ class ForgingDaemon {
   /// Accepts the agent's dial, reads its Hello (sent at connect) and
   /// welcomes it with `w`, completed with this daemon's one-shard map.
   void welcome(wire::Welcome w) {
-    connFd_ = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
-    ASSERT_GE(connFd_, 0);
-    wire::FrameBuffer in;
-    std::optional<wire::FrameView> hello;
-    std::uint8_t buf[512];
-    while (!(hello = in.next())) {
-      const ssize_t n = ::recv(connFd_, buf, sizeof buf, 0);
-      ASSERT_GT(n, 0) << "no Hello";
-      in.append(buf, static_cast<std::size_t>(n));
-    }
-    ASSERT_EQ(hello->header.type, wire::FrameType::kHello);
-    const std::optional<wire::Hello> h = wire::decodeHello(hello->payload);
-    ASSERT_TRUE(h.has_value());
-    downlinkPort_ = h->udpPort;
-    w.shardMap = ShardMap::single(
-        ShardEndpoint{.ipv4 = kLoopback, .tcpPort = port_});
+    ASSERT_NO_FATAL_FAILURE(acceptHello());
+    w.shardMap = selfMap();
     const std::span<const std::uint8_t> frame = arena_.build(
         wire::FrameType::kWelcome, net::TrafficClass::kControl, w,
         wire::encodeWelcomeInto);
     ASSERT_EQ(::send(connFd_, frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
+  }
+
+  /// As welcome(), but the kWelcome payload is cut to `keepBytes` bytes.
+  void welcomeTruncated(wire::Welcome w, std::size_t keepBytes) {
+    ASSERT_NO_FATAL_FAILURE(acceptHello());
+    w.shardMap = selfMap();
+    std::vector<std::uint8_t> payload;
+    report::BitWriter bits(payload);
+    wire::encodeWelcomeInto(w, bits);
+    ASSERT_LT(keepBytes, payload.size());
+    payload.resize(keepBytes);
+    sendUplink(wire::FrameType::kWelcome, payload);
+  }
+
+  /// One frame of `type` carrying `payload` on the agent's uplink.
+  void sendUplink(wire::FrameType type,
+                  const std::vector<std::uint8_t>& payload) {
+    report::BitWriter w =
+        arena_.begin(type, wire::kNoScheme, net::TrafficClass::kControl);
+    for (std::uint8_t b : payload) w.write(b, 8);
+    arena_.finish(w);
+    ASSERT_EQ(::send(connFd_, arena_.frame().data(), arena_.frame().size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(arena_.frame().size()));
   }
 
   /// One kReport datagram carrying `payload` to the agent's downlink.
@@ -695,6 +705,29 @@ class ForgingDaemon {
   }
 
  private:
+  [[nodiscard]] ShardMap selfMap() const {
+    return ShardMap::single(
+        ShardEndpoint{.ipv4 = kLoopback, .tcpPort = port_});
+  }
+
+  /// Accepts the agent's dial and reads the Hello it sends at connect.
+  void acceptHello() {
+    connFd_ = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
+    ASSERT_GE(connFd_, 0);
+    wire::FrameBuffer in;
+    std::optional<wire::FrameView> hello;
+    std::uint8_t buf[512];
+    while (!(hello = in.next())) {
+      const ssize_t n = ::recv(connFd_, buf, sizeof buf, 0);
+      ASSERT_GT(n, 0) << "no Hello";
+      in.append(buf, static_cast<std::size_t>(n));
+    }
+    ASSERT_EQ(hello->header.type, wire::FrameType::kHello);
+    const std::optional<wire::Hello> h = wire::decodeHello(hello->payload);
+    ASSERT_TRUE(h.has_value());
+    downlinkPort_ = h->udpPort;
+  }
+
   static sockaddr_in loopback(std::uint16_t port) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -711,38 +744,99 @@ class ForgingDaemon {
   wire::FrameArena arena_;
 };
 
+/// One TS agent dialed into a ForgingDaemon, configured to issue no query
+/// while a test runs: everything it hears is what the test forges.
+struct ForgedPeer {
+  ForgedPeer() : cfg(quietTsConfig()), pool(reactor, agentOptions()) {
+    pool.start();
+  }
+
+  static core::SimConfig quietTsConfig() {
+    core::SimConfig c = baseConfig(schemes::SchemeKind::kTs);
+    c.meanThinkTime = 1e6;
+    return c;
+  }
+
+  AgentOptions agentOptions() const {
+    AgentOptions o;
+    o.cfg = cfg;
+    o.port = daemon.port();
+    o.sendAudit = false;
+    return o;
+  }
+
+  /// The Welcome of a one-client TS run of `cfg`, less the map the daemon
+  /// fills in.
+  wire::Welcome welcomeMessage() const {
+    wire::Welcome w;
+    w.scheme = static_cast<std::uint8_t>(schemes::SchemeKind::kTs);
+    w.dbSize = static_cast<std::uint32_t>(cfg.dbSize);
+    w.numClients = 1;
+    w.cacheCapacity = 100;
+    w.dataItemBytes = static_cast<std::uint32_t>(cfg.dataItemBytes);
+    w.controlMessageBytes =
+        static_cast<std::uint32_t>(cfg.controlMessageBytes);
+    w.broadcastPeriod = cfg.broadcastPeriod;
+    w.windowIntervals = static_cast<std::uint16_t>(cfg.windowIntervals);
+    return w;
+  }
+
+  /// Runs the reactor until `done()` holds, or about one second.
+  template <typename Pred>
+  void runUntil(Pred done) {
+    for (int round = 0; round < 1000 && !done(); ++round) reactor.runOnce(1);
+  }
+
+  Reactor reactor;
+  ForgingDaemon daemon;
+  core::SimConfig cfg;
+  ClientPool pool;
+};
+
+// A Welcome that does not decode is a bad frame like any other: counted,
+// and nobody is welcomed on the strength of it.
+TEST(LiveLoopback, TruncatedWelcomeIsCountedAndWelcomesNobody) {
+  ForgedPeer peer;
+  peer.daemon.welcomeTruncated(peer.welcomeMessage(), 6);
+  peer.runUntil([&] { return peer.pool.stats().badFrames > 0; });
+  for (int round = 0; round < 20; ++round) peer.reactor.runOnce(1);
+  EXPECT_EQ(peer.pool.stats().badFrames, 1u);
+  EXPECT_EQ(peer.pool.welcomedCount(), 0u);
+  EXPECT_EQ(peer.pool.stats().connectionsLost, 0u);
+  peer.pool.shutdown();
+}
+
+// Undecodable acks and validity replies on a welcomed uplink are counted
+// as bad frames and change nothing else.
+TEST(LiveLoopback, TruncatedCheckAckAndValidityReplyAreCounted) {
+  ForgedPeer peer;
+  peer.daemon.welcome(peer.welcomeMessage());
+  peer.runUntil([&] { return peer.pool.welcomedCount() > 0; });
+  ASSERT_EQ(peer.pool.welcomedCount(), 1u);
+  const std::uint64_t badBefore = peer.pool.stats().badFrames;
+
+  peer.daemon.sendUplink(wire::FrameType::kCheckAck, {0x01});
+  peer.daemon.sendUplink(wire::FrameType::kValidityReply, {0x01});
+  peer.runUntil(
+      [&] { return peer.pool.stats().badFrames >= badBefore + 2; });
+  EXPECT_EQ(peer.pool.stats().badFrames, badBefore + 2);
+  EXPECT_EQ(peer.pool.aliveCount(), 1u);
+  EXPECT_EQ(peer.pool.stats().connectionsLost, 0u);
+  peer.pool.shutdown();
+}
+
 // CRC-valid IR datagrams a live client must survive: a TS report whose
 // coverage starts after its broadcast time, a well-formed report of a kind
 // the agent's scheme cannot take (BS, sent to a TS agent), and a TS report
 // listing an item id past the database. Each is counted as a bad frame and
 // dropped; the agent stays connected.
 TEST(LiveLoopback, ForgedReportDatagramsAreDroppedNotFatal) {
-  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kTs);
-  cfg.meanThinkTime = 1e6;  // no query while the test runs
-
-  Reactor reactor;
-  ForgingDaemon daemon;
-  AgentOptions agentOpts;
-  agentOpts.cfg = cfg;
-  agentOpts.port = daemon.port();
-  agentOpts.sendAudit = false;
-  ClientPool pool(reactor, agentOpts);
-  pool.start();
-
-  wire::Welcome w;
-  w.scheme = static_cast<std::uint8_t>(schemes::SchemeKind::kTs);
-  w.dbSize = static_cast<std::uint32_t>(cfg.dbSize);
-  w.numClients = 1;
-  w.cacheCapacity = 100;
-  w.dataItemBytes = static_cast<std::uint32_t>(cfg.dataItemBytes);
-  w.controlMessageBytes = static_cast<std::uint32_t>(cfg.controlMessageBytes);
-  w.broadcastPeriod = cfg.broadcastPeriod;
-  w.windowIntervals = static_cast<std::uint16_t>(cfg.windowIntervals);
-  daemon.welcome(w);
-  for (int round = 0; round < 1000 && pool.welcomedCount() == 0; ++round) {
-    reactor.runOnce(1);
-  }
-  ASSERT_EQ(pool.welcomedCount(), 1u);
+  ForgedPeer peer;
+  const core::SimConfig& cfg = peer.cfg;
+  const wire::Welcome w = peer.welcomeMessage();
+  peer.daemon.welcome(w);
+  peer.runUntil([&] { return peer.pool.welcomedCount() > 0; });
+  ASSERT_EQ(peer.pool.welcomedCount(), 1u);
 
   const report::SizeModel sizes =
       wire::configFromWelcome(cfg, w).sizeModel();
@@ -761,20 +855,19 @@ TEST(LiveLoopback, ForgedReportDatagramsAreDroppedNotFatal) {
       codec.encode(*report::TsReport::fromParts(
           report::ReportKind::kTsWindow, sizes, 1.0, 0.0,
           {{3, 0.5}, {1023, 0.75}}));
-  const std::uint64_t badBefore = pool.stats().badFrames;
-  daemon.sendReport(forged.finish());
-  daemon.sendReport(codec.encode(*report::BsReport::build(history, sizes, 1.0)));
-  daemon.sendReport(forgedId);
+  const std::uint64_t badBefore = peer.pool.stats().badFrames;
+  peer.daemon.sendReport(forged.finish());
+  peer.daemon.sendReport(
+      codec.encode(*report::BsReport::build(history, sizes, 1.0)));
+  peer.daemon.sendReport(forgedId);
 
-  for (int round = 0;
-       round < 1000 && pool.stats().badFrames < badBefore + 3; ++round) {
-    reactor.runOnce(1);
-  }
-  EXPECT_EQ(pool.stats().badFrames, badBefore + 3);
-  EXPECT_EQ(pool.stats().reportsHeard, 0u);
-  EXPECT_EQ(pool.aliveCount(), 1u);
-  EXPECT_EQ(pool.stats().connectionsLost, 0u);
-  pool.shutdown();
+  peer.runUntil(
+      [&] { return peer.pool.stats().badFrames >= badBefore + 3; });
+  EXPECT_EQ(peer.pool.stats().badFrames, badBefore + 3);
+  EXPECT_EQ(peer.pool.stats().reportsHeard, 0u);
+  EXPECT_EQ(peer.pool.aliveCount(), 1u);
+  EXPECT_EQ(peer.pool.stats().connectionsLost, 0u);
+  peer.pool.shutdown();
 }
 
 /// Multicast downlink: one datagram per IR serves every agent that joined

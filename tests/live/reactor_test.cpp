@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "live/clock.hpp"
+#include "sim/time.hpp"
+
 namespace mci::live {
 namespace {
 
@@ -140,6 +143,31 @@ TEST(Reactor, RunOnceWithTimeoutReturnsWithNothingPending) {
   Reactor r;
   r.runOnce(1);  // must not hang or crash with no fds or timers
   EXPECT_EQ(r.timerCount(), 0u);
+}
+
+// A LiveClock owns no clock: its tick is the reactor's nowSeconds() times
+// the scale, on the grid, so it moves exactly as far as the reactor's
+// deadline clock does. Reads are bracketed by the reactor's own readings;
+// both clocks are one monotonic source, so the bracket cannot flake.
+TEST(Reactor, LiveClockFollowsTheReactorClockTimesTheScale) {
+  Reactor r;
+  const LiveClock clock(r, 60.0);
+  const LiveClock twin(r, 60.0);
+  const auto expectBracketed = [&] {
+    const double before = r.nowSeconds();
+    const std::uint64_t tick = clock.nowTick();
+    const double after = r.nowSeconds();
+    EXPECT_GE(tick, sim::toTick(before * 60.0));
+    EXPECT_LE(tick, sim::toTick(after * 60.0));
+    EXPECT_LE(tick, twin.nowTick());  // a second clock, the same epoch
+  };
+  expectBracketed();
+  (void)r.addTimer(0.02, 0, [&r] { r.stop(); });
+  r.run();
+  // 20 ms of wall time is at least 1.2 model seconds at x60.
+  EXPECT_GE(clock.nowTick(), 1200u);
+  expectBracketed();
+  EXPECT_EQ(clock.wallDelay(20.0), 20.0 / 60.0);
 }
 
 }  // namespace

@@ -145,6 +145,12 @@ TEST(LiveReshard, QueriesRacingTheEpochFlipAllComplete) {
   EXPECT_TRUE(r.transitionDone);
   EXPECT_EQ(r.poolStats.epochSwitches, 1u);
   EXPECT_GT(r.poolStats.mapUpdatesHeard, 0u);
+  // The replay guard is the pool's version compare: each agent hears the
+  // one announce on every uplink and on the IR downlinks, and every copy
+  // after the first flip is a duplicate that must change nothing.
+  EXPECT_GT(r.poolStats.staleMapUpdates, 0u);
+  EXPECT_EQ(r.poolStats.staleMapUpdates + r.poolStats.epochSwitches,
+            r.poolStats.mapUpdatesHeard);
   EXPECT_GT(r.queriesBeforeSwitch, 0u);
   EXPECT_GT(r.pool.queriesCompleted, r.queriesBeforeSwitch)
       << "no query completed after the epoch switch";
@@ -183,6 +189,44 @@ TEST(LiveReshard, ShardRemovedWhileClientsDozeWakesIntoNewEpoch) {
   EXPECT_EQ(r.cluster.handoffFailures, 0u);
   EXPECT_EQ(r.pool.staleReads, 0u);
   EXPECT_EQ(r.clusterStale, 0u);
+}
+
+/// Every shard's tick read between two reads of shard 0's: all shards run
+/// one clock exactly when each lands inside that bracket. Shards built in
+/// sequence that each started a clock of their own would read tens of
+/// model milliseconds behind shard 0 at x400.
+void expectOneClock(const Cluster& cluster) {
+  for (std::uint32_t s = 1; s < cluster.shardCount(); ++s) {
+    const std::uint64_t before = cluster.server(0).clock().nowTick();
+    const std::uint64_t tick = cluster.server(s).clock().nowTick();
+    const std::uint64_t after = cluster.server(0).clock().nowTick();
+    EXPECT_GE(tick, before) << "shard " << s << " behind shard 0";
+    EXPECT_LE(tick, after) << "shard " << s << " ahead of shard 0";
+  }
+}
+
+TEST(LiveReshard, InitialAndGrownShardsReadOneModelClock) {
+  Reactor reactor;
+  ClusterOptions opts;
+  opts.cfg = reshardConfig();
+  opts.timeScale = 400.0;
+  opts.shardCount = 4;
+  Cluster cluster(reactor, opts);
+  expectOneClock(cluster);
+
+  bool done = false;
+  cluster.grow(2, [&] {
+    done = true;
+    reactor.stop();
+  });
+  EXPECT_EQ(cluster.shardCount(), 6u);
+  expectOneClock(cluster);
+  const Reactor::TimerHandle guard =
+      reactor.addTimer(10.0, 0, [&reactor] { reactor.stop(); });
+  reactor.run();
+  (void)reactor.cancelTimer(guard);
+  EXPECT_TRUE(done) << "the grow never finished";
+  expectOneClock(cluster);
 }
 
 }  // namespace

@@ -146,37 +146,6 @@ TEST(ShardMap, DecodeRejectsUncoveredIndexBeforeParsingEndpoints) {
   }
 }
 
-TEST(ShardMap, DecodeRejectsStaleEpochBeforeParsingEndpoints) {
-  // A MapUpdate must never move a client backwards: a re-announced or
-  // reordered map whose version is below the epoch the client already
-  // holds is refused on the version field alone. Like the uncovered-index
-  // guard, the rejection happens before a single endpoint is parsed —
-  // the cursor stops right after the 32-bit version.
-  ShardMap map = mapOf(3);
-  report::BitWriter w;
-  map.encodeTo(w);
-  const std::vector<std::uint8_t> bytes = w.finish();  // version == 1
-
-  {
-    report::BitReader r(bytes);
-    EXPECT_FALSE(ShardMap::decodeFrom(r, std::nullopt, 2).has_value());
-    EXPECT_EQ(r.bitsRead(), 32u) << "decode continued past a stale version";
-  }
-  {
-    // minVersion == version is NOT stale: a duplicate announcement of the
-    // epoch the client is already on must still parse (the mux dedups it).
-    report::BitReader r(bytes);
-    const auto back = ShardMap::decodeFrom(r, std::nullopt, 1);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, map);
-  }
-  {
-    // And a genuinely newer map passes the guard.
-    report::BitReader r(bytes);
-    EXPECT_TRUE(ShardMap::decodeFrom(r, std::nullopt, 0).has_value());
-  }
-}
-
 TEST(ShardMap, IndexOfMatchesTheWholeEndpointIdentity) {
   const ShardMap map = mapOf(3);  // 127.0.0.1 on ports 4000..4002
   EXPECT_EQ(map.indexOf(0x7F000001u, 4001), std::optional<std::uint32_t>(1));

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "sim/random.hpp"
+#include "sim/time.hpp"
 
 namespace mci::report {
 namespace {
@@ -126,14 +127,17 @@ TEST(ReportCodec, QuantizationIsMillisecondAccurate) {
   const auto sizes = model();
   ReportCodec codec(sizes);
   for (double t : {0.0, 0.1234, 99.999, 100000.0}) {
-    EXPECT_NEAR(codec.dequantize(codec.quantize(t)), t, 1e-3) << t;
+    EXPECT_NEAR(sim::tickTime(codec.quantize(t)), t, 1e-3) << t;
   }
 }
 
 TEST(ReportCodec, QuantizationSaturatesInsteadOfWrapping) {
   SizeModel sizes = model();
   sizes.timestampBits = 8;  // tiny field: 255 ticks max
-  ReportCodec codec(sizes, 1.0);
+  ReportCodec codec(sizes);
+  EXPECT_EQ(codec.quantize(0.254), 254u);
+  EXPECT_EQ(codec.quantize(0.255), 255u);
+  EXPECT_EQ(codec.quantize(0.256), 255u);
   EXPECT_EQ(codec.quantize(1e9), 255u);
   EXPECT_EQ(codec.quantize(-5.0), 0u);
 }

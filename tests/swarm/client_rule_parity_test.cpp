@@ -27,11 +27,11 @@
 #include "core/client_lifecycle.hpp"
 #include "core/client_rule.hpp"
 #include "db/update_history.hpp"
-#include "live/clock.hpp"
 #include "report/bs_report.hpp"
 #include "report/ts_report.hpp"
 #include "schemes/bs_scheme.hpp"
 #include "schemes/scheme_test_util.hpp"
+#include "sim/time.hpp"
 #include "swarm/state.hpp"
 #include "workload/pattern.hpp"
 #include "workload/query_generator.hpp"
@@ -98,7 +98,7 @@ struct Episode {
     scheme.onReport(r, h.ctx);
     PartitionView p = view();
     core::rule::onBsReport(p, toTick(r.broadcastTime), [&](Tick tlb) {
-      schemes::applyBsDecision(r.decide(live::LiveClock::tickToTime(tlb)), p);
+      schemes::applyBsDecision(r.decide(sim::tickTime(tlb)), p);
     });
   }
 

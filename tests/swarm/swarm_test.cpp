@@ -214,6 +214,62 @@ TEST(Swarm, ShardedClusterRunsClean) {
   EXPECT_GT(r.stats.hitRatio(), 0.05);
 }
 
+// A grow mid-run: the mux applies the one new epoch once. The cutover
+// announce reaches it on every uplink and on each shard's IR downlink, and
+// every copy after the first is a duplicate the version compare must count
+// as stale and ignore — the mux's only replay guard.
+TEST(Swarm, GrowFlipsTheMuxOnceAndDuplicateAnnouncesAreStale) {
+  const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.cfg.numClients = 200;
+  co.timeScale = 400.0;
+  co.shardCount = 2;
+  co.maxSendQueueBytes = std::size_t{64} << 20;
+  live::Cluster cluster(reactor, co);
+
+  SwarmOptions so;
+  so.cfg = co.cfg;
+  so.port = cluster.seedPort();
+  so.clients = 200;
+  so.endpointsPerShard = 2;
+  so.auditDbResolver = [&cluster](std::uint32_t s) -> const db::Database* {
+    return s < cluster.shardCount() ? &cluster.server(s).database() : nullptr;
+  };
+  SwarmEmulator em(reactor, so);
+  em.start();
+
+  bool grown = false;
+  bool growDone = false;
+  const live::Reactor::TimerHandle tick = reactor.addTimer(0.01, 0.01, [&] {
+    if (!em.ready()) return;
+    if (!grown && em.modelNow() >= cfg.simTime * 0.3) {
+      grown = true;
+      cluster.grow(1, [&growDone] { growDone = true; });
+    }
+    if (growDone && em.modelNow() >= cfg.simTime) {
+      em.shutdown();
+      reactor.stop();
+    }
+  });
+  reactor.run();
+  (void)reactor.cancelTimer(tick);
+
+  EXPECT_TRUE(growDone);
+  EXPECT_EQ(cluster.shardCount(), 3u);
+  const MuxStats& mux = em.mux().stats();
+  EXPECT_EQ(mux.epochSwitches, 1u);
+  EXPECT_EQ(em.mux().shardMap().version(), 2u);
+  // Four uplinks (TCP) and two IR downlinks heard the announce: even if
+  // both datagrams were lost, at least three copies are duplicates.
+  EXPECT_GE(mux.staleMapUpdates, 3u);
+  EXPECT_EQ(mux.staleMapUpdates + mux.epochSwitches, mux.mapUpdatesHeard);
+  EXPECT_EQ(mux.connectionsLost, 0u);
+  EXPECT_EQ(em.stats().staleReads, 0u);
+  EXPECT_EQ(cluster.staleReads(), 0u);
+}
+
 TEST(Swarm, ZipfWorkloadRunsAndSkewsTowardLowRanks) {
   core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
   cfg.workload = core::WorkloadKind::kUniform;  // replaced by Zipf
@@ -237,7 +293,7 @@ TEST(Swarm, NonAdaptiveServerIsRejected) {
 std::vector<std::uint8_t> tsWire(const report::SizeModel& sizes,
                                  std::vector<db::UpdateRecord> entries,
                                  sim::SimTime now) {
-  const report::ReportCodec codec(sizes, 1e-3);
+  const report::ReportCodec codec(sizes);
   return codec.encode(*report::TsReport::fromParts(
       report::ReportKind::kTsWindow, sizes, now, now - 100.0,
       std::move(entries)));
@@ -248,7 +304,7 @@ std::vector<std::uint8_t> tsWire(const report::SizeModel& sizes,
 std::vector<std::uint8_t> tsHeaderWire(const report::SizeModel& sizes,
                                        sim::SimTime now,
                                        sim::SimTime coverage) {
-  const report::ReportCodec codec(sizes, 1e-3);
+  const report::ReportCodec codec(sizes);
   report::BitWriter w;
   w.write(0, 2);  // kind: TS
   w.write(0, 1);  // not extended

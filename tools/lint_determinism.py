@@ -41,6 +41,12 @@ Banned patterns
    parser with its own refusal rules, which is how a forged report got
    past one client and not another. Taking a reader by reference (as
    live::ShardMap::decodeFrom does, inside a wire.cpp decode) is fine.
+8. `WallTimer` or `metrics/walltime.hpp` under src/live/ and src/swarm/
+   outside src/live/reactor.hpp. The reactor's deadline clock is the one
+   time source of the live stack: every model tick is that clock times the
+   time scale (live::LiveClock), so all daemons and pools on one reactor
+   share an epoch, and the reactor is the one seam a virtual clock
+   replaces. A second WallTimer would be a second epoch.
 
 An earlier rule 5 (range-for over unordered containers) moved to the
 AST-based `ordered-iteration` rule in tools/analyze/mci_analyze.py, which
@@ -85,12 +91,21 @@ BIT_READER_ALLOWLIST = (
 # Files allowed to read host clocks (wall-time measurement of the harness
 # itself, never of simulated quantities).
 WALLTIME_ALLOWLIST = ("src/metrics/walltime.hpp", "src/metrics/walltime.cpp")
+# The live stack's one clock: the reactor's deadline clock.
+LIVE_DIRS = ("src/live", "src/swarm")
+LIVE_CLOCK_ALLOWLIST = ("src/live/reactor.hpp",)
+LIVE_CLOCK_MESSAGE = (
+    "a second clock in the live stack; read model time through "
+    "live::LiveClock, which scales the reactor's clock "
+    "(src/live/reactor.hpp is the one place a WallTimer lives)"
+)
 
 SUPPRESS_OK = re.compile(r"NOLINT-DETERMINISM\(.+\)")
 SUPPRESS_BARE = re.compile(r"NOLINT-DETERMINISM(?!\()")
 
 SIMPLE_RULES = [
-    # (regex on comment-stripped code, scanned dirs, allowlist, message)
+    # (regex on comment-stripped code, scanned path prefixes, allowlist,
+    # message)
     (
         re.compile(r"(?<![\w:])s?rand(om)?\s*\("),
         SCAN_DIRS,
@@ -146,7 +161,20 @@ SIMPLE_RULES = [
         "report fields through report::ReportCodec (readTs, decodeAny) and "
         "frames through live::wire (src/report/codec.cpp, src/live/wire.*)",
     ),
+    (
+        re.compile(r"\bWallTimer\b"),
+        LIVE_DIRS,
+        LIVE_CLOCK_ALLOWLIST,
+        LIVE_CLOCK_MESSAGE,
+    ),
 ]
+
+WALLTIME_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]metrics/walltime\.hpp[>"]')
+
+
+def in_scope(rel: str, prefixes: tuple[str, ...]) -> bool:
+    return any(rel.startswith(p + "/") for p in prefixes)
+
 
 def strip_comments(text: str) -> str:
     """Blanks out // and /* */ comments and string/char literals, keeping
@@ -230,11 +258,18 @@ def lint_file(root: Path, path: Path) -> list[str]:
             )
 
     for pattern, dirs, allowlist, message in SIMPLE_RULES:
-        if rel in allowlist or rel.split("/", 1)[0] not in dirs:
+        if rel in allowlist or not in_scope(rel, dirs):
             continue
         for ln, line in enumerate(code_lines, start=1):
             if pattern.search(line) and not suppressed(raw_lines, ln):
                 errors.append(f"{rel}:{ln}: {message}")
+
+    # Rule 8's include half reads the raw lines: the include path is a
+    # string literal, which strip_comments blanks.
+    if rel not in LIVE_CLOCK_ALLOWLIST and in_scope(rel, LIVE_DIRS):
+        for ln, line in enumerate(raw_lines, start=1):
+            if WALLTIME_INCLUDE.match(line) and not suppressed(raw_lines, ln):
+                errors.append(f"{rel}:{ln}: {LIVE_CLOCK_MESSAGE}")
 
     return errors
 
