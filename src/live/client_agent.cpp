@@ -27,7 +27,7 @@ class ClientAgent::Life : public core::lifecycle::HostView {
   template <class F>
   void forEachPartition(F&& f) {
     // Every shard link slept through its own stretch of reports.
-    for (auto& link : a_.links_) {
+    for (const auto& link : a_.links_.slots()) {
       if (link->scheme != nullptr) f(*link->ctx);
     }
   }
@@ -56,14 +56,14 @@ class ClientAgent::Life : public core::lifecycle::HostView {
     a_.queryStartWall_ = a_.pool_.reactor_.nowSeconds();
     // Fan the query out by owner shard; each involved link answers on its
     // own shard's next report (per-shard consistency point).
-    for (auto& link : a_.links_) {
+    for (const auto& link : a_.links_.slots()) {
       link->items.clear();
       link->fetch.clear();
       link->owed = false;
     }
     const ShardMap& map = a_.pool_.shardMap();
     for (db::ItemId item : a_.queryItems_) {
-      Link& link = *a_.links_[map.shardOf(item)];
+      Link& link = a_.links_.at(map.shardOf(item));
       link.items.push_back(item);
       link.owed = true;
     }
@@ -118,10 +118,10 @@ class ClientAgent::Life : public core::lifecycle::HostView {
  private:
   template <class Pred>
   [[nodiscard]] bool anyLeg(Pred pred) const {
-    for (const auto& link : a_.links_) {
+    for (const auto& link : a_.links_.slots()) {
       if (pred(*link)) return true;
     }
-    for (const auto& link : a_.draining_) {
+    for (const auto& link : a_.links_.retired()) {
       if (link->tcp.isOpen() && pred(*link)) return true;
     }
     return false;
@@ -135,36 +135,29 @@ ClientAgent::ClientAgent(ClientPool& pool, std::size_t index)
 
 ClientAgent::~ClientAgent() {
   cancelTimer();
-  for (auto* linkSet : {&links_, &draining_}) {
-    for (auto& link : *linkSet) {
-      if (link) closeLink(*link);
-    }
-  }
+  links_.forEach([this](Link& link) { closeLink(link); });
   pool_.reactor_.retireOwner(owner_);
 }
 
 std::unique_ptr<ClientAgent::Link> ClientAgent::makeLink(
-    std::uint32_t shard, std::uint32_t ipv4, std::uint16_t tcpPort,
-    std::uint32_t mcastIpv4, std::uint16_t mcastPort) {
+    const ShardEndpoint& ep) {
   auto link = std::make_unique<Link>();
-  link->shard = shard;
-  link->ipv4 = ipv4;
-  link->tcpPort = tcpPort;
-  link->tcp.adopt(pool_.reactor_, dialTcp(ipv4, tcpPort));
+  link->endpoint = ep;
+  link->tcp.adopt(pool_.reactor_, dialTcp(ep.ipv4, ep.tcpPort));
   if (!link->tcp.isOpen()) {
     throw std::runtime_error("live agent: connect failed");
   }
-  // If the downlink throws, the link closes the uplink.
-  link->downlink = openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
   Link* lp = link.get();
   link->tcp.watch(pool_.reactor_.addFd(
       link->tcp.fd(), EPOLLIN,
       [this, lp](std::uint32_t ev) { onTcp(*lp, ev); }, owner_));
-  watchDownlink(*link);
+  // If the downlink throws, the link closes the uplink.
+  openDownlink(*link, ep);
   return link;
 }
 
-void ClientAgent::watchDownlink(Link& link) {
+void ClientAgent::openDownlink(Link& link, const ShardEndpoint& ep) {
+  link.downlink = openDownlinkUdp(ep.ipv4, ep.multicastIpv4, ep.multicastPort);
   Link* lp = &link;
   link.downlink.watch(
       pool_.reactor_,
@@ -194,8 +187,25 @@ void ClientAgent::connect() {
   if (!seed) {
     throw std::runtime_error("live agent: bad host " + pool_.opts_.host);
   }
-  links_.push_back(makeLink(kUnknownShard, *seed, pool_.opts_.port, 0, 0));
-  sendHello(*links_.back());
+  ShardEndpoint ep;
+  ep.ipv4 = *seed;
+  ep.tcpPort = pool_.opts_.port;
+  sendHello(links_.seed(makeLink(ep)));
+}
+
+void ClientAgent::followMap(const ShardMap& map, std::uint32_t seedSlot) {
+  std::vector<Link*> dialed;
+  links_.follow(
+      map, seedSlot,
+      [&](std::uint32_t, const ShardEndpoint& ep) {
+        std::unique_ptr<Link> link = makeLink(ep);
+        dialed.push_back(link.get());
+        return link;
+      },
+      [](Link& link) { link.draining = true; },
+      // No re-Hello: a multicast shard never uses the Hello's UDP port.
+      [this](Link& link, const ShardEndpoint& ep) { openDownlink(link, ep); });
+  for (Link* link : dialed) sendHello(*link);
 }
 
 void ClientAgent::shutdown() {
@@ -204,7 +214,7 @@ void ClientAgent::shutdown() {
   report::BitWriter w = arena.begin(wire::FrameType::kBye, wire::kNoScheme,
                                     net::TrafficClass::kControl);
   arena.finish(w);
-  for (auto& link : links_) {
+  for (const auto& link : links_.slots()) {
     if (link && link->tcp.isOpen()) {
       // Best-effort goodbye: teardown continues whether or not it lands.
       (void)sendFrame(*link, arena.frame());
@@ -214,8 +224,8 @@ void ClientAgent::shutdown() {
 }
 
 bool ClientAgent::connectionAlive() const {
-  if (links_.empty()) return false;
-  for (const auto& link : links_) {
+  if (links_.slots().empty()) return false;
+  for (const auto& link : links_.slots()) {
     if (!link || !link->tcp.isOpen()) return false;
   }
   return true;
@@ -244,13 +254,10 @@ void ClientAgent::cancelTimer() {
 void ClientAgent::dropAgent() {
   cancelTimer();
   bool hadLive = false;
-  for (auto* linkSet : {&links_, &draining_}) {
-    for (auto& link : *linkSet) {
-      if (!link) continue;
-      if (link->tcp.isOpen() && !link->draining) hadLive = true;
-      closeLink(*link);
-    }
-  }
+  links_.forEach([&](Link& link) {
+    if (link.tcp.isOpen() && !link.draining) hadLive = true;
+    closeLink(link);
+  });
   // One agent = one host: losing any shard link retires the whole agent
   // (a real client would re-dial; the load generator just counts it).
   if (hadLive && !shuttingDown_) ++pool_.stats_.connectionsLost;
@@ -372,7 +379,7 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   pool_.ensureConfigured(w);
   const ShardMap& map = pool_.shardMap();
 
-  if (link.shard == kUnknownShard) {
+  if (!links_.map().valid()) {
     if (w.shardIndex >= map.shardCount()) {
       // The seed's slot is gone: a reshard retired it between our connect
       // and its Welcome. Too early to flip gracefully — retire the agent.
@@ -381,30 +388,8 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
     }
     // The seed Welcome: adopt the sender's slot, take its client id as the
     // agent's identity, and dial the rest of the cluster.
-    link.shard = w.shardIndex;
     agentId_ = w.clientId;
-
-    const ShardEndpoint& seedEp = map.endpoint(w.shardIndex);
-    if (seedEp.multicastIpv4 != 0) {
-      // The seed link dialed before the map was known, so its downlink is
-      // unicast — but this shard broadcasts only to its group. Swap in a
-      // group-joined socket; no re-Hello needed, a multicast shard never
-      // uses the Hello's per-client UDP port.
-      link.downlink = openDownlinkUdp(seedEp.ipv4, seedEp.multicastIpv4,
-                                      seedEp.multicastPort);
-      watchDownlink(link);
-    }
-
-    std::vector<std::unique_ptr<Link>> byShard(map.shardCount());
-    byShard[w.shardIndex] = std::move(links_.front());
-    links_ = std::move(byShard);
-    for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-      if (links_[s]) continue;
-      const ShardEndpoint& ep = map.endpoint(s);
-      links_[s] =
-          makeLink(s, ep.ipv4, ep.tcpPort, ep.multicastIpv4, ep.multicastPort);
-      sendHello(*links_[s]);
-    }
+    followMap(map, w.shardIndex);
 
     // Same per-client streams as core::Simulation (root.fork("query", id)):
     // an agent whose seed identity is k draws the exact query/doze schedule
@@ -414,7 +399,6 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
                       root.fork("query", agentId_));
     disc_.emplace(pool_.agentCfg_.disconnectParams(),
                   root.fork("disc", agentId_));
-    mapVersion_ = map.version();
   } else if (link.shard != w.shardIndex) {
     dropAgent();  // the map pointed us at a daemon claiming another slot
     return;
@@ -454,7 +438,7 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   }
 
   ++welcomedLinks_;
-  if (welcomedLinks_ == links_.size() && !running_) {
+  if (welcomed() && !running_) {
     running_ = true;
     Life v(*this);
     core::lifecycle::startThink(v, pool_.clock_->nowModel(), v.drawThink());
@@ -542,75 +526,47 @@ bool ClientAgent::sendFrame(Link& link, std::span<const std::uint8_t> frame) {
 void ClientAgent::applyShardMap(const ShardMap& map) {
   // Before the seed Welcome there is nothing to flip: ensureConfigured has
   // not run and the seed's Welcome will carry the post-reshard map anyway.
-  if (!queryGen_) return;
-  if (map.version() <= mapVersion_) return;
-  mapVersion_ = map.version();
+  if (!links_.map().valid() || !advancesEpoch(links_.map(), map)) return;
 
   // The pre-flip consistency point bounds every update a migrated copy
   // could have missed on its old owner's report stream. It is no later
   // than any partition's own gap anchor, so it is also the anchor of every
   // destination partition a copy lands in.
   core::rule::PreFlipPoint<sim::SimTime> preFlip;
-  for (const auto& l : links_) {
+  for (const auto& l : links_.slots()) {
     if (l && l->ctx) preFlip.add(*l->ctx);
   }
   const sim::SimTime preTlb = preFlip.value();
 
-  // Re-key the links by endpoint identity: a surviving daemon keeps its
-  // connection (and cache partition) even if its shard index changed;
-  // endpoints that left the map drain instead of closing abruptly.
-  std::vector<std::unique_ptr<Link>> byShard(map.shardCount());
-  for (auto& l : links_) {
-    if (!l) continue;
-    const std::optional<std::uint32_t> s = map.indexOf(l->ipv4, l->tcpPort);
-    if (s && !byShard[*s]) {
-      l->shard = *s;
-      byShard[*s] = std::move(l);
-    } else {
-      l->shard = kUnknownShard;
-      l->draining = true;
-      draining_.push_back(std::move(l));
-    }
+  // Any socket failure on a joiner retires the agent, same as a broken
+  // link (a real client would re-dial; the harness counts it).
+  try {
+    followMap(map, ShardLinks<Link>::kUnplaced);
+  } catch (const std::runtime_error&) {
+    dropAgent();
+    return;
   }
-  links_ = std::move(byShard);
+  if (!connectionAlive()) return;  // a Hello failed; dropAgent() ran
   welcomedLinks_ = 0;
-  for (const auto& l : links_) {
-    if (l && l->scheme != nullptr) ++welcomedLinks_;
-  }
-
-  // Dial the joiners. Any socket failure retires the agent, same as a
-  // broken link (a real client would re-dial; the harness counts it).
-  for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-    if (links_[s]) continue;
-    const ShardEndpoint& ep = map.endpoint(s);
-    try {
-      links_[s] =
-          makeLink(s, ep.ipv4, ep.tcpPort, ep.multicastIpv4, ep.multicastPort);
-    } catch (const std::runtime_error&) {
-      dropAgent();
-      return;
-    }
-    sendHello(*links_[s]);
-    if (!links_[s]->tcp.isOpen()) return;  // hello failed; dropAgent() ran
+  for (const auto& l : links_.slots()) {
+    if (l->scheme != nullptr) ++welcomedLinks_;
   }
 
   // Migrate cached copies whose owner changed. Two passes per source cache
   // (forEach forbids mutation): collect movers, then erase them.
   std::vector<cache::Entry> moved;
   std::vector<db::ItemId> evict;
-  for (auto* linkSet : {&links_, &draining_}) {
-    for (auto& l : *linkSet) {
-      if (!l || !l->ctx) continue;
-      evict.clear();
-      l->ctx->cache().forEach([&](const cache::Entry& e) {
-        if (l->draining || map.shardOf(e.item) != l->shard) {
-          moved.push_back(e);
-          evict.push_back(e.item);
-        }
-      });
-      for (db::ItemId item : evict) l->ctx->cache().erase(item);
-    }
-  }
+  links_.forEach([&](Link& l) {
+    if (!l.ctx) return;
+    evict.clear();
+    l.ctx->cache().forEach([&](const cache::Entry& e) {
+      if (l.draining || map.shardOf(e.item) != l.shard) {
+        moved.push_back(e);
+        evict.push_back(e.item);
+      }
+    });
+    for (db::ItemId item : evict) l.ctx->cache().erase(item);
+  });
 
   pendingMigrateAsOf_ = preTlb;
   std::vector<bool> touched(map.shardCount(), false);
@@ -621,7 +577,7 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
     // new owner's spliced history answers it) before serving again.
     e.suspect = true;
     const std::uint32_t owner = map.shardOf(e.item);
-    Link& dst = *links_[owner];
+    Link& dst = links_.at(owner);
     if (dst.ctx) {
       dst.ctx->cache().insert(e);
       touched[owner] = true;
@@ -631,8 +587,8 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
   }
   for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
     if (!touched[s]) continue;
-    links_[s]->ctx->markAllSuspect(preTlb);
-    links_[s]->ctx->restartGapCycle();
+    links_.at(s).ctx->markAllSuspect(preTlb);
+    links_.at(s).ctx->restartGapCycle();
   }
 
   // Drained links close once no query leg is in flight on them; mid-query
@@ -645,9 +601,7 @@ void ClientAgent::closeDrainingLinks() {
   // failure would retire the whole agent. The Link objects stay allocated
   // (reactor handlers up the stack may still hold references); only the
   // fds close.
-  for (auto& link : draining_) {
-    if (link) closeLink(*link);
-  }
+  for (const auto& link : links_.retired()) closeLink(*link);
 }
 
 // --- ClientPool --------------------------------------------------------
@@ -733,8 +687,8 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
 
 void ClientPool::onMapUpdate(const ShardMap& map) {
   ++stats_.mapUpdatesHeard;
-  if (!configured_ || !map.valid()) return;
-  if (map.version() <= shardMap_.version()) {
+  if (!configured_) return;
+  if (!advancesEpoch(shardMap_, map)) {
     ++stats_.staleMapUpdates;  // duplicate or replayed announce; ignore
     return;
   }

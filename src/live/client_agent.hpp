@@ -13,6 +13,7 @@
 #include "live/clock.hpp"
 #include "live/frame_stream.hpp"
 #include "live/reactor.hpp"
+#include "live/shard_links.hpp"
 #include "live/shard_map.hpp"
 #include "live/udp_batch.hpp"
 #include "live/wire.hpp"
@@ -103,7 +104,7 @@ class ClientAgent {
 
   /// True once every shard link has been welcomed.
   [[nodiscard]] bool welcomed() const {
-    return !links_.empty() && welcomedLinks_ == links_.size();
+    return !links_.slots().empty() && welcomedLinks_ == links_.slots().size();
   }
 
   /// Flips this agent onto a newer cluster epoch (pool-driven, atomic per
@@ -122,8 +123,6 @@ class ClientAgent {
   }
 
  private:
-  static constexpr std::uint32_t kUnknownShard = 0xFFFFFFFFu;
-
   /// This agent as the lifecycle's view (defined in client_agent.cpp).
   class Life;
 
@@ -131,10 +130,9 @@ class ClientAgent {
   /// model: scheme instance, context (cache partition, Tlb, gap state) and
   /// the query leg in flight on this shard.
   struct Link : core::lifecycle::QueryLeg {
-    std::uint32_t shard = kUnknownShard;
-    std::uint32_t ipv4 = 0;       ///< endpoint identity: survives reshards
-    std::uint16_t tcpPort = 0;    ///< (a shard's index may change; this not)
-    bool draining = false;        ///< endpoint left the map; finish + close
+    std::uint32_t shard = 0;  ///< slot, kept by ShardLinks
+    ShardEndpoint endpoint;   ///< identity across reshards, kept by ShardLinks
+    bool draining = false;    ///< endpoint left the map; finish + close
     FrameStream tcp;  ///< the uplink
     Socket downlink;  ///< the IR downlink
     std::uint32_t clientId = 0;  ///< this shard's id for us
@@ -142,18 +140,18 @@ class ClientAgent {
     std::unique_ptr<schemes::ClientScheme> scheme;
   };
 
-  /// Dials the shard's uplink and opens its downlink (group-joined when
-  /// mcastIpv4 != 0). Throws std::runtime_error on socket failure.
-  [[nodiscard]] std::unique_ptr<Link> makeLink(std::uint32_t shard,
-                                               std::uint32_t ipv4,
-                                               std::uint16_t tcpPort,
-                                               std::uint32_t mcastIpv4,
-                                               std::uint16_t mcastPort);
-  /// Registers the link's downlink with the reactor.
-  void watchDownlink(Link& link);
+  /// Dials `ep`'s uplink and opens its downlink. Throws std::runtime_error
+  /// on socket failure.
+  [[nodiscard]] std::unique_ptr<Link> makeLink(const ShardEndpoint& ep);
+  /// Opens and registers the link's downlink for `ep` (group-joined when
+  /// it names a multicast group), closing the one it replaces.
+  void openDownlink(Link& link, const ShardEndpoint& ep);
   /// Closes both of the link's sockets.
   void closeLink(Link& link);
   void sendHello(Link& link);
+  /// Re-keys the links to `map` (ShardLinks::follow) and sends each dialed
+  /// link its Hello. Throws when a dial does.
+  void followMap(const ShardMap& map, std::uint32_t seedSlot);
 
   void onTcp(Link& link, std::uint32_t events);
   void onUdp(Link& link, std::uint32_t events);
@@ -192,20 +190,13 @@ class ClientAgent {
   /// makes; retired at the end of ~ClientAgent (debug builds abort if any
   /// callback capturing `this` survives).
   Reactor::OwnerId owner_ = 0;
-  /// Indexed by shard once the map is known; a lone unknown-shard entry
-  /// while the seed Welcome is in flight. Heap-allocated so the reactor
-  /// handlers' captured pointers survive the reindexing.
-  std::vector<std::unique_ptr<Link>> links_;
-  /// Links whose endpoint a reshard removed. Their fds close as soon as no
-  /// query is in flight on them, but the Link objects live until agent
-  /// destruction: a flip can run inside a frame handler that still holds a
-  /// reference into the very link being drained.
-  std::vector<std::unique_ptr<Link>> draining_;
+  /// The agent's shard links and the map they reflect. A retired link's
+  /// fds close as soon as no query is in flight on it.
+  ShardLinks<Link> links_;
   /// Copies bound for a joiner partition whose Welcome has not arrived
   /// yet; inserted (as suspects, as of pendingMigrateAsOf_) at Welcome.
   std::vector<cache::Entry> pendingMigrate_;
   sim::SimTime pendingMigrateAsOf_ = 0;
-  std::uint32_t mapVersion_ = 0;  ///< epoch this agent's links reflect
   std::size_t welcomedLinks_ = 0;
   bool shuttingDown_ = false;
 

@@ -18,30 +18,44 @@ Cluster::Cluster(Reactor& reactor, ClusterOptions options)
   }
   servers_.reserve(opts_.shardCount);
   for (std::uint32_t s = 0; s < opts_.shardCount; ++s) {
-    ServerOptions so;
-    so.cfg = opts_.cfg;
-    so.timeScale = opts_.timeScale;
-    so.bindAddress = opts_.bindAddress;
-    so.tcpPort = opts_.tcpPorts.empty() ? 0 : opts_.tcpPorts[s];
-    so.maxSendQueueBytes = opts_.maxSendQueueBytes;
-    so.shardIndex = s;
-    so.shardCount = opts_.shardCount;
-    if (!opts_.multicastGroup.empty()) {
-      so.multicastGroup = opts_.multicastGroup;
-      so.multicastPort = static_cast<std::uint16_t>(opts_.multicastBasePort + s);
-    }
-    servers_.push_back(std::make_unique<BroadcastServer>(reactor, so));
+    servers_.push_back(std::make_unique<BroadcastServer>(
+        reactor, shardOptions(s, opts_.shardCount,
+                              opts_.tcpPorts.empty() ? 0 : opts_.tcpPorts[s])));
   }
 
   // Ephemeral ports are resolved now; assemble the map and install it
   // everywhere so any shard's Welcome teaches a client the whole cluster.
-  std::vector<ShardEndpoint> endpoints;
-  endpoints.reserve(servers_.size());
-  for (const auto& server : servers_) {
-    endpoints.push_back(server->selfEndpoint());
-  }
-  map_ = ShardMap(1, ShardMap::kDefaultHashSeed, std::move(endpoints));
+  map_ = ShardMap(1, ShardMap::kDefaultHashSeed, endpoints(servers_.size()));
   for (auto& server : servers_) server->setShardMap(map_);
+}
+
+ServerOptions Cluster::shardOptions(std::uint32_t index, std::uint32_t count,
+                                    std::uint16_t tcpPort) const {
+  ServerOptions so;
+  so.cfg = opts_.cfg;
+  so.timeScale = opts_.timeScale;
+  so.bindAddress = opts_.bindAddress;
+  so.tcpPort = tcpPort;
+  so.maxSendQueueBytes = opts_.maxSendQueueBytes;
+  so.shardIndex = index;
+  so.shardCount = count;
+  // Before the first map is installed this is the default seed.
+  so.shardHashSeed = map_.hashSeed();
+  if (!opts_.multicastGroup.empty()) {
+    so.multicastGroup = opts_.multicastGroup;
+    so.multicastPort =
+        static_cast<std::uint16_t>(opts_.multicastBasePort + index);
+  }
+  return so;
+}
+
+std::vector<ShardEndpoint> Cluster::endpoints(std::size_t count) const {
+  std::vector<ShardEndpoint> eps;
+  eps.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    eps.push_back(servers_[s]->selfEndpoint());
+  }
+  return eps;
 }
 
 std::vector<const db::Database*> Cluster::auditDbs() const {
@@ -90,30 +104,11 @@ void Cluster::grow(std::uint32_t add, std::function<void()> onDone) {
   MCI_CHECK(oldCount + add <= ShardMap::kMaxShards)
       << "cluster: grow past kMaxShards";
   for (std::uint32_t i = 0; i < add; ++i) {
-    ServerOptions so;
-    so.cfg = opts_.cfg;
-    so.timeScale = opts_.timeScale;
-    so.bindAddress = opts_.bindAddress;
-    so.tcpPort = 0;  // joiners always bind ephemeral ports
-    so.maxSendQueueBytes = opts_.maxSendQueueBytes;
-    so.shardIndex = oldCount + i;
-    so.shardCount = oldCount + add;
-    so.shardHashSeed = map_.hashSeed();
-    if (!opts_.multicastGroup.empty()) {
-      so.multicastGroup = opts_.multicastGroup;
-      so.multicastPort =
-          static_cast<std::uint16_t>(opts_.multicastBasePort + oldCount + i);
-    }
-    servers_.push_back(std::make_unique<BroadcastServer>(reactor_, so));
+    // Joiners always bind ephemeral ports.
+    servers_.push_back(std::make_unique<BroadcastServer>(
+        reactor_, shardOptions(oldCount + i, oldCount + add, 0)));
   }
-  std::vector<ShardEndpoint> endpoints;
-  endpoints.reserve(servers_.size());
-  for (const auto& server : servers_) {
-    endpoints.push_back(server->selfEndpoint());
-  }
-  startReshard(ShardMap(map_.version() + 1, map_.hashSeed(),
-                        std::move(endpoints)),
-               0, std::move(onDone));
+  startReshard(map_.hashSeed(), 0, std::move(onDone));
 }
 
 void Cluster::shrink(std::uint32_t remove, std::function<void()> onDone) {
@@ -122,32 +117,20 @@ void Cluster::shrink(std::uint32_t remove, std::function<void()> onDone) {
       << "cluster: shrink must leave at least one shard";
   // Removal is always the highest indices: the survivors keep their slots,
   // so only items hashed to removed slots (or rehashed onto them) move.
-  std::vector<ShardEndpoint> endpoints;
-  endpoints.reserve(servers_.size() - remove);
-  for (std::size_t s = 0; s < servers_.size() - remove; ++s) {
-    endpoints.push_back(servers_[s]->selfEndpoint());
-  }
-  startReshard(ShardMap(map_.version() + 1, map_.hashSeed(),
-                        std::move(endpoints)),
-               remove, std::move(onDone));
+  startReshard(map_.hashSeed(), remove, std::move(onDone));
 }
 
 void Cluster::rebalance(std::function<void()> onDone) {
   MCI_CHECK(!reshardInProgress()) << "cluster: reshard already in progress";
-  std::vector<ShardEndpoint> endpoints;
-  endpoints.reserve(servers_.size());
-  for (const auto& server : servers_) {
-    endpoints.push_back(server->selfEndpoint());
-  }
   // A golden-ratio step through seed space: deterministic, and far enough
   // from the old seed that the partition actually reshuffles.
-  const std::uint64_t newSeed = map_.hashSeed() + 0x9E3779B97F4A7C15ull;
-  startReshard(ShardMap(map_.version() + 1, newSeed, std::move(endpoints)),
-               0, std::move(onDone));
+  startReshard(map_.hashSeed() + 0x9E3779B97F4A7C15ull, 0, std::move(onDone));
 }
 
-void Cluster::startReshard(ShardMap newMap, std::uint32_t retireCount,
+void Cluster::startReshard(std::uint64_t hashSeed, std::uint32_t retireCount,
                            std::function<void()> onDone) {
+  const ShardMap newMap(map_.version() + 1, hashSeed,
+                        endpoints(servers_.size() - retireCount));
   std::vector<BroadcastServer*> members;
   members.reserve(servers_.size());
   for (const auto& server : servers_) members.push_back(server.get());

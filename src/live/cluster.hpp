@@ -92,7 +92,16 @@ class Cluster {
   [[nodiscard]] std::uint32_t epoch() const { return map_.version(); }
 
  private:
-  void startReshard(ShardMap newMap, std::uint32_t retireCount,
+  /// Options of the daemon at slot `index` of `count`, under the installed
+  /// map's hash seed.
+  [[nodiscard]] ServerOptions shardOptions(std::uint32_t index,
+                                           std::uint32_t count,
+                                           std::uint16_t tcpPort) const;
+  /// The endpoints of the first `count` daemons, in slot order.
+  [[nodiscard]] std::vector<ShardEndpoint> endpoints(std::size_t count) const;
+  /// Moves to the next epoch: `hashSeed` over every daemon but the
+  /// `retireCount` highest-indexed, which are destroyed once it finishes.
+  void startReshard(std::uint64_t hashSeed, std::uint32_t retireCount,
                     std::function<void()> onDone);
 
   Reactor& reactor_;

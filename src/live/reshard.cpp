@@ -47,11 +47,7 @@ void ReshardCoordinator::start() {
 
 bool ReshardCoordinator::survives(const BroadcastServer& server) const {
   const ShardEndpoint self = server.selfEndpoint();
-  for (std::uint32_t s = 0; s < newMap_.shardCount(); ++s) {
-    const ShardEndpoint& e = newMap_.endpoint(s);
-    if (e.ipv4 == self.ipv4 && e.tcpPort == self.tcpPort) return true;
-  }
-  return false;
+  return newMap_.indexOf(self.ipv4, self.tcpPort).has_value();
 }
 
 void ReshardCoordinator::onHandoffDone() {

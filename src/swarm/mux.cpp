@@ -23,37 +23,18 @@ UplinkMux::~UplinkMux() {
   reactor_.retireOwner(owner_);
 }
 
-void UplinkMux::openDownlink(Link& link, std::uint32_t ipv4,
-                             std::uint32_t mcastIpv4, std::uint16_t mcastPort) {
+void UplinkMux::openDownlink(Link& link, const live::ShardEndpoint& ep) {
   // The whole swarm's IR stream funnels through one socket per shard;
   // give the kernel room for a tick burst that the engine is still
   // chewing on (best effort — the cap may clamp it).
   constexpr int kReceiveBufferBytes = 1 << 21;
-  link.downlink = live::openDownlinkUdp(ipv4, mcastIpv4, mcastPort,
-                                        kReceiveBufferBytes);
+  link.downlink = live::openDownlinkUdp(ep.ipv4, ep.multicastIpv4,
+                                        ep.multicastPort, kReceiveBufferBytes);
   Link* lp = &link;
   link.downlink.watch(
       reactor_, reactor_.addFd(
                     link.downlink.fd(), EPOLLIN,
                     [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_));
-}
-
-std::unique_ptr<UplinkMux::Conn> UplinkMux::dialConn(std::uint32_t shard,
-                                                     std::uint32_t endpoint,
-                                                     std::uint32_t ipv4,
-                                                     std::uint16_t tcpPort) {
-  auto conn = std::make_unique<Conn>();
-  conn->shard = shard;
-  conn->endpoint = endpoint;
-  conn->tcp.adopt(reactor_, live::dialTcp(ipv4, tcpPort));
-  if (!conn->tcp.isOpen()) {
-    throw std::runtime_error("swarm mux: connect failed");
-  }
-  Conn* cp = conn.get();
-  conn->tcp.watch(reactor_.addFd(
-      conn->tcp.fd(), EPOLLIN,
-      [this, cp](std::uint32_t ev) { onTcp(*cp, ev); }, owner_));
-  return conn;
 }
 
 void UplinkMux::sendHello(Conn& conn, std::uint16_t udpPort) {
@@ -67,73 +48,76 @@ void UplinkMux::sendHello(Conn& conn, std::uint16_t udpPort) {
   }
 }
 
-void UplinkMux::connect() {
-  const std::optional<std::uint32_t> seed = live::parseIpv4(opts_.host);
-  if (!seed) throw std::runtime_error("swarm mux: bad host " + opts_.host);
-  // Seed link at slot 0 until the Welcome names its shard; its downlink is
-  // unicast-bound now and swapped if the shard turns out to be multicast.
-  // Stored before anything is registered, so closeAll() reaches every fd
-  // even if a dial throws.
-  Link& link = *links_.emplace_back(std::make_unique<Link>());
-  openDownlink(link, *seed, 0, 0);
-  link.conns.push_back(dialConn(kUnknownShard, 0, *seed, opts_.port));
-  sendHello(*link.conns.front(), link.downlink.boundPort());
-}
-
-void UplinkMux::dialShard(std::uint32_t s) {
-  const live::ShardEndpoint& ep = map_.endpoint(s);
-  if (links_[s] == nullptr) {
-    links_[s] = std::make_unique<Link>();
-    links_[s]->shard = s;
-    openDownlink(*links_[s], ep.ipv4, ep.multicastIpv4, ep.multicastPort);
-  }
-  Link& link = *links_[s];
+std::unique_ptr<UplinkMux::Link> UplinkMux::dialShard(
+    const live::ShardEndpoint& ep) {
+  auto link = std::make_unique<Link>();
+  link->endpoint = ep;
+  openDownlink(*link, ep);
   // Endpoint 0 owns the shard's one downlink; every other endpoint opts
   // out of the unicast fan-out with port 0 (see wire::Hello), and so does
   // every endpoint of a multicast shard.
   const std::uint16_t downlinkPort =
-      ep.multicastIpv4 != 0 ? 0 : link.downlink.boundPort();
-  for (auto e = static_cast<std::uint32_t>(link.conns.size());
-       e < opts_.endpointsPerShard; ++e) {
-    link.conns.push_back(dialConn(s, e, ep.ipv4, ep.tcpPort));
-    sendHello(*link.conns.back(), e == 0 ? downlinkPort : 0);
+      ep.multicastIpv4 != 0 ? 0 : link->downlink.boundPort();
+  for (std::uint32_t e = 0; e < opts_.endpointsPerShard; ++e) {
+    auto conn = std::make_unique<Conn>();
+    conn->link = link.get();
+    conn->endpoint = e;
+    conn->tcp.adopt(reactor_, live::dialTcp(ep.ipv4, ep.tcpPort));
+    if (!conn->tcp.isOpen()) {
+      throw std::runtime_error("swarm mux: connect failed");
+    }
+    Conn* cp = conn.get();
+    conn->tcp.watch(reactor_.addFd(
+        conn->tcp.fd(), EPOLLIN,
+        [this, cp](std::uint32_t ev) { onTcp(*cp, ev); }, owner_));
+    link->conns.push_back(std::move(conn));
+    sendHello(*cp, e == 0 ? downlinkPort : 0);
   }
+  return link;
 }
 
-void UplinkMux::buildCluster(const live::wire::Welcome& w) {
-  map_ = w.shardMap;
-  const std::uint32_t shards = map_.shardCount();
-  MCI_CHECK(shards >= 1);
+void UplinkMux::connect() {
+  const std::optional<std::uint32_t> seed = live::parseIpv4(opts_.host);
+  if (!seed) throw std::runtime_error("swarm mux: bad host " + opts_.host);
+  // Dialed like any shard, with a unicast downlink that following the map
+  // swaps if the shard turns out to be multicast.
+  live::ShardEndpoint ep;
+  ep.ipv4 = *seed;
+  ep.tcpPort = opts_.port;
+  links_.seed(dialShard(ep));
+}
 
-  std::unique_ptr<Link> seedLink = std::move(links_.front());
-  links_.clear();
-  links_.resize(shards);
-  seedLink->shard = w.shardIndex;
-  seedLink->conns.front()->shard = w.shardIndex;
-
-  const live::ShardEndpoint& seedEp = map_.endpoint(w.shardIndex);
-  if (seedEp.multicastIpv4 != 0) {
-    // The seed downlink was dialed unicast before the map was known, but
-    // this shard only broadcasts to its group: swap in a joined socket.
-    openDownlink(*seedLink, seedEp.ipv4, seedEp.multicastIpv4,
-                 seedEp.multicastPort);
-  }
-  links_[w.shardIndex] = std::move(seedLink);
-  for (std::uint32_t s = 0; s < shards; ++s) dialShard(s);
+void UplinkMux::followMap(const live::ShardMap& map, std::uint32_t seedSlot) {
+  links_.follow(
+      map, seedSlot,
+      [this](std::uint32_t, const live::ShardEndpoint& ep) {
+        return dialShard(ep);
+      },
+      [this](Link& link) {
+        // The IR downlink dies now; uplink conns drain their in-flight
+        // replies (grace-served by the retiring daemon).
+        link.downlink.close();
+        for (auto& c : link.conns) {
+          c->draining = true;
+          maybeCloseDrained(*c);
+        }
+      },
+      [this](Link& link, const live::ShardEndpoint& ep) {
+        openDownlink(link, ep);
+      });
 }
 
 void UplinkMux::handleWelcome(Conn& conn, const live::wire::Welcome& w) {
   if (conn.welcomed) return;
   conn.welcomed = true;
   ++welcomedConns_;
-  if (!sawWelcome_) {
-    sawWelcome_ = true;
-    sink_.onWelcome(w);   // configure the engine before any report lands
-    buildCluster(w);      // seed conn counted above; dials the rest
+  if (!links_.map().valid()) {
+    sink_.onWelcome(w);  // configure the engine before any report lands
+    followMap(w.shardMap, w.shardIndex);
   }
-  const std::size_t want = static_cast<std::size_t>(map_.shardCount()) *
+  const std::size_t want = static_cast<std::size_t>(shards()) *
                            opts_.endpointsPerShard;
-  if (!ready_ && map_.valid() && welcomedConns_ == want) {
+  if (!ready_ && welcomedConns_ == want) {
     ready_ = true;
     sink_.onMuxReady();
   }
@@ -189,7 +173,7 @@ void UplinkMux::handleDatagram(Link& link, const std::uint8_t* data,
     ++stats_.badFrames;
     return;
   }
-  if (link.shard == kUnknownShard) {
+  if (link.shard == live::ShardLinks<Link>::kUnplaced) {
     // A report raced the seed Welcome; without the map there is no engine
     // configuration to apply it to. The next tick repeats the news.
     ++stats_.ignoredFrames;
@@ -255,11 +239,11 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
         conn.fetchQueue.pop();
         MCI_CHECK(pf.item == d.item)
             << "swarm mux: fetch reply out of order (sent " << pf.item
-            << ", got " << d.item << ") on shard " << conn.shard
+            << ", got " << d.item << ") on shard " << conn.link->shard
             << " endpoint " << conn.endpoint;
         ++stats_.dataItems;
-        sink_.onDataItem(conn.shard, pf.client, d.item, d.version, pf.tick,
-                         readTick);
+        sink_.onDataItem(conn.link->shard, pf.client, d.item, d.version,
+                         pf.tick, readTick);
         if (!conn.tcp.isOpen()) return;  // the sink's uplink send failed
       }
       maybeCloseDrained(conn);
@@ -279,7 +263,7 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
       }
       const std::uint32_t client = conn.ackQueue.front();
       conn.ackQueue.pop();
-      sink_.onCheckAck(conn.shard, client,
+      sink_.onCheckAck(conn.link->shard, client,
                        static_cast<Tick>(sim::toTick(ack->asOf)));
       maybeCloseDrained(conn);
       return;
@@ -298,8 +282,7 @@ void UplinkMux::handleFrameView(Conn& conn, const live::wire::FrameView& f) {
 
 void UplinkMux::queueFetch(std::uint32_t shard, std::uint32_t client,
                            db::ItemId item, Tick tick) {
-  Link& link = *links_[shard];
-  Conn& conn = *link.conns[client % opts_.endpointsPerShard];
+  Conn& conn = *links_.at(shard).conns[client % opts_.endpointsPerShard];
   if (!conn.tcp.isOpen()) return;  // endpoint died; the run is already unsound
   // staged grows to the per-tick miss high-water mark only; cleared
   // (capacity kept) every flush
@@ -309,7 +292,7 @@ void UplinkMux::queueFetch(std::uint32_t shard, std::uint32_t client,
 }
 
 void UplinkMux::flushFetches() {
-  for (auto& link : links_) {
+  for (const auto& link : links_.slots()) {
     for (auto& connPtr : link->conns) flushConnStaged(*connPtr);
   }
 }
@@ -338,8 +321,7 @@ void UplinkMux::flushConnStaged(Conn& conn) {
 
 bool UplinkMux::sendCheck(std::uint32_t shard, std::uint32_t client,
                           double tlbSeconds, double sizeBits) {
-  Link& link = *links_[shard];
-  Conn& conn = *link.conns[client % opts_.endpointsPerShard];
+  Conn& conn = *links_.at(shard).conns[client % opts_.endpointsPerShard];
   if (!conn.tcp.isOpen() || !conn.welcomed) return false;
   live::wire::Check c;
   c.tlb = tlbSeconds;
@@ -365,58 +347,26 @@ void UplinkMux::applyMapUpdate(std::span<const std::uint8_t> payload) {
   }
   const live::ShardMap& map = announce->shardMap;
   ++stats_.mapUpdatesHeard;
-  if (!sawWelcome_ || !map_.valid()) return;  // seed Welcome carries the map
-  if (!map.valid() || map.version() <= map_.version()) {
+  if (!links_.map().valid()) return;  // the seed Welcome carries the map
+  if (!live::advancesEpoch(links_.map(), map)) {
     ++stats_.staleMapUpdates;
     return;
   }
-  const live::ShardMap old = map_;
-  map_ = map;
+  const live::ShardMap old = links_.map();
   ++stats_.epochSwitches;
-
-  const std::uint32_t newCount = map_.shardCount();
-  // Re-key surviving links by endpoint identity; every cluster transition
-  // keeps survivor indices stable, but matching on (ipv4, tcpPort) stays
-  // correct even if that law ever changes.
-  std::vector<std::unique_ptr<Link>> byShard(newCount);
-  for (std::size_t oldS = 0; oldS < links_.size(); ++oldS) {
-    std::unique_ptr<Link>& l = links_[oldS];
-    if (l == nullptr) continue;
-    const live::ShardEndpoint& oldEp =
-        old.endpoint(static_cast<std::uint32_t>(oldS));
-    const std::optional<std::uint32_t> s =
-        map_.indexOf(oldEp.ipv4, oldEp.tcpPort);
-    if (s && byShard[*s] == nullptr) {
-      l->shard = *s;
-      for (auto& c : l->conns) c->shard = *s;
-      byShard[*s] = std::move(l);
-      continue;
-    }
-    // Endpoint retired: the IR downlink dies now, uplink conns drain
-    // their in-flight replies (grace-served by the retiring daemon).
-    l->shard = kUnknownShard;
-    l->downlink.close();
-    for (auto& c : l->conns) {
-      c->draining = true;
-      maybeCloseDrained(*c);
-    }
-    drainingLinks_.push_back(std::move(l));
-  }
-  links_ = std::move(byShard);
-
-  // Dial joiners. In-process loopback: dialConn's failure throw aborts the
-  // run, same contract as the initial connect().
-  for (std::uint32_t s = 0; s < newCount; ++s) dialShard(s);
+  // In-process loopback: a joiner dial that throws aborts the run, same
+  // contract as the initial connect().
+  followMap(map, live::ShardLinks<Link>::kUnplaced);
 
   // Drained conns no longer count toward readiness; joiners re-welcome.
   welcomedConns_ = 0;
-  for (const auto& link : links_) {
+  for (const auto& link : links_.slots()) {
     for (const auto& c : link->conns) {
       if (c->welcomed) ++welcomedConns_;
     }
   }
 
-  sink_.onMapUpdate(old, map_);
+  sink_.onMapUpdate(old, links_.map());
 }
 
 void UplinkMux::maybeCloseDrained(Conn& conn) {
@@ -439,7 +389,7 @@ void UplinkMux::dropConn(Conn& conn) {
   // not a failure.
   if (!shuttingDown_ && !conn.draining) {
     ++stats_.connectionsLost;
-    sink_.onConnectionLost(conn.shard);
+    sink_.onConnectionLost(conn.link->shard);
   }
 }
 
@@ -449,7 +399,7 @@ void UplinkMux::shutdown() {
                                      live::wire::kNoScheme,
                                      net::TrafficClass::kControl);
   arena_.finish(w);
-  for (auto& link : links_) {
+  for (const auto& link : links_.slots()) {
     for (auto& connPtr : link->conns) {
       // Best-effort Bye; the close right after is the real goodbye.
       if (connPtr->tcp.isOpen()) (void)connPtr->tcp.send(arena_.frame());
@@ -459,13 +409,10 @@ void UplinkMux::shutdown() {
 }
 
 void UplinkMux::closeAll() {
-  for (auto* linkSet : {&links_, &drainingLinks_}) {
-    for (auto& link : *linkSet) {
-      if (link == nullptr) continue;
-      for (auto& connPtr : link->conns) connPtr->tcp.close();
-      link->downlink.close();
-    }
-  }
+  links_.forEach([](Link& link) {
+    for (auto& connPtr : link.conns) connPtr->tcp.close();
+    link.downlink.close();
+  });
 }
 
 }  // namespace mci::swarm

@@ -11,6 +11,7 @@
 #include "db/item.hpp"
 #include "live/frame_stream.hpp"
 #include "live/reactor.hpp"
+#include "live/shard_links.hpp"
 #include "live/shard_map.hpp"
 #include "live/udp_batch.hpp"
 #include "live/wire.hpp"
@@ -191,8 +192,9 @@ class UplinkMux {
   UplinkMux(const UplinkMux&) = delete;
   UplinkMux& operator=(const UplinkMux&) = delete;
 
-  /// Dials the seed shard and sends its Hello; the rest of the cluster is
-  /// dialed when the seed Welcome reveals the map. Throws on socket error.
+  /// Dials the seed shard's endpoints and sends their Hellos; the rest of
+  /// the cluster is dialed when the seed Welcome reveals the map. Throws on
+  /// socket error.
   void connect();
 
   /// Sends Bye on every live connection and closes everything.
@@ -200,13 +202,13 @@ class UplinkMux {
 
   [[nodiscard]] bool ready() const { return ready_; }
   [[nodiscard]] std::uint32_t shards() const {
-    return static_cast<std::uint32_t>(links_.size());
+    return static_cast<std::uint32_t>(links_.slots().size());
   }
   [[nodiscard]] std::uint32_t endpointsPerShard() const {
     return opts_.endpointsPerShard;
   }
   [[nodiscard]] const MuxStats& stats() const { return stats_; }
-  [[nodiscard]] const live::ShardMap& shardMap() const { return map_; }
+  [[nodiscard]] const live::ShardMap& shardMap() const { return links_.map(); }
   [[nodiscard]] bool anyConnectionLost() const {
     return stats_.connectionsLost != 0;
   }
@@ -231,18 +233,18 @@ class UplinkMux {
                                        double tlbSeconds, double sizeBits);
 
  private:
-  static constexpr std::uint32_t kUnknownShard = 0xFFFFFFFFu;
-
   struct PendingFetch {
     std::uint32_t client = 0;
     db::ItemId item = 0;
     Tick tick = 0;
   };
 
+  struct Link;
+
   /// One TCP endpoint of one shard.
   struct Conn {
     live::FrameStream tcp;
-    std::uint32_t shard = kUnknownShard;
+    const Link* link = nullptr;  ///< the shard fan this endpoint belongs to
     std::uint32_t endpoint = 0;
     bool welcomed = false;
     /// Endpoint left the map in a reshard: closes once both correlation
@@ -256,24 +258,22 @@ class UplinkMux {
 
   /// One shard's downlink plus its endpoint fan.
   struct Link {
-    std::uint32_t shard = kUnknownShard;
+    std::uint32_t shard = 0;      ///< slot, kept by ShardLinks
+    live::ShardEndpoint endpoint;  ///< identity, kept by ShardLinks
     live::Socket downlink;
     std::vector<std::unique_ptr<Conn>> conns;
   };
 
-  [[nodiscard]] std::unique_ptr<Conn> dialConn(std::uint32_t shard,
-                                               std::uint32_t endpoint,
-                                               std::uint32_t ipv4,
-                                               std::uint16_t tcpPort);
-  /// Opens and registers the link's downlink (group-joined when mcastIpv4
-  /// != 0), closing the one it replaces.
-  void openDownlink(Link& link, std::uint32_t ipv4, std::uint32_t mcastIpv4,
-                    std::uint16_t mcastPort);
+  /// Opens and registers the link's downlink for `ep` (group-joined when
+  /// it names a multicast group), closing the one it replaces.
+  void openDownlink(Link& link, const live::ShardEndpoint& ep);
   void sendHello(Conn& conn, std::uint16_t udpPort);
-  void buildCluster(const live::wire::Welcome& w);
-  /// Gives shard `s` of map_ a downlink if it has none and dials its
-  /// missing endpoints, each with its Hello.
-  void dialShard(std::uint32_t s);
+  /// Opens a downlink for `ep` and dials its endpointsPerShard uplinks,
+  /// each with its Hello. Throws on socket error.
+  [[nodiscard]] std::unique_ptr<Link> dialShard(const live::ShardEndpoint& ep);
+  /// Re-keys links_ to `map` (ShardLinks::follow): removed shards' downlinks
+  /// close and their conns drain, joiners are dialed.
+  void followMap(const live::ShardMap& map, std::uint32_t seedSlot);
 
   void onUdp(Link& link, std::uint32_t events);
   void onTcp(Conn& conn, std::uint32_t events);
@@ -284,9 +284,8 @@ class UplinkMux {
   MCI_HOT void handleFrameView(Conn& conn, const live::wire::FrameView& f);
   void handleWelcome(Conn& conn, const live::wire::Welcome& w);
   /// A kMapUpdate payload landed (TCP frame or IR datagram): decode it,
-  /// and if it advances the epoch, re-key links_ by endpoint identity,
-  /// drain removed shards, dial joiners, then hand the engine the old/new
-  /// pair via Sink::onMapUpdate.
+  /// and if it advances the epoch, follow it, then hand the engine the
+  /// old/new pair via Sink::onMapUpdate.
   void applyMapUpdate(std::span<const std::uint8_t> payload);
   /// Sends conn's staged fetch batch if the conn is welcomed; otherwise
   /// leaves it staged (handleWelcome flushes it when the handshake lands).
@@ -308,17 +307,12 @@ class UplinkMux {
   SwarmSink& sink_;
   Options opts_;
 
-  std::vector<std::unique_ptr<Link>> links_;  ///< by shard once map known
-  /// Links whose endpoint a reshard removed. Downlinks close immediately;
-  /// uplink conns drain their reply queues first. Link objects live until
-  /// mux destruction — a flip can run inside a handler still holding a
-  /// reference into the very link being retired.
-  std::vector<std::unique_ptr<Link>> drainingLinks_;
-  live::ShardMap map_;
+  /// The shard links and the map they reflect. A retired link's downlink
+  /// closes at once; its uplink conns drain their reply queues first.
+  live::ShardLinks<Link> links_;
   std::size_t welcomedConns_ = 0;
   bool ready_ = false;
   bool shuttingDown_ = false;
-  bool sawWelcome_ = false;
 
   live::UdpBatchReceiver udpReceiver_;
   live::wire::FrameArena arena_;  ///< uplink frames, capacity reused

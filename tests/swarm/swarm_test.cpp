@@ -15,8 +15,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <optional>
+#include <set>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -268,6 +272,203 @@ TEST(Swarm, GrowFlipsTheMuxOnceAndDuplicateAnnouncesAreStale) {
   EXPECT_EQ(mux.connectionsLost, 0u);
   EXPECT_EQ(em.stats().staleReads, 0u);
   EXPECT_EQ(cluster.staleReads(), 0u);
+}
+
+/// What a swarm run through one reshard leaves behind, read before the
+/// shutdown closes every connection.
+struct ReshardedSwarm {
+  MuxStats mux;
+  SwarmStats stats;
+  std::uint32_t muxShards = 0;
+  std::uint32_t clusterShards = 0;
+  std::uint64_t clusterStaleReads = 0;
+  bool done = false;
+  /// Cluster-wide books and map just before the reshard, and at the end
+  /// of the run.
+  live::ServerStats before;
+  live::ServerStats after;
+  live::ShardMap mapBefore;
+  live::ShardMap mapAfter;
+  /// The highest-indexed starting daemon's books, last read while it still
+  /// existed (a shrink destroys it once its grace ends).
+  std::uint64_t lastShardAccepted = 0;
+  std::uint64_t lastShardClosed = 0;
+};
+
+/// A 200-client swarm on `shards` daemons, 2 endpoints each, that runs
+/// `reshard(cluster, done)` at 30% of the model run and then runs on to the
+/// end.
+template <class Reshard>
+ReshardedSwarm runSwarmThroughReshard(std::uint32_t shards, Reshard reshard) {
+  const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.cfg.numClients = 200;
+  co.timeScale = 400.0;
+  co.shardCount = shards;
+  co.maxSendQueueBytes = std::size_t{64} << 20;
+  live::Cluster cluster(reactor, co);
+
+  SwarmOptions so;
+  so.cfg = co.cfg;
+  so.port = cluster.seedPort();
+  so.clients = 200;
+  so.endpointsPerShard = 2;
+  so.auditDbResolver = [&cluster](std::uint32_t s) -> const db::Database* {
+    return s < cluster.shardCount() ? &cluster.server(s).database() : nullptr;
+  };
+  SwarmEmulator em(reactor, so);
+  em.start();
+
+  ReshardedSwarm r;
+  bool started = false;
+  const live::Reactor::TimerHandle tick = reactor.addTimer(0.01, 0.01, [&] {
+    if (!em.ready()) return;
+    if (cluster.shardCount() == shards) {
+      const live::ServerStats& last = cluster.server(shards - 1).stats();
+      r.lastShardAccepted = last.connectionsAccepted;
+      r.lastShardClosed = last.connectionsClosed;
+    }
+    if (!started && em.modelNow() >= cfg.simTime * 0.3) {
+      started = true;
+      r.before = cluster.totalStats();
+      r.mapBefore = cluster.shardMap();
+      reshard(cluster, [&r] { r.done = true; });
+    }
+    if (r.done && em.modelNow() >= cfg.simTime) {
+      r.after = cluster.totalStats();
+      r.mapAfter = cluster.shardMap();
+      em.shutdown();
+      reactor.stop();
+    }
+  });
+  reactor.run();
+  (void)reactor.cancelTimer(tick);
+
+  r.mux = em.mux().stats();
+  r.stats = em.stats();
+  r.muxShards = em.mux().shards();
+  r.clusterShards = cluster.shardCount();
+  r.clusterStaleReads = cluster.staleReads();
+  return r;
+}
+
+void expectOneCleanFlip(const ReshardedSwarm& r) {
+  EXPECT_TRUE(r.done);
+  EXPECT_EQ(r.mux.epochSwitches, 1u);
+  EXPECT_EQ(r.mux.staleMapUpdates + r.mux.epochSwitches, r.mux.mapUpdatesHeard);
+  EXPECT_EQ(r.muxShards, r.clusterShards);
+  EXPECT_EQ(r.mux.connectionsLost, 0u);
+  EXPECT_EQ(r.stats.staleReads, 0u);
+  EXPECT_EQ(r.clusterStaleReads, 0u);
+  EXPECT_GT(r.stats.queriesCompleted, 0u);
+}
+
+// A shrink mid-run: the mux retires the removed shard's link. Its downlink
+// closes at the flip, and its uplink conns close as soon as their reply
+// queues drain, inside the retiring daemon's grace window, so the daemon
+// sees both conns close before it is destroyed, and none counts as lost.
+TEST(Swarm, ShrinkRetiresTheRemovedShardsConnsOnceTheyDrain) {
+  const ReshardedSwarm r = runSwarmThroughReshard(
+      3, [](live::Cluster& c, std::function<void()> done) {
+        c.shrink(1, std::move(done));
+      });
+  expectOneCleanFlip(r);
+  EXPECT_EQ(r.clusterShards, 2u);
+  EXPECT_EQ(r.lastShardAccepted, 2u);
+  EXPECT_EQ(r.lastShardClosed, 2u)
+      << "the retired shard's conns were still open when its grace ended";
+}
+
+// A rebalance keeps every daemon: the mux re-keys its links to the new
+// seed's map without retiring or dialing anything. The only conns the
+// daemons accept and close during it are the backfill channels, one per
+// (old owner, new owner) pair that some item moves between.
+TEST(Swarm, RebalanceRetiresAndDialsNothing) {
+  const ReshardedSwarm r = runSwarmThroughReshard(
+      2, [](live::Cluster& c, std::function<void()> done) {
+        c.rebalance(std::move(done));
+      });
+  expectOneCleanFlip(r);
+  EXPECT_EQ(r.clusterShards, 2u);
+  EXPECT_EQ(r.before.connectionsAccepted, 4u);
+  std::set<std::pair<std::uint32_t, std::uint32_t>> moves;
+  for (db::ItemId item = 0; item < 500; ++item) {
+    const std::uint32_t from = r.mapBefore.shardOf(item);
+    const std::uint32_t to = r.mapAfter.shardOf(item);
+    if (from != to) moves.emplace(from, to);
+  }
+  EXPECT_EQ(r.after.handoffFailures, 0u);
+  EXPECT_EQ(r.after.connectionsAccepted - r.before.connectionsAccepted,
+            moves.size())
+      << "the mux dialed during a rebalance";
+  EXPECT_EQ(r.after.connectionsClosed - r.before.connectionsClosed,
+            moves.size())
+      << "the mux closed a conn during a rebalance";
+}
+
+// Multicast shards: the mux dials the seed before it knows the map, so the
+// seed's downlink starts unicast and must be swapped for a group-joined one
+// when the map names a group; every other shard's downlink joins at dial.
+// Every shard must be heard: if any one were silent, the mux could hear at
+// most the other shards' reports. Loopback multicast needs kernel support
+// the host may withhold, so a failed group join skips rather than fails.
+TEST(Swarm, MulticastClusterIsHeardOnEveryShard) {
+  const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.cfg.numClients = 200;
+  co.timeScale = 400.0;
+  co.shardCount = 2;
+  co.multicastGroup = "239.255.77.62";
+  co.multicastBasePort = 47871;
+  std::unique_ptr<live::Cluster> cluster;
+  std::unique_ptr<SwarmEmulator> em;
+  try {
+    cluster = std::make_unique<live::Cluster>(reactor, co);
+    SwarmOptions so;
+    so.cfg = co.cfg;
+    so.port = cluster->seedPort();
+    so.clients = 200;
+    so.endpointsPerShard = 2;
+    so.auditDbs = cluster->auditDbs();
+    em = std::make_unique<SwarmEmulator>(reactor, so);
+    em->start();
+  } catch (const std::runtime_error& e) {
+    GTEST_SKIP() << "multicast unavailable here: " << e.what();
+  }
+
+  const live::Reactor::TimerHandle tick = reactor.addTimer(0.01, 0.01, [&] {
+    if (em->ready() && em->modelNow() >= cfg.simTime) {
+      em->shutdown();
+      reactor.stop();
+    }
+  });
+  try {
+    reactor.run();  // the seed's downlink joins its group at the Welcome
+    (void)reactor.cancelTimer(tick);
+  } catch (const std::runtime_error& e) {
+    GTEST_SKIP() << "multicast unavailable here: " << e.what();
+  }
+
+  std::uint64_t broadcastSum = 0;
+  std::uint64_t broadcastMin = ~std::uint64_t{0};
+  for (std::uint32_t s = 0; s < cluster->shardCount(); ++s) {
+    const std::uint64_t n = cluster->server(s).stats().reportsBroadcast;
+    EXPECT_GT(n, 0u) << "shard " << s;
+    broadcastSum += n;
+    broadcastMin = std::min(broadcastMin, n);
+  }
+  const MuxStats& mux = em->mux().stats();
+  EXPECT_GT(mux.reportsHeard, broadcastSum - broadcastMin)
+      << "some shard's IR never reached the swarm";
+  EXPECT_LE(mux.reportsHeard, broadcastSum);
+  EXPECT_EQ(mux.connectionsLost, 0u);
+  EXPECT_GT(em->stats().queriesCompleted, 0u);
+  EXPECT_EQ(em->stats().staleReads, 0u);
+  EXPECT_EQ(cluster->staleReads(), 0u);
 }
 
 TEST(Swarm, ZipfWorkloadRunsAndSkewsTowardLowRanks) {

@@ -47,6 +47,13 @@ Banned patterns
    time scale (live::LiveClock), so all daemons and pools on one reactor
    share an epoch, and the reactor is the one seam a virtual clock
    replaces. A second WallTimer would be a second epoch.
+9. A field-wise endpoint match in src/ outside src/live/shard_map.*: one
+   statement that compares both an `ipv4` and a `tcpPort` field with `==`
+   or `!=`. A daemon keeps its identity across reshard epochs by its
+   endpoint's (ipv4, tcpPort) pair, and live::ShardMap::indexOf is the one
+   place that law is written; a hand-rolled copy drifts from it (say, by
+   also comparing the multicast group). A lone field test such as
+   `opts.tcpPort == 0` is not an endpoint match and passes.
 
 An earlier rule 5 (range-for over unordered containers) moved to the
 AST-based `ordered-iteration` rule in tools/analyze/mci_analyze.py, which
@@ -171,6 +178,25 @@ SIMPLE_RULES = [
 
 WALLTIME_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]metrics/walltime\.hpp[>"]')
 
+# Rule 9: the endpoint-identity law lives in live::ShardMap::indexOf.
+ENDPOINT_LAW_ALLOWLIST = ("src/live/shard_map.hpp", "src/live/shard_map.cpp")
+ENDPOINT_LAW_MESSAGE = (
+    "field-wise endpoint match; find a daemon's slot with "
+    "live::ShardMap::indexOf, the one statement of the endpoint-identity "
+    "law (src/live/shard_map.*)"
+)
+
+
+def field_compare(field: str) -> re.Pattern[str]:
+    """A `.field` or `->field` operand on either side of == or !=."""
+    member = rf"(?:\.|->)\s*{field}\b"
+    return re.compile(rf"{member}\s*[!=]=|[!=]=\s*[\w\[\]().>-]*?{member}")
+
+
+IPV4_COMPARE = field_compare("ipv4")
+TCP_PORT_COMPARE = field_compare("tcpPort")
+STATEMENT_END = re.compile(r"[;{}]")
+
 
 def in_scope(rel: str, prefixes: tuple[str, ...]) -> bool:
     return any(rel.startswith(p + "/") for p in prefixes)
@@ -270,6 +296,19 @@ def lint_file(root: Path, path: Path) -> list[str]:
         for ln, line in enumerate(raw_lines, start=1):
             if WALLTIME_INCLUDE.match(line) and not suppressed(raw_lines, ln):
                 errors.append(f"{rel}:{ln}: {LIVE_CLOCK_MESSAGE}")
+
+    # Rule 9 reads whole statements: a match may span lines.
+    if rel not in ENDPOINT_LAW_ALLOWLIST and in_scope(rel, ("src",)):
+        start = 0
+        ends = [m.start() for m in STATEMENT_END.finditer(code)] + [len(code)]
+        for end in ends:
+            stmt = code[start:end]
+            ipv4 = IPV4_COMPARE.search(stmt)
+            if ipv4 and TCP_PORT_COMPARE.search(stmt):
+                ln = code.count("\n", 0, start + ipv4.start()) + 1
+                if not suppressed(raw_lines, ln):
+                    errors.append(f"{rel}:{ln}: {ENDPOINT_LAW_MESSAGE}")
+            start = end + 1
 
     return errors
 
