@@ -152,4 +152,18 @@ class PreFlipPoint {
   bool any_ = false;
 };
 
+/// Epoch-flip rule: a reshard is a doze of the whole cache that began at
+/// `preFlip` (the PreFlipPoint over every pre-flip partition). Run on each
+/// partition once the flip has moved every copy to its new owner's
+/// partition, rebuilt at its new share. All of it goes suspect as of
+/// `preFlip` and wakes. A partition the flip creates still has lastHeard
+/// at the epoch and starts hearing at `preFlip`; every other partition
+/// already heard past it, since its lastHeard went into the point.
+template <class View, class T>
+void onEpochFlip(View& v, T preFlip) {
+  v.setLastHeard(std::max(v.lastHeard(), preFlip));
+  v.markAllSuspect(preFlip);
+  onWake(v);
+}
+
 }  // namespace mci::core::rule

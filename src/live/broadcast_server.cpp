@@ -4,6 +4,8 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -141,12 +143,29 @@ void BroadcastServer::setShardMap(ShardMap map) {
   shardMap_ = std::move(map);
 }
 
+void printServerStats(const ServerStats& s, std::uint64_t staleReads) {
+  // Mean items per kDataItem reply frame (0 before the first reply).
+  const double itemsPerReplyFrame =
+      s.dataItemFrames == 0 ? 0.0
+                            : static_cast<double>(s.dataItemsSent) /
+                                  static_cast<double>(s.dataItemFrames);
+  std::printf("reports=%" PRIu64 " updates=%" PRIu64 " thinned=%" PRIu64
+              " queries=%" PRIu64 " reply_frames=%" PRIu64
+              " items_per_reply_frame=%.1f checks=%" PRIu64 " audits=%" PRIu64
+              " accepted=%" PRIu64 " dropped=%" PRIu64 " tcp_sends=%" PRIu64
+              " bad=%" PRIu64 " misrouted=%" PRIu64 " stale=%" PRIu64,
+              s.reportsBroadcast, s.updatesApplied, s.updatesThinned,
+              s.queryRequests, s.dataItemFrames, itemsPerReplyFrame,
+              s.checksReceived, s.auditsReceived, s.connectionsAccepted,
+              s.framesDropped, s.tcpSendSyscalls, s.badFrames,
+              s.misroutedItems, staleReads);
+}
+
 void BroadcastServer::onAcceptable() {
   for (;;) {
     sockaddr_in peer{};
     Socket accepted = acceptTcp(listener_, opts_.sendBufferBytes, peer);
     if (!accepted.isOpen()) return;  // EAGAIN or transient error: wait
-    ++stats_.connectionsAccepted;
     const int fd = accepted.fd();
     Conn& conn = conns_.try_emplace(fd).first->second;
     conn.udpAddr = peer;
@@ -246,6 +265,7 @@ void BroadcastServer::handleHello(int fd, Conn& conn,
   }
   conn.clientId = id;
   conn.welcomed = true;
+  ++stats_.connectionsAccepted;
   conn.audit = hello.audit;
   conn.udpAddr.sin_port = htons(hello.udpPort);
 
@@ -415,9 +435,9 @@ void BroadcastServer::closeConn(int fd) {
   if (it->second.welcomed) {
     // MCI-ANALYZE-ALLOW(hot-path-alloc): <= numClients ids, once per close
     freeIds_.push_back(it->second.clientId);
+    ++stats_.connectionsClosed;
   }
   conns_.erase(it);  // the stream drops its registration and closes
-  ++stats_.connectionsClosed;
 }
 
 bool BroadcastServer::sendFrame(int fd, Conn& conn,

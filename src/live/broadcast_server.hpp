@@ -73,6 +73,8 @@ struct ServerStats {
   /// connection and handoff stream). The replies of one readiness event
   /// leave as one batch, so a 200-item query costs one, not 200.
   std::uint64_t tcpSendSyscalls = 0;
+  /// Client uplinks welcomed, and closes of welcomed uplinks. A reshard's
+  /// backfill channels and refused Hellos never count.
   std::uint64_t connectionsAccepted = 0;
   std::uint64_t connectionsClosed = 0;
   std::uint64_t queryRequests = 0;
@@ -106,13 +108,9 @@ struct ServerStats {
   std::uint64_t mapReannounces = 0;   ///< one-shot corrections on misroute
 };
 
-/// Mean items per kDataItem reply frame (0 before the first reply): the
-/// batching figure the daemons print at exit.
-[[nodiscard]] inline double itemsPerReplyFrame(const ServerStats& s) {
-  return s.dataItemFrames == 0 ? 0.0
-                               : static_cast<double>(s.dataItemsSent) /
-                                     static_cast<double>(s.dataItemFrames);
-}
+/// Prints the 14 client-facing counters of a daemon's exit line to stdout,
+/// "reports=... stale=N" with no newline: the keys tools/live_load.py reads.
+void printServerStats(const ServerStats& s, std::uint64_t staleReads);
 
 /// The live counterpart of core::Server + db::UpdateGenerator: a daemon that
 /// owns the authoritative database, runs the configured invalidation scheme,

@@ -407,35 +407,26 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   link.clientId = w.clientId;
   link.ownCtx = std::make_unique<schemes::ClientContext>(
       link.clientId,
-      ShardMap::cacheShare(w.cacheCapacity, map.shardCount(), link.shard),
+      ShardMap::cacheShare(pool_.cacheCapacity_, map.shardCount(), link.shard),
       pool_.sizes_, pool_.collector_.get(), pool_.agentCfg_.replacement);
   link.ctx = link.ownCtx.get();
   link.scheme = core::makeClientScheme(pool_.agentCfg_, pool_.sigTable_.get(),
                                        pool_.sigInitial_);
 
-  // Copies that migrated here before this link was welcomed were parked in
-  // pendingMigrate_; adopt the ones this partition owns. They enter as
-  // suspects as of the pre-flip consistency point and run the ordinary
-  // gap/salvage cycle before any of them can answer a query.
-  if (!pendingMigrate_.empty()) {
-    bool adopted = false;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pendingMigrate_.size(); ++i) {
-      cache::Entry e = pendingMigrate_[i];
-      if (map.shardOf(e.item) == link.shard) {
-        e.suspect = true;
-        link.ctx->cache().insert(e);
-        adopted = true;
-      } else {
-        pendingMigrate_[keep++] = e;
-      }
-    }
-    pendingMigrate_.resize(keep);
-    if (adopted) {
-      link.ctx->markAllSuspect(pendingMigrateAsOf_);
-      link.ctx->restartGapCycle();
+  // Copies a flip parked before this link was welcomed: the partition adopts
+  // the ones it owns and takes the epoch-flip rule every other partition
+  // took at that flip (before any flip the point is the epoch, and the rule
+  // changes nothing).
+  std::size_t keep = 0;
+  for (const cache::Entry& e : pendingMigrate_) {
+    if (map.shardOf(e.item) == link.shard) {
+      link.ctx->cache().insert(e);
+    } else {
+      pendingMigrate_[keep++] = e;
     }
   }
+  pendingMigrate_.resize(keep);
+  core::rule::onEpochFlip(*link.ctx, pendingMigrateAsOf_);
 
   ++welcomedLinks_;
   if (welcomed() && !running_) {
@@ -528,15 +519,22 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
   // not run and the seed's Welcome will carry the post-reshard map anyway.
   if (!links_.map().valid() || !advancesEpoch(links_.map(), map)) return;
 
-  // The pre-flip consistency point bounds every update a migrated copy
-  // could have missed on its old owner's report stream. It is no later
-  // than any partition's own gap anchor, so it is also the anchor of every
-  // destination partition a copy lands in.
+  // The flip is a doze of the whole cache that began at the pre-flip point
+  // (core::rule::onEpochFlip): every copy leaves its partition, parked ones
+  // included, and re-enters at its new owner's. Parked copies are suspect
+  // as of an earlier flip's point, so that point bounds this one too.
   core::rule::PreFlipPoint<sim::SimTime> preFlip;
+  std::vector<cache::Entry> copies = std::exchange(pendingMigrate_, {});
+  const sim::SimTime parkedAsOf =
+      copies.empty() ? sim::kTimeInfinity : pendingMigrateAsOf_;
   for (const auto& l : links_.slots()) {
-    if (l && l->ctx) preFlip.add(*l->ctx);
+    if (!l || !l->ctx) continue;
+    preFlip.add(*l->ctx);
+    l->ctx->cache().forEach(
+        [&](const cache::Entry& e) { copies.push_back(e); });
+    l->ctx->cache().clear();
   }
-  const sim::SimTime preTlb = preFlip.value();
+  pendingMigrateAsOf_ = std::min(preFlip.value(), parkedAsOf);
 
   // Any socket failure on a joiner retires the agent, same as a broken
   // link (a real client would re-dial; the harness counts it).
@@ -547,48 +545,29 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
     return;
   }
   if (!connectionAlive()) return;  // a Hello failed; dropAgent() ran
+
+  // Each welcomed partition restarts at its new share; a joiner gets its
+  // share at its Welcome. Copies go in least recently used first, so each
+  // source partition's recency order survives and the policy evicts any
+  // overflow.
   welcomedLinks_ = 0;
   for (const auto& l : links_.slots()) {
-    if (l->scheme != nullptr) ++welcomedLinks_;
+    if (!l->ctx) continue;
+    ++welcomedLinks_;
+    l->ctx->cache() = cache::LruCache(
+        ShardMap::cacheShare(pool_.cacheCapacity_, map.shardCount(), l->shard),
+        pool_.agentCfg_.replacement);
   }
-
-  // Migrate cached copies whose owner changed. Two passes per source cache
-  // (forEach forbids mutation): collect movers, then erase them.
-  std::vector<cache::Entry> moved;
-  std::vector<db::ItemId> evict;
-  links_.forEach([&](Link& l) {
-    if (!l.ctx) return;
-    evict.clear();
-    l.ctx->cache().forEach([&](const cache::Entry& e) {
-      if (l.draining || map.shardOf(e.item) != l.shard) {
-        moved.push_back(e);
-        evict.push_back(e.item);
-      }
-    });
-    for (db::ItemId item : evict) l.ctx->cache().erase(item);
-  });
-
-  pendingMigrateAsOf_ = preTlb;
-  std::vector<bool> touched(map.shardCount(), false);
-  for (cache::Entry e : moved) {
-    // The copy itself is kept — that is the whole point of handoff — but
-    // it may have missed an update listed only in its old owner's reports,
-    // so it re-enters as a suspect and must survive a salvage round (the
-    // new owner's spliced history answers it) before serving again.
-    e.suspect = true;
-    const std::uint32_t owner = map.shardOf(e.item);
-    Link& dst = links_.at(owner);
-    if (dst.ctx) {
-      dst.ctx->cache().insert(e);
-      touched[owner] = true;
+  for (auto e = copies.rbegin(); e != copies.rend(); ++e) {
+    Link& owner = links_.at(map.shardOf(e->item));
+    if (owner.ctx) {
+      owner.ctx->cache().insert(*e);
     } else {
-      pendingMigrate_.push_back(e);  // joiner: adopted when its Welcome lands
+      pendingMigrate_.push_back(*e);  // joiner: adopted at its Welcome
     }
   }
-  for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-    if (!touched[s]) continue;
-    links_.at(s).ctx->markAllSuspect(preTlb);
-    links_.at(s).ctx->restartGapCycle();
+  for (const auto& l : links_.slots()) {
+    if (l->ctx) core::rule::onEpochFlip(*l->ctx, pendingMigrateAsOf_);
   }
 
   // Drained links close once no query leg is in flight on them; mid-query
@@ -641,6 +620,17 @@ std::uint64_t ClientPool::queriesCompleted() const {
   return n;
 }
 
+std::vector<std::size_t> ClientPool::cacheCapacities() const {
+  std::vector<std::size_t> out;
+  for (const auto& a : agents_) {
+    out.push_back(0);
+    for (const auto& l : a->links_.slots()) {
+      if (l && l->ctx) out.back() += l->ctx->cache().capacity();
+    }
+  }
+  return out;
+}
+
 metrics::SimResult ClientPool::finalize() const {
   if (!collector_) return metrics::SimResult{};
   const double modelSeconds = clock_ ? clock_->nowModel() : 0.0;
@@ -654,6 +644,7 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
   agentCfg_ = wire::configFromWelcome(opts_.cfg, w);
 
   shardMap_ = w.shardMap;
+  cacheCapacity_ = w.cacheCapacity;
   stats_.reportsHeardPerShard.assign(shardMap_.shardCount(), 0);
 
   sizes_ = agentCfg_.sizeModel();

@@ -93,6 +93,7 @@ class ClientAgent {
 
   ClientAgent(const ClientAgent&) = delete;
   ClientAgent& operator=(const ClientAgent&) = delete;
+  friend class ClientPool;
 
   /// Connects to the seed shard and sends Hello; the remaining shards are
   /// dialed when its Welcome reveals the map. Throws std::runtime_error on
@@ -109,10 +110,9 @@ class ClientAgent {
 
   /// Flips this agent onto a newer cluster epoch (pool-driven, atomic per
   /// agent): surviving endpoints keep their connections, removed ones
-  /// drain, joiners are dialed, and cached copies migrate to their new
-  /// owner partitions as suspects — revalidated (or dropped) through the
-  /// ordinary gap/salvage cycle, never served stale. No-op for announces
-  /// at or below the epoch already applied.
+  /// drain, joiners are dialed, and every copy moves to its new owner's
+  /// partition under the epoch-flip rule (core::rule::onEpochFlip), so it
+  /// is never served stale. No-op at or below the epoch already applied.
   void applyShardMap(const ShardMap& map);
   [[nodiscard]] bool connectionAlive() const;
   /// The agent's identity: its client id on the seed shard (RNG streams
@@ -194,7 +194,7 @@ class ClientAgent {
   /// fds close as soon as no query is in flight on it.
   ShardLinks<Link> links_;
   /// Copies bound for a joiner partition whose Welcome has not arrived
-  /// yet; inserted (as suspects, as of pendingMigrateAsOf_) at Welcome.
+  /// yet, adopted at Welcome as of the last flip's pre-flip point.
   std::vector<cache::Entry> pendingMigrate_;
   sim::SimTime pendingMigrateAsOf_ = 0;
   std::size_t welcomedLinks_ = 0;
@@ -244,6 +244,8 @@ class ClientPool {
   [[nodiscard]] const metrics::Collector* collector() const {
     return collector_.get();
   }
+  /// Each agent's cache capacity: the sum over its welcomed partitions.
+  [[nodiscard]] std::vector<std::size_t> cacheCapacities() const;
   /// The cluster layout learned from the seed Welcome; invalid before it.
   [[nodiscard]] const ShardMap& shardMap() const { return shardMap_; }
 
@@ -284,6 +286,8 @@ class ClientPool {
   std::unique_ptr<report::SignatureTable> sigTable_;
   std::vector<std::uint64_t> sigInitial_;
   ShardMap shardMap_;
+  /// An agent's whole cache, split across its partitions by cacheShare.
+  std::uint32_t cacheCapacity_ = 0;
 
   PoolStats stats_;
   /// Shared downlink drain buffer: one per pool, not per agent.

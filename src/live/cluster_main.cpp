@@ -242,21 +242,13 @@ int main(int argc, char** argv) {
   (void)reactor.cancelTimer(stopTimer);
 
   const live::ServerStats t = cluster.totalStats();
-  std::printf("shards=%u reports=%" PRIu64 " updates=%" PRIu64
-              " thinned=%" PRIu64 " queries=%" PRIu64 " reply_frames=%" PRIu64
-              " items_per_reply_frame=%.1f checks=%" PRIu64
-              " audits=%" PRIu64 " accepted=%" PRIu64 " dropped=%" PRIu64
-              " tcp_sends=%" PRIu64 " bad=%" PRIu64 " misrouted=%" PRIu64
-              " stale=%" PRIu64 " frozen=%" PRIu64 " handoff_sent=%" PRIu64
+  std::printf("shards=%u ", cluster.shardCount());
+  live::printServerStats(t, cluster.staleReads());
+  std::printf(" frozen=%" PRIu64 " handoff_sent=%" PRIu64
               " handoff_recv=%" PRIu64 " handoff_failed=%" PRIu64
               " grace_served=%" PRIu64 " map_updates=%" PRIu64
               " reannounces=%" PRIu64 " epoch=%u\n",
-              cluster.shardCount(), t.reportsBroadcast, t.updatesApplied,
-              t.updatesThinned, t.queryRequests, t.dataItemFrames,
-              live::itemsPerReplyFrame(t), t.checksReceived,
-              t.auditsReceived, t.connectionsAccepted, t.framesDropped,
-              t.tcpSendSyscalls, t.badFrames, t.misroutedItems,
-              cluster.staleReads(), t.updatesFrozen, t.handoffItemsSent, t.handoffItemsReceived,
+              t.updatesFrozen, t.handoffItemsSent, t.handoffItemsReceived,
               t.handoffFailures, t.graceServed, t.mapUpdatesSent,
               t.mapReannounces, cluster.epoch());
   for (std::uint32_t s = 0; s < cluster.shardCount(); ++s) {

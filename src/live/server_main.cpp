@@ -20,7 +20,6 @@
 #include <sys/epoll.h>
 #include <sys/signalfd.h>
 
-#include <cinttypes>
 #include <cstdio>
 
 #include "live/broadcast_server.hpp"
@@ -145,16 +144,7 @@ int main(int argc, char** argv) {
   reactor.removeFd(sigReg);
   (void)reactor.cancelTimer(stopTimer);  // already fired when it stopped us
 
-  const live::ServerStats& s = server.stats();
-  std::printf("reports=%" PRIu64 " updates=%" PRIu64 " thinned=%" PRIu64
-              " queries=%" PRIu64 " reply_frames=%" PRIu64
-              " items_per_reply_frame=%.1f checks=%" PRIu64 " audits=%" PRIu64
-              " accepted=%" PRIu64 " dropped=%" PRIu64 " tcp_sends=%" PRIu64
-              " bad=%" PRIu64 " misrouted=%" PRIu64 " stale=%" PRIu64 "\n",
-              s.reportsBroadcast, s.updatesApplied, s.updatesThinned,
-              s.queryRequests, s.dataItemFrames, live::itemsPerReplyFrame(s),
-              s.checksReceived, s.auditsReceived,
-              s.connectionsAccepted, s.framesDropped, s.tcpSendSyscalls,
-              s.badFrames, s.misroutedItems, server.staleReads());
+  live::printServerStats(server.stats(), server.staleReads());
+  std::printf("\n");
   return server.staleReads() == 0 ? 0 : 1;
 }

@@ -375,8 +375,8 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
   // Pre-flip Tlb per client over its old partitions. Every update a
   // client could have missed around the switch is listed by some new-owner
   // report (or resolvable via its spliced history) after this instant, so
-  // suspect-as-of-preTlb plus one ordinary gap cycle per partition is
-  // exactly the ClientAgent::applyShardMap argument, swept.
+  // the epoch-flip rule (ClientAgent::applyShardMap's too) holds once every
+  // copy sits at its new owner's share.
   std::vector<Tick> preTlb(state_.clients, 0);
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
     core::rule::PreFlipPoint<Tick> preFlip;
@@ -392,12 +392,8 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
 
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
     for (std::uint32_t s = 0; s < newShards; ++s) {
-      // Every partition resumes like a client waking from a doze that
-      // began at preTlb.
       PartitionView p(state_, c, s);
-      if (s >= oldShards) p.setLastHeard(preTlb[c]);
-      p.markAllSuspect(preTlb[c]);
-      core::rule::onWake(p);
+      core::rule::onEpochFlip(p, preTlb[c]);
     }
     // Remap an in-flight query's owed-answer mask from old owners to new.
     // Per-item answered state is not tracked, so an already-answered item

@@ -179,7 +179,9 @@ void UplinkMux::handleDatagram(Link& link, const std::uint8_t* data,
     ++stats_.ignoredFrames;
     return;
   }
+  MCI_DCHECK(link.shard < SwarmState::kMaxShards) << "slot " << link.shard;
   ++stats_.reportsHeard;
+  ++stats_.reportsHeardPerShard[link.shard];
   sink_.onReportPayload(link.shard, f->payload);
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -66,6 +67,8 @@ class SwarmSink {
 
 struct MuxStats {
   std::uint64_t reportsHeard = 0;
+  /// reportsHeard split by the shard slot the report arrived on.
+  std::array<std::uint64_t, SwarmState::kMaxShards> reportsHeardPerShard{};
   /// Undecodable frames, including uplink frames skipped for a failed
   /// checksum and kDataItem replies that are malformed or answer more
   /// fetches than are outstanding (each of those also drops its conn).

@@ -56,7 +56,7 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
 
 void SwarmState::layoutShards(std::uint32_t numShards,
                               std::uint32_t cacheCapacity) {
-  MCI_CHECK(numShards >= 1 && numShards <= 32)
+  MCI_CHECK(numShards >= 1 && numShards <= kMaxShards)
       << "swarm needAnswer mask holds at most 32 shards";
   shards = numShards;
 

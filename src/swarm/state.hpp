@@ -100,6 +100,8 @@ class ListedTicks {
 /// partition's slots against the report's per-item tick table.
 struct SwarmState {
   static constexpr std::uint32_t kMaxQueryItems = 16;
+  /// needAnswer is a 32-bit mask over shards.
+  static constexpr std::uint32_t kMaxShards = 32;
   static constexpr db::ItemId kEmptySlot = ~db::ItemId{0};
   /// Presence bitmap budget: 2^36 bits = 8 GiB of flags at the 10^6-client
   /// x 64k-item corner; beyond that the scan fallback wins on RSS.

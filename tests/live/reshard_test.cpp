@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,8 @@ struct ReshardRunResult {
   std::uint32_t epochAfter = 0;
   std::uint32_t shardsAfter = 0;
   bool transitionDone = false;
+  /// Each agent's summed partition capacities at the end of the run.
+  std::vector<std::size_t> cacheCapacities;
 };
 
 /// Runs `startShards` daemons + an 8-agent pool, fires `mutate(cluster)`
@@ -95,6 +99,7 @@ ReshardRunResult runAcrossReshard(const core::SimConfig& cfg,
 
   r.pool = pool.finalize();
   r.poolStats = pool.stats();
+  r.cacheCapacities = pool.cacheCapacities();
   r.cluster = cluster.totalStats();
   r.clusterStale = cluster.staleReads();
   r.epochAfter = cluster.epoch();
@@ -189,6 +194,36 @@ TEST(LiveReshard, ShardRemovedWhileClientsDozeWakesIntoNewEpoch) {
   EXPECT_EQ(r.cluster.handoffFailures, 0u);
   EXPECT_EQ(r.pool.staleReads, 0u);
   EXPECT_EQ(r.clusterStale, 0u);
+}
+
+// A flip re-shares each agent's cache at the new shard count: after a grow
+// 4 -> 6 and a shrink 4 -> 2 every agent's partitions still hold exactly
+// the Welcome's cacheCapacity between them (an agent that kept its pre-flip
+// shares would hold 132 of the 100 slots after the grow, 50 after the
+// shrink).
+TEST(LiveReshard, FlipReSharesEveryAgentsCache) {
+  const core::SimConfig cfg = reshardConfig();
+  for (const std::uint32_t target : {6u, 2u}) {
+    SCOPED_TRACE("4 -> " + std::to_string(target));
+    const ReshardRunResult r = runAcrossReshard(
+        cfg, 400.0, 4,
+        [target](Cluster& cluster, std::function<void()> done) {
+          if (target > 4) {
+            cluster.grow(target - 4, std::move(done));
+          } else {
+            cluster.shrink(target, std::move(done));
+          }
+        });
+    EXPECT_TRUE(r.transitionDone);
+    EXPECT_EQ(r.shardsAfter, target);
+    EXPECT_EQ(r.poolStats.epochSwitches, 1u);
+    ASSERT_EQ(r.cacheCapacities.size(), cfg.numClients);
+    for (std::size_t a = 0; a < r.cacheCapacities.size(); ++a) {
+      EXPECT_EQ(r.cacheCapacities[a], cfg.cacheCapacity()) << "agent " << a;
+    }
+    EXPECT_EQ(r.pool.staleReads, 0u);
+    EXPECT_EQ(r.clusterStale, 0u);
+  }
 }
 
 /// Every shard's tick read between two reads of shard 0's: all shards run

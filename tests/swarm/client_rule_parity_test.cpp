@@ -124,6 +124,22 @@ struct Episode {
     core::rule::onWake(p);
   }
 
+  /// The epoch-flip rule, run once the flip has put this partition's
+  /// copies in place (ClientAgent::applyShardMap and
+  /// SwarmEmulator::onMapUpdate).
+  void flip(sim::SimTime preFlip) {
+    core::rule::onEpochFlip(h.ctx, preFlip);
+    PartitionView p = view();
+    core::rule::onEpochFlip(p, toTick(preFlip));
+  }
+
+  /// A copy placed by a flip, bypassing the late-copy rule as migration
+  /// does.
+  void place(db::ItemId item, db::Version version, sim::SimTime refTime) {
+    h.cacheItem(item, refTime, version);
+    st.insert(0, 0, item, toTick(refTime), version);
+  }
+
   [[nodiscard]] std::set<db::ItemId> simItems(bool suspectsOnly) const {
     std::set<db::ItemId> out;
     h.ctx.cache().forEach([&](const cache::Entry& e) {
@@ -255,6 +271,58 @@ TEST(ClientRuleParity, ScriptedEpisodeAgreesAfterEveryStep) {
   e.expectSame("decline after the check ack");
   EXPECT_TRUE(e.simItems(false).empty());
   EXPECT_FALSE(e.h.ctx.salvagePending());
+}
+
+// The epoch-flip rule on both views. A surviving partition with a check in
+// flight: the flip voids the cycle, keeps lastHeard and re-anchors every
+// suspect at the pre-flip point, so only a report reaching back to that
+// point salvages. A partition the flip creates: it starts hearing at the
+// pre-flip point. After every step both views agree field for field.
+TEST(ClientRuleParity, EpochFlipAgreesOnBothViews) {
+  Episode e;
+  e.hearTs(*window(e, 200.0));
+  e.fetch(1, 0, 200.0);
+  e.fetch(2, 0, 200.0);
+  e.fetch(3, 0, 200.0);
+  e.hearTs(*window(e, 210.0));
+  e.hist.record(3, 250.0);
+  e.wake();
+  e.hearTs(*window(e, 400.0));
+  e.expectSame("gap, check in flight before the flip");
+  ASSERT_TRUE(e.h.ctx.checkSent());
+
+  e.flip(150.0);
+  e.expectSame("survivor flipped");
+  EXPECT_DOUBLE_EQ(e.h.ctx.lastHeard(), 400.0);
+  EXPECT_DOUBLE_EQ(e.h.ctx.suspectAsOf(), 150.0);
+  EXPECT_FALSE(e.h.ctx.checkSent());
+  EXPECT_TRUE(e.h.ctx.salvagePending());
+  EXPECT_EQ(e.simItems(true), (std::set<db::ItemId>{1, 2, 3}));
+
+  // The next uncovered report sends a fresh check; the extended report
+  // reaching back to the pre-flip point lists item 3 and salvages the rest.
+  e.hearTs(*window(e, 410.0));
+  e.expectSame("fresh check after the flip");
+  EXPECT_TRUE(e.h.ctx.checkSent());
+  e.checkDelivered(412.0);
+  e.hearTs(*report::TsReport::buildExtended(e.hist, e.h.sizes, 420.0, 150.0));
+  e.expectSame("extended report salvages past the flip");
+  EXPECT_EQ(e.simItems(false), (std::set<db::ItemId>{1, 2}));
+  EXPECT_EQ(e.h.ctx.suspectCount(), 0u);
+
+  Episode created;
+  created.place(4, 0, 280.0);
+  created.place(5, 0, 280.0);
+  created.hist.record(5, 320.0);
+  created.flip(300.0);
+  created.expectSame("created partition flipped");
+  EXPECT_DOUBLE_EQ(created.h.ctx.lastHeard(), 300.0);
+  EXPECT_DOUBLE_EQ(created.h.ctx.suspectAsOf(), 300.0);
+  EXPECT_TRUE(created.h.ctx.salvagePending());
+  created.hearTs(*window(created, 350.0));
+  created.expectSame("created partition's first report salvages");
+  EXPECT_EQ(created.simItems(false), (std::set<db::ItemId>{4}));
+  EXPECT_EQ(created.h.ctx.suspectCount(), 0u);
 }
 
 // The pre-flip consistency point folds a source partition's gap anchor in:

@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -283,12 +282,10 @@ struct ReshardedSwarm {
   std::uint32_t clusterShards = 0;
   std::uint64_t clusterStaleReads = 0;
   bool done = false;
-  /// Cluster-wide books and map just before the reshard, and at the end
-  /// of the run.
+  /// Cluster-wide books just before the reshard, and at the end of the
+  /// run.
   live::ServerStats before;
   live::ServerStats after;
-  live::ShardMap mapBefore;
-  live::ShardMap mapAfter;
   /// The highest-indexed starting daemon's books, last read while it still
   /// existed (a shrink destroys it once its grace ends).
   std::uint64_t lastShardAccepted = 0;
@@ -333,12 +330,10 @@ ReshardedSwarm runSwarmThroughReshard(std::uint32_t shards, Reshard reshard) {
     if (!started && em.modelNow() >= cfg.simTime * 0.3) {
       started = true;
       r.before = cluster.totalStats();
-      r.mapBefore = cluster.shardMap();
       reshard(cluster, [&r] { r.done = true; });
     }
     if (r.done && em.modelNow() >= cfg.simTime) {
       r.after = cluster.totalStats();
-      r.mapAfter = cluster.shardMap();
       em.shutdown();
       reactor.stop();
     }
@@ -382,9 +377,9 @@ TEST(Swarm, ShrinkRetiresTheRemovedShardsConnsOnceTheyDrain) {
 }
 
 // A rebalance keeps every daemon: the mux re-keys its links to the new
-// seed's map without retiring or dialing anything. The only conns the
-// daemons accept and close during it are the backfill channels, one per
-// (old owner, new owner) pair that some item moves between.
+// seed's map without retiring or dialing anything. The daemons count only
+// welcomed client uplinks, so the backfill channels the rebalance opens
+// and closes between them leave both counts where they were.
 TEST(Swarm, RebalanceRetiresAndDialsNothing) {
   const ReshardedSwarm r = runSwarmThroughReshard(
       2, [](live::Cluster& c, std::function<void()> done) {
@@ -393,27 +388,21 @@ TEST(Swarm, RebalanceRetiresAndDialsNothing) {
   expectOneCleanFlip(r);
   EXPECT_EQ(r.clusterShards, 2u);
   EXPECT_EQ(r.before.connectionsAccepted, 4u);
-  std::set<std::pair<std::uint32_t, std::uint32_t>> moves;
-  for (db::ItemId item = 0; item < 500; ++item) {
-    const std::uint32_t from = r.mapBefore.shardOf(item);
-    const std::uint32_t to = r.mapAfter.shardOf(item);
-    if (from != to) moves.emplace(from, to);
-  }
   EXPECT_EQ(r.after.handoffFailures, 0u);
-  EXPECT_EQ(r.after.connectionsAccepted - r.before.connectionsAccepted,
-            moves.size())
+  EXPECT_GT(r.after.handoffItemsSent, r.before.handoffItemsSent)
+      << "no backfill channel ran; the case is vacuous";
+  EXPECT_EQ(r.after.connectionsAccepted, r.before.connectionsAccepted)
       << "the mux dialed during a rebalance";
-  EXPECT_EQ(r.after.connectionsClosed - r.before.connectionsClosed,
-            moves.size())
+  EXPECT_EQ(r.after.connectionsClosed, r.before.connectionsClosed)
       << "the mux closed a conn during a rebalance";
 }
 
 // Multicast shards: the mux dials the seed before it knows the map, so the
 // seed's downlink starts unicast and must be swapped for a group-joined one
 // when the map names a group; every other shard's downlink joins at dial.
-// Every shard must be heard: if any one were silent, the mux could hear at
-// most the other shards' reports. Loopback multicast needs kernel support
-// the host may withhold, so a failed group join skips rather than fails.
+// Every shard must be heard, by the mux's own per-shard report count.
+// Loopback multicast needs kernel support the host may withhold, so a
+// failed group join skips rather than fails.
 TEST(Swarm, MulticastClusterIsHeardOnEveryShard) {
   const core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
   live::Reactor reactor;
@@ -453,17 +442,15 @@ TEST(Swarm, MulticastClusterIsHeardOnEveryShard) {
     GTEST_SKIP() << "multicast unavailable here: " << e.what();
   }
 
+  const MuxStats& mux = em->mux().stats();
   std::uint64_t broadcastSum = 0;
-  std::uint64_t broadcastMin = ~std::uint64_t{0};
   for (std::uint32_t s = 0; s < cluster->shardCount(); ++s) {
     const std::uint64_t n = cluster->server(s).stats().reportsBroadcast;
-    EXPECT_GT(n, 0u) << "shard " << s;
+    EXPECT_GT(mux.reportsHeardPerShard[s], 0u)
+        << "shard " << s << "'s IR never reached the swarm";
+    EXPECT_LE(mux.reportsHeardPerShard[s], n) << "shard " << s;
     broadcastSum += n;
-    broadcastMin = std::min(broadcastMin, n);
   }
-  const MuxStats& mux = em->mux().stats();
-  EXPECT_GT(mux.reportsHeard, broadcastSum - broadcastMin)
-      << "some shard's IR never reached the swarm";
   EXPECT_LE(mux.reportsHeard, broadcastSum);
   EXPECT_EQ(mux.connectionsLost, 0u);
   EXPECT_GT(em->stats().queriesCompleted, 0u);
