@@ -23,11 +23,10 @@ class Client::Life : public lifecycle::HostView {
     return !c_.leg_.fetch.empty();
   }
 
-  bool drawQuery(double now) {
+  void drawQuery(double now) {
     c_.queryGen_.nextQuery(c_.leg_.items);
     life_.queryStart = now;
     c_.leg_.owed = true;
-    return true;
   }
   void armThink(double duration) {
     c_.thinkEvent_ = c_.sim_.schedule(duration, [client = &c_] {

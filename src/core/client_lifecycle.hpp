@@ -18,9 +18,10 @@ namespace mci::core::lifecycle {
 // run the same state machine (docs/protocols.md, "Client lifecycle").
 // Times are model seconds. HostView below (core::Client, ClientAgent) and
 // swarm::ClientRow supply a view's state and partition calls; each face
-// adds its mechanics: drawQuery (false: not issued), armThink/cancelThink,
-// armWake, requestFetches, and the statistics hooks. Header templates, so
-// the calls inline into the swarm's per-client tick loop.
+// adds its mechanics: drawQuery, armThink/cancelThink, armWake,
+// requestFetches, the statistics hooks and, where it reshards, the flip's
+// query hooks. Header templates, so the calls inline into the swarm's
+// per-client tick loop.
 
 enum class Phase : std::uint8_t {
   kThinking = 0,  ///< connected; a query is due at the think deadline
@@ -37,7 +38,8 @@ void startThink(V& v, double now, double duration) {
 
 template <class V>
 void issueQuery(V& v, double now) {
-  if (v.drawQuery(now)) v.setPhase(Phase::kQuerying);
+  v.drawQuery(now);
+  v.setPhase(Phase::kQuerying);
 }
 
 /// The caller has flipped the coin; the duration is drawn after it. An
@@ -146,6 +148,19 @@ bool onFetchedCopy(V& v, P p, double now, db::ItemId item, T readTime,
   return kept;
 }
 
+/// The in-flight query at an epoch flip (docs/protocols.md, "Resharding"),
+/// once the flip has re-keyed the partitions: the query keeps only the
+/// items of legs still owed (keepQueryItems; answered legs' fetches stay
+/// out), each owed at its owner under the new map (oweQueryItems). Each
+/// item is answered exactly once and no answer waits on a retired owner.
+template <class V>
+void onEpochFlip(V& v, double now) {
+  if (v.phase() != Phase::kQuerying) return;
+  v.keepQueryItems([&](auto leg) { return v.owes(leg); });
+  v.oweQueryItems();
+  if (queryDone(v)) completeQuery(v, now);
+}
+
 /// The lifecycle fields of an object-per-client face (core::Client,
 /// ClientAgent); the swarm keeps them as SwarmState columns.
 struct HostLife {
@@ -193,10 +208,7 @@ class HostView {
   double drawThink() { return queries_.thinkTime(); }
 
   static bool owes(const QueryLeg* l) { return l->owed; }
-  static void settleOwed(QueryLeg* l) {
-    l->owed = false;
-    l->fetch.clear();
-  }
+  static void settleOwed(QueryLeg* l) { l->owed = false; }
   static bool salvagePending(const QueryLeg* l) {
     return l->ctx->salvagePending();
   }

@@ -34,40 +34,53 @@ class ClientAgent::Life : public core::lifecycle::HostView {
   /// One coin per broadcast interval: shard 0's reports, the simulator's
   /// cadence regardless of cluster size.
   static bool isCoinPartition(const Link* link) { return link->shard == 0; }
-  /// A flip mid-query leaves its in-flight legs on the drained links; the
-  /// retiring daemons grace-serve them to completion before the fds close.
+  /// A flip moves every owed leg to the new owners (lifecycle::onEpochFlip),
+  /// so only placed links owe; a drained link can still hold fetches.
   [[nodiscard]] bool anyOwed() const {
-    return anyLeg([](const Link& l) { return l.owed; });
+    return std::ranges::any_of(a_.links_.slots(),
+                               [](const auto& l) { return l->owed; });
   }
   [[nodiscard]] bool anyFetchOutstanding() const {
-    return anyLeg([](const Link& l) { return !l.fetch.empty(); });
+    bool any = false;
+    a_.links_.forEach([&](const Link& l) { any = any || !l.fetch.empty(); });
+    return any;
   }
 
-  bool drawQuery(double now) {
-    if (!a_.connectionAlive()) return false;
-    if (!a_.welcomed()) {
-      // Mid-flip: joiner links are dialed but not yet welcomed. Retry on a
-      // short timer instead of stalling the state machine forever.
-      core::lifecycle::startThink(*this, now, 0.01);
-      return false;
-    }
+  void drawQuery(double now) {
     a_.queryGen_->nextQuery(a_.queryItems_);
     life_.queryStart = now;
     a_.queryStartWall_ = a_.pool_.reactor_.nowSeconds();
-    // Fan the query out by owner shard; each involved link answers on its
-    // own shard's next report (per-shard consistency point).
-    for (const auto& link : a_.links_.slots()) {
-      link->items.clear();
-      link->fetch.clear();
-      link->owed = false;
-    }
-    const ShardMap& map = a_.pool_.shardMap();
+    oweQueryItems();
+  }
+  template <class Owed>
+  void keepQueryItems(Owed&& owed) {
+    std::vector<db::ItemId>& items = a_.queryItems_;
+    items.clear();
+    a_.links_.forEach([&](Link& l) {
+      if (owed(&l)) items.insert(items.end(), l.items.begin(), l.items.end());
+    });
+  }
+  /// Fans the query out by owner shard; each involved link answers on its
+  /// own shard's next report (per-shard consistency point), a joiner not
+  /// yet welcomed on its first.
+  void oweQueryItems() {
+    a_.links_.forEach([](Link& l) {
+      l.owed = false;
+      l.items.clear();
+    });
     for (db::ItemId item : a_.queryItems_) {
-      Link& link = a_.links_.at(map.shardOf(item));
+      Link& link = a_.links_.at(a_.links_.map().shardOf(item));
       link.items.push_back(item);
       link.owed = true;
     }
-    return true;
+  }
+  /// A partition not yet welcomed takes no fetched copy.
+  static sim::SimTime lastHeard(const Link* l) {
+    return l->ctx != nullptr ? l->ctx->lastHeard() : sim::kTimeInfinity;
+  }
+  /// A fetch retires on whichever link it went out on.
+  void retireFetch(const Link*, db::ItemId item) {
+    a_.links_.forEach([&](Link& l) { HostView::retireFetch(&l, item); });
   }
   void armThink(double duration) {
     a_.armTimer(duration, [](ClientAgent& a) {
@@ -95,14 +108,19 @@ class ClientAgent::Life : public core::lifecycle::HostView {
                                      net::TrafficClass::kControl, audit,
                                      wire::encodeAuditInto));
   }
+  void settleOwed(Link* link) {
+    HostView::settleOwed(link);
+    requested_ = link->fetch.size();
+  }
+  /// Sends this answer's misses; a fetch from before a flip is already out.
   void requestFetches(Link* link) {
-    if (link->fetch.empty()) return;
+    if (link->fetch.size() == requested_) return;
     a_.pool_.collector_->onClientTx(a_.pool_.sizes_.queryRequestBits());
     // A failed send already ran dropAgent(); the leg stays outstanding.
     (void)a_.sendFrame(
         *link, a_.pool_.arena_.build(
                    wire::FrameType::kQueryRequest, net::TrafficClass::kBulk,
-                   std::span<const db::ItemId>(link->fetch),
+                   std::span<const db::ItemId>(link->fetch).subspan(requested_),
                    wire::encodeQueryRequestInto));
   }
   void recordCompletion(double now) {
@@ -112,22 +130,11 @@ class ClientAgent::Life : public core::lifecycle::HostView {
     a_.pool_.stats_.queryLatencyUs.record(
         wallSec > 0 ? static_cast<std::uint64_t>(wallSec * 1e6) : 0);
     a_.queryItems_.clear();
-    a_.closeDrainingLinks();  // no query in flight: drained links can close
   }
 
  private:
-  template <class Pred>
-  [[nodiscard]] bool anyLeg(Pred pred) const {
-    for (const auto& link : a_.links_.slots()) {
-      if (pred(*link)) return true;
-    }
-    for (const auto& link : a_.links_.retired()) {
-      if (link->tcp.isOpen() && pred(*link)) return true;
-    }
-    return false;
-  }
-
   ClientAgent& a_;
+  std::size_t requested_ = 0;  ///< fetches already out when the answer began
 };
 
 ClientAgent::ClientAgent(ClientPool& pool, std::size_t index)
@@ -202,7 +209,11 @@ void ClientAgent::followMap(const ShardMap& map, std::uint32_t seedSlot) {
         dialed.push_back(link.get());
         return link;
       },
-      [](Link& link) { link.draining = true; },
+      // A drained link keeps only its uplink, for the fetches still out.
+      [](Link& link) {
+        link.draining = true;
+        link.downlink.close();
+      },
       // No re-Hello: a multicast shard never uses the Hello's UDP port.
       [this](Link& link, const ShardEndpoint& ep) { openDownlink(link, ep); });
   for (Link* link : dialed) sendHello(*link);
@@ -258,27 +269,41 @@ void ClientAgent::dropAgent() {
     if (link.tcp.isOpen() && !link.draining) hadLive = true;
     closeLink(link);
   });
-  // One agent = one host: losing any shard link retires the whole agent
+  // One agent = one host: losing a placed link retires the whole agent
   // (a real client would re-dial; the load generator just counts it).
   if (hadLive && !shuttingDown_) ++pool_.stats_.connectionsLost;
   running_ = false;
 }
 
+void ClientAgent::onLinkFailed(Link& link) {
+  if (!link.draining) return dropAgent();
+  // The retiring daemon went away on schedule: only this link closes, and
+  // a fetch it never answered is given up.
+  closeLink(link);
+  link.fetch.clear();
+  if (!running_) return;
+  Life v(*this);
+  if (v.phase() == core::lifecycle::Phase::kQuerying &&
+      core::lifecycle::queryDone(v)) {
+    core::lifecycle::completeQuery(v, pool_.clock_->nowModel());
+  }
+}
+
 void ClientAgent::onTcp(Link& link, std::uint32_t events) {
   if ((events & (EPOLLHUP | EPOLLERR)) != 0 ||
       ((events & EPOLLOUT) != 0 && !link.tcp.flush())) {
-    dropAgent();
+    onLinkFailed(link);
     return;
   }
   if ((events & EPOLLIN) == 0) return;
   while (std::optional<wire::FrameView> frame = link.tcp.next()) {
     handleFrame(link, *frame);
-    if (!link.tcp.isOpen()) break;  // a handler dropped the agent
+    if (!link.tcp.isOpen()) break;  // a handler closed the link
   }
   pool_.stats_.badFrames += link.tcp.takeSkippedFrames();
   if (!link.tcp.failed()) return;
   if (link.tcp.corrupt()) ++pool_.stats_.badFrames;
-  dropAgent();  // orderly EOF, hard error or lost framing
+  onLinkFailed(link);  // orderly EOF, hard error or lost framing
 }
 
 void ClientAgent::onUdp(Link& link, std::uint32_t events) {
@@ -306,14 +331,14 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
     // dozing ones (returned above) flip via TCP or on the misroute
     // re-announce after waking.
     onMapUpdatePayload(frame->payload);
-    return link.tcp.isOpen();  // the flip may have drained this link
+    return link.downlink.isOpen();  // the flip may have drained this link
   }
   if (frame->header.type != wire::FrameType::kReport) {
     ++pool_.stats_.badFrames;
     return true;
   }
   onReportPayload(link, frame->payload);
-  return link.tcp.isOpen();  // report handling may have dropped us
+  return link.downlink.isOpen();  // report handling may have dropped us
 }
 
 void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
@@ -463,18 +488,22 @@ void ClientAgent::onReportPayload(Link& link,
 void ClientAgent::onDataItem(Link& link, const wire::DataItem& d) {
   if (link.scheme == nullptr || !running_) return;
   pool_.collector_->onClientRx(pool_.sizes_.dataItemBits());
-  // A copy read before the shard's lastHeard falls to the late-copy rule
-  // and the next query simply misses again.
+  // The copy goes to the item's owner now, as in the swarm: a flip may
+  // have drained the link or moved the item since the miss went out. A
+  // copy read before the owner's lastHeard falls to the late-copy rule and
+  // the next query simply misses again.
+  Link& owner = links_.at(links_.map().shardOf(d.item));
   Life v(*this);
   (void)core::lifecycle::onFetchedCopy(
-      v, &link, pool_.clock_->nowModel(), d.item, d.readTime, [&] {
+      v, &owner, pool_.clock_->nowModel(), d.item, d.readTime, [&] {
         cache::Entry entry;
         entry.item = d.item;
         entry.version = d.version;
         entry.refTime = d.readTime;
         entry.suspect = false;
-        link.ctx->cache().insert(entry);
+        owner.ctx->cache().insert(entry);
       });
+  if (link.draining && link.fetch.empty()) closeLink(link);
 }
 
 void ClientAgent::onValidityReply(Link& link, const wire::ValidityReplyMsg& vr) {
@@ -510,7 +539,7 @@ void ClientAgent::sendCheck(Link& link, const schemes::CheckMessage& msg) {
 bool ClientAgent::sendFrame(Link& link, std::span<const std::uint8_t> frame) {
   if (!link.tcp.isOpen()) return false;
   if (link.tcp.send(frame)) return true;
-  dropAgent();
+  onLinkFailed(link);
   return false;
 }
 
@@ -570,17 +599,17 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
     if (l->ctx) core::rule::onEpochFlip(*l->ctx, pendingMigrateAsOf_);
   }
 
-  // Drained links close once no query leg is in flight on them; mid-query
-  // they stay open so the retiring daemon can grace-serve the answers.
-  if (life_.phase != core::lifecycle::Phase::kQuerying) closeDrainingLinks();
-}
-
-void ClientAgent::closeDrainingLinks() {
-  // No Bye frames here: a drained daemon may already be gone, and a send
-  // failure would retire the whole agent. The Link objects stay allocated
-  // (reactor handlers up the stack may still hold references); only the
-  // fds close.
-  for (const auto& link : links_.retired()) closeLink(*link);
+  // The owed legs follow their items to the new owners. A drained link
+  // closes once its fetches are answered, with no Bye: its daemon may be
+  // gone. The Link objects stay allocated (reactor handlers up the stack
+  // may still hold references); only the fds close.
+  if (running_) {
+    Life v(*this);
+    core::lifecycle::onEpochFlip(v, pool_.clock_->nowModel());
+  }
+  for (const auto& link : links_.retired()) {
+    if (link->fetch.empty()) closeLink(*link);
+  }
 }
 
 // --- ClientPool --------------------------------------------------------

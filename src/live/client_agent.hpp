@@ -155,8 +155,9 @@ class ClientAgent {
 
   void onTcp(Link& link, std::uint32_t events);
   void onUdp(Link& link, std::uint32_t events);
-  /// Decode + dispatch one downlink datagram. False when report handling
-  /// dropped this agent (the caller must stop draining).
+  /// Decode + dispatch one downlink datagram. False once the downlink is
+  /// closed: report handling dropped this agent, or a flip drained the
+  /// link (the caller must stop draining).
   bool handleUdpDatagram(Link& link, const std::uint8_t* data,
                          std::size_t len);
   void handleFrame(Link& link, const wire::FrameView& frame);
@@ -182,7 +183,9 @@ class ClientAgent {
     return life_.phase != core::lifecycle::Phase::kDozing;
   }
   void dropAgent();
-  void closeDrainingLinks();
+  /// The link's connection failed: a drained link closes alone, any other
+  /// retires the agent.
+  void onLinkFailed(Link& link);
 
   ClientPool& pool_;
   std::size_t index_;
@@ -191,7 +194,7 @@ class ClientAgent {
   /// callback capturing `this` survives).
   Reactor::OwnerId owner_ = 0;
   /// The agent's shard links and the map they reflect. A retired link's
-  /// fds close as soon as no query is in flight on it.
+  /// fds close as soon as no fetch is outstanding on it.
   ShardLinks<Link> links_;
   /// Copies bound for a joiner partition whose Welcome has not arrived
   /// yet, adopted at Welcome as of the last flip's pre-flip point.

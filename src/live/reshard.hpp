@@ -23,7 +23,8 @@ class BroadcastServer;
 ///             (kMapUpdate on every uplink + the IR downlink); removed
 ///             shards announce and refuse new Hellos.
 ///   Grace     kGraceWallSeconds in which old owners still serve frozen
-///             migrated items, so a client mid-flip never loses a query.
+///             migrated items to the fetches, checks and audits a client
+///             sent before it flipped; its owed query legs have moved.
 ///   Finish    freeze and grace end everywhere; onComplete fires (the
 ///             cluster installs the map and destroys retired daemons).
 ///

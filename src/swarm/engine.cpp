@@ -23,8 +23,10 @@ constexpr std::size_t kPrefetchSlotBytes = 128;
 /// the report tick hits and misses are stamped with.
 class SwarmEmulator::Life : public ClientRow {
  public:
-  Life(SwarmEmulator& e, std::uint32_t c, Tick tick)
-      : ClientRow(e.state_, c), e_(e), tick_(tick) {}
+  /// `preFlip`: at a flip, the map the query's legs were owed under.
+  Life(SwarmEmulator& e, std::uint32_t c, Tick tick,
+       const live::ShardMap* preFlip = nullptr)
+      : ClientRow(e.state_, c), e_(e), tick_(tick), preFlip_(preFlip) {}
 
   [[nodiscard]] const workload::Disconnector::Params& dozeParams() const {
     return e_.dozeParams_;
@@ -32,7 +34,7 @@ class SwarmEmulator::Life : public ClientRow {
   double drawThink() {
     return st_.rngQuery[c_].exponential(e_.cfg_.meanThinkTime);
   }
-  bool drawQuery(double now) {
+  void drawQuery(double now) {
     // QueryGenerator's law from this client's own stream, into a shared
     // scratch, so the RNG consumption (and thus every later draw) matches
     // a pool agent of the same id exactly. Only the first kMaxQueryItems
@@ -61,8 +63,12 @@ class SwarmEmulator::Life : public ClientRow {
     st_.needAnswer[c_] = mask;
     st_.queryStart[c_] = now;
     e_.pendingFetch_[c_] = 0;
-    return true;
   }
+  template <class Owed>
+  void keepQueryItems(Owed&& owed) {
+    ClientRow::keepQueryItems(*preFlip_, owed);
+  }
+  void oweQueryItems() { ClientRow::oweQueryItems(e_.mux_->shardMap()); }
   static void armThink(double) {}
   static void cancelThink() {}
   void armWake(double now, double duration) {
@@ -131,6 +137,7 @@ class SwarmEmulator::Life : public ClientRow {
  private:
   SwarmEmulator& e_;
   Tick tick_;
+  const live::ShardMap* preFlip_;
   const db::Database* truth_ = nullptr;  ///< audit truth of the shard answered
 };
 
@@ -395,30 +402,8 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
       PartitionView p(state_, c, s);
       core::rule::onEpochFlip(p, preTlb[c]);
     }
-    // Remap an in-flight query's owed-answer mask from old owners to new.
-    // Per-item answered state is not tracked, so an already-answered item
-    // sharing its new shard with a still-owed one is answered again — a
-    // harmless double count, never a dropped or stale answer.
-    if (state_.phase[c] == core::lifecycle::Phase::kQuerying) {
-      const std::uint32_t oldMask = state_.needAnswer[c];
-      std::uint32_t mask = 0;
-      if (oldMask != 0) {
-        const std::size_t base =
-            static_cast<std::size_t>(c) * SwarmState::kMaxQueryItems;
-        const std::uint32_t n = state_.queryCount[c];
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const db::ItemId item = state_.queryItems[base + i];
-          if ((oldMask >> oldMap.shardOf(item) & 1u) != 0) {
-            mask |= 1u << newMap.shardOf(item);
-          }
-        }
-      }
-      state_.needAnswer[c] = mask;
-      Life v(*this, c, lastTick_);
-      if (core::lifecycle::queryDone(v)) {
-        core::lifecycle::completeQuery(v, sim::tickTime(lastTick_));
-      }
-    }
+    Life v(*this, c, lastTick_, &oldMap);
+    core::lifecycle::onEpochFlip(v, sim::tickTime(lastTick_));
   }
 }
 

@@ -332,6 +332,31 @@ class ClientRow {
   bool owes(std::uint32_t s) const { return (st_.needAnswer[c_] >> s & 1u); }
   void settleOwed(std::uint32_t s) { st_.needAnswer[c_] &= ~(1u << s); }
   bool anyOwed() const { return st_.needAnswer[c_] != 0; }
+  /// The query's items: queryCount of them.
+  db::ItemId* queryItems() {
+    return &st_.queryItems[std::size_t{c_} * SwarmState::kMaxQueryItems];
+  }
+  /// The query hooks of lifecycle::onEpochFlip, over maps with shardOf.
+  /// keepQueryItems compacts the query to the items whose leg under the
+  /// pre-flip map passes `owed`, so forEachQueryItem never sees an answered
+  /// one; oweQueryItems owes each item at its shard under `map`.
+  template <class Map, class Owed>
+  void keepQueryItems(const Map& preFlip, Owed&& owed) {
+    db::ItemId* items = queryItems();
+    std::uint8_t kept = 0;
+    for (std::uint8_t i = 0; i < st_.queryCount[c_]; ++i) {
+      if (owed(preFlip.shardOf(items[i]))) items[kept++] = items[i];
+    }
+    st_.queryCount[c_] = kept;
+  }
+  template <class Map>
+  void oweQueryItems(const Map& map) {
+    std::uint32_t mask = 0;
+    for (std::uint8_t i = 0; i < st_.queryCount[c_]; ++i) {
+      mask |= 1u << map.shardOf(queryItems()[i]);
+    }
+    st_.needAnswer[c_] = mask;
+  }
   bool salvagePending(std::uint32_t s) const {
     return st_.salvagePending.get(st_.cs(c_, s));
   }

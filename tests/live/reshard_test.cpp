@@ -55,14 +55,14 @@ struct ReshardRunResult {
 };
 
 /// Runs `startShards` daemons + an 8-agent pool, fires `mutate(cluster)`
-/// at 30% of simTime, and returns the full stats surface once the model
-/// clock runs out. The pool audits locally where the shard still exists
+/// at model second `triggerAt`, and returns the full stats surface once the
+/// model clock runs out. The pool audits locally where the shard still exists
 /// and every agent echoes kAudit regardless, so the cluster-side stale
 /// count covers migrated items wherever they land.
 template <typename Mutate>
 ReshardRunResult runAcrossReshard(const core::SimConfig& cfg,
                                   double timeScale, std::uint32_t startShards,
-                                  Mutate mutate) {
+                                  double triggerAt, Mutate mutate) {
   Reactor reactor;
   ClusterOptions clusterOpts;
   clusterOpts.cfg = cfg;
@@ -84,7 +84,7 @@ ReshardRunResult runAcrossReshard(const core::SimConfig& cfg,
   bool mutated = false;
   const Reactor::TimerHandle tick = reactor.addTimer(0.02, 0.02, [&] {
     if (!mutated && pool.welcomedCount() == cfg.numClients &&
-        pool.modelNow() >= cfg.simTime * 0.3) {
+        pool.modelNow() >= triggerAt) {
       mutated = true;
       r.queriesBeforeSwitch = pool.finalize().queriesCompleted;
       mutate(cluster, [&r] { r.transitionDone = true; });
@@ -119,7 +119,8 @@ TEST(LiveReshard, ItemUpdatedMidHandoffStaysConsistent) {
   // stale, and the backfill itself must have moved real items.
   const core::SimConfig cfg = reshardConfig();
   const ReshardRunResult r = runAcrossReshard(
-      cfg, 400.0, 4, [](Cluster& cluster, std::function<void()> done) {
+      cfg, 400.0, 4, 0.3 * cfg.simTime,
+      [](Cluster& cluster, std::function<void()> done) {
         cluster.grow(2, std::move(done));
       });
 
@@ -133,17 +134,20 @@ TEST(LiveReshard, ItemUpdatedMidHandoffStaysConsistent) {
       << "no update ever raced the freeze window; the case is vacuous";
   EXPECT_EQ(r.pool.staleReads, 0u);
   EXPECT_EQ(r.clusterStale, 0u);
+  EXPECT_EQ(r.cluster.misroutedItems, 0u);
   EXPECT_EQ(r.poolStats.badFrames, 0u);
 }
 
 TEST(LiveReshard, QueriesRacingTheEpochFlipAllComplete) {
   // Eight agents keep querying straight through cutover: whatever was in
-  // flight when the announce landed must still complete (grace service on
-  // the old owner, or a re-announce nudging a misrouted straggler), and
-  // the pool must keep completing queries against the new map afterwards.
+  // flight when the announce landed must still complete (owed legs move to
+  // the new owners; fetches already out are grace-served by the old one),
+  // and the pool must keep completing queries against the new map
+  // afterwards.
   const core::SimConfig cfg = reshardConfig();
   const ReshardRunResult r = runAcrossReshard(
-      cfg, 400.0, 4, [](Cluster& cluster, std::function<void()> done) {
+      cfg, 400.0, 4, 0.3 * cfg.simTime,
+      [](Cluster& cluster, std::function<void()> done) {
         cluster.grow(2, std::move(done));
       });
 
@@ -163,6 +167,7 @@ TEST(LiveReshard, QueriesRacingTheEpochFlipAllComplete) {
   EXPECT_EQ(r.poolStats.connectionsLost, 0u);
   EXPECT_EQ(r.pool.staleReads, 0u);
   EXPECT_EQ(r.clusterStale, 0u);
+  EXPECT_EQ(r.cluster.misroutedItems, 0u);
 }
 
 TEST(LiveReshard, ShardRemovedWhileClientsDozeWakesIntoNewEpoch) {
@@ -176,7 +181,8 @@ TEST(LiveReshard, ShardRemovedWhileClientsDozeWakesIntoNewEpoch) {
   core::SimConfig cfg = reshardConfig();
   cfg.disconnectProb = 0.5;  // paper's heavy-sleeper regime
   const ReshardRunResult r = runAcrossReshard(
-      cfg, 400.0, 4, [](Cluster& cluster, std::function<void()> done) {
+      cfg, 400.0, 4, 0.3 * cfg.simTime,
+      [](Cluster& cluster, std::function<void()> done) {
         cluster.shrink(2, std::move(done));
       });
 
@@ -194,6 +200,7 @@ TEST(LiveReshard, ShardRemovedWhileClientsDozeWakesIntoNewEpoch) {
   EXPECT_EQ(r.cluster.handoffFailures, 0u);
   EXPECT_EQ(r.pool.staleReads, 0u);
   EXPECT_EQ(r.clusterStale, 0u);
+  EXPECT_EQ(r.cluster.misroutedItems, 0u);
 }
 
 // A flip re-shares each agent's cache at the new shard count: after a grow
@@ -206,7 +213,7 @@ TEST(LiveReshard, FlipReSharesEveryAgentsCache) {
   for (const std::uint32_t target : {6u, 2u}) {
     SCOPED_TRACE("4 -> " + std::to_string(target));
     const ReshardRunResult r = runAcrossReshard(
-        cfg, 400.0, 4,
+        cfg, 400.0, 4, 0.3 * cfg.simTime,
         [target](Cluster& cluster, std::function<void()> done) {
           if (target > 4) {
             cluster.grow(target - 4, std::move(done));
@@ -223,7 +230,57 @@ TEST(LiveReshard, FlipReSharesEveryAgentsCache) {
     }
     EXPECT_EQ(r.pool.staleReads, 0u);
     EXPECT_EQ(r.clusterStale, 0u);
+    EXPECT_EQ(r.cluster.misroutedItems, 0u);
   }
+}
+
+/// A flip whose next report comes after the retiring daemons' grace has
+/// ended. At x20 a report period (L = 20 model s) is 1 wall s, twice
+/// ReshardCoordinator::kGraceWallSeconds. The reshard starts 6 model s
+/// after a report tick, with legs owed on every shard, so no shard reports
+/// again until grace is over. A leg left on its old owner would then
+/// outlive it: the retiring daemon's EOF reaches the drained link that
+/// still holds the leg (shrink), or the old owner refuses the leg's fetch
+/// (grow, rebalance). Owed legs follow their items to the new owners
+/// instead: no agent is lost, nothing is misrouted or stale, and queries
+/// keep completing after the flip.
+template <typename Mutate>
+void expectSlowFlipLosesNothing(Mutate mutate) {
+  core::SimConfig cfg = reshardConfig();
+  cfg.meanThinkTime = 5.0;  // most agents are mid-query at the flip
+  cfg.simTime = 120.0;
+  ASSERT_EQ(cfg.broadcastPeriod, 20.0);
+  const ReshardRunResult r = runAcrossReshard(cfg, 20.0, 4, 66.0, mutate);
+  EXPECT_TRUE(r.transitionDone);
+  EXPECT_EQ(r.poolStats.epochSwitches, 1u);
+  EXPECT_EQ(r.poolStats.connectionsLost, 0u);
+  EXPECT_EQ(r.cluster.misroutedItems, 0u);
+  EXPECT_GT(r.queriesBeforeSwitch, 0u);
+  EXPECT_GT(r.pool.queriesCompleted, r.queriesBeforeSwitch)
+      << "no query completed after the epoch switch";
+  EXPECT_EQ(r.pool.staleReads, 0u);
+  EXPECT_EQ(r.clusterStale, 0u);
+}
+
+TEST(LiveReshard, GrowWithReportsSlowerThanGraceLosesNoQuery) {
+  expectSlowFlipLosesNothing(
+      [](Cluster& cluster, std::function<void()> done) {
+        cluster.grow(2, std::move(done));
+      });
+}
+
+TEST(LiveReshard, RebalanceWithReportsSlowerThanGraceLosesNoQuery) {
+  expectSlowFlipLosesNothing(
+      [](Cluster& cluster, std::function<void()> done) {
+        cluster.rebalance(std::move(done));
+      });
+}
+
+TEST(LiveReshard, ShrinkWithReportsSlowerThanGraceLosesNoQuery) {
+  expectSlowFlipLosesNothing(
+      [](Cluster& cluster, std::function<void()> done) {
+        cluster.shrink(2, std::move(done));
+      });
 }
 
 /// Every shard's tick read between two reads of shard 0's: all shards run

@@ -13,12 +13,16 @@
 // and ClientAgent keep) and on a swarm ClientRow. After every step both
 // must agree on phase, deadlines, owed mask, outstanding fetches and the
 // draws consumed from each random stream, and both must match the draw
-// order the lifecycle documents, replayed on reference streams.
+// order the lifecycle documents, replayed on reference streams. A query in
+// flight across an epoch flip runs on two-partition views of both, which
+// must answer each of its items exactly once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -412,6 +416,7 @@ struct HostClient {
   double wakeAt = -1;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::map<db::ItemId, int> answers;  ///< hits plus misses, per item
 
   HostClient() { leg.ctx = &h.ctx; }
 };
@@ -438,11 +443,10 @@ class HostSide : public life::HostView {
   [[nodiscard]] bool anyFetchOutstanding() const {
     return !c_.leg.fetch.empty();
   }
-  bool drawQuery(double now) {
+  void drawQuery(double now) {
     c_.queries.nextQuery(c_.leg.items);
     life_.queryStart = now;
     c_.leg.owed = true;
-    return true;
   }
   static void armThink(double) {}
   static void cancelThink() {}
@@ -452,10 +456,12 @@ class HostSide : public life::HostView {
   }
   bool hit(life::QueryLeg* leg, db::ItemId item, const cache::Entry* e) {
     ++c_.hits;
+    ++c_.answers[item];
     return HostView::hit(leg, item, e);
   }
   void miss(life::QueryLeg* leg, db::ItemId item) {
     ++c_.misses;
+    ++c_.answers[item];
     HostView::miss(leg, item);
   }
   static void requestFetches(const life::QueryLeg*) {}
@@ -464,7 +470,7 @@ class HostSide : public life::HostView {
     c_.leg.items.clear();
   }
 
- private:
+ protected:
   HostClient& c_;
   const Law& law_;
 };
@@ -478,8 +484,11 @@ struct RowClient {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t completed = 0;
+  std::map<db::ItemId, int> answers;  ///< hits plus misses, per item
 
-  RowClient() { st.configure(1, 1, kDbSize, kCapacity, kSeed); }
+  explicit RowClient(std::uint32_t shards = 1) {
+    st.configure(1, shards, kDbSize, kCapacity, kSeed);
+  }
 };
 
 /// ClientRow (the production state half) plus the emulator's mechanics.
@@ -493,7 +502,7 @@ class RowSide : public ClientRow {
     return law_.params;
   }
   double drawThink() { return st_.rngQuery[0].exponential(kMeanThink); }
-  bool drawQuery(double now) {
+  void drawQuery(double now) {
     workload::drawQueryItems(st_.rngQuery[0], kMeanItems, rc_.pattern,
                              rc_.scratch);
     const auto kept = static_cast<std::uint32_t>(std::min<std::size_t>(
@@ -505,7 +514,6 @@ class RowSide : public ClientRow {
     st_.needAnswer[0] = 1;
     st_.queryStart[0] = now;
     rc_.pending = 0;
-    return true;
   }
   static void armThink(double) {}
   static void cancelThink() {}
@@ -519,13 +527,15 @@ class RowSide : public ClientRow {
       if (!f(st_.queryItems[i])) return;
     }
   }
-  bool hit(std::uint32_t, db::ItemId, Slot h) {
+  bool hit(std::uint32_t, db::ItemId item, Slot h) {
     st_.slotUsed.set(h.index);
     ++rc_.hits;
+    ++rc_.answers[item];
     return true;
   }
-  void miss(std::uint32_t, db::ItemId) {
+  void miss(std::uint32_t, db::ItemId item) {
     ++rc_.misses;
+    ++rc_.answers[item];
     ++rc_.pending;
   }
   static void requestFetches(std::uint32_t) {}
@@ -536,7 +546,7 @@ class RowSide : public ClientRow {
   }
   void recordCompletion(double) { ++rc_.completed; }
 
- private:
+ protected:
   RowClient& rc_;
   const Law& law_;
 };
@@ -716,6 +726,177 @@ TEST(ClientLifecycleParity, ScriptedLifecycleAgreesAfterEveryStep) {
   e.expectSame("no interval coin under the post-query model");
   EXPECT_EQ(Lifecycle::peek(e.host.disc.rng()), Lifecycle::peek(refDisc));
   EXPECT_EQ(e.host.life.phase, Phase::kThinking);
+}
+
+// --- the in-flight query at an epoch flip ----------------------------------
+
+/// A shard map by residue: item i lives on partition i % shards.
+struct ResidueMap {
+  std::uint32_t shards;
+  [[nodiscard]] std::uint32_t shardOf(db::ItemId item) const {
+    return static_cast<std::uint32_t>(item % shards);
+  }
+};
+
+/// What both views of a flip read: the law, the scripted query, the
+/// installed map and the one it replaced.
+struct FlipScript {
+  Law law;
+  std::vector<db::ItemId> query;
+  ResidueMap map{2};
+  ResidueMap preFlip{2};
+
+  FlipScript() { law.params.model = workload::DisconnectModel::kIntervalCoin; }
+};
+
+/// ClientAgent's fields for two shard links: leg 0 is the HostClient's, leg
+/// 1 has a partition of its own. A flip leaves the legs where they are.
+struct TwoLegHost : HostClient {
+  schemes::testutil::ClientHarness h1{kDbSize, kCapacity};
+  life::QueryLeg leg1;
+  std::vector<db::ItemId> items;
+
+  TwoLegHost() { leg1.ctx = &h1.ctx; }
+  std::array<life::QueryLeg*, 2> legs() { return {&leg, &leg1}; }
+};
+
+/// HostSide plus ClientAgent::Life's query hooks over two legs.
+class TwoLegSide : public HostSide {
+ public:
+  TwoLegSide(TwoLegHost& c, const FlipScript& s)
+      : HostSide(c, s.law), t_(c), s_(s) {}
+
+  [[nodiscard]] life::QueryLeg* part(std::uint32_t p) { return t_.legs()[p]; }
+  [[nodiscard]] static sim::SimTime stamp(double t) { return t; }
+  [[nodiscard]] bool anyOwed() const { return t_.leg.owed || t_.leg1.owed; }
+  [[nodiscard]] bool anyFetchOutstanding() const {
+    return !t_.leg.fetch.empty() || !t_.leg1.fetch.empty();
+  }
+  void drawQuery(double now) {
+    t_.items = s_.query;
+    life_.queryStart = now;
+    oweQueryItems();
+  }
+  template <class Owed>
+  void keepQueryItems(Owed&& owed) {
+    std::vector<db::ItemId>& items = t_.items;
+    items.clear();
+    for (life::QueryLeg* l : t_.legs()) {
+      if (owed(l)) items.insert(items.end(), l->items.begin(), l->items.end());
+    }
+  }
+  void oweQueryItems() {
+    for (life::QueryLeg* l : t_.legs()) {
+      l->owed = false;
+      l->items.clear();
+    }
+    for (db::ItemId item : t_.items) {
+      life::QueryLeg* l = part(s_.map.shardOf(item));
+      l->items.push_back(item);
+      l->owed = true;
+    }
+  }
+
+ private:
+  TwoLegHost& t_;
+  const FlipScript& s_;
+};
+
+/// RowSide over a two-shard row plus SwarmEmulator::Life's query hooks:
+/// forEachQueryItem picks a partition's items by the installed map, as the
+/// tick loop does.
+class TwoShardSide : public RowSide {
+ public:
+  TwoShardSide(RowClient& c, const FlipScript& s) : RowSide(c, s.law), s_(s) {}
+
+  [[nodiscard]] static std::uint32_t part(std::uint32_t p) { return p; }
+  [[nodiscard]] static Tick stamp(double t) { return toTick(t); }
+  void drawQuery(double now) {
+    std::copy(s_.query.begin(), s_.query.end(), st_.queryItems.begin());
+    st_.queryCount[0] = static_cast<std::uint8_t>(s_.query.size());
+    st_.queryStart[0] = now;
+    oweQueryItems();
+    rc_.pending = 0;
+  }
+  template <class Owed>
+  void keepQueryItems(Owed&& owed) {
+    ClientRow::keepQueryItems(s_.preFlip, owed);
+  }
+  void oweQueryItems() { ClientRow::oweQueryItems(s_.map); }
+  template <class F>
+  void forEachQueryItem(std::uint32_t s, F&& f) {
+    for (std::uint32_t i = 0; i < st_.queryCount[0]; ++i) {
+      const db::ItemId item = st_.queryItems[i];
+      if (s_.map.shardOf(item) == s && !f(item)) return;
+    }
+  }
+
+ private:
+  const FlipScript& s_;
+};
+
+// A query spans two partitions; one leg is answered; then a flip maps both
+// legs' items onto one partition. The answered item leaves the query, the
+// owed one is owed at its new owner, and the next report there answers it:
+// each item is answered exactly once on both views, and the query
+// completes when its fetches land.
+TEST(ClientLifecycleParity, FlipAnswersEachItemOnceOnBothViews) {
+  FlipScript s;
+  s.query = {10, 11};  // partition 0 and partition 1 under the old map
+  TwoLegHost host;
+  RowClient row(2);
+  auto both = [&](auto&& step) {
+    TwoLegSide h(host, s);
+    step(h);
+    TwoShardSide r(row, s);
+    step(r);
+  };
+  auto expectSame = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(host.life.phase, row.st.phase[0]);
+    EXPECT_EQ((host.leg.owed ? 1u : 0u) | (host.leg1.owed ? 2u : 0u),
+              row.st.needAnswer[0]);
+    EXPECT_EQ(host.leg.fetch.size() + host.leg1.fetch.size(), row.pending);
+    EXPECT_EQ(host.answers, row.answers);
+    EXPECT_EQ(host.life.completed, row.completed);
+  };
+
+  // Item 10 is cached fresh on partition 0; item 11 is nowhere.
+  host.h.cacheItem(10, 1.0, 0);
+  row.st.insert(0, 0, 10, toTick(1.0), 0);
+
+  both([](auto& v) { life::issueQuery(v, 5.0); });
+  expectSame("query owed on both partitions");
+  EXPECT_EQ(row.st.needAnswer[0], 3u);
+
+  both([](auto& v) { life::tryAnswer(v, v.part(0), 6.0); });
+  expectSame("partition 0 answers item 10");
+  EXPECT_EQ(host.answers, (std::map<db::ItemId, int>{{10, 1}}));
+
+  // The flip: partition 1 leaves the map and its items move to 0.
+  s.preFlip = s.map;
+  s.map = ResidueMap{1};
+  both([](auto& v) { life::onEpochFlip(v, 7.0); });
+  expectSame("flip moves the owed leg");
+  EXPECT_EQ(row.st.needAnswer[0], 1u);
+  EXPECT_EQ(host.items, (std::vector<db::ItemId>{11}));
+  EXPECT_EQ(host.items, (std::vector<db::ItemId>(
+                            row.st.queryItems.begin(),
+                            row.st.queryItems.begin() + row.st.queryCount[0])));
+  EXPECT_FALSE(host.leg1.owed);
+
+  both([](auto& v) { life::tryAnswer(v, v.part(0), 8.0); });
+  expectSame("partition 0 answers the moved item");
+  EXPECT_EQ(host.answers, (std::map<db::ItemId, int>{{10, 1}, {11, 1}}));
+  EXPECT_EQ(host.life.phase, Phase::kQuerying);
+
+  both([](auto& v) {
+    (void)life::onFetchedCopy(v, v.part(0), 9.0, 11, v.stamp(9.0), [] {});
+  });
+  expectSame("the fetch lands and the query completes");
+  EXPECT_EQ(host.life.completed, 1u);
+  EXPECT_EQ(host.life.phase, Phase::kThinking);
+  EXPECT_EQ(host.life.thinkDeadline, row.st.thinkDeadline[0]);
 }
 
 // The one query law: from the same stream, QueryGenerator (the sim and

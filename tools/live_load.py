@@ -24,6 +24,8 @@ CI runs this against the release build; locally:
     python3 tools/live_load.py --build build-release
     python3 tools/live_load.py --build build-release --shards 3
     python3 tools/live_load.py --build build-release --shards 4 --reshard
+    python3 tools/live_load.py --build build-release --shards 4 --reshard \
+        --timescale 10
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ import sys
 # shrink back to 4. Transitions must be spaced wider than the cutover
 # grace window (0.5 wall s = timescale/2 model s) plus handoff time, or
 # the later steps land while the earlier reshard is still in flight.
+# Grace serves only the fetches, checks and audits in flight at a flip;
+# a query leg moves to the new owner, so a report period longer than
+# grace (--timescale below 2 * L) loses nothing.
 RESHARD_SCRIPT = "grow2@60,rebalance@150,shrink2@240"
 RESHARD_MIN_DURATION = 400.0
 
