@@ -1,6 +1,7 @@
 #include "core/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,20 +48,24 @@ void SimConfig::validate() const {
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("SimConfig: " + what);
   };
+  auto finitePositive = [](double x) { return std::isfinite(x) && x > 0; };
   if (simTime <= 0) fail("simTime must be positive");
   if (warmupTime < 0 || warmupTime >= simTime)
     fail("warmupTime must be in [0, simTime)");
   if (numClients == 0) fail("numClients must be >= 1");
   if (dbSize < 2) fail("dbSize must be >= 2");
-  if (broadcastPeriod <= 0) fail("broadcastPeriod must be positive");
+  if (!finitePositive(broadcastPeriod))
+    fail("broadcastPeriod must be finite, > 0");
   if (downlinkBps <= 0 || uplinkBps <= 0) fail("bandwidths must be positive");
   if (clientBufferFrac <= 0 || clientBufferFrac > 1)
     fail("clientBufferFrac must be in (0,1]");
-  if (meanThinkTime <= 0) fail("meanThinkTime must be positive");
+  if (!finitePositive(meanThinkTime)) fail("meanThinkTime must be finite, > 0");
   if (meanItemsPerQuery < 1) fail("meanItemsPerQuery must be >= 1");
   if (meanItemsPerUpdate < 1) fail("meanItemsPerUpdate must be >= 1");
-  if (meanUpdateInterarrival <= 0) fail("meanUpdateInterarrival must be positive");
-  if (meanDisconnectTime <= 0) fail("meanDisconnectTime must be positive");
+  if (!finitePositive(meanUpdateInterarrival))
+    fail("meanUpdateInterarrival must be finite, > 0");
+  if (!finitePositive(meanDisconnectTime))
+    fail("meanDisconnectTime must be finite, > 0");
   if (disconnectProb < 0 || disconnectProb > 1)
     fail("disconnectProb must be in [0,1]");
   if (clientHeterogeneity < 0 || clientHeterogeneity >= 1)

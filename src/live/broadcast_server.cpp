@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <span>
@@ -39,8 +40,8 @@ BroadcastServer::BroadcastServer(Reactor& reactor, ServerOptions options)
       updatePattern_(makeUpdatePattern(opts_.cfg)),
       updateRng_(sim::Rng(opts_.cfg.seed).fork("updates")) {
   opts_.cfg.validate();
-  if (opts_.timeScale <= 0) {
-    throw std::invalid_argument("timeScale must be positive");
+  if (!std::isfinite(opts_.timeScale) || opts_.timeScale <= 0) {
+    throw std::invalid_argument("timeScale must be positive and finite");
   }
   if (opts_.shardCount < 1 || opts_.shardCount > ShardMap::kMaxShards) {
     throw std::invalid_argument("shardCount must be in [1, kMaxShards]");

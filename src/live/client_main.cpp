@@ -12,6 +12,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "live/client_agent.hpp"
@@ -51,6 +52,12 @@ int main(int argc, char** argv) {
   if (opts.port == 0) {
     std::fprintf(stderr, "usage: mci_live_client --port <tcp port> "
                          "[--agents N] [--duration model-seconds]\n");
+    return 1;
+  }
+  try {
+    opts.cfg.validate();  // think and doze times become agent timers
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bad flag: %s\n", e.what());
     return 1;
   }
 

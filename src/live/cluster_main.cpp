@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -55,7 +56,9 @@ bool parseReshardScript(const std::string& spec,
     std::string verb = tok.substr(0, at);
     ReshardStep step;
     step.atModelSeconds = std::atof(tok.c_str() + at + 1);
-    if (step.atModelSeconds <= 0) return false;
+    if (!std::isfinite(step.atModelSeconds) || step.atModelSeconds <= 0) {
+      return false;
+    }
     std::uint32_t count = 1;
     while (!verb.empty() && verb.back() >= '0' && verb.back() <= '9') {
       // trailing digits are the shard count ("grow2")
@@ -164,6 +167,11 @@ int main(int argc, char** argv) {
     opts.multicastBasePort = spec->second;
   }
   const double duration = cli.getDouble("duration", 0.0);  // model s; 0 = run
+  if (!std::isfinite(duration) || duration < 0) {
+    std::fprintf(stderr, "bad --duration value: expected finite model "
+                         "seconds >= 0 (0 runs until signalled)\n");
+    return 1;
+  }
   std::vector<ReshardStep> script;
   if (cli.has("reshard")) {
     if (!parseReshardScript(cli.getStr("reshard", ""), script)) {

@@ -49,8 +49,8 @@ std::size_t Reactor::ownedCount(OwnerId owner) const {
   for (const auto& [fd, entry] : fds_) {
     if (entry.owner == owner) ++n;
   }
-  for (const auto& [id, timer] : timers_) {
-    if (timer.owner == owner) ++n;
+  for (const TimerMeta& timer : timerMeta_) {
+    if (timer.id != sim::kInvalidEventId && timer.owner == owner) ++n;
   }
   return n;
 }
@@ -78,41 +78,42 @@ void Reactor::removeFd(int fd) {
   fds_.erase(fd);
 }
 
+Reactor::TimerMeta& Reactor::metaOf(TimerId id) {
+  return timerMeta_[id & ((TimerId{1} << sim::EventQueue::kSlotBits) - 1)];
+}
+
 Reactor::TimerHandle Reactor::addTimer(double delaySeconds,
                                        double periodSeconds,
                                        TimerHandler handler, OwnerId owner) {
   MCI_DCHECK(ownerLive(owner)) << "addTimer with retired owner " << owner;
-  const TimerId id = nextTimerId_++;
-  const double deadline = nowSeconds() + std::max(0.0, delaySeconds);
-  timers_[id] = Timer{deadline, std::max(0.0, periodSeconds),
-                      std::move(handler), owner};
-  heap_.emplace_back(deadline, id);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  MCI_CHECK(std::isfinite(delaySeconds) && std::isfinite(periodSeconds) &&
+            delaySeconds >= 0 && periodSeconds >= 0)
+      << "timer delay " << delaySeconds << " / period " << periodSeconds;
+  const TimerId id =
+      timers_.push(nowSeconds() + delaySeconds, std::move(handler));
+  // MCI-ANALYZE-ALLOW(hot-path-alloc): grows to the pool's high-water mark
+  timerMeta_.resize(timers_.poolSlots());
+  metaOf(id) = TimerMeta{id, periodSeconds, owner};
   armTimerFd();
   return TimerHandle{id};
 }
 
-bool Reactor::cancelTimer(TimerId id) {
-  // Heap entries for `id` become dead and are skipped lazily; no need to
-  // re-arm (the timerfd firing early is a harmless wakeup).
-  return timers_.erase(id) > 0;
+bool Reactor::cancelTimer(TimerHandle handle) {
+  // No re-arm: the timerfd firing early is a harmless wakeup.
+  if (!timers_.cancel(handle.id)) return false;
+  metaOf(handle.id).id = sim::kInvalidEventId;
+  return true;
 }
 
 void Reactor::armTimerFd() {
-  // Drop dead heap entries so the head is the true earliest deadline.
-  while (!heap_.empty()) {
-    const auto [deadline, id] = heap_.front();
-    const auto it = timers_.find(id);
-    if (it != timers_.end() && it->second.deadline == deadline) break;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-  }
   ::itimerspec spec{};  // all-zero disarms
-  if (!heap_.empty()) {
-    // Relative delay; timerfd treats {0,0} as disarm, so clamp to 1ns to
-    // make an already-due deadline fire immediately instead of never.
-    const double delta = std::max(0.0, heap_.front().first - nowSeconds());
-    auto ns = static_cast<long>(delta * 1e9);
+  const double head = timers_.peekTime();
+  if (head != sim::kTimeInfinity) {
+    // Relative delay, at most a day (every wake re-reads the head, so a far
+    // deadline cannot overflow the nanoseconds); timerfd treats {0,0} as
+    // disarm, so clamp to 1ns to make a due deadline fire, not never.
+    const double delta = std::clamp(head - nowSeconds(), 0.0, 86400.0);
+    const auto ns = static_cast<long>(delta * 1e9);
     spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000L);
     spec.it_value.tv_nsec = std::max(ns % 1000000000L, long{1});
   }
@@ -124,31 +125,21 @@ void Reactor::fireDueTimers() {
   while (::read(timerFd_, &expirations, sizeof expirations) > 0) {
   }
   const double now = nowSeconds();
-  while (!heap_.empty()) {
-    const auto [deadline, id] = heap_.front();
-    const auto it = timers_.find(id);
-    const bool live = it != timers_.end() && it->second.deadline == deadline;
-    if (live && deadline > now) break;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-    if (!live) continue;
-    MCI_DCHECK(ownerLive(it->second.owner))
-        << "timer " << id << " fired after owner " << it->second.owner
-        << " was retired";
-    TimerHandler handler;
-    if (it->second.period > 0) {
+  while (timers_.peekTime() <= now) {
+    timers_.fire([&](TimerId id, double deadline) {
+      TimerMeta& t = metaOf(id);
+      MCI_DCHECK(ownerLive(t.owner))
+          << "timer " << id << " fired after owner " << t.owner
+          << " was retired";
+      if (t.period == 0) {
+        t.id = sim::kInvalidEventId;
+        return sim::kTimeInfinity;
+      }
       // Catch up in whole periods so a stalled loop fires once, not a burst.
       double next = deadline;
-      while (next <= now) next += it->second.period;
-      it->second.deadline = next;
-      heap_.emplace_back(next, id);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      handler = it->second.handler;  // copy: the handler may cancel itself
-    } else {
-      handler = std::move(it->second.handler);
-      timers_.erase(it);
-    }
-    handler();
+      while (next <= now) next += t.period;
+      return next;
+    });
   }
   armTimerFd();
 }

@@ -4,20 +4,20 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "metrics/walltime.hpp"
+#include "sim/event_queue.hpp"
 
 namespace mci::live {
 
 /// Single-threaded epoll event loop with timerfd-driven timers.
 ///
 /// One epoll instance multiplexes every socket of a daemon plus exactly one
-/// timerfd, which is re-armed to the earliest deadline of a binary-heap
-/// timer queue — N periodic timers cost one kernel timer, not N. All
-/// callbacks run on the thread inside run()/runOnce(); there is no locking
-/// anywhere in the live subsystem.
+/// timerfd, armed to the head of one sim::EventQueue keyed on nowSeconds()
+/// (the simulator's allocation-free queue; equal deadlines fire in
+/// registration order). All callbacks run on the thread inside
+/// run()/runOnce(); there is no locking anywhere in the live subsystem.
 ///
 /// Handlers may freely add/remove fds and timers from within a callback
 /// (removal of an fd whose event is already harvested suppresses the
@@ -34,8 +34,9 @@ namespace mci::live {
 class Reactor {
  public:
   using FdHandler = std::function<void(std::uint32_t epollEvents)>;
-  using TimerHandler = std::function<void()>;
-  using TimerId = std::uint64_t;
+  /// Captures must fit 64 bytes; more state goes in a struct by reference.
+  using TimerHandler = sim::InlineFn;
+  using TimerId = sim::EventId;
   /// Registration-owner generation; 0 = unowned (free-function callbacks
   /// whose captures outlive the reactor, e.g. main()-scope locals).
   using OwnerId = std::uint32_t;
@@ -82,17 +83,15 @@ class Reactor {
   void removeFd(FdHandle handle) { removeFd(handle.fd); }
 
   /// Schedules `handler` to fire `delaySeconds` from now; `periodSeconds`
-  /// > 0 makes it periodic. Returns a handle for cancelTimer().
+  /// > 0 makes it periodic (one handle; a late one fires once, not a
+  /// burst). Both must be finite and >= 0. Returns a cancelTimer() handle.
   [[nodiscard]] TimerHandle addTimer(double delaySeconds,
                                      double periodSeconds,
                                      TimerHandler handler, OwnerId owner = 0);
 
-  /// Cancels a pending timer. Returns false if it already fired (one-shot)
-  /// or was never valid.
-  [[nodiscard]] bool cancelTimer(TimerId id);
-  [[nodiscard]] bool cancelTimer(TimerHandle handle) {
-    return cancelTimer(handle.id);
-  }
+  /// Cancels a pending timer (a periodic one even from its own handler).
+  /// Returns false if it already fired (one-shot) or was never valid.
+  [[nodiscard]] bool cancelTimer(TimerHandle handle);
 
   /// Dispatches until stop() is called from within a handler.
   void run();
@@ -117,15 +116,16 @@ class Reactor {
     OwnerId owner = 0;
   };
 
-  struct Timer {
-    double deadline = 0;  ///< absolute, in nowSeconds() terms
-    double period = 0;    ///< 0 = one-shot
-    TimerHandler handler;
+  /// What the queue does not hold of a pending timer, by queue slot.
+  struct TimerMeta {
+    TimerId id = sim::kInvalidEventId;  ///< invalid: no pending timer
+    double period = 0;                  ///< 0 = one-shot
     OwnerId owner = 0;
   };
 
   void armTimerFd();
   void fireDueTimers();
+  [[nodiscard]] TimerMeta& metaOf(TimerId id);
   [[nodiscard]] bool ownerLive(OwnerId owner) const {
     return owner == 0 || liveOwners_.count(owner) > 0;
   }
@@ -135,11 +135,8 @@ class Reactor {
   bool running_ = false;
   metrics::WallTimer clock_;
   std::map<int, FdEntry> fds_;
-  std::map<TimerId, Timer> timers_;
-  /// Min-heap of (deadline, id) with lazy deletion: an entry is live only
-  /// while timers_[id].deadline matches it exactly.
-  std::vector<std::pair<double, TimerId>> heap_;
-  TimerId nextTimerId_ = 1;
+  sim::EventQueue timers_;
+  std::vector<TimerMeta> timerMeta_;  ///< one per queue slot
   std::set<OwnerId> liveOwners_;
   OwnerId nextOwnerId_ = 1;
 };

@@ -20,6 +20,7 @@
 #include <sys/epoll.h>
 #include <sys/signalfd.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "live/broadcast_server.hpp"
@@ -100,6 +101,11 @@ int main(int argc, char** argv) {
   }
 
   const double duration = cli.getDouble("duration", 0.0);  // model s; 0 = run
+  if (!std::isfinite(duration) || duration < 0) {
+    std::fprintf(stderr, "bad --duration value: expected finite model "
+                         "seconds >= 0 (0 runs until signalled)\n");
+    return 1;
+  }
   for (const auto& unknown : cli.unknownArgs()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
   }

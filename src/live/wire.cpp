@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 
 #include "core/check.hpp"
 #include "core/config.hpp"
@@ -217,6 +218,8 @@ std::optional<Welcome> decodeWelcome(std::span<const std::uint8_t> payload) {
   m.controlMessageBytes = static_cast<std::uint32_t>(r.read(32));
   m.broadcastPeriod = bitsDouble(r.read(64));
   m.timeScale = bitsDouble(r.read(64));
+  // The client's clock turns every model delay into a timer by this scale.
+  if (!std::isfinite(m.timeScale) || m.timeScale <= 0) return std::nullopt;
   m.windowIntervals = static_cast<std::uint16_t>(r.read(16));
   m.sigSeed = r.read(64);
   m.sigSubsets = static_cast<std::uint32_t>(r.read(32));

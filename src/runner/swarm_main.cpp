@@ -176,42 +176,44 @@ SwarmPhaseResult runSwarm(const core::SimConfig& cfg, double timeScale,
   em.start();
 
   metrics::WallTimer timer;
-  const double warmupModel = cfg.simTime * 0.25;
-  std::uint64_t warmAllocs = 0;
-  std::uint64_t warmTicks = 0;
-  bool warmMarked = false;
-  bool timedOut = false;
-  bool growStarted = false;
-  bool growDone = false;
-  bool tailMarked = false;
-  std::uint64_t tailHits = 0;
-  std::uint64_t tailMisses = 0;
+  // The tick's marks: one struct, so the tick's captures fit a timer.
+  struct Progress {
+    std::uint64_t warmAllocs = 0;
+    std::uint64_t warmTicks = 0;
+    bool warmMarked = false;
+    bool timedOut = false;
+    bool growStarted = false;
+    bool growDone = false;
+    bool tailMarked = false;
+    std::uint64_t tailHits = 0;
+    std::uint64_t tailMisses = 0;
+  } p;
   const live::Reactor::TimerHandle tick = reactor.addTimer(0.02, 0.02, [&] {
     if (!em.ready()) {
       if (timer.seconds() > 60.0) {  // connect stall guard
-        timedOut = true;
+        p.timedOut = true;
         reactor.stop();
       }
       return;
     }
-    if (!warmMarked && em.modelNow() >= warmupModel) {
-      warmMarked = true;
-      warmAllocs = em.mux().stats().hotAllocs;
-      warmTicks = em.stats().clientTicks;
+    if (!p.warmMarked && em.modelNow() >= cfg.simTime * 0.25) {
+      p.warmMarked = true;
+      p.warmAllocs = em.mux().stats().hotAllocs;
+      p.warmTicks = em.stats().clientTicks;
     }
-    if (plan.enabled && !growStarted &&
+    if (plan.enabled && !p.growStarted &&
         em.modelNow() >= cfg.simTime * plan.atFrac) {
-      growStarted = true;
-      cluster.grow(plan.growBy, [&cluster, &growDone] {
-        growDone = true;
+      p.growStarted = true;
+      cluster.grow(plan.growBy, [&cluster, &p] {
+        p.growDone = true;
         std::fprintf(stderr, "mci_swarm: reshard done — epoch=%u shards=%u\n",
                      cluster.epoch(), cluster.shardCount());
       });
     }
-    if (!tailMarked && em.modelNow() >= cfg.simTime * plan.tailFrac) {
-      tailMarked = true;
-      tailHits = em.stats().cacheHits;
-      tailMisses = em.stats().cacheMisses;
+    if (!p.tailMarked && em.modelNow() >= cfg.simTime * plan.tailFrac) {
+      p.tailMarked = true;
+      p.tailHits = em.stats().cacheHits;
+      p.tailMisses = em.stats().cacheMisses;
     }
     if (em.modelNow() >= cfg.simTime) {
       em.shutdown();
@@ -238,39 +240,40 @@ SwarmPhaseResult runSwarm(const core::SimConfig& cfg, double timeScale,
         static_cast<double>(cluster.totalStats().updatesApplied) /
         em.modelNow();
   }
-  if (tailMarked) {
-    const std::uint64_t th = r.stats.cacheHits - tailHits;
-    const std::uint64_t tm = r.stats.cacheMisses - tailMisses;
+  if (p.tailMarked) {
+    const std::uint64_t th = r.stats.cacheHits - p.tailHits;
+    const std::uint64_t tm = r.stats.cacheMisses - p.tailMisses;
     if (th + tm > 0) {
       r.tailHitRatio = static_cast<double>(th) / static_cast<double>(th + tm);
     }
   }
-  const std::uint64_t steadyTicks = r.stats.clientTicks - warmTicks;
+  const std::uint64_t steadyTicks = r.stats.clientTicks - p.warmTicks;
   r.allocsPerClientTick =
-      !warmMarked || steadyTicks == 0
+      !p.warmMarked || steadyTicks == 0
           ? -1.0
-          : static_cast<double>(steadyAllocsEnd - warmAllocs) /
+          : static_cast<double>(steadyAllocsEnd - p.warmAllocs) /
                 static_cast<double>(steadyTicks);
-  r.sound = !timedOut && em.ready() && !em.mux().anyConnectionLost() &&
+  r.sound = !p.timedOut && em.ready() && !em.mux().anyConnectionLost() &&
             r.stats.reportsProcessed > 0 && r.stats.queriesCompleted > 0 &&
             r.stats.staleReads == 0 && cluster.staleReads() == 0;
   if (plan.enabled) {
     // The transition itself is part of the soundness claim: the grow must
     // have started, completed on the cluster, and been applied by the mux.
-    r.sound = r.sound && growStarted && growDone && r.mux.epochSwitches >= 1;
+    r.sound =
+        r.sound && p.growStarted && p.growDone && r.mux.epochSwitches >= 1;
   }
   if (!r.sound) {
     std::fprintf(
         stderr,
         "mci_swarm: swarm phase unsound (timeout=%d ready=%d lost=%llu "
         "reports=%llu queries=%llu stale=%llu/%llu grow=%d/%d switches=%llu)\n",
-        timedOut ? 1 : 0, em.ready() ? 1 : 0,
+        p.timedOut ? 1 : 0, em.ready() ? 1 : 0,
         static_cast<unsigned long long>(em.mux().stats().connectionsLost),
         static_cast<unsigned long long>(r.stats.reportsProcessed),
         static_cast<unsigned long long>(r.stats.queriesCompleted),
         static_cast<unsigned long long>(r.stats.staleReads),
         static_cast<unsigned long long>(cluster.staleReads()),
-        growStarted ? 1 : 0, growDone ? 1 : 0,
+        p.growStarted ? 1 : 0, p.growDone ? 1 : 0,
         static_cast<unsigned long long>(r.mux.epochSwitches));
   }
   return r;

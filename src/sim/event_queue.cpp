@@ -83,6 +83,14 @@ SimTime EventQueue::peekTime() {
   return heap_.empty() ? kTimeInfinity : heap_.front().time;
 }
 
+void EventQueue::requeueTop(SimTime at) {
+  MCI_CHECK(std::isfinite(at) && at >= heap_.front().time)
+      << "refire time " << at << " is not finite or is before the event's";
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.back().time = at;
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
 EventQueue::Popped EventQueue::pop() {
   dropStaleTop();
   MCI_CHECK(!heap_.empty()) << "pop() on empty EventQueue";

@@ -61,6 +61,23 @@ class EventQueue {
   };
   MCI_HOT Popped pop();
 
+  /// Pops the earliest event and calls its fn, unless `refire(id, time)`
+  /// names a finite time: then the event is re-queued there under its own
+  /// id and slot before the call, so it keeps its FIFO place and the fn
+  /// may cancel() it, and the fn goes back unless it did. The fn must not
+  /// clear() the queue. Precondition: !empty().
+  template <typename Refire>
+  void fire(Refire&& refire) {
+    MCI_CHECK(peekTime() != kTimeInfinity) << "fire() on empty EventQueue";
+    const HeapEntry top = heap_.front();
+    const SimTime next = refire(top.id, top.time);
+    if (next == kTimeInfinity) return pop().fn();
+    requeueTop(next);
+    EventFn fn = std::move(pool_[top.slot].fn);
+    fn();
+    if (pool_[top.slot].id == top.id) pool_[top.slot].fn = std::move(fn);
+  }
+
   /// Removes all events. Keeps the sequence counter (ids stay unique) but
   /// releases the heap/pool storage.
   void clear();
@@ -70,7 +87,7 @@ class EventQueue {
   /// reallocations either.
   void reserve(std::size_t events);
 
-  /// Slots ever allocated (pool high-water mark); for pool-reuse tests.
+  /// Slots ever allocated: the pool's high-water mark, above every slot.
   [[nodiscard]] std::size_t poolSlots() const { return pool_.size(); }
 
  private:
@@ -104,6 +121,8 @@ class EventQueue {
     return pool_[e.slot].id == e.id;
   }
   void dropStaleTop();
+  /// Moves the earliest live entry to `at`, keeping its id and slot.
+  void requeueTop(SimTime at);
 
   std::vector<HeapEntry> heap_;
   std::vector<Slot> pool_;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -621,6 +622,25 @@ TEST(LiveLoopback, ServerThatFailsToStartLeavesNoFdOpen) {
                                         << opts->tcpPort;
     EXPECT_EQ(reactor.fdCount(), regsBefore);
   }
+}
+
+// The L-period broadcast timer's wall period is the model period over the
+// time scale, so a scale that is not a positive finite number is refused
+// before the daemon registers anything.
+TEST(LiveLoopback, ServerRefusesANonFiniteOrNonPositiveTimeScale) {
+  Reactor reactor;
+  ServerOptions opts;
+  opts.cfg = baseConfig(schemes::SchemeKind::kAaw);
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0,
+                             -60.0}) {
+    opts.timeScale = scale;
+    EXPECT_THROW((void)std::make_unique<BroadcastServer>(reactor, opts),
+                 std::invalid_argument)
+        << scale;
+  }
+  EXPECT_EQ(reactor.timerCount(), 0u);
+  EXPECT_EQ(reactor.fdCount(), 0u);
 }
 
 /// A hand-rolled one-shard daemon: it welcomes one agent into a TS cluster

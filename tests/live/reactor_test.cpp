@@ -1,5 +1,7 @@
 // Reactor timers and fd dispatch, driven with real pipes and short real
-// delays (a few milliseconds of wall time per test).
+// delays (a few milliseconds of wall time per test). The binary runs under
+// a counting operator new, so a warmed reactor's timers are asserted, not
+// assumed, to be allocation-free.
 
 #include "live/reactor.hpp"
 
@@ -8,8 +10,36 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "live/clock.hpp"
 #include "sim/time.hpp"
+
+namespace {
+std::atomic<std::uint64_t> gAllocs{0};
+}  // namespace
+
+// GCC pairs the inlined malloc-backed operator new with the free() below
+// and misreports a mismatch; the pair is consistent by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  gAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace mci::live {
 namespace {
@@ -78,6 +108,89 @@ TEST(Reactor, LatePeriodicTimerCatchesUpWithoutABurst) {
   // fire, not replay every missed deadline.
   EXPECT_LT(fired, 8);
   EXPECT_GE(fired, 2);
+}
+
+// A periodic timer is pending while its handler runs, so it can cancel
+// itself; a one-shot is already gone from the queue when its handler runs.
+TEST(Reactor, PeriodicTimerCancelsItselfFromItsOwnHandler) {
+  Reactor r;
+  int fired = 0;
+  bool periodicCancel = false;
+  bool oneShotCancel = true;
+  Reactor::TimerHandle periodic;
+  Reactor::TimerHandle oneShot;
+  periodic = r.addTimer(0.001, 0.001, [&] {
+    if (++fired == 2) periodicCancel = r.cancelTimer(periodic);
+  });
+  oneShot =
+      r.addTimer(0.001, 0, [&] { oneShotCancel = r.cancelTimer(oneShot); });
+  (void)r.addTimer(0.02, 0, [&r] { r.stop(); });
+  r.run();
+  EXPECT_TRUE(periodicCancel);
+  EXPECT_EQ(fired, 2);  // never again after the cancel
+  EXPECT_FALSE(oneShotCancel);
+  EXPECT_EQ(r.timerCount(), 0u);
+  EXPECT_FALSE(r.cancelTimer(periodic));
+}
+
+// Timers that fall due in one wake fire in deadline order, then in
+// registration order: equal delays registered in turn fire in turn. A
+// periodic timer's refire keeps the handle and the place of its first
+// registration, so one-shots registered after it never overtake it.
+TEST(Reactor, DueTimersFireInRegistrationOrderAndAPeriodicKeepsItsPlace) {
+  Reactor r;
+  std::vector<int> order;
+  const Reactor::TimerHandle periodic =
+      r.addTimer(0.001, 0.001, [&order] { order.push_back(0); });
+  const auto oneShots = [&](int first, int last) {
+    for (int i = first; i <= last; ++i) {
+      (void)r.addTimer(0.001, 0, [&order, i] { order.push_back(i); });
+    }
+    ::usleep(3000);  // everything registered so far is due at the next wake
+    r.runOnce(100);
+  };
+  oneShots(1, 4);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  oneShots(5, 6);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 0, 5, 6}));
+  EXPECT_TRUE(r.cancelTimer(periodic));
+  EXPECT_EQ(r.timerCount(), 0u);
+}
+
+// The timerfd is armed relative to now: a head deadline too far away for
+// the nanosecond count is armed at the clamp and re-read on the next wake.
+TEST(Reactor, FarDeadlineNeitherFiresNorOverflowsTheTimerfd) {
+  Reactor r;
+  bool fired = false;
+  const Reactor::TimerHandle far = r.addTimer(1e10, 0, [&] { fired = true; });
+  r.runOnce(1);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(r.timerCount(), 1u);
+  EXPECT_TRUE(r.cancelTimer(far));
+  EXPECT_EQ(r.timerCount(), 0u);
+}
+
+// Timers live in the simulator's slot-pool queue with inline handlers, so
+// once warmed, arming, firing and cancelling never touch the heap.
+TEST(Reactor, WarmedTimersAddFireAndCancelWithoutAllocating) {
+  Reactor r;
+  int fired = 0;
+  int cancelled = 0;
+  const auto cycle = [&] {
+    const int before = fired;
+    (void)r.addTimer(0, 0, [&fired] { ++fired; });
+    while (fired == before) r.runOnce(100);
+    const Reactor::TimerHandle t = r.addTimer(1.0, 0, [&fired] { ++fired; });
+    if (r.cancelTimer(t)) ++cancelled;
+  };
+  for (int i = 0; i < 10; ++i) cycle();
+  const std::uint64_t allocsBefore = gAllocs.load();
+  for (int i = 0; i < 1000; ++i) cycle();
+  const std::uint64_t allocs = gAllocs.load() - allocsBefore;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, 1010);
+  EXPECT_EQ(cancelled, 1010);
+  EXPECT_EQ(r.timerCount(), 0u);
 }
 
 TEST(Reactor, FdHandlerSeesReadableEvents) {

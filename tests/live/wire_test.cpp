@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -184,6 +185,18 @@ TEST(ControlCodecs, WelcomeRejectsWrongVersionByte) {
   ASSERT_FALSE(bytes.empty());
   bytes[0] ^= 0xFF;  // the version byte leads the payload
   EXPECT_FALSE(decodeWelcome(bytes).has_value());
+}
+
+TEST(ControlCodecs, WelcomeRejectsANonFiniteOrNonPositiveTimeScale) {
+  Welcome m;
+  m.shardMap = ShardMap::single(ShardEndpoint{0x7F000001u, 4242, 0, 0});
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0,
+                             -60.0}) {
+    m.timeScale = scale;
+    EXPECT_FALSE(decodeWelcome(encoded(encodeWelcomeInto, m)).has_value())
+        << scale;
+  }
 }
 
 TEST(ControlCodecs, WelcomeRejectsShardIndexOutsideTheMap) {

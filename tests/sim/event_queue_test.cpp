@@ -122,6 +122,42 @@ TEST(EventQueue, ReuseAfterClear) {
   EXPECT_TRUE(fired);
 }
 
+// fire() with a finite refire time keeps the event pending under its own
+// id and slot: it keeps its FIFO place among equal times, and its fn is
+// back for the next fire unless the call cancelled the event, even when
+// the call pushed a new event into the freed slot.
+TEST(EventQueue, FireRequeuesTheEventUnderItsOwnIdUntilItsCallCancelsIt) {
+  EventQueue q;
+  std::vector<int> fired;
+  EventId periodic = kInvalidEventId;
+  periodic = q.push(1.0, [&] {
+    fired.push_back(0);
+    if (fired.size() == 4) {
+      EXPECT_TRUE(q.cancel(periodic));
+      q.push(9.0, [&fired] { fired.push_back(2); });  // takes the slot
+    }
+  });
+  q.push(2.0, [&fired] { fired.push_back(1); });
+  const auto everySecond = [&periodic](EventId id, SimTime t) {
+    return id == periodic ? t + 1.0 : kTimeInfinity;
+  };
+  q.fire(everySecond);  // t=1; re-queued at 2, ahead of the later push
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.peekTime(), 2.0);
+  q.fire(everySecond);  // t=2, the periodic event: its id is older
+  q.fire(everySecond);  // t=2, the one-shot, released
+  EXPECT_EQ(fired, (std::vector<int>{0, 0, 1}));
+  EXPECT_EQ(q.size(), 1u);
+  q.fire(everySecond);  // t=3: the periodic event cancels itself
+  EXPECT_FALSE(q.cancel(periodic));
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.peekTime(), 9.0);
+  q.fire(everySecond);  // the new event's own fn, not the cancelled one's
+  EXPECT_EQ(fired, (std::vector<int>{0, 0, 1, 0, 2}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.poolSlots(), 2u);
+}
+
 // Property: against a reference model under random pushes/cancels/pops,
 // the queue must deliver exactly the non-cancelled events in (time, seq)
 // order.

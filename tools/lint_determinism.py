@@ -54,6 +54,12 @@ Banned patterns
    place that law is written; a hand-rolled copy drifts from it (say, by
    also comparing the multicast group). A lone field test such as
    `opts.tcpPort == 0` is not an endpoint match and passes.
+10. `push_heap`, `pop_heap`, `make_heap` or `priority_queue` in src/
+    outside src/sim/event_queue.cpp. sim::EventQueue (slot pool, O(1)
+    cancel, FIFO ties, inline handlers) is the one timer queue: the
+    simulator and the live Reactor both schedule on it, and so will a
+    virtual scheduler. A hand-rolled heap is a second queue with its own
+    tie and cancel rules.
 
 An earlier rule 5 (range-for over unordered containers) moved to the
 AST-based `ordered-iteration` rule in tools/analyze/mci_analyze.py, which
@@ -173,6 +179,13 @@ SIMPLE_RULES = [
         LIVE_DIRS,
         LIVE_CLOCK_ALLOWLIST,
         LIVE_CLOCK_MESSAGE,
+    ),
+    (
+        re.compile(r"(?<!\w)(push_heap|pop_heap|make_heap|priority_queue)\b"),
+        ("src",),
+        ("src/sim/event_queue.cpp",),
+        "a second timer queue; schedule on sim::EventQueue, the one heap "
+        "of timed work (src/sim/event_queue.cpp)",
     ),
 ]
 
